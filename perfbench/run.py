@@ -7,7 +7,8 @@ Run from the root of a checkout:
 The package is imported from ``src/`` of that checkout.  A run sets the
 workload up from ``--seed``, then repeats one fixed sweep of work for
 ``--seconds`` seconds in a single thread (``workers=1``, one BLAS thread).
-With ``--trace 0`` it reports the end-to-end metrics.  With ``--trace 1`` it
+With ``--trace 0`` it reports the end-to-end metrics, each call scaled by
+the host's speed measured around it (see clock.py).  With ``--trace 1`` it
 alternates untraced sweeps with replays of the same work one level down,
 with spans; it checks that each replay reproduced every estimate bit for
 bit and reports the per-layer metrics.  Standard output carries an
@@ -37,7 +38,8 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".bench_build" / "perfbench"
 
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
+SETUP_REFERENCE_RUNS = 9
 MIN_SWEEPS = 3
 
 # The benchmark measures one core.  Left at its default, OpenBLAS threads the
@@ -92,25 +94,14 @@ PER_LAYER = {
 @dataclass
 class Sweep:
     wall: float
-    cpu: float
     outcome: object
     tracer: object = None
 
 
-def _cpu_seconds() -> float:
-    """User + system time of this process, all its threads, and its
-    waited-for children."""
-    return sum(r.ru_utime + r.ru_stime for r in (
-        resource.getrusage(resource.RUSAGE_SELF),
-        resource.getrusage(resource.RUSAGE_CHILDREN),
-    ))
-
-
 def _run_sweep(fn, *args) -> Sweep:
-    c0, t0 = _cpu_seconds(), time.perf_counter()
+    t0 = time.perf_counter()
     outcome = fn(*args)
-    t1, c1 = time.perf_counter(), _cpu_seconds()
-    return Sweep(wall=t1 - t0, cpu=c1 - c0, outcome=outcome)
+    return Sweep(wall=time.perf_counter() - t0, outcome=outcome)
 
 
 def timed_sweeps(fn, budget: float) -> list[Sweep]:
@@ -121,6 +112,20 @@ def timed_sweeps(fn, budget: float) -> list[Sweep]:
     while len(sweeps) < MIN_SWEEPS or time.perf_counter() - start < budget:
         sweeps.append(_run_sweep(fn))
     return sweeps
+
+
+def scaled_setup(setup) -> tuple[float, float]:
+    """Seconds of one set-up (a fresh interpreter's import plus ``setup``),
+    raw and scaled by the host's speed measured just before and after."""
+    from clock import reference, speed
+
+    before = statistics.median(reference() for _ in range(SETUP_REFERENCE_RUNS))
+    t0 = time.perf_counter()
+    import_package()
+    setup()
+    raw = time.perf_counter() - t0
+    after = statistics.median(reference() for _ in range(SETUP_REFERENCE_RUNS))
+    return raw, raw * speed(before, after)
 
 
 def traced_pairs(wl, budget: float) -> tuple[list[Sweep], list[Sweep]]:
@@ -140,14 +145,12 @@ def traced_pairs(wl, budget: float) -> tuple[list[Sweep], list[Sweep]]:
     return untraced, traced
 
 
-def import_seconds() -> float:
-    """Wall time of a fresh interpreter importing the package and its CLI."""
+def import_package() -> None:
+    """A fresh interpreter imports the package and its CLI."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    t0 = time.perf_counter()
     subprocess.run([sys.executable, "-c", "import reflectsde.cli"], env=env, cwd=ROOT,
                    check=True, stdout=subprocess.DEVNULL)
-    return time.perf_counter() - t0
 
 
 def _git_commit() -> str | None:
@@ -226,35 +229,41 @@ def _consistency(sweeps: list[Sweep], reference: list) -> list[str]:
     return problems
 
 
-def quiet(values, reverse: bool = False) -> float:
-    """The lower decile (the upper one with ``reverse``): the sorted value
-    at index n // 10, which is the best one when n < 10.
+def scaled_calls(sweeps: list[Sweep]) -> tuple[list[float], list[float]]:
+    """Wall and CPU seconds of each call of a sweep: every sweep makes the
+    same calls, each call's seconds are scaled by the host's speed around
+    it, and the median over the sweeps is taken per call."""
+    from clock import speed
 
-    On a shared host other tenants slow the benchmark in bursts, and they
-    only ever add time.  On a 2-vCPU shared VM, over 30-second windows of
-    one mc_tables run, the median sweep time moved by 70% while the lower
-    decile moved by 14%.
-    """
-    ordered = sorted(values, reverse=reverse)
-    return ordered[len(ordered) // 10]
+    walls, cpus = [], []
+    for i in range(len(sweeps[0].outcome.calls)):
+        scale = [speed(sw.outcome.marks[i], sw.outcome.marks[i + 1]) for sw in sweeps]
+        calls = [sw.outcome.calls[i] for sw in sweeps]
+        walls.append(statistics.median(c.wall * k for c, k in zip(calls, scale)))
+        cpus.append(statistics.median(c.cpu * k for c, k in zip(calls, scale)))
+    return walls, cpus
 
 
 def end_to_end(sweeps: list[Sweep], setup_s: float) -> dict:
-    """Every sweep repeats the same operations, so each rate and latency
-    percentile is taken within a sweep, and the run reports the quiet
-    decile of its sweeps."""
+    """A sweep's time is the sum of its calls' scaled median times.  One
+    call of ``ops`` operations gives ``ops`` latency samples at its mean:
+    run_mc exposes no per-replication timing."""
     import numpy as np
 
-    pct = [np.percentile(sw.outcome.latencies, [50, 95]) for sw in sweeps]
+    walls, cpus = scaled_calls(sweeps)
+    wall = sum(walls)
+    ops = [c.ops for c in sweeps[0].outcome.calls]
+    latencies = np.repeat([w / n for w, n in zip(walls, ops)], ops)
+    completed = sum(sw.outcome.ops - sw.outcome.failed for sw in sweeps) / len(sweeps)
+    p50, p95 = np.percentile(latencies, [50, 95])
     return {
         "setup_s": setup_s,
-        "wall_s": quiet(sw.wall for sw in sweeps),
-        "ops_per_s": quiet(((sw.outcome.ops - sw.outcome.failed) / sw.wall for sw in sweeps),
-                           reverse=True),
-        "op_p50_ms": quiet(float(p[0]) for p in pct) * 1e3,
-        "op_p95_ms": quiet(float(p[1]) for p in pct) * 1e3,
+        "wall_s": wall,
+        "ops_per_s": completed / wall,
+        "op_p50_ms": float(p50) * 1e3,
+        "op_p95_ms": float(p95) * 1e3,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "cpu_s": quiet(sw.cpu for sw in sweeps),
+        "cpu_s": sum(cpus),
     }
 
 
@@ -381,16 +390,16 @@ def main(argv: list[str] | None = None) -> int:
             units = PER_LAYER
             _write_trace(WORK / f"trace-{args.workload}-seed{args.seed}.json", env, traced)
         else:
-            setups = []
-            for _ in range(SETUP_REPEATS):
-                child = import_seconds()
-                t0 = time.perf_counter()
-                wl.setup()
-                setups.append(child + time.perf_counter() - t0)
-            sweeps = timed_sweeps(wl.sweep, args.seconds)
+            from clock import reference
+
+            setups = [scaled_setup(wl.setup) for _ in range(SETUP_REPEATS)]
+            sweeps = timed_sweeps(lambda: wl.sweep(reference), args.seconds)
             problems = _consistency(sweeps, sweeps[0].outcome.outputs)
-            metrics = end_to_end(sweeps, statistics.median(setups))
+            metrics = end_to_end(sweeps, statistics.median(s for _, s in setups))
             units = END_TO_END
+            raw = sum(c.wall for sw in sweeps for c in sw.outcome.calls) / len(sweeps)
+            print(f"# unscaled: setup {statistics.median(r for r, _ in setups)!r} s, "
+                  f"mean sweep calls {raw!r} s")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

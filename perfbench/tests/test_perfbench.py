@@ -23,9 +23,10 @@ BENCH = Path(__file__).resolve().parents[1]
 ROOT = BENCH.parent
 sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
 
+import clock  # noqa: E402
 import run  # noqa: E402
 from tracing import Tracer  # noqa: E402
-from workloads import SIZES, WORKLOADS, Outcome  # noqa: E402
+from workloads import SIZES, WORKLOADS, Call, Outcome  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
@@ -96,13 +97,29 @@ def test_a_one_ulp_difference_fails_the_replay_check():
     changed = [("leg", ((200, b"\x01" + b"\x00" * 7),))]
 
     def sweep(out):
-        sw = run.Sweep(wall=1.0, cpu=1.0, outcome=Outcome(ops=3, outputs=out))
+        sw = run.Sweep(wall=1.0, outcome=Outcome(ops=3, outputs=out))
         sw.tracer = Tracer(0)
         return sw
 
     traced = sweep(changed)
     problems = run._trace_problems([sweep(outputs)], [traced])
     assert problems and traced.outcome.failed == 3
+
+
+def test_calls_are_scaled_by_the_host_speed_around_them():
+    ref = clock.REFERENCE_S
+
+    def sweep(marks, wall):
+        out = Outcome(calls=[Call(4, wall, wall), Call(1, 0.5, 0.5)], marks=marks)
+        return run.Sweep(wall=wall + 0.5, outcome=out)
+
+    quiet = sweep([ref, ref, ref], 1.0)
+    slow = sweep([2 * ref, 2 * ref, 2 * ref], 2.0)
+    walls, cpus = run.scaled_calls([quiet, slow, slow])
+    assert walls == cpus == [1.0, 0.25]
+    metrics = run.end_to_end([quiet], setup_s=1.0)
+    assert metrics["wall_s"] == 1.5
+    assert metrics["op_p50_ms"] == 250.0
 
 
 def test_fails_without_the_package(tmp_path):

@@ -27,6 +27,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from reflectsde import cli, rng
 from reflectsde.errors import DataError, ModelError
 from reflectsde.model import POWER
 
+from clock import cpu_seconds
 from tracing import Tracer
 
 BUILTIN, CUSTOM, TWO_FACTOR = "builtin", "custom", "two_factor"
@@ -58,23 +60,54 @@ _CLOSED_FORM_REL_TOL = 1e-6  # quadrature information against its closed form
 _PIN_FRACTION = 1e-6        # estimates this close to a domain end are pinned
 
 
+@dataclass(frozen=True)
+class Call:
+    """One timed call into the package, which performs ``ops`` operations."""
+
+    ops: int
+    wall: float
+    cpu: float
+
+
 @dataclass
 class Outcome:
     """What one sweep did: operations attempted and failed, the estimates
-    it produced, per-operation latencies in seconds, the seconds spent
-    inside ``cli.main`` calls, and any check that failed."""
+    it produced, its timed calls, the seconds spent inside ``cli.main``
+    calls, and any check that failed.
+
+    With a ``reference`` kernel, the sweep runs it before its first call and
+    after each call, so ``marks[i]`` and ``marks[i + 1]`` bracket
+    ``calls[i]``."""
 
     ops: int = 0
     failed: int = 0
     outputs: list = field(default_factory=list)
-    latencies: list = field(default_factory=list)
+    calls: list = field(default_factory=list)
     cli_main_s: float = 0.0
     problems: list = field(default_factory=list)
+    reference: Callable[[], float] | None = None
+    marks: list = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.reference is not None:
+            self.marks.append(self.reference())
 
     def record(self, ops: int, failed: int, problems: list[str]) -> None:
         self.ops += ops
         self.failed += failed
         self.problems.extend(problems)
+
+    @contextlib.contextmanager
+    def call(self, ops: int) -> Iterator[None]:
+        """Time the calls into the package made inside the block."""
+        c0, t0 = cpu_seconds(), time.perf_counter()
+        try:
+            yield
+        finally:
+            t1, c1 = time.perf_counter(), cpu_seconds()
+            self.calls.append(Call(ops, t1 - t0, c1 - c0))
+            if self.reference is not None:
+                self.marks.append(self.reference())
 
 
 def _close(a: float, b: float, rel: float) -> bool:
@@ -196,12 +229,6 @@ def _mc_tables_legs(rnd: random.Random, size: dict) -> list[McLeg]:
     ]
 
 
-def _per_rep_latencies(out: Outcome, leg: McLeg, seconds: float) -> None:
-    """run_mc exposes no per-replication timing, so each replication of a
-    call is one latency sample at the call's mean."""
-    out.latencies.extend([seconds / leg.reps] * leg.reps)
-
-
 class McWorkload:
     def __init__(self, name: str, seed: int, size: dict, workdir: Path) -> None:
         self.name = name
@@ -265,20 +292,18 @@ class McWorkload:
         out.record(leg.reps, leg.reps, [f"{leg.name}: {message}"])
         out.outputs.append((leg.name, None))
 
-    def sweep(self) -> Outcome:
-        out = Outcome()
+    def sweep(self, reference: Callable[[], float] | None = None) -> Outcome:
+        out = Outcome(reference=reference)
         for leg in self.legs:
-            t0 = time.perf_counter()
             try:
-                if leg.kind == TWO_FACTOR:
-                    runs = rs.run_mc_two_factor(leg.cfg, workers=1)
-                else:
-                    runs = (rs.run_mc(leg.cfg, workers=1),)
+                with out.call(leg.reps):
+                    if leg.kind == TWO_FACTOR:
+                        runs = rs.run_mc_two_factor(leg.cfg, workers=1)
+                    else:
+                        runs = (rs.run_mc(leg.cfg, workers=1),)
             except (DataError, ModelError) as exc:
-                _per_rep_latencies(out, leg, time.perf_counter() - t0)
                 self._abort(leg, str(exc), out)
                 continue
-            _per_rep_latencies(out, leg, time.perf_counter() - t0)
             self._finish_leg(leg, [dict(r.estimates) for r in runs],
                              dict(runs[0].failures), out)
         return out
@@ -290,7 +315,6 @@ class McWorkload:
         out = Outcome()
         for leg in self.legs:
             cfg = leg.cfg
-            t0 = time.perf_counter()
             with tr.span("harness.run_mc", leg.kind):
                 estimates = [dict() for _ in leg.theta0s]
                 failures = {}
@@ -322,7 +346,6 @@ class McWorkload:
                     self._finish_leg(leg, estimates, failures, out, checks)
                 else:
                     self._abort(leg, aborted, out)
-            _per_rep_latencies(out, leg, time.perf_counter() - t0)
         return out
 
     def _replay_rep(self, tr: Tracer, leg: McLeg, plan: rs.SamplingPlan,
@@ -472,12 +495,9 @@ class EstimateCiWorkload:
 
     def _cli_estimate(self, leg: CliLeg, cfg: Path, csv: Path, out: Outcome) -> None:
         buf = io.StringIO()
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(buf):
+        with out.call(1), contextlib.redirect_stdout(buf):
             status = cli.main(["estimate", "--config", str(cfg), "--path", str(csv)])
-        seconds = time.perf_counter() - t0
-        out.latencies.append(seconds)
-        out.cli_main_s += seconds
+        out.cli_main_s += out.calls[-1].wall
         if status != 0:
             self._error(leg.name + " " + csv.name, f"reflectsde estimate exited {status}", out)
             return
@@ -487,14 +507,12 @@ class EstimateCiWorkload:
                       rec["method"]), rec["n"], rec["h"], out)
 
     def _library_estimate(self, path: rs.SamplePath, out: Outcome) -> None:
-        t0 = time.perf_counter()
         try:
-            r = rs.estimate_nlse(path, self.custom_model, self.custom_plan)
+            with out.call(1):
+                r = rs.estimate_nlse(path, self.custom_model, self.custom_plan)
         except (DataError, ModelError) as exc:
             self._error("custom_drift", exc, out)
             return
-        finally:
-            out.latencies.append(time.perf_counter() - t0)
         self._finish("custom_drift", None,
                      (r.theta_hat, r.stderr, r.ci[0], r.ci[1], r.method),
                      path.n, path.h, out)
@@ -522,8 +540,8 @@ class EstimateCiWorkload:
         out.record(1, 1 if problems else 0, problems)
         out.outputs.append((label, output))
 
-    def sweep(self) -> Outcome:
-        out = Outcome()
+    def sweep(self, reference: Callable[[], float] | None = None) -> Outcome:
+        out = Outcome(reference=reference)
         for leg, cfg, csv in self.inputs:
             self._cli_estimate(leg, cfg, csv, out)
         for path in self.custom_paths:
@@ -538,7 +556,6 @@ class EstimateCiWorkload:
         out = Outcome()
         for leg, cfg, csv in self.inputs:
             label = leg.name + " " + csv.name
-            t0 = time.perf_counter()
             try:
                 with tr.span("cli.main"):
                     with tr.span("cli.parse_config"):
@@ -554,19 +571,14 @@ class EstimateCiWorkload:
             except (DataError, ModelError) as exc:
                 self._error(label, exc, out)
                 continue
-            finally:
-                out.latencies.append(time.perf_counter() - t0)
             self._finish(label, leg, output, path.n, path.h, out)
         for path in self.custom_paths:
-            t0 = time.perf_counter()
             try:
                 with tr.span("estimate.estimate_nlse"):
                     output = _replay_estimate_ci(tr, path, self.custom_model, self.custom_plan)
             except (DataError, ModelError) as exc:
                 self._error("custom_drift", exc, out)
                 continue
-            finally:
-                out.latencies.append(time.perf_counter() - t0)
             self._finish("custom_drift", None, output, path.n, path.h, out)
         return out
 
