@@ -23,26 +23,20 @@ from typing import IO, Callable
 
 import numpy as np
 
-from . import _kernels, rng
+from . import rng
 from .errors import DataError, ModelError
 from .model import (
     MEAN_REVERSION_TO_ONE,
     POWER,
     SHIFTED_COVARIATE,
     BarrierConfig,
+    DriftSpec,
     ModelConfig,
     SamplingPlan,
 )
 
 LEPINGLE = "lepingle"
 PROJECTION = "projection"
-
-_KIND_CODES = {
-    POWER: _kernels.DRIFT_POWER,
-    MEAN_REVERSION_TO_ONE: _kernels.DRIFT_MEAN_REVERSION_TO_ONE,
-    SHIFTED_COVARIATE: _kernels.DRIFT_SHIFTED_COVARIATE,
-}
-
 
 @dataclass(frozen=True)
 class SimOptions:
@@ -102,8 +96,12 @@ class SamplePath:
         return len(self.x) - 1
 
     def validate(self, tol: float = 1e-12) -> None:
-        """Check barrier containment, regulator monotonicity, and (when hit
-        flags are present) discrete complementary slackness."""
+        """Check finiteness, barrier containment, regulator monotonicity,
+        and (when hit flags are present) discrete complementary
+        slackness."""
+        for name in ("x", "l", "r"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DataError(f"path {name} holds non-finite values")
         a, b = self.barriers.a, self.barriers.b
         if np.min(self.x) < a - tol:
             raise DataError(f"state drops below the lower barrier {a}")
@@ -202,115 +200,129 @@ def step_two_sided(
     return x1 - dr, dl, dr
 
 
-def _python_loop(
+def _reflect_interval(
     mu_of: Callable[[float], float],
-    x0: float,
-    sigma: float,
+    x: float,
+    cl: float,
+    cr: float,
+    zs: list[float],
+    us: list[float],
     a: float,
-    b: float | None,
-    n: int,
-    m: int,
+    b: float,
     hf: float,
+    sig2hf: float,
     exact_min: bool,
-    normals: np.ndarray,
-    uniforms: np.ndarray,
-    x_out: np.ndarray,
-    l_out: np.ndarray,
-    r_out: np.ndarray,
-    hit_lo: np.ndarray,
-    hit_up: np.ndarray,
-) -> None:
-    """Reference stepper for arbitrary drift callables; consumes draws in
-    the same order as the compiled kernel and matches its arithmetic."""
-    sqrt_hf = math.sqrt(hf)
-    sig2hf = 2.0 * sigma * sigma * hf
-    x = float(x0)
-    cl = 0.0
-    cr = 0.0
-    x_out[0] = x
-    l_out[0] = 0.0
-    r_out[0] = 0.0
-    idx = 0
-    for k in range(n):
-        touched_lo = False
-        touched_up = False
-        for _ in range(m):
-            mu = mu_of(x)
-            s = mu * hf + sigma * sqrt_hf * normals[idx]
-            if exact_min:
-                mn = 0.5 * (s - math.sqrt(s * s - sig2hf * math.log(uniforms[idx])))
-                dl = a - x - mn
-            else:
-                dl = a - (x + s)
-            if dl < 0.0:
-                dl = 0.0
-            x = x + s + dl
-            if dl > 0.0:
-                touched_lo = True
-                cl += dl
-            if b is not None:
-                dr = x - b
-                if dr > 0.0:
-                    touched_up = True
-                    cr += dr
-                    x = b
-            idx += 1
-        x_out[k + 1] = x
-        l_out[k + 1] = cl
-        r_out[k + 1] = cr
-        hit_lo[k] = touched_lo
-        hit_up[k] = touched_up
+    fine: list[float] | None = None,
+) -> tuple[float, float, float, bool, bool]:
+    """Advance one observation interval by its reflected fine steps.
+
+    ``zs`` holds the interval's Gaussian increments already scaled by
+    sigma*sqrt(hf) and ``us`` its bridge-minimum uniforms, both as Python
+    floats so the loop runs on native floats; ``b`` is ``inf`` for a
+    one-sided path.  The lower reflection lifts the exactly sampled
+    within-step minimum (the endpoint, without ``exact_min``) to ``a``;
+    overshoot above ``b`` is clipped into the upper regulator.  The
+    cumulative regulators ``cl``/``cr`` are carried in and out, and
+    ``fine``, when given, collects the left endpoint of every fine step.
+
+    Returns ``(x, cl, cr, touched_lower, touched_upper)``.
+    """
+    log, sqrt = math.log, math.sqrt
+    touched_lo = touched_up = False
+    for z, u in zip(zs, us):
+        if fine is not None:
+            fine.append(x)
+        s = mu_of(x) * hf + z
+        if exact_min:
+            dl = a - x - 0.5 * (s - sqrt(s * s - sig2hf * log(u)))
+        else:
+            dl = a - (x + s)
+        if dl < 0.0:
+            dl = 0.0
+        x = x + s + dl
+        if dl > 0.0:
+            touched_lo = True
+            cl += dl
+        if x > b:
+            touched_up = True
+            cr += x - b
+            x = b
+    return x, cl, cr, touched_lo, touched_up
+
+
+def _drift_of_state(spec: DriftSpec, theta: float) -> Callable[[float], float]:
+    """The drift x -> f(x, theta) as a scalar closure on Python floats.
+
+    Built-in kinds are spelled out rather than going through ``spec.f``,
+    whose numpy calls are slow on scalars.
+    """
+    if spec.kind == POWER:
+        theta, gamma = float(theta), float(spec.gamma)
+        return lambda x: -theta * x ** gamma
+    if spec.kind == MEAN_REVERSION_TO_ONE:
+        theta = float(theta)
+        return lambda x: theta * (1.0 - x)
+    if spec.kind == SHIFTED_COVARIATE:
+        mu = float(spec.covariate) + float(theta)
+        return lambda x: mu
+    f = spec.f
+
+    def custom(x: float) -> float:
+        mu = f(x, theta)
+        try:
+            return float(mu)
+        except TypeError:
+            # a negative Python float to a fractional power is complex
+            raise DataError(f"the drift at x={x!r} is {mu!r}, not a real number") from None
+
+    return custom
 
 
 def simulate_path(
     config: ModelConfig, theta: float, plan: SamplingPlan, opts: SimOptions
 ) -> SamplePath:
     """Simulate a discretely observed reflected path at the true parameter
-    ``theta``.  Deterministic given ``opts.seed``; built-in drift kinds run
-    through the compiled kernel, custom drifts through the Python stepper."""
+    ``theta``.  Deterministic given ``opts.seed``; a drift that overflows
+    raises :class:`DataError`."""
     lo, hi = config.theta_domain
     if not lo < theta < hi:
         raise ModelError(f"theta={theta!r} lies outside the open domain ({lo}, {hi})")
     n, m = plan.n, opts.substeps
     hf = plan.h / m
+    sigma = float(config.sigma)
     normals, uniforms = rng.path_draws(opts.seed, n * m)
+    z = normals * (sigma * math.sqrt(hf))
+    sig2hf = 2.0 * sigma * sigma * hf
     barriers = config.barriers
+    a = float(barriers.a)
+    b = float(barriers.b) if barriers.is_two_sided else math.inf
     exact_min = opts.scheme == LEPINGLE
+    mu_of = _drift_of_state(config.drift, theta)
 
-    x = np.empty(n + 1)
-    l = np.empty(n + 1)
-    r = np.empty(n + 1)
-    hit_lo = np.empty(n, dtype=bool)
-    hit_up = np.empty(n, dtype=bool)
+    x, cl, cr = float(config.x0), 0.0, 0.0
+    xs, ls, rs = [x], [cl], [cr]
+    hit_lo, hit_up = [], []
+    for k in range(n):
+        j = k * m
+        try:
+            x, cl, cr, lo_k, up_k = _reflect_interval(
+                mu_of, x, cl, cr, z[j:j + m].tolist(), uniforms[j:j + m].tolist(),
+                a, b, hf, sig2hf, exact_min,
+            )
+        except (OverflowError, ZeroDivisionError) as exc:
+            # Python floats raise where numpy scalars returned inf
+            raise DataError(
+                f"the drift left the finite range in observation interval {k}: {exc}"
+            ) from exc
+        xs.append(x)
+        ls.append(cl)
+        rs.append(cr)
+        hit_lo.append(lo_k)
+        hit_up.append(up_k)
 
-    kind = _KIND_CODES.get(config.drift.kind)
-    if kind is None:
-        spec = config.drift
-        _python_loop(
-            lambda xv: float(spec.f(xv, theta)),
-            config.x0, config.sigma, barriers.a, barriers.b,
-            n, m, hf, exact_min, normals, uniforms,
-            x, l, r, hit_lo, hit_up,
-        )
-    else:
-        if kind == _kernels.DRIFT_POWER:
-            param = config.drift.gamma
-        elif kind == _kernels.DRIFT_SHIFTED_COVARIATE:
-            param = config.drift.covariate
-        else:
-            param = 0.0
-        _kernels.integrate_builtin(
-            float(config.x0), float(theta), float(config.sigma),
-            float(barriers.a), float(barriers.b) if barriers.is_two_sided else 0.0,
-            barriers.is_two_sided, n, m, hf,
-            kind, float(param), exact_min,
-            normals, uniforms, x, l, r, hit_lo, hit_up,
-        )
-
-    times = np.arange(n + 1) * plan.h
     path = SamplePath(
-        h=plan.h, times=times, x=x, l=l, r=r, barriers=barriers,
-        hit_lower=hit_lo, hit_upper=hit_up,
+        h=plan.h, times=np.arange(n + 1) * plan.h, x=xs, l=ls, r=rs,
+        barriers=barriers, hit_lower=hit_lo, hit_upper=hit_up,
     )
     path.validate()
     return path
@@ -345,34 +357,58 @@ def simulate_two_factor(
 
     n, m = plan.n, opts.substeps
     hf = plan.h / m
+    sigma = float(sigma)
     normals_y, uniforms_y = rng.path_draws(rng.derive_seed(opts.seed, 1), n * m)
     normals_r, uniforms_r = rng.path_draws(rng.derive_seed(opts.seed, 2), n * m)
+    scale = sigma * math.sqrt(hf)
+    z_y = normals_y * scale
+    z_r = normals_r * scale
+    sig2hf = 2.0 * sigma * sigma * hf
+    a, b = float(a), float(b)
+    exact_min = opts.scheme == LEPINGLE
+    theta1, theta2 = float(theta1), float(theta2)
 
-    y = np.empty(n + 1)
-    l1 = np.empty(n + 1)
-    u1 = np.empty(n + 1)
-    rr = np.empty(n + 1)
-    l2 = np.empty(n + 1)
-    hit_y_lo = np.empty(n, dtype=bool)
-    hit_y_up = np.empty(n, dtype=bool)
-    hit_r_lo = np.empty(n, dtype=bool)
+    # The short rate does not feel the log price, so each interval steps it
+    # first and the log price then reads its fine-step left endpoints.
+    def mu_r(r: float) -> float:
+        return theta2 * (1.0 - r)
 
-    _kernels.integrate_two_factor(
-        float(y0), float(r0), float(theta1), float(theta2), float(sigma),
-        float(a), float(b), n, m, hf, opts.scheme == LEPINGLE,
-        normals_y, uniforms_y, normals_r, uniforms_r,
-        y, l1, u1, rr, l2, hit_y_lo, hit_y_up, hit_r_lo,
-    )
+    def mu_y(_y: float) -> float:
+        return next(r_left) + theta1
+
+    y, cl1, cu1 = float(y0), 0.0, 0.0
+    r, cl2 = float(r0), 0.0
+    ys, l1s, u1s, rrs, l2s = [y], [0.0], [0.0], [r], [0.0]
+    hit_y_lo, hit_y_up, hit_r_lo = [], [], []
+    for k in range(n):
+        j = k * m
+        fine: list[float] = []
+        r, cl2, _, lo_r, _ = _reflect_interval(
+            mu_r, r, cl2, 0.0, z_r[j:j + m].tolist(), uniforms_r[j:j + m].tolist(),
+            0.0, math.inf, hf, sig2hf, exact_min, fine,
+        )
+        r_left = iter(fine)
+        y, cl1, cu1, lo_y, up_y = _reflect_interval(
+            mu_y, y, cl1, cu1, z_y[j:j + m].tolist(), uniforms_y[j:j + m].tolist(),
+            a, b, hf, sig2hf, exact_min,
+        )
+        ys.append(y)
+        l1s.append(cl1)
+        u1s.append(cu1)
+        rrs.append(r)
+        l2s.append(cl2)
+        hit_y_lo.append(lo_y)
+        hit_y_up.append(up_y)
+        hit_r_lo.append(lo_r)
 
     times = np.arange(n + 1) * plan.h
-    zeros = np.zeros(n + 1)
     tf = TwoFactorPath(
         y=SamplePath(
-            h=plan.h, times=times, x=y, l=l1, r=u1, barriers=barriers_y,
+            h=plan.h, times=times, x=ys, l=l1s, r=u1s, barriers=barriers_y,
             hit_lower=hit_y_lo, hit_upper=hit_y_up,
         ),
         rshort=SamplePath(
-            h=plan.h, times=times, x=rr, l=l2, r=zeros, barriers=barriers_r,
+            h=plan.h, times=times, x=rrs, l=l2s, r=np.zeros(n + 1), barriers=barriers_r,
             hit_lower=hit_r_lo, hit_upper=np.zeros(n, dtype=bool),
         ),
     )

@@ -92,6 +92,30 @@ class TestRunMc:
         assert len(run.estimates[5]) == 299
         assert 6 not in run.rep_indices[5]
 
+    def test_overflowing_drift_is_a_failed_replication(self):
+        # the drift overflows on its 301st call: the first fine step of
+        # replication 6 (5 intervals x 10 substeps per replication)
+        calls = {"count": 0}
+
+        def f(x, th):
+            calls["count"] += 1
+            scale = 1e200 if calls["count"] == 301 else 1.0
+            return -th * x ** 0.5 * scale ** 2
+
+        drift = rs.DriftSpec.custom(f=f, df_dtheta=lambda x, th: -x ** 0.5,
+                                    d2f_dtheta2=lambda x, th: 0.0, lipschitz_bound=1.0)
+        base = small_mc_config(replications=300, n_values=(5,))
+        cfg = rs.McConfig(model=rs.ModelConfig(drift=drift, sigma=0.2,
+                                               barriers=base.model.barriers,
+                                               theta_domain=base.model.theta_domain,
+                                               x0=1.0),
+                          theta0=2.0, plan=base.plan, sim=base.sim,
+                          replications=300, n_values=(5,))
+        run = rs.run_mc(cfg, estimator=lambda path: estimate_power_closed_form(path, 0.5))
+        assert [i for i, _ in run.failures[5]] == [6]
+        assert "finite range" in run.failures[5][0][1]
+        assert len(run.estimates[5]) == 299
+
     def test_too_many_failures_abort(self):
         cfg = small_mc_config(replications=300, n_values=(5,))
 

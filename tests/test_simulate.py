@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -7,7 +8,6 @@ import pytest
 import reflectsde as rs
 from reflectsde import rng as rng_mod
 from reflectsde.errors import DataError, ModelError
-from reflectsde.simulate import _python_loop
 
 from conftest import power_model
 
@@ -168,8 +168,8 @@ class TestSimulatePath:
             assert np.array_equal(p1.x, p2.x)
 
     def test_custom_drift_matches_builtin_kernel(self):
-        # identical dynamics expressed as a custom drift take the Python
-        # stepper; the paths must agree with the compiled kernel
+        # identical dynamics expressed as a custom drift go through spec.f;
+        # the paths must agree with the built-in power drift
         custom = rs.DriftSpec.custom(
             f=lambda x, th: -th * x,
             df_dtheta=lambda x, th: -x,
@@ -223,22 +223,6 @@ class TestSimulatePath:
                        + ends[rs.PROJECTION].var(ddof=1) / reps)
         assert diff <= 3.0 * se
 
-    def test_python_loop_mirror_consumes_same_draws(self):
-        # the reference stepper must reproduce the kernel bit for bit when
-        # fed the same draw arrays
-        n, m, h = 50, 3, 0.02
-        normals, uniforms = rng_mod.path_draws(1234, n * m)
-        x = np.empty(n + 1); l = np.empty(n + 1); r = np.empty(n + 1)
-        hlo = np.empty(n, dtype=bool); hup = np.empty(n, dtype=bool)
-        _python_loop(lambda xv: -2.0 * xv, 1.0, 0.2, 0.0, 3.0, n, m, h / m,
-                     True, normals, uniforms, x, l, r, hlo, hup)
-        cfg = rs.ModelConfig(drift=rs.DriftSpec.power(1.0), sigma=0.2,
-                             barriers=rs.BarrierConfig.two_sided(0.0, 3.0),
-                             theta_domain=(0.1, 6.0), x0=1.0)
-        path = rs.simulate_path(cfg, 2.0, rs.SamplingPlan(n=n, h=h),
-                                rs.SimOptions(substeps=m, seed=1234))
-        np.testing.assert_allclose(path.x, x, rtol=1e-13, atol=1e-15)
-
 
 class TestTwoFactor:
     def test_barrier_invariants_and_determinism(self):
@@ -281,6 +265,199 @@ class TestTwoFactor:
         with pytest.raises(ModelError):
             rs.simulate_two_factor(1.0, -0.5, 1.0, 1.0, 0.1, 0.0, 3.0, plan,
                                    rs.SimOptions())
+
+
+# ---------------------------------------------------------------------------
+# Seed -> path contract: sha256 digests of x, l, r and the hit flags for a
+# fixed set of models, pinned so that any change to the stepper's arithmetic
+# or draw consumption shows up as a digest mismatch.
+# ---------------------------------------------------------------------------
+
+_GOLDEN_PLAN = rs.SamplingPlan(n=80, h=0.01)
+_GOLDEN_SUBSTEPS = 5
+
+
+def _golden_drift(kind):
+    if kind == "power_1/2":
+        return rs.DriftSpec.power(0.5), 2.0
+    if kind == "power_2/3":
+        return rs.DriftSpec.power(2.0 / 3.0), 2.0
+    if kind == "power_1":
+        return rs.DriftSpec.power(1.0), 2.0
+    if kind == "mean_reversion":
+        return rs.DriftSpec.mean_reversion_to_one(), 1.5
+    if kind == "shifted_covariate":
+        return rs.DriftSpec.shifted_covariate(-1.0), 0.5
+    return rs.DriftSpec.custom(
+        f=lambda x, th: th * (1.0 - x) - x ** 3,
+        df_dtheta=lambda x, th: 1.0 - x,
+        d2f_dtheta2=lambda x, th: 0.0,
+        lipschitz_bound=30.0,
+    ), 1.5
+
+
+def _golden_path(kind, two_sided, scheme, seed):
+    drift, theta = _golden_drift(kind)
+    barriers = (rs.BarrierConfig.two_sided(0.0, 1.0) if two_sided
+                else rs.BarrierConfig.one_sided_lower(0.0))
+    config = rs.ModelConfig(drift=drift, sigma=0.8, barriers=barriers,
+                            theta_domain=(-20.0, 20.0), x0=0.5)
+    return rs.simulate_path(config, theta, _GOLDEN_PLAN,
+                            rs.SimOptions(scheme=scheme, substeps=_GOLDEN_SUBSTEPS,
+                                          seed=seed))
+
+
+def _golden_two_factor(scheme, seed):
+    return rs.simulate_two_factor(1.0, 0.05, 1.0, 1.0, 0.5, 0.0, 1.5, _GOLDEN_PLAN,
+                                  rs.SimOptions(scheme=scheme,
+                                                substeps=_GOLDEN_SUBSTEPS, seed=seed))
+
+
+def _path_digest(*paths):
+    digest = hashlib.sha256()
+    for p in paths:
+        for arr in (p.x, p.l, p.r, p.hit_lower, p.hit_upper):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+_GOLDEN_KINDS = ("power_1/2", "power_2/3", "power_1", "mean_reversion",
+                 "shifted_covariate", "custom")
+_GOLDEN_CASES = [
+    (kind, two_sided, scheme)
+    for kind in _GOLDEN_KINDS
+    for two_sided in (True, False)
+    for scheme in (rs.LEPINGLE, rs.PROJECTION)
+]
+
+
+def _golden_seed(case):
+    return 1000 + _GOLDEN_CASES.index(case)
+
+
+# Recorded on the stepper as it stood before the single-loop rewrite, with
+# CPython 3.11, numpy 2.4 and scipy 1.17 on x86-64 Linux; another libm may
+# round log, sqrt or pow differently and so change these digests.
+_GOLDEN_DIGESTS = {
+    ('power_1/2', True, 'lepingle'): '05bb9e68082bb6d0440a7632716c236e8b0b2b2d30fa75f7648a27c48ce2544d',
+    ('power_1/2', True, 'projection'): '5942cee6175e9ed42004838b86619eb0b2b23db48a756a3a2b14861d823382c3',
+    ('power_1/2', False, 'lepingle'): '6e10d22abc8458995b7d66722e30334a3f1704f446d640fed54703c18d60ef41',
+    ('power_1/2', False, 'projection'): '4dca1c7746a0888f35157a9482cc9a9409594302c62a72d635f8e005f5429e9f',
+    ('power_2/3', True, 'lepingle'): 'cb052adfc96b46578d9d1490f2971d60741449afe1fe21d30dafcf648994b4ad',
+    ('power_2/3', True, 'projection'): 'a1f7685d8a28fa1a41444b54d6e4d9f7023022dfbc411c6e1285a3214748eba5',
+    ('power_2/3', False, 'lepingle'): '86c3ac19ffa723a21d4fa663d57ea02cb073898efce3998f2eceae1576589454',
+    ('power_2/3', False, 'projection'): '0203f385f0340f2df63b0a1660409886d80f320272f551a30fa4f1f41da56327',
+    ('power_1', True, 'lepingle'): '5391df8b439407eb8aa949d3b6d9c676ca92d534cf2c590630ee177fe6b6c1ea',
+    ('power_1', True, 'projection'): 'd34a28870936dd5170b80a00574507d54f136a63dddff96833a59c41e90f1e73',
+    ('power_1', False, 'lepingle'): '747b5f0977ec258e2bc692f0ada383ea9f08d77b766a03007f00b7a33e5da82a',
+    ('power_1', False, 'projection'): '467cc8c207fc01743118f639452d8256efcedb8f070c5c1648ea770d61bfb60a',
+    ('mean_reversion', True, 'lepingle'): 'b564f18f4ef9a4f5f8dece2f144f463c5c0b1e188e6c3bc76f4d18600913df1c',
+    ('mean_reversion', True, 'projection'): 'b65397b16d1bfab443d251f9d31af602ff26ec43e83e8669792132c13b10a78e',
+    ('mean_reversion', False, 'lepingle'): '57f7320a139012e48d0e86630323f3a45e64c3f0ba12173ad964626cd8cf621a',
+    ('mean_reversion', False, 'projection'): '682da0399a647f84314d4c7397a8c2ead099c513dd760977423d85acade1f003',
+    ('shifted_covariate', True, 'lepingle'): 'f33cd3dc49e5e5c972fbd835a9acfec3a7feefcd104c6c0dd0ccb205b4b294ba',
+    ('shifted_covariate', True, 'projection'): 'd8626bf557d47602ccc66d91d7c2c69ebe7e6c2cab177e1490a9c39708edec98',
+    ('shifted_covariate', False, 'lepingle'): '82f8c1478437c62d81616a993bca837888ac6a0f439687af0b937eab24d25d77',
+    ('shifted_covariate', False, 'projection'): '3f748f480f3e067a5216bbe8015e131144b66e06efab9a7fc34c7173e621cbbc',
+    ('custom', True, 'lepingle'): '96d8d0f941af58f882b77add8205400e3001daf7e4d4006e69b96475f68019d3',
+    ('custom', True, 'projection'): 'e2e459ff53ac8ccc9eda7300fcf7d131a865425d66ae0a917ebd351c2ebeae59',
+    ('custom', False, 'lepingle'): '429cffc0bfe47f48dde4656b8c77d532a0f28e04770682957fe6a5e2324a14ff',
+    ('custom', False, 'projection'): 'cbb61206dd695f9402e971a9be990a0c2e431b3836ef9ce53f7b2fa53e246710',
+    ('two_factor', 'lepingle'): '9a394945afac7013bfae3fd2a8533cb85b8d6eefb2bc81e3ad8bee4e00595ab0',
+    ('two_factor', 'projection'): 'fa698aa763fe409328c7974604510cf9dc1fbd1a5fce72908eb1642f89fe8c53',
+}
+
+
+class TestGoldenPaths:
+    @pytest.mark.parametrize("case", _GOLDEN_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_path_digest(self, case):
+        path = _golden_path(*case, _golden_seed(case))
+        assert _path_digest(path) == _GOLDEN_DIGESTS[case]
+
+    @pytest.mark.parametrize("scheme", (rs.LEPINGLE, rs.PROJECTION))
+    def test_two_factor_digest(self, scheme):
+        tf = _golden_two_factor(scheme, 77)
+        assert _path_digest(tf.y, tf.rshort) == _GOLDEN_DIGESTS[("two_factor", scheme)]
+
+    @pytest.mark.parametrize("kind", _GOLDEN_KINDS)
+    @pytest.mark.parametrize("two_sided", (True, False))
+    def test_step_helpers_chain_to_simulate_path(self, kind, two_sided):
+        # the public one-step helpers, chained over the same draws, follow
+        # the path simulate_path records (up to operand order in sigma*dw)
+        case = (kind, two_sided, rs.LEPINGLE)
+        path = _golden_path(*case, _golden_seed(case))
+        drift, theta = _golden_drift(kind)
+        n, m = _GOLDEN_PLAN.n, _GOLDEN_SUBSTEPS
+        hf = _GOLDEN_PLAN.h / m
+        normals, uniforms = rng_mod.path_draws(_golden_seed(case), n * m)
+        x, cl, cr = 0.5, 0.0, 0.0
+        xs, ls, rs_ = [x], [cl], [cr]
+        for k in range(n):
+            for j in range(k * m, (k + 1) * m):
+                mu = float(drift.f(x, theta))
+                dw = math.sqrt(hf) * float(normals[j])
+                if two_sided:
+                    x, dl, dr = rs.step_two_sided(x, mu, 0.8, hf, dw, float(uniforms[j]),
+                                                  0.0, 1.0)
+                else:
+                    x, dl = rs.step_one_sided_lower(x, mu, 0.8, hf, dw,
+                                                    float(uniforms[j]), 0.0)
+                    dr = 0.0
+                cl += dl
+                cr += dr
+            xs.append(x)
+            ls.append(cl)
+            rs_.append(cr)
+        np.testing.assert_allclose(path.x, xs, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(path.l, ls, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(path.r, rs_, rtol=0, atol=1e-13)
+
+
+class TestNonFinitePaths:
+    @pytest.mark.parametrize("name", ("x", "l", "r"))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_non_finite_values_rejected(self, name, bad):
+        # NaN compares False with every barrier, so containment alone
+        # lets it through
+        arrays = {"x": [0.5, 0.5, 0.5], "l": [0.0, 0.0, 0.0], "r": [0.0, 0.0, 0.0]}
+        arrays[name][1] = bad
+        path = rs.SamplePath(h=0.1, times=[0.0, 0.1, 0.2],
+                             barriers=rs.BarrierConfig.two_sided(0.0, 1.0), **arrays)
+        with pytest.raises(DataError, match="non-finite"):
+            path.validate()
+
+    @pytest.mark.parametrize("f, x0, message", (
+        # theta*x**3 from x0 = 5 blows up to an infinite state
+        (lambda x, th: th * x ** 3, 5.0, "non-finite"),
+        # Python floats raise where numpy scalars returned inf
+        (lambda x, th: th * x ** 500, 5.0, "finite range"),
+        (lambda x, th: th / x, 0.0, "finite range"),
+    ), ids=("cubic", "overflow", "zero-division"))
+    def test_exploding_drift_raises_data_error(self, f, x0, message):
+        # simulation never evaluates the theta-derivatives
+        drift = rs.DriftSpec.custom(f=f, df_dtheta=lambda x, th: 0.0,
+                                    d2f_dtheta2=lambda x, th: 0.0, lipschitz_bound=1.0)
+        config = rs.ModelConfig(drift=drift, sigma=0.2,
+                                barriers=rs.BarrierConfig.one_sided_lower(0.0),
+                                theta_domain=(0.1, 100.0), x0=x0)
+        with pytest.raises(DataError, match=message):
+            rs.simulate_path(config, 50.0, rs.SamplingPlan(n=50, h=0.1),
+                             rs.SimOptions(substeps=2, seed=0))
+
+    def test_complex_drift_raises_data_error(self):
+        # (x - 0.5)**0.5 turns complex once the state drops below 0.5
+        drift = rs.DriftSpec.custom(
+            f=lambda x, th: -th * (x - 0.5) ** 0.5,
+            df_dtheta=lambda x, th: -((x - 0.5) ** 0.5),
+            d2f_dtheta2=lambda x, th: 0.0,
+            lipschitz_bound=1.0,
+        )
+        config = rs.ModelConfig(drift=drift, sigma=0.3,
+                                barriers=rs.BarrierConfig.one_sided_lower(0.0),
+                                theta_domain=(0.1, 5.0), x0=1.0)
+        with pytest.raises(DataError, match="not a real number"):
+            rs.simulate_path(config, 3.0, rs.SamplingPlan(n=200, h=0.01),
+                             rs.SimOptions(seed=1))
 
 
 class TestCsvRoundTrip:
