@@ -34,6 +34,7 @@ from .simulate import (
     SimOptions,
     read_path_csv,
     simulate_path,
+    write_csv,
     write_path_csv,
 )
 from .stationary import information, invariant_density
@@ -286,11 +287,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     parsed = parse_config(args.config)
     try:
-        fh = open(args.path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise UsageError(f"path CSV not found: {args.path}")
-    with fh:
-        path = read_path_csv(fh, parsed.model.barriers)
+        path = read_path_csv(args.path, parsed.model.barriers)
+    except OSError as exc:
+        raise UsageError(f"cannot read path CSV {args.path}: {exc.strerror}")
     plan = SamplingPlan(n=path.n, h=path.h, alpha=parsed.alpha)
     result = estimate_nlse(path, parsed.model, plan, level=args.level)
     record = {
@@ -341,25 +340,20 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "estimates.csv", "w", encoding="utf-8") as fh:
-        fh.write("n,rep,theta_hat\n")
-        for n in sorted(run.estimates):
-            for rep, th in zip(run.rep_indices[n], run.estimates[n]):
-                fh.write(f"{n},{rep},{th:.17g}\n")
-    with open(out_dir / "summary.csv", "w", encoding="utf-8") as fh:
-        fh.write("n,bias,std_dev,mse\n")
-        for s in run.summaries(theta0):
-            fh.write(f"{s.n},{s.bias:.17g},{s.std_dev:.17g},{s.mse:.17g}\n")
+    ns = sorted(run.estimates)
+    write_csv(out_dir / "estimates.csv", "n,rep,theta_hat",
+              np.repeat(ns, [len(run.estimates[n]) for n in ns]),
+              np.concatenate([run.rep_indices[n] for n in ns]),
+              np.concatenate([run.estimates[n] for n in ns]))
+    write_csv(out_dir / "summary.csv", "n,bias,std_dev,mse",
+              *zip(*((s.n, s.bias, s.std_dev, s.mse) for s in run.summaries(theta0))))
     if args.zscores:
         n_big = max(run.estimates)
         plan_big = SamplingPlan(n=n_big, h=parsed.h, alpha=parsed.alpha)
         report = normality_diagnostic(
             run.estimates[n_big], theta0, plan_big, parsed.model
         )
-        with open(out_dir / "zscores.csv", "w", encoding="utf-8") as fh:
-            fh.write("rep,z\n")
-            for rep, z in zip(run.rep_indices[n_big], report.z):
-                fh.write(f"{rep},{z:.17g}\n")
+        write_csv(out_dir / "zscores.csv", "rep,z", run.rep_indices[n_big], report.z)
     for n in sorted(run.failures):
         for rep, msg in run.failures[n]:
             print(f"warning: n={n} rep={rep} excluded: {msg}", file=sys.stderr)
@@ -371,9 +365,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     theta = parsed.require_theta_true()
     grid = invariant_density(parsed.model, theta)
     with _output(args.out) as fh:
-        fh.write("x,pi\n")
-        for x, pi in zip(grid.nodes, grid.values):
-            fh.write(f"{x:.17g},{pi:.17g}\n")
+        write_csv(fh, "x,pi", grid.nodes, grid.values)
     return 0
 
 
@@ -384,10 +376,9 @@ def _cmd_ginfo(args: argparse.Namespace) -> int:
         raise UsageError("--points must be >= 1")
     pad = 1e-9 * (hi - lo)
     thetas = np.linspace(lo + pad, hi - pad, args.points)
+    g = [information(parsed.model, float(th)) for th in thetas]
     with _output(args.out) as fh:
-        fh.write("theta,g\n")
-        for th in thetas:
-            fh.write(f"{th:.17g},{information(parsed.model, float(th)):.17g}\n")
+        write_csv(fh, "theta,g", thetas, g)
     return 0
 
 

@@ -27,7 +27,7 @@ from .model import (
     DriftSpec,
     ModelConfig,
     SamplingPlan,
-    eval_drift_array,
+    eval_on_array,
 )
 from .simulate import SamplePath, TwoFactorPath
 
@@ -59,7 +59,7 @@ def _residuals(path: SamplePath, spec: DriftSpec, theta: float) -> np.ndarray:
     dx = np.diff(path.x)
     dl = np.diff(path.l)
     dr = np.diff(path.r)
-    f = eval_drift_array(spec, path.x[:-1], theta)
+    f = eval_on_array(lambda v: spec.f(v, theta), path.x[:-1])
     return dx - f * path.h - dl + dr
 
 

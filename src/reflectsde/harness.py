@@ -31,6 +31,16 @@ from .stationary import information
 _FAILURE_FRACTION = 0.01
 
 
+def _check_sweep(replications: int, n_values: Sequence[int]) -> tuple[int, ...]:
+    """Validate a sweep's replication count and n values; returns the n
+    values as a tuple of ints."""
+    if replications < 2:
+        raise ModelError("replications must be >= 2")
+    if not n_values:
+        raise ModelError("n_values must be non-empty")
+    return tuple(int(n) for n in n_values)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """One Monte Carlo experiment: a model with its true parameter, the
@@ -45,11 +55,7 @@ class McConfig:
     n_values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.replications < 2:
-            raise ModelError("replications must be >= 2")
-        if not self.n_values:
-            raise ModelError("n_values must be non-empty")
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values", _check_sweep(self.replications, self.n_values))
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,53 @@ def _default_estimator(cfg: McConfig) -> Callable[[SamplePath], EstimateResult]:
     return lambda path: nlse_optimize(path, spec, domain)
 
 
+def _replicate(
+    cfg: McConfig | TwoFactorMcConfig,
+    rep: Callable[[SamplingPlan, SimOptions], tuple[float, ...] | str],
+    workers: int,
+) -> tuple[McRun, ...]:
+    """Run ``rep`` for each n and replication i, seeded from (root seed, i,
+    n), and return one run per position of the estimate tuple it returns.
+    A failure reason returned, or a DataError/ModelError raised, excludes
+    the replication; more than 1% failures at any n aborts the run."""
+    root = cfg.sim.seed
+    columns: dict[int, np.ndarray] = {}
+    rep_indices: dict[int, np.ndarray] = {}
+    failures: dict[int, tuple[tuple[int, str], ...]] = {}
+
+    for n in cfg.n_values:
+        plan_n = replace(cfg.plan, n=n)
+
+        def one(i: int, *, _plan=plan_n, _n=n) -> tuple[float, ...] | str:
+            opts = replace(cfg.sim, seed=rng.derive_seed(root, i, _n))
+            try:
+                return rep(_plan, opts)
+            except (DataError, ModelError) as exc:
+                return str(exc)
+
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(one, range(cfg.replications)))
+        else:
+            outcomes = [one(i) for i in range(cfg.replications)]
+
+        good = [(i, out) for i, out in enumerate(outcomes) if not isinstance(out, str)]
+        bad = tuple((i, out) for i, out in enumerate(outcomes) if isinstance(out, str))
+        if len(bad) > _FAILURE_FRACTION * cfg.replications:
+            raise DataError(
+                f"{len(bad)} of {cfg.replications} replications failed at n={n}: "
+                f"{bad[0][1]}"
+            )
+        # one contiguous row of estimates per tuple position
+        columns[n] = np.array([out for _, out in good]).T.copy()
+        rep_indices[n] = np.array([i for i, _ in good], dtype=int)
+        failures[n] = bad
+
+    width = len(columns[cfg.n_values[0]])
+    return tuple(McRun({n: col[j] for n, col in columns.items()}, rep_indices, failures)
+                 for j in range(width))
+
+
 def run_mc(
     cfg: McConfig,
     estimator: Callable[[SamplePath], EstimateResult] | None = None,
@@ -104,43 +157,14 @@ def run_mc(
     """
     if estimator is None:
         estimator = _default_estimator(cfg)
-    root = cfg.sim.seed
-    estimates: dict[int, np.ndarray] = {}
-    rep_indices: dict[int, np.ndarray] = {}
-    failures: dict[int, tuple[tuple[int, str], ...]] = {}
 
-    for n in cfg.n_values:
-        plan_n = replace(cfg.plan, n=n)
+    def rep(plan: SamplingPlan, opts: SimOptions) -> tuple[float] | str:
+        result = estimator(simulate_path(cfg.model, cfg.theta0, plan, opts))
+        if result.boundary_hit:
+            return "estimate pinned at the domain boundary"
+        return (result.theta_hat,)
 
-        def one(i: int, *, _plan=plan_n, _n=n) -> tuple[int, float | None, str | None]:
-            opts = replace(cfg.sim, seed=rng.derive_seed(root, i, _n))
-            try:
-                path = simulate_path(cfg.model, cfg.theta0, _plan, opts)
-                result = estimator(path)
-                if result.boundary_hit:
-                    return i, None, "estimate pinned at the domain boundary"
-                return i, result.theta_hat, None
-            except (DataError, ModelError) as exc:
-                return i, None, str(exc)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(one, range(cfg.replications)))
-        else:
-            outcomes = [one(i) for i in range(cfg.replications)]
-
-        good = [(i, th) for i, th, _ in outcomes if th is not None]
-        bad = tuple((i, msg) for i, _, msg in outcomes if msg is not None)
-        if len(bad) > _FAILURE_FRACTION * cfg.replications:
-            raise DataError(
-                f"{len(bad)} of {cfg.replications} replications failed at n={n}: "
-                f"{bad[0][1]}"
-            )
-        estimates[n] = np.array([th for _, th in good])
-        rep_indices[n] = np.array([i for i, _ in good], dtype=int)
-        failures[n] = bad
-
-    return McRun(estimates=estimates, rep_indices=rep_indices, failures=failures)
+    return _replicate(cfg, rep, workers)[0]
 
 
 def summarize(estimates: Sequence[float], theta0: float, n: int = 0) -> McSummary:
@@ -220,11 +244,7 @@ class TwoFactorMcConfig:
     n_values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.replications < 2:
-            raise ModelError("replications must be >= 2")
-        if not self.n_values:
-            raise ModelError("n_values must be non-empty")
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values", _check_sweep(self.replications, self.n_values))
 
 
 def run_mc_two_factor(
@@ -234,44 +254,11 @@ def run_mc_two_factor(
     run per parameter.  Seeding and failure handling mirror :func:`run_mc`."""
     from .estimate import estimate_two_factor
 
-    root = cfg.sim.seed
-    est1: dict[int, np.ndarray] = {}
-    est2: dict[int, np.ndarray] = {}
-    reps1: dict[int, np.ndarray] = {}
-    fails: dict[int, tuple[tuple[int, str], ...]] = {}
+    def rep(plan: SamplingPlan, opts: SimOptions) -> tuple[float, float]:
+        tf = simulate_two_factor(
+            cfg.y0, cfg.r0, cfg.theta1, cfg.theta2, cfg.sigma, cfg.a, cfg.b, plan, opts,
+        )
+        r1, r2 = estimate_two_factor(tf, cfg.sigma)
+        return r1.theta_hat, r2.theta_hat
 
-    for n in cfg.n_values:
-        plan_n = replace(cfg.plan, n=n)
-
-        def one(i: int, *, _plan=plan_n, _n=n):
-            opts = replace(cfg.sim, seed=rng.derive_seed(root, i, _n))
-            try:
-                tf = simulate_two_factor(
-                    cfg.y0, cfg.r0, cfg.theta1, cfg.theta2, cfg.sigma,
-                    cfg.a, cfg.b, _plan, opts,
-                )
-                r1, r2 = estimate_two_factor(tf, cfg.sigma)
-                return i, r1.theta_hat, r2.theta_hat, None
-            except (DataError, ModelError) as exc:
-                return i, None, None, str(exc)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(one, range(cfg.replications)))
-        else:
-            outcomes = [one(i) for i in range(cfg.replications)]
-
-        good = [(i, t1, t2) for i, t1, t2, _ in outcomes if t1 is not None]
-        bad = tuple((i, msg) for i, _, _, msg in outcomes if msg is not None)
-        if len(bad) > _FAILURE_FRACTION * cfg.replications:
-            raise DataError(
-                f"{len(bad)} of {cfg.replications} replications failed at n={n}"
-            )
-        est1[n] = np.array([t1 for _, t1, _ in good])
-        est2[n] = np.array([t2 for _, _, t2 in good])
-        reps1[n] = np.array([i for i, _, _ in good], dtype=int)
-        fails[n] = bad
-
-    run1 = McRun(estimates=est1, rep_indices=reps1, failures=fails)
-    run2 = McRun(estimates=est2, rep_indices=reps1, failures=fails)
-    return run1, run2
+    return _replicate(cfg, rep, workers)

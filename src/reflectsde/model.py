@@ -279,29 +279,20 @@ def eval_drift_dtheta2(spec: DriftSpec, x: float, theta: float) -> float:
     return float(spec.d2f_dtheta2(x, theta))
 
 
-def eval_drift_array(spec: DriftSpec, x: np.ndarray, theta: float) -> np.ndarray:
-    """Vectorised drift evaluation with a scalar-loop fallback for custom
-    drifts whose callables do not accept arrays."""
+def eval_on_array(g: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """Evaluate ``g`` on the whole array ``x``, or value by value when ``g``
+    rejects arrays (custom drifts need not accept them) or returns a result
+    of another shape.  Built-in drifts keep the shape of ``x`` through
+    their ``0.0 * x`` terms, so a custom drift that reduces over its
+    argument is caught here rather than broadcast."""
     x = np.asarray(x, dtype=float)
     try:
-        out = np.asarray(spec.f(x, theta), dtype=float)
+        out = np.asarray(g(x), dtype=float)
         if out.shape == x.shape:
             return out
     except (TypeError, ValueError):
         pass
-    return np.array([spec.f(float(v), theta) for v in x], dtype=float)
-
-
-def eval_drift_dtheta_array(spec: DriftSpec, x: np.ndarray, theta: float) -> np.ndarray:
-    """Vectorised first theta-derivative with scalar-loop fallback."""
-    x = np.asarray(x, dtype=float)
-    try:
-        out = np.asarray(spec.df_dtheta(x, theta), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([spec.df_dtheta(float(v), theta) for v in x], dtype=float)
+    return np.array([g(float(v)) for v in x], dtype=float)
 
 
 def validate_drift_derivatives(

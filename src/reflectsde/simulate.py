@@ -421,33 +421,52 @@ def simulate_two_factor(
 # ---------------------------------------------------------------------------
 
 
-def _open_out(dest: str | Path | IO[str]):
+def write_csv(dest: str | Path | IO[str], header: str, *columns) -> None:
+    """Write ``header`` and one row per position of the equal-length
+    ``columns``, every value as ``{:.17g}``."""
+    # Python floats and ints format faster than numpy scalars
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    line = ",".join(["{:.17g}"] * len(columns)) + "\n"
     if hasattr(dest, "write"):
-        return dest, False
-    return open(dest, "w", encoding="utf-8"), True
+        dest.write(header + "\n")
+        dest.writelines(line.format(*row) for row in rows)
+        return
+    with open(dest, "w", encoding="utf-8") as fh:
+        write_csv(fh, header, *columns)
 
 
-def _open_in(src: str | Path | IO[str]):
-    if hasattr(src, "read"):
-        return src, False
-    return open(src, "r", encoding="utf-8"), True
+def _read_csv(
+    src: str | Path | IO[str], headers: tuple[str, ...]
+) -> tuple[np.ndarray, float]:
+    """Read a CSV whose header is one of ``headers`` and whose first column
+    holds regularly spaced times; returns the data rows and the time step."""
+    if not hasattr(src, "read"):
+        with open(src, "r", encoding="utf-8") as fh:
+            return _read_csv(fh, headers)
+    try:
+        header = src.readline().strip()
+        if header not in headers:
+            raise DataError(f"unrecognized CSV header {header!r}, expected {headers}")
+        data = np.loadtxt(src, delimiter=",", ndmin=2)
+    except DataError:
+        raise
+    except ValueError as exc:  # a non-numeric cell, a ragged row, undecodable bytes
+        raise DataError(f"malformed CSV: {exc}") from exc
+    if data.shape[0] < 2 or data.shape[1] != header.count(",") + 1:
+        raise DataError(f"CSV must have >= 2 rows with the columns {header!r}")
+    steps = np.diff(data[:, 0])
+    h = steps[0]
+    if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
+        raise DataError("CSV requires regularly spaced times")
+    return data, float(h)
 
 
 def write_path_csv(path: SamplePath, dest: str | Path | IO[str]) -> None:
     """Write ``t,x,l,r`` (two-sided) or ``t,x,l`` (one-sided) rows."""
-    fh, owned = _open_out(dest)
-    try:
-        if path.barriers.is_two_sided:
-            fh.write("t,x,l,r\n")
-            for t, xv, lv, rv in zip(path.times, path.x, path.l, path.r):
-                fh.write(f"{t:.17g},{xv:.17g},{lv:.17g},{rv:.17g}\n")
-        else:
-            fh.write("t,x,l\n")
-            for t, xv, lv in zip(path.times, path.x, path.l):
-                fh.write(f"{t:.17g},{xv:.17g},{lv:.17g}\n")
-    finally:
-        if owned:
-            fh.close()
+    if path.barriers.is_two_sided:
+        write_csv(dest, "t,x,l,r", path.times, path.x, path.l, path.r)
+    else:
+        write_csv(dest, "t,x,l", path.times, path.x, path.l)
 
 
 def read_path_csv(src: str | Path | IO[str], barriers: BarrierConfig) -> SamplePath:
@@ -456,28 +475,9 @@ def read_path_csv(src: str | Path | IO[str], barriers: BarrierConfig) -> SampleP
     The CSV does not carry barrier geometry, so it must be supplied (for the
     command-line tools it comes from the model configuration file).
     """
-    fh, owned = _open_in(src)
-    try:
-        header = fh.readline().strip()
-        if header == "t,x,l,r":
-            ncols = 4
-        elif header == "t,x,l":
-            ncols = 3
-        else:
-            raise DataError(f"unrecognized path CSV header {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    finally:
-        if owned:
-            fh.close()
-    if data.shape[0] < 2 or data.shape[1] != ncols:
-        raise DataError("path CSV must have >= 2 rows with the declared columns")
-    times = data[:, 0]
-    steps = np.diff(times)
-    h = steps[0]
-    if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-        raise DataError("path CSV requires regularly spaced times")
-    r = data[:, 3] if ncols == 4 else np.zeros(len(times))
-    path = SamplePath(h=float(h), times=times, x=data[:, 1], l=data[:, 2],
+    data, h = _read_csv(src, ("t,x,l,r", "t,x,l"))
+    r = data[:, 3] if data.shape[1] == 4 else np.zeros(len(data))
+    path = SamplePath(h=h, times=data[:, 0], x=data[:, 1], l=data[:, 2],
                       r=r, barriers=barriers)
     path.validate()
     return path
@@ -485,45 +485,21 @@ def read_path_csv(src: str | Path | IO[str], barriers: BarrierConfig) -> SampleP
 
 def write_two_factor_csv(tf: TwoFactorPath, dest: str | Path | IO[str]) -> None:
     """Write ``t,y,l1,u1,r,l2`` rows."""
-    fh, owned = _open_out(dest)
-    try:
-        fh.write("t,y,l1,u1,r,l2\n")
-        for t, yv, l1v, u1v, rv, l2v in zip(
-            tf.y.times, tf.y.x, tf.y.l, tf.y.r, tf.rshort.x, tf.rshort.l
-        ):
-            fh.write(
-                f"{t:.17g},{yv:.17g},{l1v:.17g},{u1v:.17g},{rv:.17g},{l2v:.17g}\n"
-            )
-    finally:
-        if owned:
-            fh.close()
+    write_csv(dest, "t,y,l1,u1,r,l2",
+              tf.y.times, tf.y.x, tf.y.l, tf.y.r, tf.rshort.x, tf.rshort.l)
 
 
 def read_two_factor_csv(
     src: str | Path | IO[str], a: float, b: float
 ) -> TwoFactorPath:
     """Read a two-factor path written by :func:`write_two_factor_csv`."""
-    fh, owned = _open_in(src)
-    try:
-        header = fh.readline().strip()
-        if header != "t,y,l1,u1,r,l2":
-            raise DataError(f"unrecognized two-factor CSV header {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    finally:
-        if owned:
-            fh.close()
-    if data.shape[0] < 2 or data.shape[1] != 6:
-        raise DataError("two-factor CSV must have >= 2 rows and 6 columns")
+    data, h = _read_csv(src, ("t,y,l1,u1,r,l2",))
     times = data[:, 0]
-    steps = np.diff(times)
-    h = steps[0]
-    if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-        raise DataError("two-factor CSV requires regularly spaced times")
     zeros = np.zeros(len(times))
     tf = TwoFactorPath(
-        y=SamplePath(h=float(h), times=times, x=data[:, 1], l=data[:, 2],
+        y=SamplePath(h=h, times=times, x=data[:, 1], l=data[:, 2],
                      r=data[:, 3], barriers=BarrierConfig.two_sided(a, b)),
-        rshort=SamplePath(h=float(h), times=times, x=data[:, 4], l=data[:, 5],
+        rshort=SamplePath(h=h, times=times, x=data[:, 4], l=data[:, 5],
                           r=zeros, barriers=BarrierConfig.one_sided_lower(0.0)),
     )
     tf.validate()

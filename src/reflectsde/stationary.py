@@ -32,8 +32,7 @@ from .model import (
     SHIFTED_COVARIATE,
     DriftSpec,
     ModelConfig,
-    eval_drift_array,
-    eval_drift_dtheta_array,
+    eval_on_array,
 )
 
 DEFAULT_INTERVALS = 4096
@@ -95,7 +94,7 @@ def _drift_primitive(drift: DriftSpec, a: float, xs: np.ndarray, theta: float) -
         return theta * ((xs - 0.5 * xs**2) - (a - 0.5 * a**2))
     if drift.kind == SHIFTED_COVARIATE:
         return (drift.covariate + theta) * (xs - a)
-    fvals = eval_drift_array(drift, xs, theta)
+    fvals = eval_on_array(lambda v: drift.f(v, theta), xs)
     return _sciint.cumulative_simpson(fvals, x=xs, initial=0.0)
 
 
@@ -182,16 +181,6 @@ def invariant_density(
     return DensityGrid(lo=a, hi=hi, nodes=nodes, weights=w, values=unnorm / z)
 
 
-def _grid_eval(g: Callable[[float], float], nodes: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(g(nodes), dtype=float)
-        if out.shape == nodes.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([g(float(v)) for v in nodes], dtype=float)
-
-
 def stationary_average(
     config: ModelConfig,
     theta: float,
@@ -202,7 +191,7 @@ def stationary_average(
     density (a precomputed grid can be supplied to amortize the setup)."""
     if grid is None:
         grid = invariant_density(config, theta)
-    return grid.integrate(_grid_eval(g, grid.nodes))
+    return grid.integrate(eval_on_array(g, grid.nodes))
 
 
 def information(
@@ -217,7 +206,7 @@ def information(
     """
     if grid is None:
         grid = invariant_density(config, theta)
-    sens = eval_drift_dtheta_array(config.drift, grid.nodes, theta)
+    sens = eval_on_array(lambda v: config.drift.df_dtheta(v, theta), grid.nodes)
     value = grid.integrate(sens * sens)
     if not math.isfinite(value) or value <= 1e-14:
         raise ModelError(

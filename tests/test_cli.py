@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -130,6 +131,21 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", str(cfg_file),
                      "--path", str(tmp_path / "nope.csv")]) == 1
 
+    @pytest.mark.parametrize("content", (
+        b"t,x,l,r\n0,1,0,0\n0.01,abc,0,0\n",
+        b"t,x,l,r\n0,1,0,0\n0.01,1,0\n",
+        b"\xff\xfe\x00binary\n",
+    ), ids=("non_numeric", "ragged", "binary"))
+    def test_malformed_path_is_data_error(self, content, cfg_file, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        assert main(["estimate", "--config", str(cfg_file), "--path", str(bad)]) == 2
+        assert "malformed" in capsys.readouterr().err
+
+    def test_directory_path_is_usage_error(self, cfg_file, tmp_path):
+        assert main(["estimate", "--config", str(cfg_file),
+                     "--path", str(tmp_path)]) == 1
+
     def test_one_sided_round_trip(self, tmp_path, capsys):
         text = TABLE1_CFG.replace("barrier.b = 3.0\n", "").replace("x0 = 1.0", "x0 = 0.5")
         cfg = write_cfg(tmp_path, text)
@@ -201,6 +217,36 @@ class TestDensityAndInfo:
         for line in lines[1:]:
             theta, g = (float(v) for v in line.split(","))
             assert g > 0.0
+
+
+# sha256 of each output file, recorded on the hand-written CSV loops as
+# they stood before every output went through one writer.
+_GOLDEN_OUTPUT_DIGESTS = {
+    "estimates.csv": "126894fc967ba1e3a727c56f949c0c93d5721f1d52e47a95d5dc4c69b648a5ba",
+    "summary.csv": "92d8fa66bf10437c98fefae8e945ac838f2e9bc248376da808a0cd0906cec579",
+    "zscores.csv": "25c05bd11f9f8077f05c8f704cbe46504a79138978dd93e899c558968f339f8e",
+    "density": "fa235f342677f8a295a252aad8ba362fa88ae5535af5e664002d749ee5e55afb",
+    "ginfo": "585fce04bfa5c0e1179d85016d2b659d7988fd52480a588f2ba7c450f0f1f380",
+}
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenOutputs:
+    def test_mc_outputs(self, cfg_file, tmp_path):
+        assert main(["mc", "--config", str(cfg_file), "--reps", "20", "--seed", "7",
+                     "--n", "30,60", "--out-dir", str(tmp_path), "--zscores"]) == 0
+        for name in ("estimates.csv", "summary.csv", "zscores.csv"):
+            assert _digest(tmp_path / name) == _GOLDEN_OUTPUT_DIGESTS[name], name
+
+    @pytest.mark.parametrize("argv", (["density"], ["ginfo", "--points", "5"]),
+                             ids=("density", "ginfo"))
+    def test_density_and_ginfo_outputs(self, argv, cfg_file, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert _digest(out) == _GOLDEN_OUTPUT_DIGESTS[argv[0]]
 
 
 class TestExitCodes:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,72 @@ class TestTwoFactorHarness:
         assert np.array_equal(run2a.estimates[200], run2b.estimates[200])
         s = run1a.summary(1.0, 200)
         assert abs(s.mse - (s.bias**2 + s.std_dev**2)) <= 1e-12 * max(1.0, s.mse)
+
+
+def _run_digest(*runs):
+    digest = hashlib.sha256()
+    for run in runs:
+        for n in sorted(run.estimates):
+            digest.update(np.ascontiguousarray(run.estimates[n]).tobytes())
+            digest.update(np.ascontiguousarray(run.rep_indices[n]).tobytes())
+            digest.update(repr(run.failures[n]).encode())
+    return digest.hexdigest()
+
+
+def _golden_mc_config(kind):
+    if kind == "power":
+        return small_mc_config(replications=10, n_values=(30, 60, 120), seed=31)
+    # a custom drift takes the golden-section search
+    drift = rs.DriftSpec.custom(
+        f=lambda x, th: th * (1.0 - x) - x ** 3,
+        df_dtheta=lambda x, th: 1.0 - x + 0.0 * th,
+        d2f_dtheta2=lambda x, th: 0.0 * (x + th),
+        lipschitz_bound=30.0,
+    )
+    model = rs.ModelConfig(drift=drift, sigma=0.2,
+                           barriers=rs.BarrierConfig.two_sided(0.0, 3.0),
+                           theta_domain=(0.01, 10.0), x0=1.0)
+    return rs.McConfig(model=model, theta0=2.0, plan=rs.SamplingPlan(n=100, h=0.1),
+                       sim=rs.SimOptions(seed=32), replications=8,
+                       n_values=(50, 100))
+
+
+def _golden_two_factor_config(**overrides):
+    fields = dict(y0=1.0, r0=0.5, theta1=1.0, theta2=1.0, sigma=0.1, a=0.0, b=3.0,
+                  plan=rs.SamplingPlan(n=200, h=0.01), sim=rs.SimOptions(seed=33),
+                  replications=6, n_values=(100, 200))
+    fields.update(overrides)
+    return rs.TwoFactorMcConfig(**fields)
+
+
+# Recorded on the replication loops as they stood before run_mc and
+# run_mc_two_factor shared one driver (CPython 3.11, numpy 2.4, scipy 1.17,
+# x86-64 Linux).
+_GOLDEN_RUN_DIGESTS = {
+    "power": "b5ad39d6dea3a097b5cd16d0a9450b73d6e1740afcc2552ae4318dd8faf732b3",
+    "custom": "fcd0fdcc1129eb029c2d1203482b8d0d54aaa0c9796d181d867c2884328e7bda",
+    "two_factor": "85f08e234c23033fd671a83ae5c6c6d3e50d39fea4a0e1e5b88cf6498313dc9e",
+}
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("kind", ("power", "custom"))
+    def test_run_mc_digest(self, kind):
+        run = rs.run_mc(_golden_mc_config(kind))
+        assert _run_digest(run) == _GOLDEN_RUN_DIGESTS[kind]
+
+    def test_run_mc_two_factor_digest(self):
+        run1, run2 = rs.run_mc_two_factor(_golden_two_factor_config())
+        assert _run_digest(run1, run2) == _GOLDEN_RUN_DIGESTS["two_factor"]
+
+    def test_two_factor_workers_match_serial(self):
+        cfg = _golden_two_factor_config()
+        serial = rs.run_mc_two_factor(cfg)
+        threaded = rs.run_mc_two_factor(cfg, workers=2)
+        assert _run_digest(*threaded) == _run_digest(*serial)
+
+    def test_two_factor_abort_names_the_reason(self):
+        # y0 outside [a, b] fails every replication
+        cfg = _golden_two_factor_config(y0=5.0, replications=4, n_values=(20,))
+        with pytest.raises(DataError, match=r"4 of 4 replications failed at n=20: y0="):
+            rs.run_mc_two_factor(cfg)

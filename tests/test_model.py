@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reflectsde as rs
 from reflectsde.errors import ModelError
-from reflectsde.model import validate_drift_derivatives
+from reflectsde.model import eval_on_array, validate_drift_derivatives
 
 
 def custom_theta_squared():
@@ -48,6 +48,31 @@ class TestDriftValues:
         spec = rs.DriftSpec.power(0.5)
         values = {rs.eval_drift(spec, 1.7, 2.3) for _ in range(100)}
         assert len(values) == 1
+
+
+class TestEvalOnArray:
+    X = np.array([0.1, 0.7, 2.5])
+
+    @pytest.mark.parametrize("spec", (
+        rs.DriftSpec.power(0.5), rs.DriftSpec.mean_reversion_to_one(),
+        rs.DriftSpec.shifted_covariate(-1.0),
+    ), ids=lambda spec: spec.kind)
+    def test_builtin_drifts_evaluate_on_the_array(self, spec):
+        # the 0.0 * x and 0.0 * theta terms give every built-in result the
+        # shape of x, so no kind drops to the scalar loop
+        for g in (lambda v: spec.f(v, 1.5), lambda v: spec.df_dtheta(v, 1.5)):
+            assert np.shape(g(self.X)) == self.X.shape
+            np.testing.assert_array_equal(eval_on_array(g, self.X),
+                                          [g(float(v)) for v in self.X])
+
+    def test_scalar_only_callable_falls_back_to_a_loop(self):
+        out = eval_on_array(lambda v: math.exp(-v), self.X)
+        np.testing.assert_array_equal(out, [math.exp(-v) for v in self.X])
+
+    def test_reducing_callable_falls_back_to_a_loop(self):
+        # an array argument collapses to one number: it must not broadcast
+        out = eval_on_array(lambda v: float(np.max(v)) - 1.0, self.X)
+        np.testing.assert_array_equal(out, self.X - 1.0)
 
 
 class TestDriftDerivatives:

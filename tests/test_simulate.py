@@ -460,6 +460,28 @@ class TestNonFinitePaths:
                              rs.SimOptions(seed=1))
 
 
+# header, row builder and reader for each CSV format
+_CSV_FORMATS = {
+    "path": ("t,x,l\n", "{:g},1,0\n".format,
+             lambda src: rs.read_path_csv(src, rs.BarrierConfig.one_sided_lower(0.0))),
+    "two_factor": ("t,y,l1,u1,r,l2\n", "{:g},1,0,0,0.5,0\n".format,
+                   lambda src: rs.read_two_factor_csv(src, 0.0, 3.0)),
+}
+
+# each case builds the text from a format's header and row builder and
+# names the expected error
+_MALFORMED_CSV = {
+    "bad_header": lambda header, row: ("a,b,c\n" + row(0.0) + row(0.01), "header"),
+    "ragged_row": lambda header, row: (
+        header + row(0.0) + row(0.01).rsplit(",", 1)[0] + "\n", "malformed"),
+    "non_numeric_cell": lambda header, row: (
+        header + row(0.0) + row(0.01).replace(",1,", ",abc,", 1), "malformed"),
+    "too_few_rows": lambda header, row: (header + row(0.0), "rows"),
+    "irregular_times": lambda header, row: (
+        header + row(0.0) + row(0.01) + row(0.05), "regularly spaced"),
+}
+
+
 class TestCsvRoundTrip:
     def test_two_sided_round_trip_exact(self):
         config = power_model(0.5)
@@ -489,15 +511,18 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.x, path.x)
         assert np.all(loaded.r == 0.0)
 
-    def test_bad_header_rejected(self):
-        with pytest.raises(DataError):
-            rs.read_path_csv(io.StringIO("a,b,c\n1,2,3\n"),
-                             rs.BarrierConfig.one_sided_lower(0.0))
+    @pytest.mark.parametrize("fmt", sorted(_CSV_FORMATS))
+    def test_well_formed_text_reads(self, fmt):
+        header, row, read = _CSV_FORMATS[fmt]
+        assert read(io.StringIO(header + row(0.0) + row(0.01) + row(0.02))).n == 2
 
-    def test_irregular_times_rejected(self):
-        text = "t,x,l\n0,1,0\n0.01,1,0\n0.05,1,0\n"
-        with pytest.raises(DataError):
-            rs.read_path_csv(io.StringIO(text), rs.BarrierConfig.one_sided_lower(0.0))
+    @pytest.mark.parametrize("fmt", sorted(_CSV_FORMATS))
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_CSV))
+    def test_malformed_csv_rejected(self, case, fmt):
+        header, row, read = _CSV_FORMATS[fmt]
+        text, message = _MALFORMED_CSV[case](header, row)
+        with pytest.raises(DataError, match=message):
+            read(io.StringIO(text))
 
     def test_data_outside_barriers_rejected(self):
         text = "t,x,l\n0,1,0\n0.01,-0.5,0\n"
@@ -522,6 +547,36 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.y.x, tf.y.x)
         assert np.array_equal(loaded.y.r, tf.y.r)
         assert np.array_equal(loaded.rshort.x, tf.rshort.x)
+
+
+def _golden_csv_path(two_sided):
+    return rs.simulate_path(power_model(0.5, two_sided=two_sided), 2.0,
+                            rs.SamplingPlan(n=50, h=0.01), rs.SimOptions(seed=8))
+
+
+# sha256 of the file bytes, recorded on the per-format writers as they stood
+# before the formats shared one writer.
+_GOLDEN_CSV_DIGESTS = {
+    "two_sided": "4f27d0cd0290d96e33ffb2216246027ed9bc39639666276d4816ef21c751015f",
+    "one_sided": "d22842c3ef2acd624eeaf1c8c0dbc8f760956fae29d19098714138d5baca5836",
+    "two_factor": "53eb170f9f6e06f7af4614b0731094a01648c08ebea3f2388bd61aa1f27fa4af",
+}
+
+
+class TestGoldenCsv:
+    @pytest.mark.parametrize("kind", ("two_sided", "one_sided"))
+    def test_path_csv_bytes(self, kind, tmp_path):
+        out = tmp_path / "path.csv"
+        rs.write_path_csv(_golden_csv_path(kind == "two_sided"), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_CSV_DIGESTS[kind]
+
+    def test_two_factor_csv_bytes(self, tmp_path):
+        tf = rs.simulate_two_factor(1.0, 0.5, 1.0, 1.0, 0.1, 0.0, 3.0,
+                                    rs.SamplingPlan(n=40, h=0.01), rs.SimOptions(seed=13))
+        out = tmp_path / "tf.csv"
+        rs.write_two_factor_csv(tf, out)
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == _GOLDEN_CSV_DIGESTS["two_factor"])
 
 
 class TestOptionsValidation:
