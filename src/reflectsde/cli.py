@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -223,7 +224,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing fills a fresh
+    namespace on every call, so reusing it carries no state over."""
     parser = _Parser(prog="reflectsde", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -447,7 +447,11 @@ def _read_csv(
         header = src.readline().strip()
         if header not in headers:
             raise DataError(f"unrecognized CSV header {header!r}, expected {headers}")
-        data = np.loadtxt(src, delimiter=",", ndmin=2)
+        body = src.readlines()
+        # a header-only file would make np.loadtxt warn before the row check
+        if not any(line.split("#", 1)[0].strip() for line in body):
+            raise DataError(f"CSV must have >= 2 rows with the columns {header!r}")
+        data = np.loadtxt(body, delimiter=",", ndmin=2)
     except DataError:
         raise
     except ValueError as exc:  # a non-numeric cell, a ragged row, undecodable bytes

@@ -11,6 +11,16 @@ puts the mass where the drift pushes the state, which is what long-run
 simulated histograms show.  The scale density carries the opposite sign in
 the exponent, so pi is proportional to 1/scale.
 
+The quadrature starts at 4,096 Simpson panels and doubles them, up to at
+most 262,144, until the normalizer changes by at most 1e-10 relative.  The
+log-density is shifted by one constant, its maximum on the first grid, at
+every level, so successive normalizers are comparable even when the peak
+lies between nodes.  Each doubling keeps the old nodes, so for the built-in
+drifts (analytic primitive) only the new midpoints are evaluated; a custom
+drift's cumulative-Simpson primitive is recomputed on the whole grid.  A
+grid returned at the cap before meeting the tolerance raises a
+RuntimeWarning naming the last relative change and the node count.
+
 For one-sided models the support is truncated at a point where the
 remaining tail mass is below 1e-10 of the total; a drift that fails to push
 the state down is reported as non-integrable.
@@ -19,6 +29,7 @@ the state down is reported as non-integrable.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,6 +38,7 @@ from scipy import integrate as _sciint
 
 from .errors import ModelError
 from .model import (
+    CUSTOM,
     MEAN_REVERSION_TO_ONE,
     POWER,
     SHIFTED_COVARIATE,
@@ -47,7 +59,9 @@ class DensityGrid:
     """Normalized density values on a uniform quadrature grid.
 
     ``weights`` are composite Simpson weights summing to (hi - lo);
-    ``values`` integrate to 1 against them.
+    ``values`` integrate to 1 against them.  The three arrays are read-only:
+    writeable arrays are copied on construction, read-only float arrays are
+    kept as they are.
     """
 
     lo: float
@@ -58,8 +72,11 @@ class DensityGrid:
 
     def __post_init__(self) -> None:
         for name in ("nodes", "weights", "values"):
-            arr = np.array(getattr(self, name), dtype=float, order="C")
-            arr.setflags(write=False)
+            arr = getattr(self, name)
+            if not (isinstance(arr, np.ndarray) and arr.dtype == float
+                    and arr.flags.c_contiguous and not arr.flags.writeable):
+                arr = np.array(arr, dtype=float, order="C")
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def integrate(self, gvals: np.ndarray | None = None) -> float:
@@ -112,7 +129,7 @@ def scale_density(config: ModelConfig, theta: float, x: float) -> float:
     a, b = config.barriers.a, config.barriers.b
     if x < a or (b is not None and x > b):
         raise ModelError(f"x={x!r} outside the barrier interval")
-    if config.drift.kind == "custom":
+    if config.drift.kind == CUSTOM:
         integral, _ = _sciint.quad(lambda y: config.drift.f(y, theta), a, x)
     else:
         integral = float(_drift_primitive(config.drift, a, np.array([x]), theta)[0])
@@ -155,7 +172,9 @@ def invariant_density(
     """Normalized invariant density on the barrier interval.
 
     The quadrature resolution is doubled until the normalizing constant is
-    stable to 1e-10 relative, starting from ``intervals`` Simpson panels.
+    stable to 1e-10 relative, starting from ``intervals`` Simpson panels;
+    a :class:`RuntimeWarning` reports a grid returned at the refinement cap
+    before that.
     """
     _require_positive_sigma(config)
     a = config.barriers.a
@@ -164,21 +183,44 @@ def invariant_density(
     else:
         hi = _upper_limit(config, theta)
 
-    prev_z = None
+    drift = config.drift
+    scale = 2.0 / config.sigma**2
+    shift = unnorm = z = None
     k = intervals
     for _ in range(_MAX_REFINES + 1):
         nodes, w = _simpson_weights(a, hi, k)
-        log_pi = 2.0 / config.sigma**2 * _drift_primitive(config.drift, a, nodes, theta)
-        log_pi -= np.max(log_pi)
-        unnorm = np.exp(log_pi)
+        if unnorm is None or drift.kind == CUSTOM:
+            log_pi = scale * _drift_primitive(drift, a, nodes, theta)
+            if shift is None:
+                shift = np.max(log_pi)
+            finer = np.exp(log_pi - shift)
+        else:
+            # the even nodes of the doubled grid are the old nodes bit for
+            # bit, so only the new odd nodes need the primitive and exp
+            odd = np.ascontiguousarray(nodes[1::2])
+            finer = np.empty(k + 1)
+            finer[::2] = unnorm
+            finer[1::2] = np.exp(scale * _drift_primitive(drift, a, odd, theta) - shift)
+        prev_z, unnorm = z, finer
         z = float(np.dot(w, unnorm))
         if not math.isfinite(z) or z <= 0.0:
             raise ModelError("invariant density normalization failed")
         if prev_z is not None and abs(z - prev_z) <= _REFINE_REL_TOL * abs(z):
             break
-        prev_z = z
         k *= 2
-    return DensityGrid(lo=a, hi=hi, nodes=nodes, weights=w, values=unnorm / z)
+    else:
+        warnings.warn(
+            f"invariant density quadrature stopped at the refinement cap of "
+            f"{len(nodes)} nodes with the normalizer still changing by "
+            f"{abs(z - prev_z) / abs(z):.2g} relative (tolerance "
+            f"{_REFINE_REL_TOL:g})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    values = unnorm / z
+    for arr in (nodes, w, values):
+        arr.setflags(write=False)
+    return DensityGrid(lo=a, hi=hi, nodes=nodes, weights=w, values=values)
 
 
 def stationary_average(

@@ -2,12 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import reflectsde as rs
-from reflectsde.cli import main, parse_config
+from reflectsde.cli import _build_parser, main, parse_config
 
 TABLE1_CFG = """
 # benchmark two-sided model
@@ -141,6 +142,14 @@ class TestEstimateCommand:
         bad.write_bytes(content)
         assert main(["estimate", "--config", str(cfg_file), "--path", str(bad)]) == 2
         assert "malformed" in capsys.readouterr().err
+
+    def test_header_only_path_is_data_error(self, cfg_file, tmp_path, capsys):
+        bad = tmp_path / "empty.csv"
+        bad.write_text("t,x,l,r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--config", str(cfg_file), "--path", str(bad)]) == 2
+        assert "rows" in capsys.readouterr().err
 
     def test_directory_path_is_usage_error(self, cfg_file, tmp_path):
         assert main(["estimate", "--config", str(cfg_file),
@@ -282,6 +291,34 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call may leak into the next."""
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_level_does_not_carry_over(self, cfg_file, tmp_path, capsys):
+        path = tmp_path / "path.csv"
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(path)]) == 0
+        argv = ["estimate", "--config", str(cfg_file), "--path", str(path)]
+        records = []
+        for extra in (["--level", "0.9"], [], ["--level", "0.95"]):
+            assert main(argv + extra) == 0
+            records.append(json.loads(capsys.readouterr().out))
+        narrow, default, explicit = records
+        assert default == explicit
+        assert default["ci_hi"] - default["ci_lo"] > narrow["ci_hi"] - narrow["ci_lo"]
+
+    def test_usage_error_between_good_calls(self, cfg_file, tmp_path):
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        argv = ["simulate", "--config", str(cfg_file), "--n", "20", "--out"]
+        assert main(argv + [str(outs[0])]) == 0
+        assert main(["simulate", "--config", str(cfg_file), "--bogus", "1"]) == 1
+        assert main(["estimate", "--config", str(cfg_file)]) == 1
+        assert main(argv + [str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_module_entry_point(cfg_file, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -477,6 +478,8 @@ _MALFORMED_CSV = {
     "non_numeric_cell": lambda header, row: (
         header + row(0.0) + row(0.01).replace(",1,", ",abc,", 1), "malformed"),
     "too_few_rows": lambda header, row: (header + row(0.0), "rows"),
+    "header_only": lambda header, row: (header, "rows"),
+    "blank_body": lambda header, row: (header + "\n\n", "rows"),
     "irregular_times": lambda header, row: (
         header + row(0.0) + row(0.01) + row(0.05), "regularly spaced"),
 }
@@ -521,8 +524,10 @@ class TestCsvRoundTrip:
     def test_malformed_csv_rejected(self, case, fmt):
         header, row, read = _CSV_FORMATS[fmt]
         text, message = _MALFORMED_CSV[case](header, row)
-        with pytest.raises(DataError, match=message):
-            read(io.StringIO(text))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                read(io.StringIO(text))
 
     def test_data_outside_barriers_rejected(self):
         text = "t,x,l\n0,1,0\n0.01,-0.5,0\n"

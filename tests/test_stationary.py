@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,3 +253,104 @@ class TestErgodicConsistency:
             space = rs.stationary_average(cfg, theta, g, grid=grid)
             time_avg = float(np.mean(g(path.x[:-1])))
             assert abs(time_avg - space) <= 0.02 * (1.0 + abs(space))
+
+
+# sha256 over the bytes of nodes, weights and values, recorded before the
+# refinement loop took one fixed shift and evaluated only the new nodes;
+# these kinds peak on a node of every level (a or the upper end), so their
+# grids must not change by a bit
+_GOLDEN_GRIDS = {
+    ("power", 0.5, True, 2.0): "18e605eb795de3980047bb587aa49fe4c7c208adb068f542c7feff2ed3b9b881",
+    ("power", 0.5, False, 2.0): "cd5a9e0581d85ab31be376187b76d54995f921d94fd07ee8a5d73c843950b57b",
+    ("power", 0.5, False, 7.0): "98e5f30890221e2b12d6629606ebe1fcdeea53e9a3cc74cf7d863b10fde6123b",
+    ("power", 2.0 / 3.0, True, 2.0): "aa1a30a2bebdcbd79243a334b77ed45c2fcb8164a4de59651b5e82decf9d1989",
+    ("power", 2.0 / 3.0, True, 7.0): "ff3042dc96bd9426a18663827b540484c214513e84a2f3fc7b4e8d710fe78543",
+    ("power", 2.0 / 3.0, False, 2.0): "7f672d395712ed9e6375cdf77c68f6d45fbe9f06ad845de7c8ef499bba2e8523",
+    ("power", 1.0, True, 2.0): "6a7d466b5c6affe9bfa8d2f98a528df0f294f3c9f218c371c06d1ae14aa0256c",
+    ("power", 1.0, False, 2.0): "3dd3de91c7ab0c70e0f082c106cb189dbd5c0bc08d4dc6640c12dbef8c28f4f6",
+    ("shifted", 1.0, True, 2.0): "e6b34ed8456e222782327dc90d6e33811ec434b7892831a542c4e4d08fe73499",
+    ("shifted", -1.0, True, 2.0): "fd8447469a840c2aa6fc8a7376c9c652fd6da3ef51b0fc1770ef4890712ceb77",
+}
+
+# information of the custom drift theta*(1 - x) - x**3 at theta = 2, sigma =
+# 0.2 on [0, 3] as the per-level shift computed it (16,385 nodes)
+_CUSTOM_INFORMATION_BEFORE_FIXED_SHIFT = 0.059274480918013406
+
+
+def _grid_digest(grid):
+    h = hashlib.sha256()
+    for arr in (grid.nodes, grid.weights, grid.values):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _cubic_custom_drift():
+    return rs.DriftSpec.custom(
+        f=lambda x, th: th * (1.0 - x) - x ** 3,
+        df_dtheta=lambda x, th: 1.0 - x + 0.0 * th,
+        d2f_dtheta2=lambda x, th: 0.0 * (x + th),
+        lipschitz_bound=30.0,
+    )
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("case", sorted(_GOLDEN_GRIDS), ids=str)
+    def test_grid_bytes_unchanged(self, case):
+        kind, param, two_sided, theta = case
+        if kind == "power":
+            cfg = power_model(param, two_sided=two_sided)
+        else:
+            cfg = model_with(rs.DriftSpec.shifted_covariate(param))
+        assert _grid_digest(rs.invariant_density(cfg, theta)) == _GOLDEN_GRIDS[case]
+
+    def test_mean_reversion_stops_once_simpson_converges(self):
+        # the peak x = 1 is never a node of [0, 3], so a per-level shift kept
+        # the normalizers apart and ran to the 262,145-node cap
+        cfg = model_with(rs.DriftSpec.mean_reversion_to_one())
+        grid = rs.invariant_density(cfg, 2.0)
+        assert len(grid.nodes) <= 8193
+        assert rs.information(cfg, 2.0, grid) == pytest.approx(
+            cfg.sigma**2 / (2.0 * 2.0), rel=1e-12, abs=0.0)
+
+    def test_custom_drift_information_unchanged(self):
+        cfg = model_with(_cubic_custom_drift())
+        assert rs.information(cfg, 2.0) == pytest.approx(
+            _CUSTOM_INFORMATION_BEFORE_FIXED_SHIFT, rel=1e-12, abs=0.0)
+
+    def test_cap_warning_names_change_and_nodes(self):
+        cfg = power_model(0.25)
+        with pytest.warns(RuntimeWarning, match=r"262145 nodes .* 1\.5e-08 relative"):
+            grid = rs.invariant_density(cfg, 9.0)
+        assert len(grid.nodes) == 262145
+
+    @pytest.mark.parametrize("gamma,two_sided,theta", [
+        (1.0, True, 9.0),
+        (0.5, True, 2.3),
+        (0.5, False, 2.3),
+    ])
+    def test_no_warning_when_converged(self, gamma, two_sided, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rs.invariant_density(power_model(gamma, two_sided=two_sided), theta)
+
+
+class TestDensityGridArrays:
+    def test_returned_arrays_read_only(self):
+        grid = rs.invariant_density(power_model(1.0), 2.0)
+        for arr in (grid.nodes, grid.weights, grid.values):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_caller_arrays_copied(self):
+        nodes = np.linspace(0.0, 1.0, 3)
+        weights = np.array([1.0, 4.0, 1.0]) / 6.0
+        values = np.ones(3)
+        grid = rs.DensityGrid(lo=0.0, hi=1.0, nodes=nodes, weights=weights,
+                              values=values)
+        nodes[0] = weights[0] = values[0] = 9.0
+        assert grid.nodes[0] == 0.0
+        assert grid.weights[0] == pytest.approx(1.0 / 6.0)
+        assert grid.values[0] == 1.0
+        assert grid.integrate() == pytest.approx(1.0)
+        assert not grid.values.flags.writeable
