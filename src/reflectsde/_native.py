@@ -1,0 +1,129 @@
+"""Build, cache and load the compiled fine-step kernel ``_stepper.c``.
+
+The kernel is compiled on first use, never at import, with the C compiler
+on ``PATH`` and cached as
+``${XDG_CACHE_HOME:-~/.cache}/reflectsde/stepper-<digest>.so``, where the
+digest is the sha256 of the source and the flags.  A cache directory that
+cannot be written gives way to a temporary one.  Each cached library ends
+with the sha256 of its own bytes, so a truncated or damaged file is rebuilt
+rather than loaded.  Without a compiler, or when the build fails,
+:func:`load` returns None and warns once per process; simulation then runs
+on the Python stepper, which gives the same bits.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+import threading
+import warnings
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_stepper.c")
+# -ffp-contract=off keeps a*b + c two roundings, as in Python; no
+# -ffast-math and no -march=native for the same reason
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+_DIGEST_BYTES = 32
+_LOCK = threading.Lock()
+
+
+def find_compiler() -> str | None:
+    """The C compiler to build with, or None."""
+    import shutil
+
+    return shutil.which("cc") or shutil.which("gcc")
+
+
+def cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root) / "reflectsde"
+
+
+def library_name() -> str:
+    import hashlib
+
+    key = SOURCE.read_bytes() + " ".join(FLAGS).encode()
+    return f"stepper-{hashlib.sha256(key).hexdigest()[:16]}.so"
+
+
+def _intact(path: Path) -> bool:
+    """Whether ``path`` ends with the sha256 of the bytes before it."""
+    import hashlib
+
+    data = path.read_bytes()
+    body, tail = data[:-_DIGEST_BYTES], data[-_DIGEST_BYTES:]
+    return len(data) > _DIGEST_BYTES and hashlib.sha256(body).digest() == tail
+
+
+def _build(compiler: str, dest: Path) -> None:
+    """Compile into a temporary file beside ``dest``, append its digest
+    (the loader ignores trailing bytes) and move it into place."""
+    import hashlib
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=".stepper-", suffix=".so")
+    os.close(fd)
+    try:
+        subprocess.run([compiler, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+                       check=True, capture_output=True, text=True)
+        with open(tmp, "r+b") as fh:
+            fh.write(hashlib.sha256(fh.read()).digest())
+        os.replace(tmp, dest)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _open(path: Path):
+    """The library's ``reflect_path`` with its C signature."""
+    import ctypes
+
+    fn = ctypes.CDLL(str(path)).reflect_path
+    dbl, ptr = ctypes.c_double, ctypes.c_void_p
+    fn.argtypes = [ctypes.c_int, dbl, dbl, ptr, dbl, ptr, ptr, ctypes.c_long,
+                   ctypes.c_long, dbl, dbl, dbl, dbl, ctypes.c_int,
+                   ptr, ptr, ptr, ptr, ptr, ptr]
+    fn.restype = ctypes.c_long
+    return fn
+
+
+def _load_from(compiler: str, directory: Path):
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / library_name()
+    if not (path.is_file() and _intact(path)):
+        _build(compiler, path)
+    return _open(path)
+
+
+@functools.cache
+def _load():
+    import subprocess
+    import tempfile
+
+    compiler = find_compiler()
+    reason = "no C compiler (cc or gcc) on PATH"
+    if compiler is not None:
+        try:
+            try:
+                return _load_from(compiler, cache_dir())
+            except OSError:
+                # an unwritable cache directory: build where we can write
+                with tempfile.TemporaryDirectory(prefix="reflectsde-") as tmp:
+                    return _load_from(compiler, Path(tmp))
+        except subprocess.CalledProcessError as exc:
+            reason = f"{compiler} failed: {exc.stderr.strip()}"
+        except OSError as exc:
+            reason = f"building with {compiler} failed: {exc}"
+    warnings.warn(f"reflectsde: {reason}; built-in drifts run on the Python "
+                  "stepper (the same paths, about eight times slower)", RuntimeWarning,
+                  stacklevel=2)
+    return None
+
+
+def load():
+    """The compiled ``reflect_path``, built or loaded on the first call, or
+    None when it cannot be built."""
+    with _LOCK:
+        return _load()

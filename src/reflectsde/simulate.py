@@ -12,6 +12,11 @@ plain projection scheme is available for comparison.
 Regulator values are accumulated exactly across fine steps and recorded at
 observation times, giving the data set {X_tk, L_tk, R_tk} that the
 estimators consume.  Everything is deterministic given the stream seed.
+
+Custom drifts are stepped by :func:`_reflect_interval` on Python floats.
+The built-in drifts and the two-factor system run on the compiled twin of
+that loop in ``_stepper.c`` (see :mod:`._native`), which gives the same
+bits; without a C compiler they fall back to :func:`_reflect_interval`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from . import rng
+from . import _native, rng
 from .errors import DataError, ModelError
 from .model import (
     MEAN_REVERSION_TO_ONE,
@@ -225,7 +230,9 @@ def _reflect_interval(
     cumulative regulators ``cl``/``cr`` are carried in and out, and
     ``fine``, when given, collects the left endpoint of every fine step.
 
-    Returns ``(x, cl, cr, touched_lower, touched_upper)``.
+    Returns ``(x, cl, cr, touched_lower, touched_upper)``.  ``reflect_path``
+    in ``_stepper.c`` repeats this loop operation for operation; a change
+    to one must be made to both.
     """
     log, sqrt = math.log, math.sqrt
     touched_lo = touched_up = False
@@ -250,21 +257,36 @@ def _reflect_interval(
     return x, cl, cr, touched_lo, touched_up
 
 
+# drift codes of the compiled kernel (see _stepper.c)
+_K_POWER, _K_MEAN_REVERSION, _K_CONSTANT, _K_SHIFTED = range(4)
+
+
+def _builtin_drift(spec: DriftSpec, theta: float) -> tuple[int, float, float] | None:
+    """The kernel's ``(code, theta, gamma)`` for a built-in drift, None for
+    a custom one.  The shifted covariate is the constant mu = c + theta."""
+    if spec.kind == POWER:
+        return _K_POWER, float(theta), float(spec.gamma)
+    if spec.kind == MEAN_REVERSION_TO_ONE:
+        return _K_MEAN_REVERSION, float(theta), 0.0
+    if spec.kind == SHIFTED_COVARIATE:
+        return _K_CONSTANT, float(spec.covariate) + float(theta), 0.0
+    return None
+
+
 def _drift_of_state(spec: DriftSpec, theta: float) -> Callable[[float], float]:
     """The drift x -> f(x, theta) as a scalar closure on Python floats.
 
     Built-in kinds are spelled out rather than going through ``spec.f``,
     whose numpy calls are slow on scalars.
     """
-    if spec.kind == POWER:
-        theta, gamma = float(theta), float(spec.gamma)
-        return lambda x: -theta * x ** gamma
-    if spec.kind == MEAN_REVERSION_TO_ONE:
-        theta = float(theta)
-        return lambda x: theta * (1.0 - x)
-    if spec.kind == SHIFTED_COVARIATE:
-        mu = float(spec.covariate) + float(theta)
-        return lambda x: mu
+    builtin = _builtin_drift(spec, theta)
+    if builtin is not None:
+        code, p, gamma = builtin
+        if code == _K_POWER:
+            return lambda x: -p * x ** gamma
+        if code == _K_MEAN_REVERSION:
+            return lambda x: p * (1.0 - x)
+        return lambda x: p
     f = spec.f
 
     def custom(x: float) -> float:
@@ -276,6 +298,74 @@ def _drift_of_state(spec: DriftSpec, theta: float) -> Callable[[float], float]:
             raise DataError(f"the drift at x={x!r} is {mu!r}, not a real number") from None
 
     return custom
+
+
+def _native_path(
+    kernel, drift: tuple[int, float, float], x0: float, z: np.ndarray, us: np.ndarray,
+    n: int, m: int, a: float, b: float, hf: float, sig2hf: float, exact_min: bool,
+    shift: np.ndarray | None = None, fine: np.ndarray | None = None,
+) -> tuple | None:
+    """Integrate a whole path with the compiled kernel.
+
+    Returns ``(x, l, r, hit_lower, hit_upper)``, or None where ``x ** gamma``
+    would raise or turn complex in Python, so the caller can rerun the
+    Python stepper and fail as it does.
+    """
+    z, us = np.ascontiguousarray(z, dtype=float), np.ascontiguousarray(us, dtype=float)
+    for arr in (z, us, shift, fine):
+        # the kernel reads or writes n * m contiguous doubles through each
+        if arr is not None and (arr.shape != (n * m,) or arr.dtype != np.float64
+                                or not arr.flags.c_contiguous):
+            raise ValueError("fine-step arrays must be n * m contiguous doubles")
+    xs, ls, rs = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    hit_lo, hit_up = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    code, theta, gamma = drift
+    status = kernel(
+        code, theta, gamma, None if shift is None else shift.ctypes.data, x0,
+        z.ctypes.data, us.ctypes.data, n, m, a, b, hf, sig2hf, exact_min,
+        xs.ctypes.data, ls.ctypes.data, rs.ctypes.data, hit_lo.ctypes.data,
+        hit_up.ctypes.data, None if fine is None else fine.ctypes.data,
+    )
+    return (xs, ls, rs, hit_lo, hit_up) if status < 0 else None
+
+
+def _python_path(
+    mu_of: Callable[[float], float], x: float, z: np.ndarray, us: np.ndarray,
+    n: int, m: int, a: float, b: float, hf: float, sig2hf: float, exact_min: bool,
+    fine: list[float] | None = None,
+) -> tuple:
+    """Integrate a whole path interval by interval with
+    :func:`_reflect_interval`; returns ``(x, l, r, hit_lower, hit_upper)``
+    as lists, and ``fine``, when given, collects every fine-step left
+    endpoint."""
+    cl, cr = 0.0, 0.0
+    xs, ls, rs = [x], [cl], [cr]
+    hit_lo, hit_up = [], []
+    for k in range(n):
+        j = k * m
+        try:
+            x, cl, cr, lo_k, up_k = _reflect_interval(
+                mu_of, x, cl, cr, z[j:j + m].tolist(), us[j:j + m].tolist(),
+                a, b, hf, sig2hf, exact_min, fine,
+            )
+        except (OverflowError, ZeroDivisionError) as exc:
+            # Python floats raise where numpy scalars returned inf
+            raise DataError(
+                f"the drift left the finite range in observation interval {k}: {exc}"
+            ) from exc
+        xs.append(x)
+        ls.append(cl)
+        rs.append(cr)
+        hit_lo.append(lo_k)
+        hit_up.append(up_k)
+    return xs, ls, rs, hit_lo, hit_up
+
+
+def integration_backend() -> str:
+    """``"native"`` when built-in drifts run on the compiled kernel,
+    ``"python"`` when they fall back to the Python stepper.  Custom drifts
+    always run on the Python stepper."""
+    return "python" if _native.load() is None else "native"
 
 
 def simulate_path(
@@ -297,28 +387,16 @@ def simulate_path(
     a = float(barriers.a)
     b = float(barriers.b) if barriers.is_two_sided else math.inf
     exact_min = opts.scheme == LEPINGLE
-    mu_of = _drift_of_state(config.drift, theta)
-
-    x, cl, cr = float(config.x0), 0.0, 0.0
-    xs, ls, rs = [x], [cl], [cr]
-    hit_lo, hit_up = [], []
-    for k in range(n):
-        j = k * m
-        try:
-            x, cl, cr, lo_k, up_k = _reflect_interval(
-                mu_of, x, cl, cr, z[j:j + m].tolist(), uniforms[j:j + m].tolist(),
-                a, b, hf, sig2hf, exact_min,
-            )
-        except (OverflowError, ZeroDivisionError) as exc:
-            # Python floats raise where numpy scalars returned inf
-            raise DataError(
-                f"the drift left the finite range in observation interval {k}: {exc}"
-            ) from exc
-        xs.append(x)
-        ls.append(cl)
-        rs.append(cr)
-        hit_lo.append(lo_k)
-        hit_up.append(up_k)
+    builtin = _builtin_drift(config.drift, theta)
+    x0 = float(config.x0)
+    trace = None
+    if builtin is not None and (kernel := _native.load()) is not None:
+        trace = _native_path(kernel, builtin, x0, z, uniforms, n, m, a, b, hf, sig2hf,
+                             exact_min)
+    if trace is None:
+        trace = _python_path(_drift_of_state(config.drift, theta), x0, z, uniforms,
+                             n, m, a, b, hf, sig2hf, exact_min)
+    xs, ls, rs, hit_lo, hit_up = trace
 
     path = SamplePath(
         h=plan.h, times=np.arange(n + 1) * plan.h, x=xs, l=ls, r=rs,
@@ -368,38 +446,26 @@ def simulate_two_factor(
     exact_min = opts.scheme == LEPINGLE
     theta1, theta2 = float(theta1), float(theta2)
 
-    # The short rate does not feel the log price, so each interval steps it
-    # first and the log price then reads its fine-step left endpoints.
-    def mu_r(r: float) -> float:
-        return theta2 * (1.0 - r)
-
-    def mu_y(_y: float) -> float:
-        return next(r_left) + theta1
-
-    y, cl1, cu1 = float(y0), 0.0, 0.0
-    r, cl2 = float(r0), 0.0
-    ys, l1s, u1s, rrs, l2s = [y], [0.0], [0.0], [r], [0.0]
-    hit_y_lo, hit_y_up, hit_r_lo = [], [], []
-    for k in range(n):
-        j = k * m
-        fine: list[float] = []
-        r, cl2, _, lo_r, _ = _reflect_interval(
-            mu_r, r, cl2, 0.0, z_r[j:j + m].tolist(), uniforms_r[j:j + m].tolist(),
-            0.0, math.inf, hf, sig2hf, exact_min, fine,
-        )
+    # The short rate does not feel the log price, so it is stepped first
+    # and the log price then reads its fine-step left endpoints.
+    y0, r0 = float(y0), float(r0)
+    kernel = _native.load()
+    if kernel is not None:
+        fine = np.empty(n * m)
+        trace_r = _native_path(
+            kernel, (_K_MEAN_REVERSION, theta2, 0.0), r0, z_r, uniforms_r, n, m,
+            0.0, math.inf, hf, sig2hf, exact_min, fine=fine)
+        trace_y = _native_path(kernel, (_K_SHIFTED, theta1, 0.0), y0, z_y, uniforms_y,
+                               n, m, a, b, hf, sig2hf, exact_min, shift=fine)
+    else:
+        fine = []
+        trace_r = _python_path(lambda r: theta2 * (1.0 - r), r0, z_r, uniforms_r, n, m,
+                               0.0, math.inf, hf, sig2hf, exact_min, fine)
         r_left = iter(fine)
-        y, cl1, cu1, lo_y, up_y = _reflect_interval(
-            mu_y, y, cl1, cu1, z_y[j:j + m].tolist(), uniforms_y[j:j + m].tolist(),
-            a, b, hf, sig2hf, exact_min,
-        )
-        ys.append(y)
-        l1s.append(cl1)
-        u1s.append(cu1)
-        rrs.append(r)
-        l2s.append(cl2)
-        hit_y_lo.append(lo_y)
-        hit_y_up.append(up_y)
-        hit_r_lo.append(lo_r)
+        trace_y = _python_path(lambda _y: next(r_left) + theta1, y0, z_y, uniforms_y,
+                               n, m, a, b, hf, sig2hf, exact_min)
+    rrs, l2s, _, hit_r_lo, _ = trace_r
+    ys, l1s, u1s, hit_y_lo, hit_y_up = trace_y
 
     times = np.arange(n + 1) * plan.h
     tf = TwoFactorPath(

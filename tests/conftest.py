@@ -8,6 +8,7 @@ import time
 import pytest
 
 import reflectsde as rs
+from reflectsde import _native
 
 ROOT_SEED = 202608
 
@@ -89,3 +90,10 @@ def ou_nh100():
         replications=500, n_values=(10_000,),
     ))
     return model, plan, run.estimates[10_000]
+
+
+@pytest.fixture
+def python_stepper(monkeypatch):
+    """Simulate built-in drifts on the Python stepper instead of the
+    compiled kernel."""
+    monkeypatch.setattr(_native, "load", lambda: None)

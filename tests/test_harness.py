@@ -118,6 +118,21 @@ class TestRunMc:
         assert "finite range" in run.failures[5][0][1]
         assert len(run.estimates[5]) == 299
 
+    def test_exploding_builtin_drift_is_a_failed_replication(self):
+        # mean reversion at theta = -500 repels from 1; from x0 = 0.985 the
+        # rare path whose noise carries it past 1 runs to inf, then NaN
+        model = rs.ModelConfig(drift=rs.DriftSpec.mean_reversion_to_one(), sigma=0.2,
+                               barriers=rs.BarrierConfig.one_sided_lower(0.0),
+                               theta_domain=(-1000.0, 10.0), x0=0.985)
+        cfg = rs.McConfig(model=model, theta0=-500.0, plan=rs.SamplingPlan(n=250, h=0.01),
+                          sim=rs.SimOptions(seed=0), replications=300, n_values=(250,))
+        run = rs.run_mc(cfg)
+        assert run.failures[250] == ((113, "path x holds non-finite values"),)
+        assert len(run.estimates[250]) == 299
+
+    def test_exploding_builtin_drift_fails_alike_on_python_stepper(self, python_stepper):
+        self.test_exploding_builtin_drift_is_a_failed_replication()
+
     def test_too_many_failures_abort(self):
         cfg = small_mc_config(replications=300, n_values=(5,))
 
@@ -294,6 +309,13 @@ class TestGoldenRuns:
     def test_run_mc_two_factor_digest(self):
         run1, run2 = rs.run_mc_two_factor(_golden_two_factor_config())
         assert _run_digest(run1, run2) == _GOLDEN_RUN_DIGESTS["two_factor"]
+
+    @pytest.mark.parametrize("kind", ("power", "custom"))
+    def test_run_mc_digest_on_python_stepper(self, kind, python_stepper):
+        self.test_run_mc_digest(kind)
+
+    def test_run_mc_two_factor_digest_on_python_stepper(self, python_stepper):
+        self.test_run_mc_two_factor_digest()
 
     def test_two_factor_workers_match_serial(self):
         cfg = _golden_two_factor_config()

@@ -380,6 +380,16 @@ class TestGoldenPaths:
         tf = _golden_two_factor(scheme, 77)
         assert _path_digest(tf.y, tf.rshort) == _GOLDEN_DIGESTS[("two_factor", scheme)]
 
+    # the same digests from the Python stepper, which the compiled kernel
+    # mirrors bit for bit
+    @pytest.mark.parametrize("case", _GOLDEN_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_path_digest_on_python_stepper(self, case, python_stepper):
+        self.test_path_digest(case)
+
+    @pytest.mark.parametrize("scheme", (rs.LEPINGLE, rs.PROJECTION))
+    def test_two_factor_digest_on_python_stepper(self, scheme, python_stepper):
+        self.test_two_factor_digest(scheme)
+
     @pytest.mark.parametrize("kind", _GOLDEN_KINDS)
     @pytest.mark.parametrize("two_sided", (True, False))
     def test_step_helpers_chain_to_simulate_path(self, kind, two_sided):
