@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -208,12 +209,29 @@ def parse_config(
 
 
 @contextlib.contextmanager
-def _output(dest: str) -> Iterator[IO[str]]:
+def _output(dest: str | Path) -> Iterator[IO[str]]:
+    """``dest`` opened for writing, or stdout for ``-``; a destination that
+    cannot be opened is a usage error."""
     if dest == "-":
         yield sys.stdout
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            yield fh
+        return
+    try:
+        fh = open(dest, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {dest}: {exc.strerror}") from None
+    with fh:
+        yield fh
+
+
+def _level(text: str) -> float:
+    """``estimate --level``: a confidence level strictly between 0 and 1."""
+    try:
+        level = float(text)
+    except ValueError:
+        level = math.nan
+    if not 0.0 < level < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return level
 
 
 class _Parser(argparse.ArgumentParser):
@@ -247,7 +265,7 @@ def _build_parser() -> _Parser:
     p_est = sub.add_parser("estimate", help="estimate theta from a path CSV")
     add_common(p_est)
     p_est.add_argument("--path", required=True, help="path CSV to estimate from")
-    p_est.add_argument("--level", type=float, default=0.95,
+    p_est.add_argument("--level", type=_level, default=0.95,
                        help="confidence level (default 0.95)")
 
     p_mc = sub.add_parser("mc", help="Monte Carlo bias/std/mse sweep")
@@ -343,21 +361,27 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     run = run_mc(cfg)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write into {out_dir}: {exc.strerror}") from None
     ns = sorted(run.estimates)
-    write_csv(out_dir / "estimates.csv", "n,rep,theta_hat",
-              np.repeat(ns, [len(run.estimates[n]) for n in ns]),
-              np.concatenate([run.rep_indices[n] for n in ns]),
-              np.concatenate([run.estimates[n] for n in ns]))
-    write_csv(out_dir / "summary.csv", "n,bias,std_dev,mse",
-              *zip(*((s.n, s.bias, s.std_dev, s.mse) for s in run.summaries(theta0))))
+    with _output(out_dir / "estimates.csv") as fh:
+        write_csv(fh, "n,rep,theta_hat",
+                  np.repeat(ns, [len(run.estimates[n]) for n in ns]),
+                  np.concatenate([run.rep_indices[n] for n in ns]),
+                  np.concatenate([run.estimates[n] for n in ns]))
+    with _output(out_dir / "summary.csv") as fh:
+        write_csv(fh, "n,bias,std_dev,mse",
+                  *zip(*((s.n, s.bias, s.std_dev, s.mse) for s in run.summaries(theta0))))
     if args.zscores:
         n_big = max(run.estimates)
         plan_big = SamplingPlan(n=n_big, h=parsed.h, alpha=parsed.alpha)
         report = normality_diagnostic(
             run.estimates[n_big], theta0, plan_big, parsed.model
         )
-        write_csv(out_dir / "zscores.csv", "rep,z", run.rep_indices[n_big], report.z)
+        with _output(out_dir / "zscores.csv") as fh:
+            write_csv(fh, "rep,z", run.rep_indices[n_big], report.z)
     for n in sorted(run.failures):
         for rep, msg in run.failures[n]:
             print(f"warning: n={n} rep={rep} excluded: {msg}", file=sys.stderr)

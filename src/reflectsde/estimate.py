@@ -238,20 +238,12 @@ def confidence_interval(
     return theta_hat - z * stderr, theta_hat + z * stderr
 
 
-def attach_stderr(
-    result: EstimateResult,
-    config: ModelConfig,
-    plan: SamplingPlan,
-    level: float = 0.95,
-) -> EstimateResult:
-    """Return a copy of ``result`` with stderr and confidence interval."""
-    se = asymptotic_stderr(result.theta_hat, config, plan)
-    return replace(
-        result,
-        stderr=se,
-        ci=confidence_interval(result.theta_hat, se, level),
-        level=level,
-    )
+def _point_estimate(path: SamplePath, config: ModelConfig) -> EstimateResult:
+    """The estimator a model gets, here and in ``run_mc``: the closed form
+    for the power drift, golden-section search on the contrast otherwise."""
+    if config.drift.kind == POWER:
+        return estimate_power_closed_form(path, config.drift.gamma, config.theta_domain)
+    return nlse_optimize(path, config.drift, config.theta_domain)
 
 
 def estimate_nlse(
@@ -259,21 +251,13 @@ def estimate_nlse(
     config: ModelConfig,
     plan: SamplingPlan,
     level: float = 0.95,
-    method: str = "auto",
 ) -> EstimateResult:
     """End-to-end estimate: closed form for the power drift (golden-section
     otherwise), with asymptotic standard error and confidence interval."""
-    if method == "auto":
-        method = CLOSED_FORM if config.drift.kind == POWER else GOLDEN_SECTION
-    if method == CLOSED_FORM:
-        if config.drift.kind != POWER:
-            raise ModelError("closed form is only available for the power drift")
-        result = estimate_power_closed_form(path, config.drift.gamma, config.theta_domain)
-    elif method == GOLDEN_SECTION:
-        result = nlse_optimize(path, config.drift, config.theta_domain)
-    else:
-        raise ModelError(f"unknown estimation method {method!r}")
-    return attach_stderr(result, config, plan, level)
+    result = _point_estimate(path, config)
+    se = asymptotic_stderr(result.theta_hat, config, plan)
+    return replace(result, stderr=se, ci=confidence_interval(result.theta_hat, se, level),
+                   level=level)
 
 
 def estimate_two_factor(

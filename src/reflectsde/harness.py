@@ -19,12 +19,8 @@ from scipy import stats as _scistats
 
 from . import rng
 from .errors import DataError, ModelError
-from .estimate import (
-    EstimateResult,
-    estimate_power_closed_form,
-    nlse_optimize,
-)
-from .model import POWER, ModelConfig, SamplingPlan
+from .estimate import EstimateResult, _point_estimate
+from .model import ModelConfig, SamplingPlan
 from .simulate import SamplePath, SimOptions, simulate_path, simulate_two_factor
 from .stationary import information
 
@@ -85,16 +81,6 @@ class McRun:
         return [self.summary(theta0, n) for n in sorted(self.estimates)]
 
 
-def _default_estimator(cfg: McConfig) -> Callable[[SamplePath], EstimateResult]:
-    if cfg.model.drift.kind == POWER:
-        gamma = cfg.model.drift.gamma
-        domain = cfg.model.theta_domain
-        return lambda path: estimate_power_closed_form(path, gamma, domain)
-    spec = cfg.model.drift
-    domain = cfg.model.theta_domain
-    return lambda path: nlse_optimize(path, spec, domain)
-
-
 def _replicate(
     cfg: McConfig | TwoFactorMcConfig,
     rep: Callable[[SamplingPlan, SimOptions], tuple[float, ...] | str],
@@ -148,18 +134,18 @@ def run_mc(
     workers: int = 1,
 ) -> McRun:
     """Run the experiment: for each n and replication i, simulate with the
-    stream seed derived from (root seed, i, n) and estimate.
+    stream seed derived from (root seed, i, n) and estimate, by default
+    with the estimator :func:`~reflectsde.estimate_nlse` picks.
 
     Failed replications (estimation errors or estimates pinned at the
     parameter-domain boundary) are recorded and excluded; more than 1%
     failures at any n aborts the run.  Deterministic given the root seed,
     serially or with ``workers`` threads.
     """
-    if estimator is None:
-        estimator = _default_estimator(cfg)
 
     def rep(plan: SamplingPlan, opts: SimOptions) -> tuple[float] | str:
-        result = estimator(simulate_path(cfg.model, cfg.theta0, plan, opts))
+        path = simulate_path(cfg.model, cfg.theta0, plan, opts)
+        result = _point_estimate(path, cfg.model) if estimator is None else estimator(path)
         if result.boundary_hit:
             return "estimate pinned at the domain boundary"
         return (result.theta_hat,)

@@ -261,24 +261,6 @@ def validate_regime(plan: SamplingPlan) -> RegimeDiagnostics:
     )
 
 
-def eval_drift(spec: DriftSpec, x: float, theta: float) -> float:
-    """Evaluate f(x, theta).  Deterministic; non-finite inputs are rejected."""
-    _require_finite(x=x, theta=theta)
-    return float(spec.f(x, theta))
-
-
-def eval_drift_dtheta(spec: DriftSpec, x: float, theta: float) -> float:
-    """Evaluate the first theta-derivative of the drift at (x, theta)."""
-    _require_finite(x=x, theta=theta)
-    return float(spec.df_dtheta(x, theta))
-
-
-def eval_drift_dtheta2(spec: DriftSpec, x: float, theta: float) -> float:
-    """Evaluate the second theta-derivative of the drift at (x, theta)."""
-    _require_finite(x=x, theta=theta)
-    return float(spec.d2f_dtheta2(x, theta))
-
-
 def eval_on_array(g: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     """Evaluate ``g`` on the whole array ``x``, or value by value when ``g``
     rejects arrays (custom drifts need not accept them) or returns a result

@@ -13,10 +13,12 @@ Regulator values are accumulated exactly across fine steps and recorded at
 observation times, giving the data set {X_tk, L_tk, R_tk} that the
 estimators consume.  Everything is deterministic given the stream seed.
 
-Custom drifts are stepped by :func:`_reflect_interval` on Python floats.
-The built-in drifts and the two-factor system run on the compiled twin of
-that loop in ``_stepper.c`` (see :mod:`._native`), which gives the same
-bits; without a C compiler they fall back to :func:`_reflect_interval`.
+:func:`_integrate` picks the stepper for every path.  Custom drifts are
+stepped by :func:`_reflect_interval` on Python floats.  The built-in drifts
+and the two-factor system run on the compiled twin of that loop in
+``_stepper.c`` (see :mod:`._native`), which gives the same bits; without a
+C compiler, or where the kernel gives a path back, they run on
+:func:`_reflect_interval` too.
 """
 
 from __future__ import annotations
@@ -158,53 +160,6 @@ class TwoFactorPath:
         self.rshort.validate(tol)
 
 
-def sample_min_given_endpoint(s: float, sigma: float, h: float, u: float) -> float:
-    """Sample the running minimum of a drifted Brownian fine step conditioned
-    on its endpoint increment ``s``, from the uniform draw ``u`` in (0, 1].
-
-    Never above min(0, s); u = 1 gives exactly min(0, s), u -> 0 sends the
-    minimum to -inf.
-    """
-    if not 0.0 < u <= 1.0:
-        raise ModelError(f"u must lie in (0, 1], got {u!r}")
-    if sigma < 0.0 or h <= 0.0:
-        raise ModelError("sigma must be >= 0 and h > 0")
-    return 0.5 * (s - math.sqrt(s * s - 2.0 * sigma * sigma * h * math.log(u)))
-
-
-def step_one_sided_lower(
-    x: float, mu: float, sigma: float, h: float, dw: float, u: float, a: float
-) -> tuple[float, float]:
-    """One reflected fine step above the lower barrier ``a``.
-
-    Returns (next state, lower regulator increment).  The push ``dl`` is
-    exactly the amount needed to lift the sampled within-step minimum to
-    ``a``, so whenever dl > 0 the reflected sub-path touched the barrier.
-    """
-    s = mu * h + sigma * dw
-    mn = sample_min_given_endpoint(s, sigma, h, u)
-    dl = max(0.0, a - x - mn)
-    return x + s + dl, dl
-
-
-def step_two_sided(
-    x: float,
-    mu: float,
-    sigma: float,
-    h: float,
-    dw: float,
-    u: float,
-    a: float,
-    b: float,
-) -> tuple[float, float, float]:
-    """One reflected fine step between ``a`` and ``b``: lower reflection via
-    the exact within-step minimum, then overshoot above ``b`` clipped into
-    the upper regulator increment."""
-    x1, dl = step_one_sided_lower(x, mu, sigma, h, dw, u, a)
-    dr = max(0.0, x1 - b)
-    return x1 - dr, dl, dr
-
-
 def _reflect_interval(
     mu_of: Callable[[float], float],
     x: float,
@@ -261,32 +216,18 @@ def _reflect_interval(
 _K_POWER, _K_MEAN_REVERSION, _K_CONSTANT, _K_SHIFTED = range(4)
 
 
-def _builtin_drift(spec: DriftSpec, theta: float) -> tuple[int, float, float] | None:
-    """The kernel's ``(code, theta, gamma)`` for a built-in drift, None for
-    a custom one.  The shifted covariate is the constant mu = c + theta."""
+def _drift_of_state(
+    spec: DriftSpec, theta: float
+) -> tuple[int, float, float] | Callable[[float], float]:
+    """The drift for :func:`_integrate`: the kernel's ``(code, theta, gamma)``
+    for a built-in kind, where the shifted covariate is the constant
+    mu = c + theta, or a scalar closure x -> f(x, theta) for a custom one."""
     if spec.kind == POWER:
         return _K_POWER, float(theta), float(spec.gamma)
     if spec.kind == MEAN_REVERSION_TO_ONE:
         return _K_MEAN_REVERSION, float(theta), 0.0
     if spec.kind == SHIFTED_COVARIATE:
         return _K_CONSTANT, float(spec.covariate) + float(theta), 0.0
-    return None
-
-
-def _drift_of_state(spec: DriftSpec, theta: float) -> Callable[[float], float]:
-    """The drift x -> f(x, theta) as a scalar closure on Python floats.
-
-    Built-in kinds are spelled out rather than going through ``spec.f``,
-    whose numpy calls are slow on scalars.
-    """
-    builtin = _builtin_drift(spec, theta)
-    if builtin is not None:
-        code, p, gamma = builtin
-        if code == _K_POWER:
-            return lambda x: -p * x ** gamma
-        if code == _K_MEAN_REVERSION:
-            return lambda x: p * (1.0 - x)
-        return lambda x: p
     f = spec.f
 
     def custom(x: float) -> float:
@@ -298,6 +239,22 @@ def _drift_of_state(spec: DriftSpec, theta: float) -> Callable[[float], float]:
             raise DataError(f"the drift at x={x!r} is {mu!r}, not a real number") from None
 
     return custom
+
+
+def _scalar_drift(
+    code: int, p: float, gamma: float, shift: np.ndarray | None
+) -> Callable[[float], float]:
+    """A kernel drift as a closure on Python floats, spelled out rather than
+    going through ``spec.f``, whose numpy calls are slow on scalars.  The
+    shifted drift reads ``shift`` in fine-step order."""
+    if code == _K_POWER:
+        return lambda x: -p * x ** gamma
+    if code == _K_MEAN_REVERSION:
+        return lambda x: p * (1.0 - x)
+    if code == _K_CONSTANT:
+        return lambda x: p
+    left = iter(shift.tolist())
+    return lambda x: next(left) + p
 
 
 def _native_path(
@@ -329,24 +286,39 @@ def _native_path(
     return (xs, ls, rs, hit_lo, hit_up) if status < 0 else None
 
 
-def _python_path(
-    mu_of: Callable[[float], float], x: float, z: np.ndarray, us: np.ndarray,
-    n: int, m: int, a: float, b: float, hf: float, sig2hf: float, exact_min: bool,
-    fine: list[float] | None = None,
+def _integrate(
+    drift: tuple[int, float, float] | Callable[[float], float], x0: float, z: np.ndarray, us: np.ndarray, n: int, m: int, a: float, b: float,
+    hf: float, sig2hf: float, exact_min: bool,
+    shift: np.ndarray | None = None, fine: np.ndarray | None = None,
 ) -> tuple:
-    """Integrate a whole path interval by interval with
-    :func:`_reflect_interval`; returns ``(x, l, r, hit_lower, hit_upper)``
-    as lists, and ``fine``, when given, collects every fine-step left
-    endpoint."""
-    cl, cr = 0.0, 0.0
+    """Integrate a whole path of ``n`` intervals of ``m`` fine steps from
+    ``x0``; returns ``(x, l, r, hit_lower, hit_upper)``.
+
+    ``drift`` comes from :func:`_drift_of_state`, or is the kernel's shifted
+    drift ``(_K_SHIFTED, theta, 0.0)`` with ``shift`` holding the n * m
+    values added at each fine step.  A built-in drift runs on the compiled
+    kernel when it loads; a custom drift, or a path the kernel gives back,
+    runs interval by interval on :func:`_reflect_interval`.  ``fine``, an
+    array of n * m, receives every fine-step left endpoint.
+    """
+    if not callable(drift):
+        kernel = _native.load()
+        if kernel is not None:
+            trace = _native_path(kernel, drift, x0, z, us, n, m, a, b, hf, sig2hf,
+                                 exact_min, shift, fine)
+            if trace is not None:
+                return trace
+        drift = _scalar_drift(*drift, shift)
+    x, cl, cr = x0, 0.0, 0.0
     xs, ls, rs = [x], [cl], [cr]
     hit_lo, hit_up = [], []
+    left = None if fine is None else []
     for k in range(n):
         j = k * m
         try:
             x, cl, cr, lo_k, up_k = _reflect_interval(
-                mu_of, x, cl, cr, z[j:j + m].tolist(), us[j:j + m].tolist(),
-                a, b, hf, sig2hf, exact_min, fine,
+                drift, x, cl, cr, z[j:j + m].tolist(), us[j:j + m].tolist(),
+                a, b, hf, sig2hf, exact_min, left,
             )
         except (OverflowError, ZeroDivisionError) as exc:
             # Python floats raise where numpy scalars returned inf
@@ -358,6 +330,8 @@ def _python_path(
         rs.append(cr)
         hit_lo.append(lo_k)
         hit_up.append(up_k)
+    if fine is not None:
+        fine[:] = left
     return xs, ls, rs, hit_lo, hit_up
 
 
@@ -387,16 +361,9 @@ def simulate_path(
     a = float(barriers.a)
     b = float(barriers.b) if barriers.is_two_sided else math.inf
     exact_min = opts.scheme == LEPINGLE
-    builtin = _builtin_drift(config.drift, theta)
-    x0 = float(config.x0)
-    trace = None
-    if builtin is not None and (kernel := _native.load()) is not None:
-        trace = _native_path(kernel, builtin, x0, z, uniforms, n, m, a, b, hf, sig2hf,
-                             exact_min)
-    if trace is None:
-        trace = _python_path(_drift_of_state(config.drift, theta), x0, z, uniforms,
-                             n, m, a, b, hf, sig2hf, exact_min)
-    xs, ls, rs, hit_lo, hit_up = trace
+    xs, ls, rs, hit_lo, hit_up = _integrate(
+        _drift_of_state(config.drift, theta), float(config.x0), z, uniforms, n, m, a, b,
+        hf, sig2hf, exact_min)
 
     path = SamplePath(
         h=plan.h, times=np.arange(n + 1) * plan.h, x=xs, l=ls, r=rs,
@@ -448,24 +415,13 @@ def simulate_two_factor(
 
     # The short rate does not feel the log price, so it is stepped first
     # and the log price then reads its fine-step left endpoints.
-    y0, r0 = float(y0), float(r0)
-    kernel = _native.load()
-    if kernel is not None:
-        fine = np.empty(n * m)
-        trace_r = _native_path(
-            kernel, (_K_MEAN_REVERSION, theta2, 0.0), r0, z_r, uniforms_r, n, m,
-            0.0, math.inf, hf, sig2hf, exact_min, fine=fine)
-        trace_y = _native_path(kernel, (_K_SHIFTED, theta1, 0.0), y0, z_y, uniforms_y,
-                               n, m, a, b, hf, sig2hf, exact_min, shift=fine)
-    else:
-        fine = []
-        trace_r = _python_path(lambda r: theta2 * (1.0 - r), r0, z_r, uniforms_r, n, m,
-                               0.0, math.inf, hf, sig2hf, exact_min, fine)
-        r_left = iter(fine)
-        trace_y = _python_path(lambda _y: next(r_left) + theta1, y0, z_y, uniforms_y,
-                               n, m, a, b, hf, sig2hf, exact_min)
-    rrs, l2s, _, hit_r_lo, _ = trace_r
-    ys, l1s, u1s, hit_y_lo, hit_y_up = trace_y
+    fine = np.empty(n * m)
+    rrs, l2s, _, hit_r_lo, _ = _integrate(
+        (_K_MEAN_REVERSION, theta2, 0.0), float(r0), z_r, uniforms_r, n, m, 0.0, math.inf,
+        hf, sig2hf, exact_min, fine=fine)
+    ys, l1s, u1s, hit_y_lo, hit_y_up = _integrate(
+        (_K_SHIFTED, theta1, 0.0), float(y0), z_y, uniforms_y, n, m, a, b, hf, sig2hf,
+        exact_min, shift=fine)
 
     times = np.arange(n + 1) * plan.h
     tf = TwoFactorPath(

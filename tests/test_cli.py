@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +294,34 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", (
+        ["simulate", "--n", "20"],
+        ["estimate", "--path", "{path}"],
+        ["density"],
+        ["ginfo", "--points", "1"],
+        ["mc", "--reps", "2", "--n", "20"],
+    ), ids=lambda argv: argv[0])
+    def test_unwritable_output_is_usage_error(self, argv, cfg_file, tmp_path, capsys):
+        path = tmp_path / "path.csv"
+        assert main(["simulate", "--config", str(cfg_file), "--n", "20",
+                     "--out", str(path)]) == 0
+        if argv[0] == "mc":
+            dest = ["--out-dir", str(path)]  # an existing file, not a directory
+        else:
+            dest = ["--out", str(tmp_path / "missing" / "out")]
+        argv = [arg.format(path=path) for arg in argv]
+        assert main([*argv, "--config", str(cfg_file), *dest]) == 1
+        assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ("0", "1.5", "nan"))
+    def test_bad_level_is_usage_error_before_reading(self, level, cfg_file, tmp_path,
+                                                     capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,x,l,r\n0,1,0,0\n0.01,abc,0,0\n")  # a data error if read
+        assert main(["estimate", "--config", str(cfg_file), "--path", str(bad),
+                     "--level", level]) == 1
+        assert "--level" in capsys.readouterr().err
+
 
 class TestParserReuse:
     """The parser is built once per process; no call may leak into the next."""
@@ -323,10 +353,14 @@ class TestParserReuse:
 
 def test_module_entry_point(cfg_file, tmp_path):
     out = tmp_path / "path.csv"
+    # the child imports the package this process imported
+    src = str(Path(rs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "reflectsde", "simulate", "--config",
          str(cfg_file), "--n", "20", "--out", str(out)],
-        capture_output=True, text=True, timeout=240,
+        capture_output=True, text=True, timeout=240, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

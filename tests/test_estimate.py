@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reflectsde as rs
+from reflectsde import rng as rng_mod
 from reflectsde.errors import DataError, ModelError
 
 from conftest import power_model
@@ -208,18 +209,27 @@ class TestEstimateNlse:
         path = rs.simulate_path(cfg, 2.0, plan, rs.SimOptions(seed=3))
         auto = rs.estimate_nlse(path, cfg, plan)
         assert auto.method == "closed_form"
-        golden = rs.estimate_nlse(path, cfg, plan, method="golden_section")
+        golden = rs.nlse_optimize(path, cfg.drift, cfg.theta_domain)
         assert abs(golden.theta_hat - auto.theta_hat) <= 1e-8
 
-    def test_closed_form_for_non_power_rejected(self):
-        drift = rs.DriftSpec.mean_reversion_to_one()
+    @pytest.mark.parametrize("drift", (
+        rs.DriftSpec.power(0.5), rs.DriftSpec.mean_reversion_to_one(),
+        rs.DriftSpec.shifted_covariate(-1.0),
+    ), ids=lambda drift: drift.kind)
+    def test_run_mc_uses_the_same_estimator(self, drift):
         cfg = rs.ModelConfig(drift=drift, sigma=0.2,
-                             barriers=rs.BarrierConfig.one_sided_lower(0.0),
-                             theta_domain=(0.1, 6.0), x0=0.5)
+                             barriers=rs.BarrierConfig.two_sided(0.0, 3.0),
+                             theta_domain=(0.1, 6.0), x0=0.2)
         plan = rs.SamplingPlan(n=50, h=0.01)
-        path = rs.simulate_path(cfg, 2.0, plan, rs.SimOptions(seed=9))
-        with pytest.raises(ModelError):
-            rs.estimate_nlse(path, cfg, plan, method="closed_form")
+        run = rs.run_mc(rs.McConfig(model=cfg, theta0=2.0, plan=plan,
+                                    sim=rs.SimOptions(seed=9), replications=2,
+                                    n_values=(50,)))
+        direct = [
+            rs.estimate_nlse(rs.simulate_path(cfg, 2.0, plan, rs.SimOptions(
+                seed=rng_mod.derive_seed(9, i, 50))), cfg, plan).theta_hat
+            for i in run.rep_indices[50]
+        ]
+        assert run.estimates[50].tolist() == direct
 
     def test_mean_reversion_golden_section_recovers(self):
         drift = rs.DriftSpec.mean_reversion_to_one()

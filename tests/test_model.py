@@ -23,30 +23,39 @@ def custom_theta_squared():
 class TestDriftValues:
     def test_power_gamma_one(self):
         spec = rs.DriftSpec.power(1.0)
-        assert rs.eval_drift(spec, 1.0, 2.0) == -2.0
+        assert spec.f(1.0, 2.0) == -2.0
 
     def test_power_sqrt(self):
         spec = rs.DriftSpec.power(0.5)
-        assert rs.eval_drift(spec, 4.0, 2.0) == pytest.approx(-4.0, rel=1e-14)
+        assert spec.f(4.0, 2.0) == pytest.approx(-4.0, rel=1e-14)
 
     def test_mean_reversion_fixed_point(self):
         spec = rs.DriftSpec.mean_reversion_to_one()
-        assert rs.eval_drift(spec, 1.0, 5.0) == 0.0
+        assert spec.f(1.0, 5.0) == 0.0
 
     def test_shifted_covariate(self):
         spec = rs.DriftSpec.shifted_covariate(0.7)
-        assert rs.eval_drift(spec, 123.0, 0.3) == pytest.approx(1.0)
+        assert spec.f(123.0, 0.3) == pytest.approx(1.0)
 
     def test_non_finite_input_rejected(self):
+        # the drift is only evaluated behind checks that refuse NaN and inf
         spec = rs.DriftSpec.power(1.0)
+        barriers = rs.BarrierConfig.two_sided(0.0, 3.0)
         with pytest.raises(ModelError):
-            rs.eval_drift(spec, float("nan"), 1.0)
+            rs.ModelConfig(drift=spec, sigma=0.2, barriers=barriers,
+                           theta_domain=(0.1, 5.0), x0=float("nan"))
+        config = rs.ModelConfig(drift=spec, sigma=0.2, barriers=barriers,
+                                theta_domain=(0.1, 5.0), x0=1.0)
+        plan, opts = rs.SamplingPlan(n=2, h=0.01), rs.SimOptions()
         with pytest.raises(ModelError):
-            rs.eval_drift(spec, 1.0, float("inf"))
+            rs.simulate_path(config, float("nan"), plan, opts)
+        path = rs.simulate_path(config, 1.0, plan, opts)
+        with pytest.raises(ModelError):
+            rs.contrast(path, spec, float("inf"))
 
     def test_deterministic(self):
         spec = rs.DriftSpec.power(0.5)
-        values = {rs.eval_drift(spec, 1.7, 2.3) for _ in range(100)}
+        values = {spec.f(1.7, 2.3) for _ in range(100)}
         assert len(values) == 1
 
 
@@ -79,26 +88,26 @@ class TestDriftDerivatives:
     def test_power_dtheta_independent_of_theta(self):
         spec = rs.DriftSpec.power(1.0)
         for theta in (0.1, 2.0, 4.5):
-            assert rs.eval_drift_dtheta(spec, 3.0, theta) == -3.0
+            assert spec.df_dtheta(3.0, theta) == -3.0
 
     def test_mean_reversion_dtheta(self):
         spec = rs.DriftSpec.mean_reversion_to_one()
-        assert rs.eval_drift_dtheta(spec, 0.25, 9.9) == 0.75
+        assert spec.df_dtheta(0.25, 9.9) == 0.75
 
     def test_custom_dtheta_matches_finite_difference(self):
         spec = custom_theta_squared()
         x, theta, eps = 1.0, 2.0, 1e-6
         fd = (spec.f(x, theta + eps) - spec.f(x, theta - eps)) / (2 * eps)
-        assert rs.eval_drift_dtheta(spec, x, theta) == pytest.approx(-4.0, rel=1e-12)
+        assert spec.df_dtheta(x, theta) == pytest.approx(-4.0, rel=1e-12)
         assert fd == pytest.approx(-4.0, rel=1e-8)
 
     def test_dtheta2_zero_for_linear_kinds(self):
         for spec in (rs.DriftSpec.power(0.7), rs.DriftSpec.mean_reversion_to_one()):
-            assert rs.eval_drift_dtheta2(spec, 1.3, 2.2) == 0.0
+            assert spec.d2f_dtheta2(1.3, 2.2) == 0.0
 
     def test_custom_dtheta2_second_difference(self):
         spec = custom_theta_squared()
-        assert rs.eval_drift_dtheta2(spec, 1.0, 2.0) == -2.0
+        assert spec.d2f_dtheta2(1.0, 2.0) == -2.0
         eps = 1e-4
         fd2 = (spec.f(1.0, 2.0 + eps) - 2 * spec.f(1.0, 2.0) + spec.f(1.0, 2.0 - eps)) / eps**2
         assert fd2 == pytest.approx(-2.0, rel=1e-6)
@@ -217,4 +226,4 @@ def test_power_dtheta_matches_fd_property(x, theta):
     spec = rs.DriftSpec.power(0.5)
     eps = 1e-6
     fd = (spec.f(x, theta + eps) - spec.f(x, theta - eps)) / (2 * eps)
-    assert math.isclose(rs.eval_drift_dtheta(spec, x, theta), fd, rel_tol=1e-7, abs_tol=1e-9)
+    assert math.isclose(spec.df_dtheta(x, theta), fd, rel_tol=1e-7, abs_tol=1e-9)

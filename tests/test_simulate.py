@@ -8,74 +8,90 @@ import pytest
 
 import reflectsde as rs
 from reflectsde import rng as rng_mod
+from reflectsde import simulate
 from reflectsde.errors import DataError, ModelError
 
 from conftest import power_model
 
 
+def _step(x, mu, h, z, u, a, b=math.inf, sig2h=0.0):
+    """One reflected fine step of the stepper in use, with the constant
+    drift ``mu``, the scaled Gaussian increment ``z`` (sigma * dw), the
+    bridge uniform ``u`` and 2 sigma^2 h = ``sig2h``; returns the next
+    state and the lower and upper regulator increments."""
+    xs, ls, rs_, _, _ = simulate._integrate(
+        (simulate._K_CONSTANT, mu, 0.0), x, np.array([z]), np.array([u]), 1, 1,
+        a, b, h, sig2h, True)
+    return float(xs[1]), float(ls[1]), float(rs_[1])
+
+
+def _sampled_minimum(s, u, sig2h):
+    """The stepper's within-step minimum for the endpoint increment ``s``:
+    from x = a = 0 with no drift, the push is exactly minus the minimum."""
+    return -_step(0.0, 0.0, 1.0, s, u, 0.0, sig2h=sig2h)[1]
+
+
+def _bridge_minimum(s, u, sig2h):
+    """Oracle: the minimum of a Brownian bridge from 0 to ``s`` with
+    2 sigma^2 h = ``sig2h``, sampled by inversion from ``u`` in (0, 1]."""
+    return 0.5 * (s - math.sqrt(s * s - sig2h * math.log(u)))
+
+
 class TestBridgeMinimum:
     def test_u_one_positive_endpoint(self):
-        assert rs.sample_min_given_endpoint(0.5, 1.0, 1.0, 1.0) == 0.0
+        assert _sampled_minimum(0.5, 1.0, 2.0) == 0.0
 
     def test_u_one_negative_endpoint(self):
-        assert rs.sample_min_given_endpoint(-0.3, 1.0, 1.0, 1.0) == -0.3
+        assert _sampled_minimum(-0.3, 1.0, 2.0) == -0.3
 
     def test_hand_value(self):
-        # s=0, sigma=1, h=1, u=e^-2: (0 - sqrt(0 + 4)) / 2 = -1
-        m = rs.sample_min_given_endpoint(0.0, 1.0, 1.0, math.exp(-2.0))
+        # s=0, sigma^2 h=1, u=e^-2: (0 - sqrt(0 + 4)) / 2 = -1
+        m = _sampled_minimum(0.0, math.exp(-2.0), 2.0)
         assert m == pytest.approx(-1.0, rel=1e-14)
-
-    def test_u_zero_rejected(self):
-        with pytest.raises(ModelError):
-            rs.sample_min_given_endpoint(0.1, 1.0, 1.0, 0.0)
-        with pytest.raises(ModelError):
-            rs.sample_min_given_endpoint(0.1, 1.0, 1.0, 1.5)
 
     def test_never_above_min_zero_endpoint(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
             s = rng.normal()
             u = 1.0 - rng.random()
-            m = rs.sample_min_given_endpoint(s, 0.5, 0.01, u)
-            assert m <= min(0.0, s) + 1e-15
+            assert _sampled_minimum(s, u, 2.0 * 0.5 * 0.5 * 0.01) <= min(0.0, s) + 1e-15
+
+    def test_smallest_uniform_gives_a_finite_minimum(self):
+        # the draw stream's smallest uniform, 2**-53: -sqrt(2 * 53 ln 2) / 2
+        m = _sampled_minimum(0.0, 2.0**-53, 2.0)
+        assert m == pytest.approx(-0.5 * math.sqrt(106.0 * math.log(2.0)), rel=1e-14)
 
 
 class TestSteps:
     def test_interior_step(self):
-        x, dl = rs.step_one_sided_lower(
-            x=10.0, mu=-0.5, sigma=0.1, h=0.01, dw=0.03, u=0.9, a=0.0
-        )
-        assert dl == 0.0
+        x, dl, dr = _step(10.0, -0.5, 0.01, 0.1 * 0.03, 0.9, 0.0, sig2h=2e-4)
+        assert (dl, dr) == (0.0, 0.0)
         assert x == pytest.approx(10.0 - 0.005 + 0.003)
 
     def test_push_from_barrier(self):
         # x=a, drift takes s=-0.1, u=1 puts the minimum at the endpoint
-        x, dl = rs.step_one_sided_lower(
-            x=0.5, mu=-10.0, sigma=0.0, h=0.01, dw=0.0, u=1.0, a=0.5
-        )
+        x, dl, _ = _step(0.5, -10.0, 0.01, 0.0, 1.0, 0.5)
         assert dl == pytest.approx(0.1)
         assert x == pytest.approx(0.5)
 
     def test_graze_above_barrier(self):
-        x, dl = rs.step_one_sided_lower(
-            x=0.05, mu=20.0, sigma=0.0, h=0.01, dw=0.0, u=1.0, a=0.0
-        )
+        x, dl, _ = _step(0.05, 20.0, 0.01, 0.0, 1.0, 0.0)
         assert dl == 0.0
         assert x == pytest.approx(0.25)
 
     def test_two_sided_interior(self):
-        x, dl, dr = rs.step_two_sided(1.0, 0.5, 0.1, 0.01, 0.0, 1.0, 0.0, 3.0)
+        x, dl, dr = _step(1.0, 0.5, 0.01, 0.0, 1.0, 0.0, 3.0, sig2h=2e-4)
         assert (dl, dr) == (0.0, 0.0)
         assert x == pytest.approx(1.005)
 
     def test_two_sided_upper_clip(self):
-        x, dl, dr = rs.step_two_sided(3.0, 10.0, 0.0, 0.01, 0.0, 1.0, 0.0, 3.0)
+        x, dl, dr = _step(3.0, 10.0, 0.01, 0.0, 1.0, 0.0, 3.0)
         assert dl == 0.0
         assert dr == pytest.approx(0.1)
-        assert x == pytest.approx(3.0)
+        assert x == 3.0
 
     def test_two_sided_lower_push(self):
-        x, dl, dr = rs.step_two_sided(0.0, -10.0, 0.0, 0.01, 0.0, 1.0, 0.0, 3.0)
+        x, dl, dr = _step(0.0, -10.0, 0.01, 0.0, 1.0, 0.0, 3.0)
         assert dl == pytest.approx(0.1)
         assert dr == 0.0
         assert x == pytest.approx(0.0)
@@ -85,18 +101,29 @@ class TestSteps:
         # sits on the barrier
         rng = np.random.default_rng(3)
         h, sigma, a = 0.01, 0.2, 0.0
+        sig2h = 2.0 * sigma * sigma * h
         pushes = 0
         for _ in range(2000):
             x = rng.uniform(0.0, 0.1)
             mu = rng.uniform(-4.0, 1.0)
-            dw = rng.normal() * math.sqrt(h)
+            z = sigma * rng.normal() * math.sqrt(h)
             u = 1.0 - rng.random()
-            _, dl = rs.step_one_sided_lower(x, mu, sigma, h, dw, u, a)
+            _, dl, _ = _step(x, mu, h, z, u, a, sig2h=sig2h)
             if dl > 0.0:
                 pushes += 1
-                m = rs.sample_min_given_endpoint(mu * h + sigma * dw, sigma, h, u)
+                m = _bridge_minimum(mu * h + z, u, sig2h)
                 assert x + m + dl == pytest.approx(a, abs=1e-15)
         assert pushes > 100
+
+
+@pytest.mark.usefixtures("python_stepper")
+class TestBridgeMinimumOnPythonStepper(TestBridgeMinimum):
+    """The same minima from the Python stepper."""
+
+
+@pytest.mark.usefixtures("python_stepper")
+class TestStepsOnPythonStepper(TestSteps):
+    """The same steps on the Python stepper."""
 
 
 class TestSimulatePath:
@@ -393,35 +420,33 @@ class TestGoldenPaths:
     @pytest.mark.parametrize("kind", _GOLDEN_KINDS)
     @pytest.mark.parametrize("two_sided", (True, False))
     def test_step_helpers_chain_to_simulate_path(self, kind, two_sided):
-        # the public one-step helpers, chained over the same draws, follow
-        # the path simulate_path records (up to operand order in sigma*dw)
+        # single fine steps through _step, chained over the same draws with
+        # the drift frozen at each left endpoint, give simulate_path's bits
         case = (kind, two_sided, rs.LEPINGLE)
         path = _golden_path(*case, _golden_seed(case))
         drift, theta = _golden_drift(kind)
+        mu_of = simulate._drift_of_state(drift, theta)
+        if not callable(mu_of):
+            mu_of = simulate._scalar_drift(*mu_of, None)
         n, m = _GOLDEN_PLAN.n, _GOLDEN_SUBSTEPS
         hf = _GOLDEN_PLAN.h / m
         normals, uniforms = rng_mod.path_draws(_golden_seed(case), n * m)
+        z = normals * (0.8 * math.sqrt(hf))
+        b = 1.0 if two_sided else math.inf
         x, cl, cr = 0.5, 0.0, 0.0
         xs, ls, rs_ = [x], [cl], [cr]
         for k in range(n):
             for j in range(k * m, (k + 1) * m):
-                mu = float(drift.f(x, theta))
-                dw = math.sqrt(hf) * float(normals[j])
-                if two_sided:
-                    x, dl, dr = rs.step_two_sided(x, mu, 0.8, hf, dw, float(uniforms[j]),
-                                                  0.0, 1.0)
-                else:
-                    x, dl = rs.step_one_sided_lower(x, mu, 0.8, hf, dw,
-                                                    float(uniforms[j]), 0.0)
-                    dr = 0.0
+                x, dl, dr = _step(x, mu_of(x), hf, z[j], uniforms[j], 0.0, b,
+                                  2.0 * 0.8 * 0.8 * hf)
                 cl += dl
                 cr += dr
             xs.append(x)
             ls.append(cl)
             rs_.append(cr)
-        np.testing.assert_allclose(path.x, xs, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(path.l, ls, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(path.r, rs_, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(path.x, xs)
+        np.testing.assert_array_equal(path.l, ls)
+        np.testing.assert_array_equal(path.r, rs_)
 
 
 class TestNonFinitePaths:
