@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -208,6 +210,27 @@ def parse_config(
     )
 
 
+def _check_destination(dest: str | Path) -> None:
+    """Fail before any work when ``dest`` lies in a directory that does not
+    exist; the same usage error as opening it afterwards would give."""
+    if dest == "-":
+        return
+    parent = Path(dest).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise UsageError(f"cannot write {dest}: {os.strerror(code)}")
+
+
+def _prepare_out_dir(out_dir: Path) -> None:
+    """Create ``out_dir`` and check that it takes files, before any work."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write into {out_dir}: {exc.strerror}") from None
+    if not os.access(out_dir, os.W_OK | os.X_OK):
+        raise UsageError(f"cannot write into {out_dir}: {os.strerror(errno.EACCES)}")
+
+
 @contextlib.contextmanager
 def _output(dest: str | Path) -> Iterator[IO[str]]:
     """``dest`` opened for writing, or stdout for ``-``; a destination that
@@ -300,6 +323,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     })
     plan = parsed.require_plan()
     theta = parsed.require_theta_true()
+    _check_destination(args.out)
     path = simulate_path(parsed.model, theta, plan, parsed.sim)
     with _output(args.out) as fh:
         write_path_csv(path, fh)
@@ -308,6 +332,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     parsed = parse_config(args.config)
+    _check_destination(args.out)
     try:
         path = read_path_csv(args.path, parsed.model.barriers)
     except OSError as exc:
@@ -358,13 +383,10 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         model=parsed.model, theta0=theta0, plan=plan, sim=parsed.sim,
         replications=parsed.reps, n_values=n_values,
     )
+    out_dir = Path(args.out_dir)
+    _prepare_out_dir(out_dir)
     run = run_mc(cfg)
 
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"cannot write into {out_dir}: {exc.strerror}") from None
     ns = sorted(run.estimates)
     with _output(out_dir / "estimates.csv") as fh:
         write_csv(fh, "n,rep,theta_hat",
@@ -391,6 +413,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 def _cmd_density(args: argparse.Namespace) -> int:
     parsed = parse_config(args.config, {"theta.true": args.theta})
     theta = parsed.require_theta_true()
+    _check_destination(args.out)
     grid = invariant_density(parsed.model, theta)
     with _output(args.out) as fh:
         write_csv(fh, "x,pi", grid.nodes, grid.values)
@@ -402,6 +425,7 @@ def _cmd_ginfo(args: argparse.Namespace) -> int:
     lo, hi = parsed.model.theta_domain
     if args.points < 1:
         raise UsageError("--points must be >= 1")
+    _check_destination(args.out)
     pad = 1e-9 * (hi - lo)
     thetas = np.linspace(lo + pad, hi - pad, args.points)
     g = [information(parsed.model, float(th)) for th in thetas]

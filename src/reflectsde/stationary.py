@@ -24,6 +24,15 @@ RuntimeWarning naming the last relative change and the node count.
 For one-sided models the support is truncated at a point where the
 remaining tail mass is below 1e-10 of the total; a drift that fails to push
 the state down is reported as non-integrable.
+
+The information integral E[(df/dtheta)^2] has a closed form for the
+built-in drifts at theta > 0, because their stationary laws are known on
+[a, b]: x**(gamma+1) follows a gamma law for the power drift, x a normal law
+centred on 1 for mean reversion, and the shifted covariate's sensitivity is
+the constant 1.  The quadrature grid is built, or a supplied one used, only
+for custom drifts, theta <= 0 and the cases where the closed form would
+cancel or underflow (a mass of the law on [a, b] below 1e-290, or a
+difference that keeps less than 1e-4 of its terms).
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate as _sciint
+from scipy import special as _special
 
 from .errors import ModelError
 from .model import (
@@ -52,6 +62,11 @@ _REFINE_REL_TOL = 1e-10
 _TAIL_MASS = 1e-10
 _MAX_REFINES = 6
 _MAX_SUPPORT_DOUBLINGS = 40
+# the closed-form information gives way to the quadrature below these: a
+# mass near the subnormal range, or a difference of two terms that keeps
+# less than this fraction of the larger one (about 13 bits lost)
+_MIN_MASS = 1e-290
+_MIN_KEPT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -236,6 +251,98 @@ def stationary_average(
     return grid.integrate(eval_on_array(g, grid.nodes))
 
 
+def _difference(big: float, small: float) -> float | None:
+    """big - small, or None when it underflows or cancels below _MIN_KEPT
+    of the larger term.
+
+    An interval's mass is the difference of its upper-tail pair or of its
+    lower-tail pair; ``_difference(*min(upper, lower))`` takes the pair led
+    by the smaller value, so the mass does not cancel in the far tail.
+    """
+    d = big - small
+    if d > _MIN_MASS and d >= _MIN_KEPT * max(abs(big), abs(small)):
+        return d
+    return None
+
+
+def _power_information(gamma: float, sigma: float, a: float, b: float | None,
+                       theta: float) -> float | None:
+    """E[x**(2 gamma)] for the density proportional to exp(-k x**(gamma+1))
+    on [a, b], k = 2 theta / (sigma^2 (gamma+1)).  With u = k x**(gamma+1)
+    it is k**(-2 gamma/(gamma+1)) times the ratio of the incomplete gamma
+    masses of u on [k a**(gamma+1), k b**(gamma+1)] with shapes
+    (2 gamma+1)/(gamma+1) and 1/(gamma+1) (DLMF 8.2)."""
+    g1 = gamma + 1.0
+    k = 2.0 * theta / (sigma**2 * g1)
+    if not _MIN_MASS < k < math.inf:  # keeps k**(-2 gamma/(gamma+1)) finite
+        return None
+    lo = k * a**g1
+    hi = math.inf if b is None else k * b**g1
+    s1, s2 = 1.0 / g1, (2.0 * gamma + 1.0) / g1
+    masses = []
+    for s in (s1, s2):
+        mass = _difference(*min(
+            (float(_special.gammaincc(s, lo)), float(_special.gammaincc(s, hi))),
+            (float(_special.gammainc(s, hi)), float(_special.gammainc(s, lo))),
+        ))
+        if mass is None:
+            return None
+        masses.append(mass * math.gamma(s))
+    return k ** (-2.0 * gamma / g1) * masses[1] / masses[0]
+
+
+def _mean_reversion_information(sigma: float, a: float, b: float | None,
+                                theta: float) -> float | None:
+    """E[(1 - x)^2] for N(1, s^2) truncated to [a, b], s^2 = sigma^2 /
+    (2 theta): s^2 (1 + (alpha phi(alpha) - beta phi(beta)) / Z) with
+    alpha = (a-1)/s, beta = (b-1)/s and Z = Phi(beta) - Phi(alpha)."""
+    s2 = sigma**2 / (2.0 * theta)
+    if not 0.0 < s2 < math.inf:
+        return None
+    s = math.sqrt(s2)
+    lo = (a - 1.0) / s
+    hi = math.inf if b is None else (b - 1.0) / s
+    # Z = Phi(hi) - Phi(lo) = Phi(-lo) - Phi(-hi): an interval left of the
+    # centre is mirrored to the right, where erfc gives its small tail values
+    zlo, zhi = (-hi, -lo) if hi <= 0.0 else (lo, hi)
+    r = math.sqrt(0.5)
+    z = _difference(*min(
+        (float(_special.erfc(zlo * r)), float(_special.erfc(zhi * r))),
+        (float(_special.erf(zhi * r)), float(_special.erf(zlo * r))),
+    ))
+    if z is None:
+        return None
+
+    def edge(u: float) -> float:
+        return 0.0 if math.isinf(u) else u * math.exp(-0.5 * u * u)
+
+    # z holds 2 Z and edge() lacks phi's 1/sqrt(2 pi), hence sqrt(2/pi);
+    # E[u^2] for u = (x - 1)/s cancels when [a, b] is narrow against s
+    ratio = math.sqrt(2.0 / math.pi) * (edge(lo) - edge(hi)) / z
+    second = _difference(1.0, -ratio)
+    return None if second is None else s2 * second
+
+
+def _closed_form_information(config: ModelConfig, theta: float) -> float | None:
+    """The information from the stationary law of a built-in drift, or None
+    where the quadrature decides: custom drifts, theta <= 0 (for the power
+    and mean-reversion drifts), a one-sided shifted covariate that does not
+    push the state down, and ill-conditioned masses."""
+    drift = config.drift
+    a, b = config.barriers.a, config.barriers.b
+    if not math.isfinite(theta):
+        return None
+    if drift.kind == SHIFTED_COVARIATE:
+        return 1.0 if b is not None or drift.covariate + theta < 0.0 else None
+    if not theta > 0.0:
+        return None
+    if drift.kind == POWER:
+        return _power_information(drift.gamma, config.sigma, a, b, theta)
+    if drift.kind == MEAN_REVERSION_TO_ONE:
+        return _mean_reversion_information(config.sigma, a, b, theta)
+    return None
+
+
 def information(
     config: ModelConfig, theta: float, grid: DensityGrid | None = None
 ) -> float:
@@ -243,13 +350,21 @@ def information(
     E[(df/dtheta)^2], the information-like constant in the asymptotic
     variance sigma^2 / information.
 
+    Closed form for the built-in drifts where it applies (see the module
+    docstring); otherwise quadrature against the invariant density, on
+    ``grid`` when one is supplied.  ``grid`` is used only on that quadrature
+    path, so a built-in drift gives the same value with or without it.
+
     Raises :class:`ModelError` when the value is numerically zero, which
     means the parameter does not move the drift anywhere the state lives.
     """
-    if grid is None:
-        grid = invariant_density(config, theta)
-    sens = eval_on_array(lambda v: config.drift.df_dtheta(v, theta), grid.nodes)
-    value = grid.integrate(sens * sens)
+    _require_positive_sigma(config)
+    value = _closed_form_information(config, theta)
+    if value is None:
+        if grid is None:
+            grid = invariant_density(config, theta)
+        sens = eval_on_array(lambda v: config.drift.df_dtheta(v, theta), grid.nodes)
+        value = grid.integrate(sens * sens)
     if not math.isfinite(value) or value <= 1e-14:
         raise ModelError(
             f"degenerate model: information integral is {value!r}"

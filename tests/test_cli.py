@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import reflectsde as rs
+from reflectsde import cli
 from reflectsde.cli import _build_parser, main, parse_config
 
 TABLE1_CFG = """
@@ -231,13 +232,16 @@ class TestDensityAndInfo:
 
 
 # sha256 of each output file, recorded on the hand-written CSV loops as
-# they stood before every output went through one writer.
+# they stood before every output went through one writer; zscores.csv and
+# ginfo were re-recorded when the information of the built-in drifts moved
+# from the Simpson quadrature (7e-12 to 1.1e-10 from the exact value on
+# this model) to its closed form (below 1e-15).
 _GOLDEN_OUTPUT_DIGESTS = {
     "estimates.csv": "126894fc967ba1e3a727c56f949c0c93d5721f1d52e47a95d5dc4c69b648a5ba",
     "summary.csv": "92d8fa66bf10437c98fefae8e945ac838f2e9bc248376da808a0cd0906cec579",
-    "zscores.csv": "25c05bd11f9f8077f05c8f704cbe46504a79138978dd93e899c558968f339f8e",
+    "zscores.csv": "5c945048b76377661bf0f0944e16a306305e3d82890ffed50806f11f850bd1e6",
     "density": "fa235f342677f8a295a252aad8ba362fa88ae5535af5e664002d749ee5e55afb",
-    "ginfo": "585fce04bfa5c0e1179d85016d2b659d7988fd52480a588f2ba7c450f0f1f380",
+    "ginfo": "30e51a0eb52401cbe46a45c57827ef3c1191d9a98f040acb5e28d454175d6d4f",
 }
 
 
@@ -258,6 +262,18 @@ class TestGoldenOutputs:
         out = tmp_path / "out.csv"
         assert main([*argv, "--config", str(cfg_file), "--out", str(out)]) == 0
         assert _digest(out) == _GOLDEN_OUTPUT_DIGESTS[argv[0]]
+
+
+# what each subcommand does before it writes its output
+_COMMAND_WORK = {"simulate": "simulate_path", "estimate": "read_path_csv",
+                 "density": "invariant_density", "ginfo": "information",
+                 "mc": "run_mc"}
+
+
+def _must_not_run(name):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the destination was checked")
+    return never
 
 
 class TestExitCodes:
@@ -301,10 +317,14 @@ class TestExitCodes:
         ["ginfo", "--points", "1"],
         ["mc", "--reps", "2", "--n", "20"],
     ), ids=lambda argv: argv[0])
-    def test_unwritable_output_is_usage_error(self, argv, cfg_file, tmp_path, capsys):
+    def test_unwritable_output_is_usage_error(self, argv, cfg_file, tmp_path, capsys,
+                                              monkeypatch):
         path = tmp_path / "path.csv"
         assert main(["simulate", "--config", str(cfg_file), "--n", "20",
                      "--out", str(path)]) == 0
+        # the destination is checked before the command's work starts
+        work = _COMMAND_WORK[argv[0]]
+        monkeypatch.setattr(cli, work, _must_not_run(work))
         if argv[0] == "mc":
             dest = ["--out-dir", str(path)]  # an existing file, not a directory
         else:
@@ -312,6 +332,14 @@ class TestExitCodes:
         argv = [arg.format(path=path) for arg in argv]
         assert main([*argv, "--config", str(cfg_file), *dest]) == 1
         assert "cannot write" in capsys.readouterr().err
+
+    def test_read_only_out_dir_fails_before_the_work(self, cfg_file, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_mc", _must_not_run("run_mc"))
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        assert main(["mc", "--config", str(cfg_file), "--reps", "2", "--n", "20",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert "cannot write into" in capsys.readouterr().err
 
     @pytest.mark.parametrize("level", ("0", "1.5", "nan"))
     def test_bad_level_is_usage_error_before_reading(self, level, cfg_file, tmp_path,

@@ -8,6 +8,7 @@ from scipy import integrate as sciint
 from scipy import stats as scistats
 
 import reflectsde as rs
+from reflectsde import stationary
 from reflectsde.errors import ModelError
 
 from conftest import power_model
@@ -219,10 +220,147 @@ class TestInformation:
             rs.information(cfg, 1.0)
 
     def test_refinement_stability(self):
-        cfg = power_model(0.5)
+        # a custom drift, because only the quadrature path reads the grid
+        cfg = model_with(_cubic_custom_drift())
         g1 = rs.information(cfg, 2.0, grid=rs.invariant_density(cfg, 2.0, intervals=4096))
         g2 = rs.information(cfg, 2.0, grid=rs.invariant_density(cfg, 2.0, intervals=8192))
+        assert g1 != g2  # the value comes from the grid it is given
         assert abs(g2 - g1) <= 1e-8 * abs(g2)
+
+
+_ORACLE_THETAS = (1e-4, 0.01, 0.5, 2.0, 7.0, 10.0)
+_ORACLE_BARRIERS = ((0.0, 3.0), (0.5, 3.0), (0.0, None), (0.5, None))
+_ORACLE_DRIFTS = (("power", 0.25), ("power", 0.5), ("power", 2.0 / 3.0),
+                  ("power", 1.0), ("mean_reversion", None))
+
+
+def _builtin_model(kind, param, a, b, sigma=0.2):
+    if kind == "power":
+        drift = rs.DriftSpec.power(param)
+    elif kind == "mean_reversion":
+        drift = rs.DriftSpec.mean_reversion_to_one()
+    else:
+        drift = rs.DriftSpec.shifted_covariate(param)
+    barriers = (rs.BarrierConfig.one_sided_lower(a) if b is None
+                else rs.BarrierConfig.two_sided(a, b))
+    return rs.ModelConfig(drift=drift, sigma=sigma, barriers=barriers,
+                          theta_domain=(-10.0, 10.0), x0=a + 0.1)
+
+
+def _exact_information(kind, param, a, b, theta, sigma=0.2):
+    """The information at 50 digits from the stationary law's masses:
+    incomplete gamma functions for the power drift, the normal cdf and pdf
+    for mean reversion.  mp.quad is no oracle here: with a = 0.5 and a
+    large theta it misses the boundary layer at a."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        theta, a, sigma = mp.mpf(theta), mp.mpf(a), mp.mpf(sigma)
+        if kind == "power":
+            g1 = mp.mpf(param) + 1
+            k = 2 * theta / (sigma**2 * g1)
+            lo = k * a**g1
+            hi = mp.inf if b is None else k * mp.mpf(b) ** g1
+            value = (k ** (-2 * mp.mpf(param) / g1)
+                     * mp.gammainc((2 * mp.mpf(param) + 1) / g1, lo, hi)
+                     / mp.gammainc(1 / g1, lo, hi))
+        else:
+            s2 = sigma**2 / (2 * theta)
+            alpha = (a - 1) / mp.sqrt(s2)
+            beta = mp.inf if b is None else (mp.mpf(b) - 1) / mp.sqrt(s2)
+            z = mp.ncdf(beta) - mp.ncdf(alpha)
+            edge = alpha * mp.npdf(alpha) - (0 if b is None else beta * mp.npdf(beta))
+            value = s2 * (1 + edge / z)
+        return float(value)
+
+
+def _quadrature_information(cfg, theta):
+    grid = rs.invariant_density(cfg, theta)
+    sens = cfg.drift.df_dtheta(grid.nodes, theta)
+    return grid.integrate(sens * sens)
+
+
+def _with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn(*args)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form fell back to the quadrature")
+    monkeypatch.setattr(stationary, "invariant_density", refuse)
+
+
+class TestClosedFormInformation:
+    @pytest.mark.parametrize("barriers", _ORACLE_BARRIERS, ids=str)
+    @pytest.mark.parametrize("kind,param", _ORACLE_DRIFTS, ids=str)
+    def test_matches_exact_value(self, kind, param, barriers, no_quadrature):
+        cfg = _builtin_model(kind, param, *barriers)
+        for theta in _ORACLE_THETAS:
+            exact = _exact_information(kind, param, *barriers, theta)
+            assert rs.information(cfg, theta) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("a", (0.0, 0.5))
+    @pytest.mark.parametrize("gamma", (0.25, 1.0))
+    def test_near_uniform_power_law_uses_the_lower_tail(self, gamma, a, no_quadrature):
+        # at theta = 1e-8 the gamma variable stays below 3e-6 on [a, 3],
+        # so its upper-tail values lie within 2e-3 of 1 and would cancel
+        exact = _exact_information("power", gamma, a, 3.0, 1e-8)
+        assert rs.information(_builtin_model("power", gamma, a, 3.0), 1e-8) == pytest.approx(
+            exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("barriers", ((0.1, 0.5), (1.5, 3.0), (1.5, None)), ids=str)
+    def test_mean_reversion_off_centre_uses_its_near_tail(self, barriers, no_quadrature):
+        # [a, b] on one side of the centre 1: the two cdf values counted
+        # from the far side both lie within 1e-6 of 1 and would cancel
+        cfg = _builtin_model("mean_reversion", None, *barriers)
+        for theta in (2.0, 10.0):
+            exact = _exact_information("mean_reversion", None, *barriers, theta)
+            assert rs.information(cfg, theta) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kind,param,a,b,theta", [
+        # the masses of the law on [a, b] underflow
+        ("power", 1.0, 2.0, 2.5, 50.0),
+        ("power", 0.25, 0.1, 0.3, 1000.0),
+        ("mean_reversion", None, 0.1, 0.3, 1000.0),
+        # E[(1-x)^2] / s^2 = 3e-7 is a near-total cancellation
+        ("mean_reversion", None, 0.1, 0.3, 1e-8),
+        # theta <= 0
+        ("power", 0.5, 0.0, 3.0, -0.5),
+        ("mean_reversion", None, 0.0, 3.0, 0.0),
+    ], ids=str)
+    def test_ill_conditioned_and_nonpositive_theta_use_the_quadrature(
+            self, kind, param, a, b, theta):
+        # the cap warnings of the quadrature come along unchanged as well
+        cfg = _builtin_model(kind, param, a, b)
+        assert (_with_warnings(rs.information, cfg, theta)
+                == _with_warnings(_quadrature_information, cfg, theta))
+
+    @pytest.mark.parametrize("kind,param,barriers,theta", [
+        ("power", 0.5, (0.0, 3.0), 2.0),
+        ("power", 2.0 / 3.0, (0.0, None), 2.0),
+        ("power", 1.0, (0.5, 3.0), 7.0),
+        ("mean_reversion", None, (0.0, 3.0), 2.0),
+        ("mean_reversion", None, (0.5, None), 0.01),
+        ("shifted", -1.0, (0.0, 3.0), 0.5),
+        ("shifted", 1.0, (0.0, None), -2.0),
+    ], ids=str)
+    def test_grid_argument_does_not_change_a_builtin(self, kind, param, barriers, theta):
+        # the traced replay of the estimate_ci benchmark passes its own grid
+        # and must reproduce the untraced estimates bit for bit
+        cfg = _builtin_model(kind, param, *barriers)
+        grid = rs.invariant_density(cfg, theta)
+        assert rs.information(cfg, theta, grid) == rs.information(cfg, theta)
+
+    @pytest.mark.parametrize("b,theta", [(3.0, 0.5), (3.0, 4.0), (None, 0.5)])
+    def test_shifted_covariate_is_exactly_one(self, b, theta):
+        assert rs.information(_builtin_model("shifted", -1.0, 0.0, b), theta) == 1.0
+
+    def test_shifted_covariate_non_integrable_one_sided_rejected(self):
+        with pytest.raises(ModelError, match="not integrable"):
+            rs.information(_builtin_model("shifted", -1.0, 0.0, None), 1.0)
 
 
 class TestErgodicConsistency:
