@@ -51,7 +51,7 @@ _MODEL_KEYS = {
 _RUN_KEYS = {"n", "h", "alpha", "substeps", "scheme", "seed", "reps"}
 _ALL_KEYS = _MODEL_KEYS | _RUN_KEYS
 
-_DEFAULTS = {"alpha": 0.25, "substeps": 10, "scheme": LEPINGLE, "seed": 0}
+_REQUIRED = object()  # parse_config's default for a key without one
 
 
 @dataclass(frozen=True)
@@ -102,30 +102,6 @@ def _read_key_values(path: str | Path) -> dict[str, str]:
     return raw
 
 
-def _as_float(raw: Mapping[str, str], key: str) -> float | None:
-    if key not in raw:
-        return None
-    try:
-        return float(raw[key])
-    except ValueError:
-        raise ConfigError(f"malformed number for key {key}: {raw[key]!r}")
-
-
-def _as_int(raw: Mapping[str, str], key: str) -> int | None:
-    if key not in raw:
-        return None
-    try:
-        return int(raw[key])
-    except ValueError:
-        raise ConfigError(f"malformed integer for key {key}: {raw[key]!r}")
-
-
-def _require(raw: Mapping[str, str], key: str) -> str:
-    if key not in raw:
-        raise ConfigError(f"missing required key: {key}")
-    return raw[key]
-
-
 def parse_config(
     path: str | Path, overrides: Mapping[str, object] | None = None
 ) -> ParsedConfig:
@@ -134,79 +110,55 @@ def parse_config(
     Defaults: substeps=10, scheme=lepingle, alpha=0.25, seed=0.
     """
     raw = _read_key_values(path)
-    overrides = dict(overrides or {})
+    overrides = overrides or {}
 
-    kind = _require(raw, "drift.kind")
-    if kind == "power":
-        gamma = _as_float(raw, "drift.gamma")
-        if gamma is None:
-            raise ConfigError("missing required key: drift.gamma")
-        drift = DriftSpec.power(gamma)
-    elif kind == "mean_reversion_to_one":
+    def get(key: str, kind=float, default=_REQUIRED):
+        """The flag override of ``key`` unless it is None, else its file
+        value, else ``default``; converted by ``kind``."""
+        value = overrides.get(key)
+        if value is None:
+            if key not in raw:
+                if default is _REQUIRED:
+                    raise ConfigError(f"missing required key: {key}")
+                return default
+            value = raw[key]
+        try:
+            return kind(value)
+        except ValueError:
+            noun = "integer" if kind is int else "number"
+            raise ConfigError(f"malformed {noun} for key {key}: {value!r}") from None
+
+    drift_kind = get("drift.kind", str)
+    if drift_kind == "power":
+        drift = DriftSpec.power(get("drift.gamma"))
+    elif drift_kind == "mean_reversion_to_one":
         drift = DriftSpec.mean_reversion_to_one()
-    elif kind == "shifted_covariate":
-        cov = _as_float(raw, "drift.covariate")
-        if cov is None:
-            raise ConfigError("missing required key: drift.covariate")
-        drift = DriftSpec.shifted_covariate(cov)
+    elif drift_kind == "shifted_covariate":
+        drift = DriftSpec.shifted_covariate(get("drift.covariate"))
     else:
-        raise ConfigError(f"unknown drift.kind: {kind!r}")
+        raise ConfigError(f"unknown drift.kind: {drift_kind!r}")
 
-    sigma = _as_float(raw, "sigma")
-    if sigma is None:
-        raise ConfigError("missing required key: sigma")
+    sigma = get("sigma")
     if sigma <= 0:
         raise ConfigError("sigma must be > 0")
-
-    a = _as_float(raw, "barrier.a")
-    if a is None:
-        raise ConfigError("missing required key: barrier.a")
-    b = _as_float(raw, "barrier.b")
-    barriers = BarrierConfig(a=a, b=b)
-
-    lo = _as_float(raw, "theta.lo")
-    hi = _as_float(raw, "theta.hi")
-    if lo is None:
-        raise ConfigError("missing required key: theta.lo")
-    if hi is None:
-        raise ConfigError("missing required key: theta.hi")
-    x0 = _as_float(raw, "x0")
-    if x0 is None:
-        raise ConfigError("missing required key: x0")
-
     model = ModelConfig(
-        drift=drift, sigma=sigma, barriers=barriers, theta_domain=(lo, hi), x0=x0
+        drift=drift, sigma=sigma,
+        barriers=BarrierConfig(a=get("barrier.a"), b=get("barrier.b", default=None)),
+        theta_domain=(get("theta.lo"), get("theta.hi")), x0=get("x0"),
     )
 
-    def merged(key: str, parser, default=None):
-        if key in overrides and overrides[key] is not None:
-            return overrides[key]
-        value = parser(raw, key)
-        return default if value is None else value
-
-    n = merged("n", _as_int)
-    h = merged("h", _as_float)
-    alpha = merged("alpha", _as_float, _DEFAULTS["alpha"])
-    substeps = merged("substeps", _as_int, _DEFAULTS["substeps"])
-    seed = merged("seed", _as_int, _DEFAULTS["seed"])
-    reps = merged("reps", _as_int)
-    theta_true = merged("theta.true", _as_float)
-    if "scheme" in overrides and overrides["scheme"] is not None:
-        scheme = overrides["scheme"]
-    else:
-        scheme = raw.get("scheme", _DEFAULTS["scheme"])
+    scheme = get("scheme", str, LEPINGLE)
     if scheme not in (LEPINGLE, PROJECTION):
         raise ConfigError(f"unknown scheme: {scheme!r}")
-
-    sim = SimOptions(scheme=scheme, substeps=int(substeps), seed=int(seed))
     return ParsedConfig(
         model=model,
-        sim=sim,
-        theta_true=theta_true,
-        n=None if n is None else int(n),
-        h=None if h is None else float(h),
-        alpha=float(alpha),
-        reps=None if reps is None else int(reps),
+        sim=SimOptions(scheme=scheme, substeps=get("substeps", int, 10),
+                       seed=get("seed", int, 0)),
+        theta_true=get("theta.true", default=None),
+        n=get("n", int, None),
+        h=get("h", default=None),
+        alpha=get("alpha", default=0.25),
+        reps=get("reps", int, None),
     )
 
 

@@ -27,6 +27,7 @@ from .model import (
     DriftSpec,
     ModelConfig,
     SamplingPlan,
+    _require_finite,
     eval_on_array,
 )
 from .simulate import SamplePath, TwoFactorPath
@@ -75,18 +76,23 @@ def contrast(path: SamplePath, spec: DriftSpec, theta: float) -> float:
     return float(np.dot(res, res) / (n * path.h * path.h))
 
 
+def _slope(g: np.ndarray, y: np.ndarray, h: float, degenerate: str) -> float:
+    """Least-squares slope dot(g, y) / (sum(g*g) h) of the increments ``y``
+    on the covariate ``g``; a vanishing denominator raises DataError with
+    the message ``degenerate``."""
+    denom = float(np.sum(g * g)) * h
+    if not denom > 0.0:
+        raise DataError(degenerate)
+    return float(np.dot(g, y)) / denom
+
+
 def nlse_closed_form_power(path: SamplePath, gamma: float) -> float:
     """Closed-form least-squares estimate for the power drift
     f(x, theta) = -theta * x**gamma."""
     if not 0.0 < gamma <= 1.0:
         raise ModelError("gamma must lie in (0, 1]")
-    x_left = path.x[:-1]
-    xg = x_left**gamma
-    denom = float(np.sum(xg * xg)) * path.h
-    if not denom > 0.0:
-        raise DataError("degenerate path: sum of x**(2*gamma) vanishes")
-    num = float(np.dot(xg, np.diff(path.x) - np.diff(path.l) + np.diff(path.r)))
-    return -num / denom
+    return -_slope(path.x[:-1] ** gamma, np.diff(path.x) - np.diff(path.l) + np.diff(path.r),
+                   path.h, "degenerate path: sum of x**(2*gamma) vanishes")
 
 
 @dataclass(frozen=True)
@@ -276,6 +282,7 @@ def estimate_two_factor(
     """
     if sigma < 0.0:
         raise ModelError("sigma must be >= 0")
+    _require_finite(sigma=sigma)
     n, h = tf.n, tf.h
     r_left = tf.rshort.x[:-1]
 
@@ -287,29 +294,21 @@ def estimate_two_factor(
     drs = np.diff(tf.rshort.x)
     dl2 = np.diff(tf.rshort.l)
     one_minus_r = 1.0 - r_left
-    denom = float(np.sum(one_minus_r**2)) * h
-    if not denom > 0.0:
-        raise DataError("degenerate short-rate path: sum of (1-R)^2 vanishes")
-    theta2 = float(np.dot(one_minus_r, drs - dl2)) / denom
+    theta2 = _slope(one_minus_r, drs - dl2, h,
+                    "degenerate short-rate path: sum of (1-R)^2 vanishes")
 
     res1 = dy - (r_left + theta1) * h - dl1 + du1
     res2 = drs - theta2 * one_minus_r * h - dl2
-    psi1 = float(np.dot(res1, res1)) / (n * h * h)
-    psi2 = float(np.dot(res2, res2)) / (n * h * h)
-
     info2 = float(np.mean(one_minus_r**2))
-    se1 = math.sqrt(sigma**2 / (n * h))
-    se2 = math.sqrt(sigma**2 / (n * h * info2)) if info2 > 0 else float("inf")
-
-    r1 = EstimateResult(
-        theta_hat=theta1, method=CLOSED_FORM, contrast_at_min=psi1, iterations=0,
-        stderr=se1, ci=confidence_interval(theta1, se1, level), level=level,
-    )
-    r2 = EstimateResult(
-        theta_hat=theta2, method=CLOSED_FORM, contrast_at_min=psi2, iterations=0,
-        stderr=se2, ci=confidence_interval(theta2, se2, level), level=level,
-    )
-    return r1, r2
+    results = []
+    for theta, res, info in ((theta1, res1, 1.0), (theta2, res2, info2)):
+        se = math.sqrt(sigma**2 / (n * h * info)) if info > 0 else math.inf
+        results.append(EstimateResult(
+            theta_hat=theta, method=CLOSED_FORM,
+            contrast_at_min=float(np.dot(res, res)) / (n * h * h), iterations=0,
+            stderr=se, ci=confidence_interval(theta, se, level), level=level,
+        ))
+    return tuple(results)
 
 
 def realized_volatility(path: SamplePath) -> float:

@@ -19,7 +19,7 @@ from scipy import stats as _scistats
 
 from . import rng
 from .errors import DataError, ModelError
-from .estimate import EstimateResult, _point_estimate
+from .estimate import EstimateResult, _point_estimate, estimate_two_factor
 from .model import ModelConfig, SamplingPlan
 from .simulate import SamplePath, SimOptions, simulate_path, simulate_two_factor
 from .stationary import information
@@ -238,8 +238,6 @@ def run_mc_two_factor(
 ) -> tuple[McRun, McRun]:
     """Replicate the two-factor simulate -> estimate pipeline; returns one
     run per parameter.  Seeding and failure handling mirror :func:`run_mc`."""
-    from .estimate import estimate_two_factor
-
     def rep(plan: SamplingPlan, opts: SimOptions) -> tuple[float, float]:
         tf = simulate_two_factor(
             cfg.y0, cfg.r0, cfg.theta1, cfg.theta2, cfg.sigma, cfg.a, cfg.b, plan, opts,

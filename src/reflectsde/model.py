@@ -22,8 +22,6 @@ MEAN_REVERSION_TO_ONE = "mean_reversion_to_one"
 SHIFTED_COVARIATE = "shifted_covariate"
 CUSTOM = "custom"
 
-_BUILTIN_KINDS = (POWER, MEAN_REVERSION_TO_ONE, SHIFTED_COVARIATE)
-
 
 def _require_finite(**values: float) -> None:
     for name, v in values.items():
@@ -129,10 +127,6 @@ class DriftSpec:
         )
 
 
-TWO_SIDED = "two_sided"
-ONE_SIDED_LOWER = "one_sided_lower"
-
-
 @dataclass(frozen=True)
 class BarrierConfig:
     """Reflecting barrier geometry: a lower barrier a >= 0 and, for the
@@ -156,10 +150,6 @@ class BarrierConfig:
     @staticmethod
     def one_sided_lower(a: float) -> "BarrierConfig":
         return BarrierConfig(a=float(a), b=None)
-
-    @property
-    def kind(self) -> str:
-        return TWO_SIDED if self.b is not None else ONE_SIDED_LOWER
 
     @property
     def is_two_sided(self) -> bool:
@@ -217,11 +207,6 @@ class SamplingPlan:
             raise ModelError(f"h must be positive and finite, got {self.h!r}")
         if not 0.0 < self.alpha < 0.5:
             raise ModelError(f"alpha must lie in (0, 0.5), got {self.alpha!r}")
-
-    @property
-    def horizon(self) -> float:
-        """Total observed time span n*h."""
-        return self.n * self.h
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .model import (
     DriftSpec,
     ModelConfig,
     SamplingPlan,
+    _require_finite,
 )
 
 LEPINGLE = "lepingle"
@@ -342,6 +343,29 @@ def integration_backend() -> str:
     return "python" if _native.load() is None else "native"
 
 
+def _simulate(
+    drift: tuple[int, float, float] | Callable[[float], float], x0: float, seed: int,
+    sigma: float, barriers: BarrierConfig, plan: SamplingPlan, opts: SimOptions,
+    shift: np.ndarray | None = None, fine: np.ndarray | None = None,
+) -> SamplePath:
+    """Draw the stream of ``seed`` and integrate one path of ``plan`` from
+    ``x0`` between ``barriers``; ``drift``, ``shift`` and ``fine`` are as in
+    :func:`_integrate`.  The path is not validated here."""
+    n, m = plan.n, opts.substeps
+    hf = plan.h / m
+    sigma = float(sigma)
+    normals, uniforms = rng.path_draws(seed, n * m)
+    b = float(barriers.b) if barriers.is_two_sided else math.inf
+    xs, ls, rs, hit_lo, hit_up = _integrate(
+        drift, float(x0), normals * (sigma * math.sqrt(hf)), uniforms, n, m,
+        float(barriers.a), b, hf, 2.0 * sigma * sigma * hf, opts.scheme == LEPINGLE,
+        shift, fine)
+    return SamplePath(
+        h=plan.h, times=np.arange(n + 1) * plan.h, x=xs, l=ls, r=rs,
+        barriers=barriers, hit_lower=hit_lo, hit_upper=hit_up,
+    )
+
+
 def simulate_path(
     config: ModelConfig, theta: float, plan: SamplingPlan, opts: SimOptions
 ) -> SamplePath:
@@ -351,24 +375,8 @@ def simulate_path(
     lo, hi = config.theta_domain
     if not lo < theta < hi:
         raise ModelError(f"theta={theta!r} lies outside the open domain ({lo}, {hi})")
-    n, m = plan.n, opts.substeps
-    hf = plan.h / m
-    sigma = float(config.sigma)
-    normals, uniforms = rng.path_draws(opts.seed, n * m)
-    z = normals * (sigma * math.sqrt(hf))
-    sig2hf = 2.0 * sigma * sigma * hf
-    barriers = config.barriers
-    a = float(barriers.a)
-    b = float(barriers.b) if barriers.is_two_sided else math.inf
-    exact_min = opts.scheme == LEPINGLE
-    xs, ls, rs, hit_lo, hit_up = _integrate(
-        _drift_of_state(config.drift, theta), float(config.x0), z, uniforms, n, m, a, b,
-        hf, sig2hf, exact_min)
-
-    path = SamplePath(
-        h=plan.h, times=np.arange(n + 1) * plan.h, x=xs, l=ls, r=rs,
-        barriers=barriers, hit_lower=hit_lo, hit_upper=hit_up,
-    )
+    path = _simulate(_drift_of_state(config.drift, theta), config.x0, opts.seed,
+                     config.sigma, config.barriers, plan, opts)
     path.validate()
     return path
 
@@ -392,48 +400,23 @@ def simulate_two_factor(
     ``opts.seed``.
     """
     barriers_y = BarrierConfig.two_sided(a, b)
-    barriers_r = BarrierConfig.one_sided_lower(0.0)
     if not barriers_y.contains(y0):
         raise ModelError(f"y0={y0!r} must lie in [{a}, {b}]")
+    _require_finite(r0=r0, theta1=theta1, theta2=theta2)
     if r0 < 0.0:
         raise ModelError(f"r0={r0!r} must be >= 0")
     if sigma < 0.0 or not math.isfinite(sigma):
         raise ModelError(f"sigma must be >= 0, got {sigma!r}")
 
-    n, m = plan.n, opts.substeps
-    hf = plan.h / m
-    sigma = float(sigma)
-    normals_y, uniforms_y = rng.path_draws(rng.derive_seed(opts.seed, 1), n * m)
-    normals_r, uniforms_r = rng.path_draws(rng.derive_seed(opts.seed, 2), n * m)
-    scale = sigma * math.sqrt(hf)
-    z_y = normals_y * scale
-    z_r = normals_r * scale
-    sig2hf = 2.0 * sigma * sigma * hf
-    a, b = float(a), float(b)
-    exact_min = opts.scheme == LEPINGLE
-    theta1, theta2 = float(theta1), float(theta2)
-
     # The short rate does not feel the log price, so it is stepped first
     # and the log price then reads its fine-step left endpoints.
-    fine = np.empty(n * m)
-    rrs, l2s, _, hit_r_lo, _ = _integrate(
-        (_K_MEAN_REVERSION, theta2, 0.0), float(r0), z_r, uniforms_r, n, m, 0.0, math.inf,
-        hf, sig2hf, exact_min, fine=fine)
-    ys, l1s, u1s, hit_y_lo, hit_y_up = _integrate(
-        (_K_SHIFTED, theta1, 0.0), float(y0), z_y, uniforms_y, n, m, a, b, hf, sig2hf,
-        exact_min, shift=fine)
-
-    times = np.arange(n + 1) * plan.h
-    tf = TwoFactorPath(
-        y=SamplePath(
-            h=plan.h, times=times, x=ys, l=l1s, r=u1s, barriers=barriers_y,
-            hit_lower=hit_y_lo, hit_upper=hit_y_up,
-        ),
-        rshort=SamplePath(
-            h=plan.h, times=times, x=rrs, l=l2s, r=np.zeros(n + 1), barriers=barriers_r,
-            hit_lower=hit_r_lo, hit_upper=np.zeros(n, dtype=bool),
-        ),
-    )
+    fine = np.empty(plan.n * opts.substeps)
+    rshort = _simulate((_K_MEAN_REVERSION, float(theta2), 0.0), r0,
+                       rng.derive_seed(opts.seed, 2), sigma,
+                       BarrierConfig.one_sided_lower(0.0), plan, opts, fine=fine)
+    y = _simulate((_K_SHIFTED, float(theta1), 0.0), y0, rng.derive_seed(opts.seed, 1),
+                  sigma, barriers_y, plan, opts, shift=fine)
+    tf = TwoFactorPath(y=y, rshort=rshort)
     tf.validate()
     return tf
 

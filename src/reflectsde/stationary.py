@@ -54,6 +54,7 @@ from .model import (
     SHIFTED_COVARIATE,
     DriftSpec,
     ModelConfig,
+    _require_finite,
     eval_on_array,
 )
 
@@ -130,9 +131,12 @@ def _drift_primitive(drift: DriftSpec, a: float, xs: np.ndarray, theta: float) -
     return _sciint.cumulative_simpson(fvals, x=xs, initial=0.0)
 
 
-def _require_positive_sigma(config: ModelConfig) -> None:
+def _require_stationary(config: ModelConfig, theta: float) -> None:
+    """What every stationary quantity needs: sigma > 0 and a finite theta,
+    checked before any grid is built."""
     if config.sigma <= 0.0:
         raise ModelError("stationary quantities require sigma > 0")
+    _require_finite(theta=theta)
 
 
 def scale_density(config: ModelConfig, theta: float, x: float) -> float:
@@ -140,7 +144,7 @@ def scale_density(config: ModelConfig, theta: float, x: float) -> float:
 
     For custom drifts the integral is computed by adaptive quadrature.
     """
-    _require_positive_sigma(config)
+    _require_stationary(config, theta)
     a, b = config.barriers.a, config.barriers.b
     if x < a or (b is not None and x > b):
         raise ModelError(f"x={x!r} outside the barrier interval")
@@ -191,7 +195,7 @@ def invariant_density(
     a :class:`RuntimeWarning` reports a grid returned at the refinement cap
     before that.
     """
-    _require_positive_sigma(config)
+    _require_stationary(config, theta)
     a = config.barriers.a
     if config.barriers.is_two_sided:
         hi = config.barriers.b
@@ -246,6 +250,7 @@ def stationary_average(
 ) -> float:
     """Stationary expectation of g by quadrature against the invariant
     density (a precomputed grid can be supplied to amortize the setup)."""
+    _require_finite(theta=theta)
     if grid is None:
         grid = invariant_density(config, theta)
     return grid.integrate(eval_on_array(g, grid.nodes))
@@ -330,8 +335,6 @@ def _closed_form_information(config: ModelConfig, theta: float) -> float | None:
     push the state down, and ill-conditioned masses."""
     drift = config.drift
     a, b = config.barriers.a, config.barriers.b
-    if not math.isfinite(theta):
-        return None
     if drift.kind == SHIFTED_COVARIATE:
         return 1.0 if b is not None or drift.covariate + theta < 0.0 else None
     if not theta > 0.0:
@@ -358,7 +361,7 @@ def information(
     Raises :class:`ModelError` when the value is numerically zero, which
     means the parameter does not move the drift anywhere the state lives.
     """
-    _require_positive_sigma(config)
+    _require_stationary(config, theta)
     value = _closed_form_information(config, theta)
     if value is None:
         if grid is None:

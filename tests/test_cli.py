@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -84,6 +85,109 @@ class TestParseConfig:
         parsed = parse_config(cfg_file, {"n": 20, "seed": 7})
         assert parsed.require_plan().n == 20
         assert parsed.sim.seed == 7
+
+
+SHIFTED_CFG = TABLE1_CFG.replace(
+    "drift.kind = power\ndrift.gamma = 0.5\n",
+    "drift.kind = shifted_covariate\ndrift.covariate = -0.5\n",
+)
+# every run key in the file, each at a value other than its default
+RUN_KEYS_CFG = TABLE1_CFG + "alpha = 0.3\nsubsteps = 5\nscheme = projection\nreps = 30\n"
+
+
+class TestParseConfigKeys:
+    """Each key of the configuration file: required, malformed, defaulted
+    and overridden."""
+
+    @pytest.mark.parametrize("base, line", [
+        (TABLE1_CFG, "drift.kind = power\n"),
+        (TABLE1_CFG, "drift.gamma = 0.5\n"),
+        (SHIFTED_CFG, "drift.covariate = -0.5\n"),
+        (TABLE1_CFG, "sigma = 0.2\n"),
+        (TABLE1_CFG, "barrier.a = 0.0\n"),
+        (TABLE1_CFG, "theta.lo = 0.01\n"),
+        (TABLE1_CFG, "theta.hi = 10.0\n"),
+        (TABLE1_CFG, "x0 = 1.0\n"),
+    ])
+    def test_missing_required_key(self, base, line, tmp_path):
+        key = line.split(" =")[0]
+        assert line in base
+        with pytest.raises(rs.ConfigError, match=f"^missing required key: {re.escape(key)}$"):
+            parse_config(write_cfg(tmp_path, base.replace(line, "")))
+
+    @pytest.mark.parametrize("base, key, noun", [
+        (TABLE1_CFG, "drift.gamma", "number"),
+        (SHIFTED_CFG, "drift.covariate", "number"),
+        (TABLE1_CFG, "sigma", "number"),
+        (TABLE1_CFG, "barrier.a", "number"),
+        (TABLE1_CFG, "barrier.b", "number"),
+        (TABLE1_CFG, "theta.lo", "number"),
+        (TABLE1_CFG, "theta.hi", "number"),
+        (TABLE1_CFG, "theta.true", "number"),
+        (TABLE1_CFG, "x0", "number"),
+        (TABLE1_CFG, "h", "number"),
+        (RUN_KEYS_CFG, "alpha", "number"),
+        (TABLE1_CFG, "n", "integer"),
+        (RUN_KEYS_CFG, "substeps", "integer"),
+        (TABLE1_CFG, "seed", "integer"),
+        (RUN_KEYS_CFG, "reps", "integer"),
+    ])
+    def test_malformed_value(self, base, key, noun, tmp_path):
+        lines = [f"{key} = 1.5x" if line.split(" =")[0] == key else line
+                 for line in base.splitlines()]
+        assert f"{key} = 1.5x" in lines
+        with pytest.raises(rs.ConfigError,
+                           match=f"^malformed {noun} for key {re.escape(key)}: '1.5x'$"):
+            parse_config(write_cfg(tmp_path, "\n".join(lines) + "\n"))
+
+    def test_fractional_integer_is_malformed(self, tmp_path):
+        with pytest.raises(rs.ConfigError, match="^malformed integer for key n: '2.5'$"):
+            parse_config(write_cfg(tmp_path, TABLE1_CFG.replace("n = 200", "n = 2.5")))
+
+    def test_defaults(self, tmp_path):
+        text = TABLE1_CFG
+        for line in ("n = 200\n", "h = 0.01\n", "seed = 42\n", "theta.true = 2.0\n"):
+            text = text.replace(line, "")
+        parsed = parse_config(write_cfg(tmp_path, text))
+        assert parsed.alpha == 0.25
+        assert parsed.sim == rs.SimOptions(scheme="lepingle", substeps=10, seed=0)
+        assert (parsed.n, parsed.h, parsed.reps, parsed.theta_true) == (None, None, None, None)
+        assert parsed.model.barriers.b == 3.0
+
+    def test_unknown_choices_named(self, tmp_path):
+        with pytest.raises(rs.ConfigError, match="^unknown drift.kind: 'cubic'$"):
+            parse_config(write_cfg(tmp_path, TABLE1_CFG.replace("= power", "= cubic")))
+        with pytest.raises(rs.ConfigError, match="^unknown scheme: 'midpoint'$"):
+            parse_config(write_cfg(tmp_path, TABLE1_CFG + "scheme = midpoint\n"))
+
+    _RUN_VALUES = [
+        ("n", lambda p: p.n, 200, 20),
+        ("h", lambda p: p.h, 0.01, 0.05),
+        ("alpha", lambda p: p.alpha, 0.3, 0.2),
+        ("substeps", lambda p: p.sim.substeps, 5, 7),
+        ("scheme", lambda p: p.sim.scheme, "projection", "lepingle"),
+        ("seed", lambda p: p.sim.seed, 42, 7),
+        ("reps", lambda p: p.reps, 30, 40),
+        ("theta.true", lambda p: p.theta_true, 2.0, 3.0),
+    ]
+
+    @pytest.mark.parametrize("key, read, in_file, flag", _RUN_VALUES)
+    def test_flag_overrides_file(self, key, read, in_file, flag, tmp_path):
+        cfg = write_cfg(tmp_path, RUN_KEYS_CFG)
+        assert read(parse_config(cfg)) == in_file
+        assert read(parse_config(cfg, {key: flag})) == flag
+
+    @pytest.mark.parametrize("key, read, in_file, flag", _RUN_VALUES)
+    def test_none_flag_keeps_file(self, key, read, in_file, flag, tmp_path):
+        cfg = write_cfg(tmp_path, RUN_KEYS_CFG)
+        everything_unset = {k: None for k, *_ in self._RUN_VALUES}
+        assert read(parse_config(cfg, {key: None})) == in_file
+        assert read(parse_config(cfg, everything_unset)) == in_file
+
+    def test_flag_fills_a_key_missing_from_the_file(self, tmp_path):
+        cfg = write_cfg(tmp_path, TABLE1_CFG.replace("h = 0.01\n", ""))
+        assert parse_config(cfg).h is None
+        assert parse_config(cfg, {"h": 0.02}).require_plan().h == 0.02
 
 
 class TestSimulateCommand:
@@ -379,16 +483,31 @@ class TestParserReuse:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_module_entry_point(cfg_file, tmp_path):
-    out = tmp_path / "path.csv"
-    # the child imports the package this process imported
+def _run_module(*argv):
+    """``python -W default -m reflectsde *argv`` in a child process that
+    imports the package this process imported."""
     src = str(Path(rs.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "reflectsde", "simulate", "--config",
-         str(cfg_file), "--n", "20", "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "reflectsde", *argv],
         capture_output=True, text=True, timeout=240, env=env,
     )
+
+
+def test_module_entry_point(cfg_file, tmp_path):
+    out = tmp_path / "path.csv"
+    proc = _run_module("simulate", "--config", str(cfg_file), "--n", "20", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_density_non_finite_theta(theta, cfg_file, tmp_path):
+    out = tmp_path / "density.csv"
+    proc = _run_module("density", "--config", str(cfg_file), "--theta", theta,
+                       "--out", str(out))
+    assert proc.returncode == 2
+    # the whole of stderr: no numpy warning precedes the error line
+    assert proc.stderr == f"model/data error: theta must be finite, got {theta}\n"
+    assert proc.stdout == "" and not out.exists()

@@ -294,6 +294,19 @@ class TestTwoFactorEstimation:
         with pytest.raises(DataError):
             rs.estimate_two_factor(tf, 0.0)
 
+    @pytest.mark.parametrize("sigma, message", [
+        (math.nan, "sigma must be finite, got nan"),
+        (math.inf, "sigma must be finite, got inf"),
+        (-math.inf, "sigma must be >= 0"),
+        (-0.1, "sigma must be >= 0"),
+    ])
+    def test_bad_sigma_rejected(self, sigma, message):
+        plan = rs.SamplingPlan(n=50, h=0.01)
+        tf = rs.simulate_two_factor(1.0, 0.5, 1.0, 1.0, 0.1, 0.0, 3.0, plan,
+                                    rs.SimOptions(seed=3))
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            rs.estimate_two_factor(tf, sigma)
+
     def test_stderr_formulas(self):
         plan = rs.SamplingPlan(n=500, h=0.01)
         tf = rs.simulate_two_factor(1.0, 0.5, 1.0, 1.0, 0.1, 0.0, 3.0, plan,

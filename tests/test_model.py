@@ -173,7 +173,7 @@ class TestTypesValidation:
             rs.BarrierConfig.two_sided(-0.5, 1.0)
         with pytest.raises(ModelError):
             rs.BarrierConfig.one_sided_lower(-1.0)
-        assert rs.BarrierConfig.one_sided_lower(0.0).kind == "one_sided_lower"
+        assert not rs.BarrierConfig.one_sided_lower(0.0).is_two_sided
 
     def test_model_config_invariants(self):
         drift = rs.DriftSpec.power(1.0)

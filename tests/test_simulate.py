@@ -294,6 +294,18 @@ class TestTwoFactor:
             rs.simulate_two_factor(1.0, -0.5, 1.0, 1.0, 0.1, 0.0, 3.0, plan,
                                    rs.SimOptions())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["r0", "theta1", "theta2"])
+    def test_non_finite_inputs_rejected_before_drawing(self, name, bad, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the path was drawn before its inputs were checked")
+        monkeypatch.setattr(rng_mod, "path_draws", refuse)
+        args = dict(y0=1.0, r0=0.5, theta1=1.0, theta2=1.0, sigma=0.1, a=0.0, b=3.0)
+        args[name] = bad
+        with pytest.raises(ModelError, match=f"^{name} must be finite, got {bad!r}$"):
+            rs.simulate_two_factor(**args, plan=rs.SamplingPlan(n=10, h=0.01),
+                                   opts=rs.SimOptions())
+
 
 # ---------------------------------------------------------------------------
 # Seed -> path contract: sha256 digests of x, l, r and the hit flags for a

@@ -279,6 +279,55 @@ def _quadrature_information(cfg, theta):
     return grid.integrate(sens * sens)
 
 
+_NON_FINITE_MODELS = {
+    "power": power_model(0.5),
+    "power_one_sided": power_model(0.5, two_sided=False),
+    "mean_reversion": model_with(rs.DriftSpec.mean_reversion_to_one()),
+    "shifted_covariate": model_with(rs.DriftSpec.shifted_covariate(-0.5)),
+    "custom": model_with(zero_drift()),
+}
+_UNIFORM_GRID = stationary.DensityGrid(lo=0.0, hi=3.0, nodes=[0.0, 1.5, 3.0],
+                                       weights=[0.5, 2.0, 0.5], values=[1 / 3] * 3)
+_STATIONARY_CALLS = {
+    "invariant_density": lambda cfg, th: rs.invariant_density(cfg, th),
+    "information": lambda cfg, th: rs.information(cfg, th),
+    "stationary_average": lambda cfg, th: rs.stationary_average(cfg, th, lambda x: x),
+    # theta only picks the grid, so a supplied one must not hide a bad theta
+    "stationary_average_on_grid": lambda cfg, th: rs.stationary_average(
+        cfg, th, lambda x: x, grid=_UNIFORM_GRID),
+    "scale_density": lambda cfg, th: rs.scale_density(cfg, th, 1.0),
+}
+
+
+class TestNonFiniteTheta:
+    """A non-finite theta is refused by name before any grid is built,
+    with no numpy warning on the way; a finite theta <= 0 stays valid."""
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", sorted(_STATIONARY_CALLS))
+    @pytest.mark.parametrize("model", sorted(_NON_FINITE_MODELS))
+    def test_rejected_before_the_grid(self, model, call, theta, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a grid was built for a non-finite theta")
+        monkeypatch.setattr(stationary, "_simpson_weights", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match=f"^theta must be finite, got {theta!r}$"):
+                _STATIONARY_CALLS[call](_NON_FINITE_MODELS[model], theta)
+
+    @pytest.mark.parametrize("model, theta", [
+        ("power", 0.0), ("mean_reversion", 0.0), ("mean_reversion", -0.1),
+    ])
+    def test_finite_non_positive_theta_still_valid(self, model, theta):
+        cfg = _NON_FINITE_MODELS[model]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = rs.invariant_density(cfg, theta)
+            info = rs.information(cfg, theta)
+        assert grid.integrate() == pytest.approx(1.0, rel=1e-12)
+        assert math.isfinite(info) and info > 0.0
+
+
 def _with_warnings(fn, *args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
