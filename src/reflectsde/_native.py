@@ -1,6 +1,7 @@
-"""Build, cache and load the compiled fine-step kernel ``_stepper.c``.
+"""Build, cache and load the compiled library ``_stepper.c``: the
+fine-step kernel ``reflect_path`` and the CSV row reader ``read_rows``.
 
-The kernel is compiled on first use, never at import, with the C compiler
+The library is compiled on first use, never at import, with the C compiler
 on ``PATH`` and cached as
 ``${XDG_CACHE_HOME:-~/.cache}/reflectsde/stepper-<digest>.so``, where the
 digest is the sha256 of the source and the flags.  A cache directory that
@@ -8,7 +9,8 @@ cannot be written gives way to a temporary one.  Each cached library ends
 with the sha256 of its own bytes, so a truncated or damaged file is rebuilt
 rather than loaded.  Without a compiler, or when the build fails,
 :func:`load` returns None and warns once per process; simulation then runs
-on the Python stepper, which gives the same bits.
+on the Python stepper and path CSVs are read by ``np.loadtxt``, which give
+the same bits.
 """
 
 from __future__ import annotations
@@ -77,16 +79,19 @@ def _build(compiler: str, dest: Path) -> None:
 
 
 def _open(path: Path):
-    """The library's ``reflect_path`` with its C signature."""
+    """The library, with the C signatures of ``reflect_path`` and
+    ``read_rows``."""
     import ctypes
 
-    fn = ctypes.CDLL(str(path)).reflect_path
-    dbl, ptr = ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [ctypes.c_int, dbl, dbl, ptr, dbl, ptr, ptr, ctypes.c_long,
-                   ctypes.c_long, dbl, dbl, dbl, dbl, ctypes.c_int,
-                   ptr, ptr, ptr, ptr, ptr, ptr]
-    fn.restype = ctypes.c_long
-    return fn
+    lib = ctypes.CDLL(str(path))
+    dbl, ptr, long_ = ctypes.c_double, ctypes.c_void_p, ctypes.c_long
+    lib.reflect_path.argtypes = [ctypes.c_int, dbl, dbl, ptr, dbl, ptr, ptr, long_,
+                                 long_, dbl, dbl, dbl, dbl, ctypes.c_int,
+                                 ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.reflect_path.restype = long_
+    lib.read_rows.argtypes = [ctypes.c_char_p, long_, long_, ptr, long_]
+    lib.read_rows.restype = long_
+    return lib
 
 
 def _load_from(compiler: str, directory: Path):
@@ -117,13 +122,13 @@ def _load():
         except OSError as exc:
             reason = f"building with {compiler} failed: {exc}"
     warnings.warn(f"reflectsde: {reason}; built-in drifts run on the Python "
-                  "stepper (the same paths, about eight times slower)", RuntimeWarning,
-                  stacklevel=2)
+                  "stepper (the same paths, about eight times slower) and path "
+                  "CSVs are read by np.loadtxt", RuntimeWarning, stacklevel=2)
     return None
 
 
 def load():
-    """The compiled ``reflect_path``, built or loaded on the first call, or
-    None when it cannot be built."""
+    """The compiled library (``reflect_path`` and ``read_rows``), built or
+    loaded on the first call, or None when it cannot be built."""
     with _LOCK:
         return _load()

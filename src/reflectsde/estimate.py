@@ -56,24 +56,29 @@ class EstimateResult:
     level: float | None = None
 
 
-def _residuals(path: SamplePath, spec: DriftSpec, theta: float) -> np.ndarray:
-    dx = np.diff(path.x)
-    dl = np.diff(path.l)
-    dr = np.diff(path.r)
-    f = eval_on_array(lambda v: spec.f(v, theta), path.x[:-1])
-    return dx - f * path.h - dl + dr
+def _contrast_of(path: SamplePath, spec: DriftSpec) -> Callable[[float], float]:
+    """theta -> the contrast of ``path``, with the increments of x, l and r
+    taken once for every theta it is called with."""
+    dx, dl, dr = np.diff(path.x), np.diff(path.l), np.diff(path.r)
+    left, h = path.x[:-1], path.h
+    scale = path.n * h * h
+
+    def at(theta: float) -> float:
+        f = eval_on_array(lambda v: spec.f(v, theta), left)
+        res = dx - f * h - dl + dr
+        return float(np.dot(res, res) / scale)
+
+    return at
 
 
 def contrast(path: SamplePath, spec: DriftSpec, theta: float) -> float:
     """Average squared drift residual; the upper-regulator term vanishes
     automatically on one-sided paths."""
-    n = path.n
-    if n < 1:
+    if path.n < 1:
         raise DataError("contrast needs at least one increment")
     if not math.isfinite(theta):
         raise ModelError(f"theta must be finite, got {theta!r}")
-    res = _residuals(path, spec, theta)
-    return float(np.dot(res, res) / (n * path.h * path.h))
+    return _contrast_of(path, spec)(theta)
 
 
 def _slope(g: np.ndarray, y: np.ndarray, h: float, degenerate: str) -> float:
@@ -191,9 +196,7 @@ def nlse_optimize(
     if not lo < hi:
         raise ModelError("theta domain must satisfy lo < hi")
     eps = _DOMAIN_SHRINK * (hi - lo)
-    found = minimize_unimodal(
-        lambda th: contrast(path, spec, th), lo + eps, hi - eps
-    )
+    found = minimize_unimodal(_contrast_of(path, spec), lo + eps, hi - eps)
     return EstimateResult(
         theta_hat=found.x,
         method=GOLDEN_SECTION,

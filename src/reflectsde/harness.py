@@ -20,7 +20,7 @@ from scipy import stats as _scistats
 from . import rng
 from .errors import DataError, ModelError
 from .estimate import EstimateResult, _point_estimate, estimate_two_factor
-from .model import ModelConfig, SamplingPlan
+from .model import ModelConfig, SamplingPlan, _require_in_domain
 from .simulate import SamplePath, SimOptions, simulate_path, simulate_two_factor
 from .stationary import information
 
@@ -51,6 +51,7 @@ class McConfig:
     n_values: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _require_in_domain(self.theta0, self.model.theta_domain)
         object.__setattr__(self, "n_values", _check_sweep(self.replications, self.n_values))
 
 

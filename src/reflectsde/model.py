@@ -29,6 +29,20 @@ def _require_finite(**values: float) -> None:
             raise ModelError(f"{name} must be finite, got {v!r}")
 
 
+def _is_integral(v) -> bool:
+    """Whether ``v`` has an integer value: 3 or 3.0, not 3.5, nan or "3"."""
+    try:
+        return int(v) == v
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _require_in_domain(theta: float, domain: tuple[float, float]) -> None:
+    lo, hi = domain
+    if not lo < theta < hi:
+        raise ModelError(f"theta={theta!r} lies outside the open domain ({lo}, {hi})")
+
+
 @dataclass(frozen=True)
 class DriftSpec:
     """Drift f(x, theta) with its first and second theta-derivatives.

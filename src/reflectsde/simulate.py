@@ -18,7 +18,9 @@ stepped by :func:`_reflect_interval` on Python floats.  The built-in drifts
 and the two-factor system run on the compiled twin of that loop in
 ``_stepper.c`` (see :mod:`._native`), which gives the same bits; without a
 C compiler, or where the kernel gives a path back, they run on
-:func:`_reflect_interval` too.
+:func:`_reflect_interval` too.  The same library reads the CSV rows
+:func:`write_csv` writes; any other text goes to ``np.loadtxt``, which gives
+the same values and errors.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ from .model import (
     DriftSpec,
     ModelConfig,
     SamplingPlan,
+    _is_integral,
     _require_finite,
+    _require_in_domain,
 )
 
 LEPINGLE = "lepingle"
@@ -49,7 +53,7 @@ PROJECTION = "projection"
 @dataclass(frozen=True)
 class SimOptions:
     """Integration scheme, fine steps per observation interval, and the
-    64-bit stream seed."""
+    64-bit stream seed (an integer, taken modulo 2**64)."""
 
     scheme: str = LEPINGLE
     substeps: int = 10
@@ -58,8 +62,10 @@ class SimOptions:
     def __post_init__(self) -> None:
         if self.scheme not in (LEPINGLE, PROJECTION):
             raise ModelError(f"unknown scheme {self.scheme!r}")
-        if int(self.substeps) != self.substeps or self.substeps < 1:
+        if not _is_integral(self.substeps) or self.substeps < 1:
             raise ModelError(f"substeps must be an integer >= 1, got {self.substeps!r}")
+        if not _is_integral(self.seed):
+            raise ModelError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -259,7 +265,7 @@ def _scalar_drift(
 
 
 def _native_path(
-    kernel, drift: tuple[int, float, float], x0: float, z: np.ndarray, us: np.ndarray,
+    lib, drift: tuple[int, float, float], x0: float, z: np.ndarray, us: np.ndarray,
     n: int, m: int, a: float, b: float, hf: float, sig2hf: float, exact_min: bool,
     shift: np.ndarray | None = None, fine: np.ndarray | None = None,
 ) -> tuple | None:
@@ -278,7 +284,7 @@ def _native_path(
     xs, ls, rs = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     hit_lo, hit_up = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     code, theta, gamma = drift
-    status = kernel(
+    status = lib.reflect_path(
         code, theta, gamma, None if shift is None else shift.ctypes.data, x0,
         z.ctypes.data, us.ctypes.data, n, m, a, b, hf, sig2hf, exact_min,
         xs.ctypes.data, ls.ctypes.data, rs.ctypes.data, hit_lo.ctypes.data,
@@ -303,9 +309,9 @@ def _integrate(
     array of n * m, receives every fine-step left endpoint.
     """
     if not callable(drift):
-        kernel = _native.load()
-        if kernel is not None:
-            trace = _native_path(kernel, drift, x0, z, us, n, m, a, b, hf, sig2hf,
+        lib = _native.load()
+        if lib is not None:
+            trace = _native_path(lib, drift, x0, z, us, n, m, a, b, hf, sig2hf,
                                  exact_min, shift, fine)
             if trace is not None:
                 return trace
@@ -372,9 +378,7 @@ def simulate_path(
     """Simulate a discretely observed reflected path at the true parameter
     ``theta``.  Deterministic given ``opts.seed``; a drift that overflows
     raises :class:`DataError`."""
-    lo, hi = config.theta_domain
-    if not lo < theta < hi:
-        raise ModelError(f"theta={theta!r} lies outside the open domain ({lo}, {hi})")
+    _require_in_domain(theta, config.theta_domain)
     path = _simulate(_drift_of_state(config.drift, theta), config.x0, opts.seed,
                      config.sigma, config.barriers, plan, opts)
     path.validate()
@@ -440,6 +444,22 @@ def write_csv(dest: str | Path | IO[str], header: str, *columns) -> None:
         write_csv(fh, header, *columns)
 
 
+def _read_rows(lines: list[str], ncol: int) -> np.ndarray | None:
+    """The ``lines`` parsed by the compiled ``read_rows``, or None where it
+    gives them back (anything but rows as :func:`write_csv` writes them) or
+    is not built, so that the caller reads them with ``np.loadtxt``."""
+    lib = _native.load()
+    text = "".join(lines)
+    if lib is None or not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    data = np.empty((len(lines), ncol))
+    # read_rows writes at most len(lines) rows, and all of them when it
+    # accepts the text, since each row then is one line
+    rows = lib.read_rows(raw, len(raw), ncol, data.ctypes.data, len(lines))
+    return data if rows == len(lines) else None
+
+
 def _read_csv(
     src: str | Path | IO[str], headers: tuple[str, ...]
 ) -> tuple[np.ndarray, float]:
@@ -453,10 +473,12 @@ def _read_csv(
         if header not in headers:
             raise DataError(f"unrecognized CSV header {header!r}, expected {headers}")
         body = src.readlines()
-        # a header-only file would make np.loadtxt warn before the row check
-        if not any(line.split("#", 1)[0].strip() for line in body):
-            raise DataError(f"CSV must have >= 2 rows with the columns {header!r}")
-        data = np.loadtxt(body, delimiter=",", ndmin=2)
+        data = _read_rows(body, header.count(",") + 1)
+        if data is None:
+            # a header-only file would make np.loadtxt warn before the row check
+            if not any(line.split("#", 1)[0].strip() for line in body):
+                raise DataError(f"CSV must have >= 2 rows with the columns {header!r}")
+            data = np.loadtxt(body, delimiter=",", ndmin=2)
     except DataError:
         raise
     except ValueError as exc:  # a non-numeric cell, a ragged row, undecodable bytes

@@ -94,6 +94,6 @@ def ou_nh100():
 
 @pytest.fixture
 def python_stepper(monkeypatch):
-    """Simulate built-in drifts on the Python stepper instead of the
-    compiled kernel."""
+    """Run without the compiled library: built-in drifts on the Python
+    stepper, path CSVs through ``np.loadtxt``."""
     monkeypatch.setattr(_native, "load", lambda: None)

@@ -495,6 +495,17 @@ def _run_module(*argv):
     )
 
 
+@pytest.mark.parametrize("theta", ["nan", "0.01", "20"])
+def test_mc_theta_outside_the_domain_exits_before_the_out_dir(theta, cfg_file, tmp_path):
+    out_dir = tmp_path / "out"
+    proc = _run_module("mc", "--config", str(cfg_file), "--theta", theta, "--reps", "3",
+                       "--n", "50", "--out-dir", str(out_dir))
+    assert proc.returncode == 2
+    assert proc.stderr == (f"model/data error: theta={float(theta)!r} lies outside "
+                           "the open domain (0.01, 10.0)\n")
+    assert proc.stdout == "" and not out_dir.exists()
+
+
 def test_module_entry_point(cfg_file, tmp_path):
     out = tmp_path / "path.csv"
     proc = _run_module("simulate", "--config", str(cfg_file), "--n", "20", "--out", str(out))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import reflectsde as rs
+from reflectsde import estimate
 from reflectsde import rng as rng_mod
 from reflectsde.errors import DataError, ModelError
+from reflectsde.model import eval_on_array
 
 from conftest import power_model
 
@@ -57,6 +59,72 @@ class TestContrast:
     def test_non_finite_theta_rejected(self):
         with pytest.raises(ModelError):
             rs.contrast(two_point_path(), rs.DriftSpec.power(1.0), float("nan"))
+
+
+def _reference_contrast(path, spec, theta):
+    """The contrast spelled out as it stood before the golden-section
+    search took the path increments once: every increment taken again."""
+    f = eval_on_array(lambda v: spec.f(v, theta), path.x[:-1])
+    res = np.diff(path.x) - f * path.h - np.diff(path.l) + np.diff(path.r)
+    return float(np.dot(res, res) / (path.n * path.h * path.h))
+
+
+_SEARCH_SPECS = {
+    "power_half": rs.DriftSpec.power(0.5),
+    "power_one": rs.DriftSpec.power(1.0),
+    "mean_reversion": rs.DriftSpec.mean_reversion_to_one(),
+    "shifted_covariate": rs.DriftSpec.shifted_covariate(-1.0),
+    "custom": rs.DriftSpec.custom(
+        f=lambda x, th: th * (1.0 - x) - x ** 3,
+        df_dtheta=lambda x, th: 1.0 - x + 0.0 * th,
+        d2f_dtheta2=lambda x, th: 0.0 * (x + th),
+        lipschitz_bound=30.0,
+    ),
+}
+
+
+class TestSearchObjective:
+    """The golden-section search minimizes exactly the public contrast."""
+
+    @pytest.fixture(scope="class")
+    def paths(self):
+        plan = rs.SamplingPlan(n=300, h=0.01)
+        out = {}
+        # narrow barriers about the mean keep both regulators busy, so that
+        # the order of the residual's terms shows in the last bits
+        for two_sided in (True, False):
+            cfg = rs.ModelConfig(
+                drift=rs.DriftSpec.mean_reversion_to_one(), sigma=0.3,
+                barriers=rs.BarrierConfig.two_sided(0.9, 1.1) if two_sided
+                else rs.BarrierConfig.one_sided_lower(0.98),
+                theta_domain=(0.01, 10.0), x0=1.0,
+            )
+            out[two_sided] = rs.simulate_path(cfg, 2.0, plan, rs.SimOptions(seed=21))
+        return out
+
+    @pytest.mark.parametrize("two_sided", (True, False), ids=("two_sided", "one_sided"))
+    @pytest.mark.parametrize("kind", sorted(_SEARCH_SPECS))
+    def test_objective_is_the_contrast_bit_for_bit(self, kind, two_sided, paths):
+        path, spec = paths[two_sided], _SEARCH_SPECS[kind]
+        assert np.any(np.diff(path.l) > 0)
+        assert np.any(np.diff(path.r) > 0) == two_sided
+        objective = estimate._contrast_of(path, spec)
+        for theta in np.concatenate((np.linspace(-20.0, 20.0, 401), [0.0, 1e-300, 2.0, 1e6])):
+            theta = float(theta)
+            value = objective(theta)
+            assert value == rs.contrast(path, spec, theta)
+            assert value == _reference_contrast(path, spec, theta)
+
+    @pytest.mark.parametrize("kind", sorted(_SEARCH_SPECS))
+    def test_search_matches_a_search_over_contrast(self, kind, paths):
+        path, spec = paths[True], _SEARCH_SPECS[kind]
+        lo, hi = -5.0, 5.0
+        eps = estimate._DOMAIN_SHRINK * (hi - lo)
+        found = rs.minimize_unimodal(lambda t: rs.contrast(path, spec, t), lo + eps, hi - eps)
+        result = rs.nlse_optimize(path, spec, (lo, hi))
+        assert (result.theta_hat, result.contrast_at_min, result.iterations,
+                result.boundary_hit) == (found.x, found.fx, found.iterations,
+                                         found.boundary_hit)
 
 
 class TestClosedForm:

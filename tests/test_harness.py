@@ -151,6 +151,18 @@ class TestRunMc:
         with pytest.raises(ModelError):
             small_mc_config(n_values=())
 
+    @pytest.mark.parametrize("theta0", (0.01, 10.0, -1.0, 50.0, float("nan"), float("inf")))
+    def test_theta0_outside_the_open_domain_rejected(self, theta0):
+        # the error simulate_path raises for the same theta
+        cfg = small_mc_config()
+        with pytest.raises(ModelError) as per_path:
+            rs.simulate_path(cfg.model, theta0, cfg.plan, cfg.sim)
+        with pytest.raises(ModelError) as up_front:
+            rs.McConfig(model=cfg.model, theta0=theta0, plan=cfg.plan, sim=cfg.sim,
+                        replications=cfg.replications, n_values=cfg.n_values)
+        assert str(up_front.value) == str(per_path.value)
+        assert "open domain (0.01, 10.0)" in str(up_front.value)
+
 
 class TestNormalityDiagnostic:
     def test_injected_standard_normal_passes(self):

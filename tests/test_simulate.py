@@ -1,14 +1,20 @@
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reflectsde as rs
+from reflectsde import _native, simulate
 from reflectsde import rng as rng_mod
-from reflectsde import simulate
 from reflectsde.errors import DataError, ModelError
 
 from conftest import power_model
@@ -601,6 +607,169 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.rshort.x, tf.rshort.x)
 
 
+@pytest.mark.usefixtures("python_stepper")
+class TestCsvRoundTripOnLoadtxt(TestCsvRoundTrip):
+    """Every CSV test again without the compiled library, so every text is
+    read by ``np.loadtxt``."""
+
+
+def _loadtxt(lines):
+    return np.loadtxt(lines, delimiter=",", ndmin=2)
+
+
+def _field_texts():
+    """Numbers spelled as the compiled reader's grammar allows: ``.17g``
+    and short ``%g`` forms of any finite double (subnormals and -0 among
+    them), and hand-built signs, mantissas and exponents."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    sign = st.sampled_from(("", "-", "+"))
+    digits = st.text("0123456789", max_size=25)
+    mantissa = st.tuples(digits, st.sampled_from((".", "")), digits).filter(
+        lambda parts: parts[0] or parts[2]).map("".join)
+    exponent = st.one_of(st.just(""), st.tuples(
+        st.sampled_from("eE"), sign, st.text("0123456789", min_size=1, max_size=4)).map("".join))
+    built = st.tuples(sign, mantissa, exponent).map("".join)
+    return st.one_of(finite.map("{:.17g}".format), finite.map("{:g}".format),
+                     finite.map(repr), built)
+
+
+class TestCompiledCsvReader:
+    """``simulate._read_rows``, the compiled reader behind ``_read_csv``."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_library(self):
+        if _native.load() is None:
+            pytest.skip("no compiled library")
+
+    @given(ncol=st.integers(1, 6), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_text_reads_as_loadtxt(self, ncol, data):
+        rows = data.draw(st.lists(st.lists(_field_texts(), min_size=ncol, max_size=ncol),
+                                  min_size=1, max_size=5))
+        lines = [",".join(row) + "\n" for row in rows]
+        fast = simulate._read_rows(lines, ncol)
+        if fast is not None:
+            assert fast.tobytes() == _loadtxt(lines).tobytes()
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=3, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_written_rows_are_accepted(self, values):
+        # what write_csv writes never goes to np.loadtxt, except a subnormal
+        # (strtod reports ERANGE), which np.loadtxt reads to the same bits
+        buf = io.StringIO()
+        simulate.write_csv(buf, "a,b,c", values, values[::-1], np.negative(values))
+        lines = buf.getvalue().splitlines(keepends=True)[1:]
+        fast = simulate._read_rows(lines, 3)
+        if all(v == 0.0 or abs(v) >= sys.float_info.min for v in values):
+            assert fast is not None
+        if fast is not None:
+            assert fast.tobytes() == _loadtxt(lines).tobytes()
+
+    def test_extreme_values(self):
+        lines = ["-0,0.5,5.,.5,+7,1E-3\n",
+                 "1.7976931348623157e308,2.2250738585072014e-308,-1e-307,"
+                 "9007199254740993,0.1000000000000000055511151231257827,123456789e-20\n"]
+        fast = simulate._read_rows(lines, 6)
+        assert fast is not None
+        assert fast.tobytes() == _loadtxt(lines).tobytes()
+        assert math.copysign(1.0, fast[0, 0]) == -1.0
+
+    @pytest.mark.parametrize("lines", (
+        ["0,1\n", "# comment\n", "1,2\n"],
+        ["0,1\n", "\n", "1,2\n"],
+        ["0,1\r\n", "1,2\r\n"],
+        ["0, 1\n", "1,2\n"],
+        ["0,1\n", "1,2"],
+        ["0,nan\n", "1,2\n"],
+        ["0,inf\n", "1,2\n"],
+        ["0,1e999\n", "1,2\n"],
+        ["0,4.9e-324\n", "1,2\n"],
+        ["0,1\n", "1,\u0662\n"],
+        ["0,1,2\n", "1,2\n"],
+        ["0,1\n", "1\n"],
+        ["0,.\n"], ["0,-\n"], ["0,1e\n"], ["0,1e+\n"], ["0,0x10\n"], ["0,1_0\n"],
+        ["0,1\n2,3\n"],
+    ), ids=repr)
+    def test_hands_back_all_else(self, lines):
+        assert simulate._read_rows(lines, 2) is None
+
+    def test_decimal_comma_locale_hands_back(self):
+        # under a locale whose decimal point is ',' strtod ends "0.5" early
+        code = (
+            "import locale, sys\n"
+            "from reflectsde import simulate\n"
+            "for name in ('de_DE.UTF-8', 'de_DE.utf8', 'fr_FR.UTF-8', 'fr_FR.utf8'):\n"
+            "    try:\n"
+            "        locale.setlocale(locale.LC_NUMERIC, name)\n"
+            "        break\n"
+            "    except locale.Error:\n"
+            "        pass\n"
+            "else:\n"
+            "    sys.exit(3)\n"
+            "print(simulate._read_rows(['0,0.5\\n', '1,2\\n'], 2))\n"
+        )
+        src = str(Path(rs.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        if done.returncode == 3:
+            pytest.skip("no locale with a decimal comma installed")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "None\n"
+
+
+def _outcome_of_reading(text):
+    """The arrays read from ``text``, or the exception raised."""
+    try:
+        path = rs.read_path_csv(io.StringIO(text), rs.BarrierConfig.one_sided_lower(0.0))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return [arr.tobytes() for arr in (path.times, path.x, path.l, path.r)] + [path.h]
+
+
+class TestCsvHandBack:
+    """Text the compiled reader gives back reads, or fails, exactly as it
+    does on ``np.loadtxt`` alone."""
+
+    @pytest.mark.parametrize("text", (
+        "t,x,l\n# a comment\n0,1,0\n0.01,1,0\n",
+        "t,x,l\n0,1,0 # trailing\n0.01,1,0\n",
+        "t,x,l\n0,1,0\n\n0.01,1,0\n\n",
+        "t,x,l\r\n0,1,0\r\n0.01,1,0\r\n",
+        "t,x,l\n0, 1,0\n0.01,1 ,0\n",
+        "t,x,l\n0,1,0\n0.01,1,0",
+        "t,x,l\n0,nan,0\n0.01,1,0\n",
+        "t,x,l\n0,inf,0\n0.01,1,0\n",
+        "t,x,l\n0,1e999,0\n0.01,1,0\n",
+        "t,x,l\n0,1,0\n0.01,1,\u0662\n",
+        "t,x,l\n0,1,0\n0.01,\u00e9,0\n",
+        "t,x,l\n# only a comment\n",
+        "t,x,l\n0,1\n0.01,1\n",
+        "t,x,l\n0,1,0,5\n0.01,1,0\n",
+    ), ids=repr)
+    def test_same_as_loadtxt(self, text):
+        compiled = _outcome_of_reading(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_native, "load", lambda: None)
+            assert _outcome_of_reading(text) == compiled
+
+    def test_written_path_skips_loadtxt(self, monkeypatch):
+        if _native.load() is None:
+            pytest.skip("no compiled library")
+        path = _golden_csv_path(two_sided=True)
+        buf = io.StringIO()
+        rs.write_path_csv(path, buf)
+        buf.seek(0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        loaded = rs.read_path_csv(buf, path.barriers)
+        assert loaded.x.tobytes() == path.x.tobytes()
+        assert loaded.r.tobytes() == path.r.tobytes()
+
+
 def _golden_csv_path(two_sided):
     return rs.simulate_path(power_model(0.5, two_sided=two_sided), 2.0,
                             rs.SamplingPlan(n=50, h=0.01), rs.SimOptions(seed=8))
@@ -635,6 +804,20 @@ class TestOptionsValidation:
     def test_bad_substeps(self):
         with pytest.raises(ModelError):
             rs.SimOptions(substeps=0)
+
+    @pytest.mark.parametrize("seed", (1.5, -0.25, float("nan"), float("inf"), "1", None))
+    def test_non_integral_seed_rejected(self, seed):
+        with pytest.raises(ModelError, match="seed must be an integer"):
+            rs.SimOptions(seed=seed)
+
+    @pytest.mark.parametrize("seed, same_as", ((2.0, 2), (-1, 2**64 - 1), (2**64, 0),
+                                               (2**64 + 7, 7), (np.int64(-3), 2**64 - 3)))
+    def test_integer_seeds_are_taken_modulo_2_64(self, seed, same_as):
+        config = power_model(0.5)
+        plan = rs.SamplingPlan(n=20, h=0.01)
+        a = rs.simulate_path(config, 2.0, plan, rs.SimOptions(seed=seed))
+        b = rs.simulate_path(config, 2.0, plan, rs.SimOptions(seed=same_as))
+        assert a.x.tobytes() == b.x.tobytes()
 
     def test_bad_scheme(self):
         with pytest.raises(ModelError):
