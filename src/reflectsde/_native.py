@@ -10,11 +10,13 @@ with the sha256 of its own bytes, so a truncated or damaged file is rebuilt
 rather than loaded.  Without a compiler, or when the build fails,
 :func:`load` returns None and warns once per process; simulation then runs
 on the Python stepper and path CSVs are read by ``np.loadtxt``, which give
-the same bits.
+the same bits.  Building a library removes the other ``stepper-*.so`` files
+of its cache directory, which older sources or flags left there.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import threading
@@ -28,6 +30,9 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _DIGEST_BYTES = 32
 _LOCK = threading.Lock()
+
+# the C type of the custom drift that reflect_path calls: double (*)(double)
+DRIFT = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double)
 
 
 def find_compiler() -> str | None:
@@ -78,17 +83,30 @@ def _build(compiler: str, dest: Path) -> None:
             os.unlink(tmp)
 
 
+def _prune(keep: Path) -> None:
+    """Remove the libraries beside ``keep`` that other sources or flags
+    built; one that cannot be removed stays."""
+    for old in keep.parent.glob("stepper-*.so"):
+        if old != keep:
+            try:
+                old.unlink()
+            except OSError:
+                pass
+
+
 def _open(path: Path):
     """The library, with the C signatures of ``reflect_path`` and
-    ``read_rows``."""
-    import ctypes
-
+    ``read_rows``, and ``reflect_path_with_gil``: ``reflect_path`` called
+    without releasing the GIL, for a custom drift, whose callback would
+    otherwise take the GIL back at every fine step."""
     lib = ctypes.CDLL(str(path))
     dbl, ptr, long_ = ctypes.c_double, ctypes.c_void_p, ctypes.c_long
-    lib.reflect_path.argtypes = [ctypes.c_int, dbl, dbl, ptr, dbl, ptr, ptr, long_,
-                                 long_, dbl, dbl, dbl, dbl, ctypes.c_int,
-                                 ptr, ptr, ptr, ptr, ptr, ptr]
+    # the last argument is the custom drift, a DRIFT, or None for the others
+    args = [ctypes.c_int, dbl, dbl, ptr, dbl, ptr, ptr, long_, long_, dbl, dbl, dbl,
+            dbl, ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.reflect_path.argtypes = args
     lib.reflect_path.restype = long_
+    lib.reflect_path_with_gil = ctypes.PYFUNCTYPE(long_, *args)(("reflect_path", lib))
     lib.read_rows.argtypes = [ctypes.c_char_p, long_, long_, ptr, long_]
     lib.read_rows.restype = long_
     return lib
@@ -99,6 +117,7 @@ def _load_from(compiler: str, directory: Path):
     path = directory / library_name()
     if not (path.is_file() and _intact(path)):
         _build(compiler, path)
+        _prune(path)
     return _open(path)
 
 
@@ -121,9 +140,10 @@ def _load():
             reason = f"{compiler} failed: {exc.stderr.strip()}"
         except OSError as exc:
             reason = f"building with {compiler} failed: {exc}"
-    warnings.warn(f"reflectsde: {reason}; built-in drifts run on the Python "
-                  "stepper (the same paths, about eight times slower) and path "
-                  "CSVs are read by np.loadtxt", RuntimeWarning, stacklevel=2)
+    warnings.warn(f"reflectsde: {reason}; paths run on the Python stepper "
+                  "(the same paths, about eight times slower for the built-in "
+                  "drifts and half as fast for custom ones) and path CSVs are "
+                  "read by np.loadtxt", RuntimeWarning, stacklevel=2)
     return None
 
 

@@ -10,11 +10,12 @@
 #include <math.h>
 #include <stdlib.h>
 
-enum { POWER, MEAN_REVERSION, CONSTANT, SHIFTED };
+enum { POWER, MEAN_REVERSION, CONSTANT, SHIFTED, CALLBACK };
 
 /* Integrate n observation intervals of m fine steps from x.  The drift is
- * (-theta) * x**gamma, theta * (1 - x), theta, or shift[i] + theta at fine
- * step i.  xs, ls, rs receive n + 1 observations, hit_lo and hit_up n
+ * (-theta) * x**gamma, theta * (1 - x), theta, shift[i] + theta at fine
+ * step i, or drift(x), called once per fine step in order (drift is NULL
+ * for the other kinds).  xs, ls, rs receive n + 1 observations, hit_lo and hit_up n
  * flags, and fine (when not NULL) the left endpoint of every fine step.
  * Returns -1, or the fine step where x ** gamma would make CPython turn
  * complex or raise: pow gives nan (a negative x) or inf from a finite x. */
@@ -22,7 +23,7 @@ long reflect_path(int kind, double theta, double gamma, const double *shift,
                   double x, const double *z, const double *u, long n, long m,
                   double a, double b, double hf, double sig2hf, int exact_min,
                   double *xs, double *ls, double *rs, unsigned char *hit_lo,
-                  unsigned char *hit_up, double *fine)
+                  unsigned char *hit_up, double *fine, double (*drift)(double))
 {
     double cl = 0.0, cr = 0.0, mu, s, dl;
     xs[0] = x;
@@ -45,8 +46,10 @@ long reflect_path(int kind, double theta, double gamma, const double *shift,
                 mu = theta * (1.0 - x);
             } else if (kind == CONSTANT) {
                 mu = theta;
-            } else {
+            } else if (kind == SHIFTED) {
                 mu = shift[i] + theta;
+            } else {
+                mu = drift(x);
             }
             s = mu * hf + z[i];
             if (exact_min)

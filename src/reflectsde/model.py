@@ -215,7 +215,7 @@ class SamplingPlan:
     alpha: float = 0.25
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 2:
+        if not _is_integral(self.n) or self.n < 2:
             raise ModelError(f"n must be an integer >= 2, got {self.n!r}")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ModelError(f"h must be positive and finite, got {self.h!r}")

@@ -13,18 +13,20 @@ Regulator values are accumulated exactly across fine steps and recorded at
 observation times, giving the data set {X_tk, L_tk, R_tk} that the
 estimators consume.  Everything is deterministic given the stream seed.
 
-:func:`_integrate` picks the stepper for every path.  Custom drifts are
-stepped by :func:`_reflect_interval` on Python floats.  The built-in drifts
-and the two-factor system run on the compiled twin of that loop in
-``_stepper.c`` (see :mod:`._native`), which gives the same bits; without a
-C compiler, or where the kernel gives a path back, they run on
-:func:`_reflect_interval` too.  The same library reads the CSV rows
+:func:`_integrate` picks the stepper for every path.  Every path runs on
+``reflect_path`` in ``_stepper.c`` (see :mod:`._native`), the compiled twin
+of the Python loop :func:`_reflect_interval`, which gives the same bits: the
+built-in drifts and the two-factor system in C, a custom drift through a C
+callback into Python.  Without a C compiler, or where the kernel gives a
+path back, paths run on :func:`_reflect_interval`.  The same library reads
+the CSV rows
 :func:`write_csv` writes; any other text goes to ``np.loadtxt``, which gives
 the same values and errors.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -220,7 +222,7 @@ def _reflect_interval(
 
 
 # drift codes of the compiled kernel (see _stepper.c)
-_K_POWER, _K_MEAN_REVERSION, _K_CONSTANT, _K_SHIFTED = range(4)
+_K_POWER, _K_MEAN_REVERSION, _K_CONSTANT, _K_SHIFTED, _K_CALLBACK = range(5)
 
 
 def _drift_of_state(
@@ -264,12 +266,41 @@ def _scalar_drift(
     return lambda x: next(left) + p
 
 
+def _left_finite_range(k: int, exc: ArithmeticError) -> DataError:
+    # Python floats raise where numpy scalars returned inf
+    return DataError(f"the drift left the finite range in observation interval {k}: {exc}")
+
+
+def _guarded(mu_of: Callable[[float], float]) -> tuple:
+    """``mu_of`` as the kernel's C callback, and the list that receives
+    ``(exception, calls before it)`` when it raises.  ctypes would print an
+    exception and go on with 0.0, so the callback answers it with nan and
+    calls ``mu_of`` no more; the caller raises it once the kernel returns."""
+    caught = []
+    calls = 0
+
+    def call(x: float) -> float:
+        nonlocal calls
+        if caught:
+            return math.nan
+        try:
+            mu = mu_of(x)
+        except BaseException as exc:  # re-raised by the caller
+            caught.append((exc, calls))
+            return math.nan
+        calls += 1
+        return mu
+
+    return _native.DRIFT(call), caught
+
+
 def _native_path(
     lib, drift: tuple[int, float, float], x0: float, z: np.ndarray, us: np.ndarray,
     n: int, m: int, a: float, b: float, hf: float, sig2hf: float, exact_min: bool,
-    shift: np.ndarray | None = None, fine: np.ndarray | None = None,
+    shift: np.ndarray | None = None, fine: np.ndarray | None = None, callback=None,
 ) -> tuple | None:
-    """Integrate a whole path with the compiled kernel.
+    """Integrate a whole path with the compiled kernel; ``callback``, a
+    ``_native.DRIFT``, is the drift of ``_K_CALLBACK``.
 
     Returns ``(x, l, r, hit_lower, hit_upper)``, or None where ``x ** gamma``
     would raise or turn complex in Python, so the caller can rerun the
@@ -284,11 +315,12 @@ def _native_path(
     xs, ls, rs = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     hit_lo, hit_up = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     code, theta, gamma = drift
-    status = lib.reflect_path(
+    kernel = lib.reflect_path if callback is None else lib.reflect_path_with_gil
+    status = kernel(
         code, theta, gamma, None if shift is None else shift.ctypes.data, x0,
         z.ctypes.data, us.ctypes.data, n, m, a, b, hf, sig2hf, exact_min,
         xs.ctypes.data, ls.ctypes.data, rs.ctypes.data, hit_lo.ctypes.data,
-        hit_up.ctypes.data, None if fine is None else fine.ctypes.data,
+        hit_up.ctypes.data, None if fine is None else fine.ctypes.data, callback,
     )
     return (xs, ls, rs, hit_lo, hit_up) if status < 0 else None
 
@@ -303,18 +335,31 @@ def _integrate(
 
     ``drift`` comes from :func:`_drift_of_state`, or is the kernel's shifted
     drift ``(_K_SHIFTED, theta, 0.0)`` with ``shift`` holding the n * m
-    values added at each fine step.  A built-in drift runs on the compiled
-    kernel when it loads; a custom drift, or a path the kernel gives back,
-    runs interval by interval on :func:`_reflect_interval`.  ``fine``, an
-    array of n * m, receives every fine-step left endpoint.
+    values added at each fine step.  Every drift runs on the compiled
+    kernel when it loads, a custom one through :func:`_guarded`, which
+    raises what the Python stepper raises.  Without the kernel, or for a
+    path it gives back, the path runs interval by interval on
+    :func:`_reflect_interval`.  ``fine``, an array of n * m, receives every
+    fine-step left endpoint.
     """
-    if not callable(drift):
-        lib = _native.load()
-        if lib is not None:
+    lib = _native.load()
+    if lib is not None:
+        if callable(drift):
+            callback, caught = _guarded(drift)
+            trace = _native_path(lib, (_K_CALLBACK, 0.0, 0.0), x0, z, us, n, m, a, b,
+                                 hf, sig2hf, exact_min, shift, fine, callback)
+            if caught:
+                (exc, calls), = caught
+                # the Python stepper calls the drift once per fine step
+                if isinstance(exc, (OverflowError, ZeroDivisionError)):
+                    raise _left_finite_range(calls // m, exc) from exc
+                raise exc
+        else:
             trace = _native_path(lib, drift, x0, z, us, n, m, a, b, hf, sig2hf,
                                  exact_min, shift, fine)
-            if trace is not None:
-                return trace
+        if trace is not None:
+            return trace
+    if not callable(drift):
         drift = _scalar_drift(*drift, shift)
     x, cl, cr = x0, 0.0, 0.0
     xs, ls, rs = [x], [cl], [cr]
@@ -328,10 +373,7 @@ def _integrate(
                 a, b, hf, sig2hf, exact_min, left,
             )
         except (OverflowError, ZeroDivisionError) as exc:
-            # Python floats raise where numpy scalars returned inf
-            raise DataError(
-                f"the drift left the finite range in observation interval {k}: {exc}"
-            ) from exc
+            raise _left_finite_range(k, exc) from exc
         xs.append(x)
         ls.append(cl)
         rs.append(cr)
@@ -343,9 +385,9 @@ def _integrate(
 
 
 def integration_backend() -> str:
-    """``"native"`` when built-in drifts run on the compiled kernel,
-    ``"python"`` when they fall back to the Python stepper.  Custom drifts
-    always run on the Python stepper."""
+    """``"native"`` when paths run on the compiled kernel (custom drifts
+    through a callback), ``"python"`` when they fall back to the Python
+    stepper."""
     return "python" if _native.load() is None else "native"
 
 
@@ -444,37 +486,46 @@ def write_csv(dest: str | Path | IO[str], header: str, *columns) -> None:
         write_csv(fh, header, *columns)
 
 
-def _read_rows(lines: list[str], ncol: int) -> np.ndarray | None:
-    """The ``lines`` parsed by the compiled ``read_rows``, or None where it
-    gives them back (anything but rows as :func:`write_csv` writes them) or
-    is not built, so that the caller reads them with ``np.loadtxt``."""
+def _read_rows(text: str, ncol: int) -> np.ndarray | None:
+    """The rows of ``text`` parsed by the compiled ``read_rows``, or None
+    where it gives them back (anything but rows as :func:`write_csv` writes
+    them) or is not built, so that the caller reads them with
+    ``np.loadtxt``."""
     lib = _native.load()
-    text = "".join(lines)
     if lib is None or not text.isascii():
         return None
     raw = text.encode("ascii")
-    data = np.empty((len(lines), ncol))
-    # read_rows writes at most len(lines) rows, and all of them when it
-    # accepts the text, since each row then is one line
-    rows = lib.read_rows(raw, len(raw), ncol, data.ctypes.data, len(lines))
-    return data if rows == len(lines) else None
+    # read_rows accepts only rows that each end with "\n"
+    rows = text.count("\n")
+    data = np.empty((rows, ncol))
+    return data if lib.read_rows(raw, len(raw), ncol, data.ctypes.data, rows) == rows else None
 
 
 def _read_csv(
-    src: str | Path | IO[str], headers: tuple[str, ...]
+    src: str | Path | IO[str], headers: tuple[str, ...], whole: bool = False
 ) -> tuple[np.ndarray, float]:
     """Read a CSV whose header is one of ``headers`` and whose first column
-    holds regularly spaced times; returns the data rows and the time step."""
+    holds regularly spaced times; returns the data rows and the time step.
+    ``whole`` says that the handle translates newlines, as a file opened
+    here does, so its body is read in one ``read()``."""
     if not hasattr(src, "read"):
         with open(src, "r", encoding="utf-8") as fh:
-            return _read_csv(fh, headers)
+            return _read_csv(fh, headers, whole=True)
     try:
         header = src.readline().strip()
         if header not in headers:
             raise DataError(f"unrecognized CSV header {header!r}, expected {headers}")
-        body = src.readlines()
-        data = _read_rows(body, header.count(",") + 1)
+        if whole:
+            # with newlines translated, the text splits at "\n" alone into
+            # the lines readlines() would give
+            text, body = src.read(), None
+        else:
+            body = src.readlines()
+            text = "".join(body)
+        data = _read_rows(text, header.count(",") + 1)
         if data is None:
+            if body is None:
+                body = io.StringIO(text).readlines()
             # a header-only file would make np.loadtxt warn before the row check
             if not any(line.split("#", 1)[0].strip() for line in body):
                 raise DataError(f"CSV must have >= 2 rows with the columns {header!r}")

@@ -196,6 +196,11 @@ class TestTypesValidation:
         with pytest.raises(ModelError):
             rs.SamplingPlan(n=2, h=0.01, alpha=0.5)
 
+    @pytest.mark.parametrize("n", (float("nan"), float("inf")), ids=("nan", "inf"))
+    def test_non_finite_n_is_a_model_error(self, n):
+        with pytest.raises(ModelError, match="n must be an integer >= 2"):
+            rs.SamplingPlan(n=n, h=0.01)
+
 
 class TestRegime:
     def test_short_span_flagged(self):

@@ -2,6 +2,7 @@
 stepper, the build cache, and the fallback when no compiler is found."""
 
 import importlib.resources
+import math
 import subprocess
 import sys
 import tempfile
@@ -111,6 +112,150 @@ class TestParity:
         args = (-0.5, z, u, 2, 2, -1.0, np.inf, 0.01, 0.0, True)
         assert simulate._native_path(kernel, (simulate._K_POWER, 1.0, 0.5), *args) is None
         assert simulate._native_path(kernel, (simulate._K_POWER, 1.0, 1.0), *args) is not None
+
+
+def _custom_model(f, sigma=0.8, two_sided=True, x0=0.5):
+    drift = rs.DriftSpec.custom(f=f, df_dtheta=lambda x, th: 0.0,
+                                d2f_dtheta2=lambda x, th: 0.0, lipschitz_bound=1.0)
+    barriers = (rs.BarrierConfig.two_sided(0.0, 1.0) if two_sided
+                else rs.BarrierConfig.one_sided_lower(0.0))
+    return rs.ModelConfig(drift=drift, sigma=sigma, barriers=barriers,
+                          theta_domain=(-1000.0, 1000.0), x0=x0)
+
+
+def _raise(exc):
+    raise exc
+
+
+def _unvalidated_path(config, theta, opts, plan=_PLAN):
+    """The path simulate_path builds before it validates, so that a NaN
+    path can be compared byte for byte."""
+    return simulate._simulate(simulate._drift_of_state(config.drift, theta), config.x0,
+                              opts.seed, config.sigma, config.barriers, plan, opts)
+
+
+class TestCustomDriftCallback:
+    """A custom drift runs on the compiled kernel through a C callback, with
+    the bits, calls and exceptions of the Python stepper."""
+
+    @given(
+        coefs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+        theta=st.floats(-10.0, 10.0),
+        sigma=st.floats(0.0, 2.0),
+        x0=st.floats(0.0, 1.0),
+        scheme=st.sampled_from((rs.LEPINGLE, rs.PROJECTION)),
+        two_sided=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_polynomial_drift_paths_match(self, coefs, theta, sigma, x0, scheme,
+                                          two_sided, seed):
+        def f(x, th):
+            mu = 0.0
+            for c in reversed(coefs):
+                mu = mu * x + c
+            return th * mu
+
+        config = _custom_model(f, sigma, two_sided, x0)
+        opts = rs.SimOptions(scheme=scheme, substeps=5, seed=seed)
+        native, python = _on_both_backends(
+            lambda: [_unvalidated_path(config, theta, opts)])
+        assert native == python
+
+    # each drift is the constant theta until it fails: with seed 9 the state
+    # runs from 0.5 up past 0.75, then down below 0.3
+    @pytest.mark.parametrize("f, expected", (
+        (lambda x, th: _raise(ValueError(f"no drift at x={x!r}")) if x < 0.3 else th,
+         ("ValueError", "no drift at x=0.29076144268212956")),
+        (lambda x, th: (x - 0.35) ** 0.5 if x < 0.35 else th,
+         ("DataError", "the drift at x=0.33650977991681347 is (7.1")),
+        (lambda x, th: math.exp(1000.0 * x) if x > 0.75 else th,
+         ("DataError", "the drift left the finite range in observation interval 17: "
+                      "math range error")),
+        (lambda x, th: th / (x > 0.3),
+         ("DataError", "the drift left the finite range in observation interval 30: "
+                      "float division by zero")),
+    ), ids=("value-error", "complex", "overflow", "zero-division"))
+    def test_failing_drift_fails_alike(self, f, expected):
+        config = _custom_model(f, sigma=0.8, two_sided=False)
+        opts = rs.SimOptions(substeps=5, seed=9)
+        native, python = _on_both_backends(
+            lambda: [_unvalidated_path(config, 1.0, opts)])
+        assert native == python
+        assert native[0] == expected[0]
+        assert native[1].startswith(expected[1])
+
+    def test_nan_drift_gives_the_same_nan_path(self):
+        config = _custom_model(lambda x, th: math.nan if x < 0.3 else th, two_sided=False)
+        opts = rs.SimOptions(substeps=5, seed=9)
+        native, python = _on_both_backends(
+            lambda: [_unvalidated_path(config, 1.0, opts)])
+        assert native == python
+        x = np.frombuffer(native[0])
+        assert np.isnan(x[-1]) and not np.isnan(x[0])
+
+    @pytest.mark.parametrize("fail_at", (None, 1, 57, 200))
+    def test_drift_is_called_alike(self, fail_at):
+        # the 57th call is fine step 56, in observation interval 11 of 5
+        # substeps; the drift is not called again once it has raised
+        records = []
+
+        def run():
+            record = []
+            records.append(record)
+
+            def f(x, th):
+                record.append(x)
+                if len(record) == fail_at:
+                    raise OverflowError("too big")
+                return th * (1.0 - x)
+
+            return [_unvalidated_path(_custom_model(f), 2.0, rs.SimOptions(substeps=5, seed=9))]
+
+        native, python = _on_both_backends(run)
+        native_calls, python_calls = records
+        assert native == python
+        assert native_calls == python_calls
+        if fail_at is None:
+            assert len(native_calls) == _PLAN.n * 5
+        else:
+            assert len(native_calls) == fail_at
+            assert native == ("DataError", "the drift left the finite range in "
+                              f"observation interval {(fail_at - 1) // 5}: too big")
+
+    def test_run_mc_with_worker_threads_matches_serial(self):
+        config = _custom_model(lambda x, th: th * (1.0 - x) - x ** 3, sigma=0.5)
+        cfg = rs.McConfig(model=config, theta0=2.0, plan=_PLAN,
+                          sim=rs.SimOptions(substeps=5, seed=21), replications=12,
+                          n_values=(20, 40))
+
+        def estimates(workers):
+            run = rs.run_mc(cfg, workers=workers)
+            return [run.estimates[n].tobytes() for n in cfg.n_values], run.failures
+
+        serial = estimates(1)
+        assert estimates(2) == serial
+        # more threads than cores, switching as often as the interpreter can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert estimates(4) == serial
+        finally:
+            sys.setswitchinterval(interval)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_native, "load", lambda: None)
+            assert estimates(1) == serial
+
+    def test_interrupt_in_the_drift_propagates(self):
+        def f(x, th):
+            raise KeyboardInterrupt
+
+        for backend in ("native", "python"):
+            with pytest.MonkeyPatch.context() as mp:
+                if backend == "python":
+                    mp.setattr(_native, "load", lambda: None)
+                with pytest.raises(KeyboardInterrupt):
+                    _unvalidated_path(_custom_model(f), 1.0, rs.SimOptions(seed=1))
 
 
 class TestBackend:
@@ -249,3 +394,25 @@ class TestBuild:
         assert path == lib
         assert len(loaded) == len(whole)
         assert _native._intact(lib)
+
+    def test_build_removes_stale_libraries(self, fresh_loader, monkeypatch, tmp_path):
+        if _native.find_compiler() is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = _native.cache_dir()
+        cache.mkdir(parents=True)
+        for name in ("stepper-0123456789abcdef.so", "stepper-fedcba9876543210.so"):
+            (cache / name).write_bytes(b"a library of another source")
+        # a directory cannot be unlinked; a build in progress and other
+        # files do not match stepper-*.so
+        kept = {"stepper-dir.so", ".stepper-abc.so", "notes.txt"}
+        (cache / "stepper-dir.so").mkdir()
+        (cache / ".stepper-abc.so").write_bytes(b"")
+        (cache / "notes.txt").write_text("")
+        assert _native.load() is not None
+        assert {p.name for p in cache.iterdir()} == kept | {_native.library_name()}
+        # loading a cached library removes nothing
+        _native._load.cache_clear()
+        (cache / "stepper-0123456789abcdef.so").write_bytes(b"")
+        assert _native.load() is not None
+        assert (cache / "stepper-0123456789abcdef.so").exists()

@@ -647,7 +647,7 @@ class TestCompiledCsvReader:
         rows = data.draw(st.lists(st.lists(_field_texts(), min_size=ncol, max_size=ncol),
                                   min_size=1, max_size=5))
         lines = [",".join(row) + "\n" for row in rows]
-        fast = simulate._read_rows(lines, ncol)
+        fast = simulate._read_rows("".join(lines), ncol)
         if fast is not None:
             assert fast.tobytes() == _loadtxt(lines).tobytes()
 
@@ -660,7 +660,7 @@ class TestCompiledCsvReader:
         buf = io.StringIO()
         simulate.write_csv(buf, "a,b,c", values, values[::-1], np.negative(values))
         lines = buf.getvalue().splitlines(keepends=True)[1:]
-        fast = simulate._read_rows(lines, 3)
+        fast = simulate._read_rows("".join(lines), 3)
         if all(v == 0.0 or abs(v) >= sys.float_info.min for v in values):
             assert fast is not None
         if fast is not None:
@@ -670,7 +670,7 @@ class TestCompiledCsvReader:
         lines = ["-0,0.5,5.,.5,+7,1E-3\n",
                  "1.7976931348623157e308,2.2250738585072014e-308,-1e-307,"
                  "9007199254740993,0.1000000000000000055511151231257827,123456789e-20\n"]
-        fast = simulate._read_rows(lines, 6)
+        fast = simulate._read_rows("".join(lines), 6)
         assert fast is not None
         assert fast.tobytes() == _loadtxt(lines).tobytes()
         assert math.copysign(1.0, fast[0, 0]) == -1.0
@@ -689,10 +689,9 @@ class TestCompiledCsvReader:
         ["0,1,2\n", "1,2\n"],
         ["0,1\n", "1\n"],
         ["0,.\n"], ["0,-\n"], ["0,1e\n"], ["0,1e+\n"], ["0,0x10\n"], ["0,1_0\n"],
-        ["0,1\n2,3\n"],
     ), ids=repr)
     def test_hands_back_all_else(self, lines):
-        assert simulate._read_rows(lines, 2) is None
+        assert simulate._read_rows("".join(lines), 2) is None
 
     def test_decimal_comma_locale_hands_back(self):
         # under a locale whose decimal point is ',' strtod ends "0.5" early
@@ -707,7 +706,7 @@ class TestCompiledCsvReader:
             "        pass\n"
             "else:\n"
             "    sys.exit(3)\n"
-            "print(simulate._read_rows(['0,0.5\\n', '1,2\\n'], 2))\n"
+            "print(simulate._read_rows('0,0.5\\n1,2\\n', 2))\n"
         )
         src = str(Path(rs.__file__).resolve().parent.parent)
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -718,10 +717,12 @@ class TestCompiledCsvReader:
         assert done.stdout == "None\n"
 
 
-def _outcome_of_reading(text):
-    """The arrays read from ``text``, or the exception raised."""
+def _outcome_of_reading(text, src=None):
+    """The arrays read from ``text`` (or from ``src``, a file name or handle
+    holding it), or the exception raised."""
     try:
-        path = rs.read_path_csv(io.StringIO(text), rs.BarrierConfig.one_sided_lower(0.0))
+        path = rs.read_path_csv(io.StringIO(text) if src is None else src,
+                                rs.BarrierConfig.one_sided_lower(0.0))
     except Exception as exc:
         return type(exc).__name__, str(exc)
     return [arr.tobytes() for arr in (path.times, path.x, path.l, path.r)] + [path.h]
@@ -731,7 +732,7 @@ class TestCsvHandBack:
     """Text the compiled reader gives back reads, or fails, exactly as it
     does on ``np.loadtxt`` alone."""
 
-    @pytest.mark.parametrize("text", (
+    _TEXTS = (
         "t,x,l\n# a comment\n0,1,0\n0.01,1,0\n",
         "t,x,l\n0,1,0 # trailing\n0.01,1,0\n",
         "t,x,l\n0,1,0\n\n0.01,1,0\n\n",
@@ -746,12 +747,35 @@ class TestCsvHandBack:
         "t,x,l\n# only a comment\n",
         "t,x,l\n0,1\n0.01,1\n",
         "t,x,l\n0,1,0,5\n0.01,1,0\n",
-    ), ids=repr)
+    )
+
+    @pytest.mark.parametrize("text", _TEXTS, ids=repr)
     def test_same_as_loadtxt(self, text):
         compiled = _outcome_of_reading(text)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_native, "load", lambda: None)
             assert _outcome_of_reading(text) == compiled
+
+    # str.splitlines would also split at \x0c, \x1c and \u2028, which end no
+    # line of a file opened in text mode
+    @pytest.mark.parametrize("text", _TEXTS + (
+        "t,x,l\n# a\x0cb\x1cc\u2028d\n0,1,0\n0.01,1,0\n",
+        "t,x,l\n0,1,0\x0c\n0.01,1,0\n",
+        "t,x,l\r0,1,0\r0.01,1,0\r",
+        "t,x,l\n0,1,0\r\n0.01,1,0\r",
+    ), ids=repr)
+    @pytest.mark.parametrize("backend", ("compiled", "loadtxt"))
+    def test_file_by_name_reads_as_its_handle(self, text, backend, tmp_path):
+        # a file given by name is read whole; an open handle line by line
+        src = tmp_path / "path.csv"
+        src.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            if backend == "loadtxt":
+                mp.setattr(_native, "load", lambda: None)
+            with open(src, encoding="utf-8") as fh:
+                expected = _outcome_of_reading(text, fh)
+            assert _outcome_of_reading(text, src) == expected
+            assert _outcome_of_reading(text, str(src)) == expected
 
     def test_written_path_skips_loadtxt(self, monkeypatch):
         if _native.load() is None:
