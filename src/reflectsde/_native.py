@@ -10,8 +10,10 @@ with the sha256 of its own bytes, so a truncated or damaged file is rebuilt
 rather than loaded.  Without a compiler, or when the build fails,
 :func:`load` returns None and warns once per process; simulation then runs
 on the Python stepper and path CSVs are read by ``np.loadtxt``, which give
-the same bits.  Building a library removes the other ``stepper-*.so`` files
-of its cache directory, which older sources or flags left there.
+the same bits.  Loading a cached library sets its mtime, and building one
+removes the other ``stepper-*.so`` files of its cache directory that no
+process has loaded for 30 days: older sources or flags left them there,
+while the library of another version in use stays.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import ctypes
 import functools
 import os
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -29,6 +32,8 @@ SOURCE = Path(__file__).with_name("_stepper.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _DIGEST_BYTES = 32
+# a build removes the cached libraries of other versions unused this long
+UNUSED_FOR_S = 30 * 24 * 3600
 _LOCK = threading.Lock()
 
 # the C type of the custom drift that reflect_path calls: double (*)(double)
@@ -84,14 +89,15 @@ def _build(compiler: str, dest: Path) -> None:
 
 
 def _prune(keep: Path) -> None:
-    """Remove the libraries beside ``keep`` that other sources or flags
-    built; one that cannot be removed stays."""
+    """Remove the libraries beside ``keep`` that no process has loaded for
+    ``UNUSED_FOR_S``: other sources or flags built them, and a library that
+    another version still loads is kept.  One that cannot be removed stays."""
     for old in keep.parent.glob("stepper-*.so"):
-        if old != keep:
-            try:
+        try:
+            if old != keep and time.time() - old.stat().st_mtime > UNUSED_FOR_S:
                 old.unlink()
-            except OSError:
-                pass
+        except OSError:
+            pass
 
 
 def _open(path: Path):
@@ -115,7 +121,13 @@ def _open(path: Path):
 def _load_from(compiler: str, directory: Path):
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / library_name()
-    if not (path.is_file() and _intact(path)):
+    if path.is_file() and _intact(path):
+        try:
+            # the time of the last load, which _prune reads
+            os.utime(path)
+        except OSError:
+            pass
+    else:
         _build(compiler, path)
         _prune(path)
     return _open(path)

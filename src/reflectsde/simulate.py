@@ -26,8 +26,11 @@ the same values and errors.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable
@@ -271,11 +274,60 @@ def _left_finite_range(k: int, exc: ArithmeticError) -> DataError:
     return DataError(f"the drift left the finite range in observation interval {k}: {exc}")
 
 
-def _guarded(mu_of: Callable[[float], float]) -> tuple:
-    """``mu_of`` as the kernel's C callback, and the list that receives
-    ``(exception, calls before it)`` when it raises.  ctypes would print an
+# the exception keepers of the threads whose custom-drift kernel runs,
+# and the unraisable hook in place before the first of them started
+_keepers: dict[int, Callable[[BaseException], None]] = {}
+_keepers_lock = threading.Lock()
+_hook_before = sys.__unraisablehook__
+
+
+def _keep_dropped(unraisable) -> None:
+    """``sys.unraisablehook`` while custom-drift kernels run.  An exception
+    raised in a guard's callback before its ``try`` (a signal such as
+    Ctrl-C checked at the call's entry, or a RecursionError there) reaches
+    ctypes, which would print and drop it; it goes to the keeper of the
+    thread instead, and anything else to the hook in place before."""
+    keep = _keepers.get(threading.get_ident())
+    if keep is not None and "ctypes callback" in (unraisable.err_msg or ""):
+        keep(unraisable.exc_value)
+    else:
+        _hook_before(unraisable)
+
+
+@contextlib.contextmanager
+def _keeping_dropped(keep: Callable[[BaseException], None]):
+    """Hand ``keep`` what ctypes drops from this thread's callbacks."""
+    global _hook_before
+    tid = threading.get_ident()
+    with _keepers_lock:
+        if not _keepers and sys.unraisablehook is not _keep_dropped:
+            _hook_before, sys.unraisablehook = sys.unraisablehook, _keep_dropped
+        outer = _keepers.get(tid)
+        _keepers[tid] = keep
+    try:
+        yield
+    finally:
+        with _keepers_lock:
+            if outer is None:
+                del _keepers[tid]
+            else:
+                _keepers[tid] = outer
+            if not _keepers and sys.unraisablehook is _keep_dropped:
+                sys.unraisablehook = _hook_before
+
+
+def _native_custom_path(
+    lib, mu_of: Callable[[float], float], x0: float, z: np.ndarray, us: np.ndarray,
+    n: int, m: int, a: float, b: float, hf: float, sig2hf: float, exact_min: bool,
+    fine: np.ndarray | None = None,
+) -> tuple:
+    """Integrate a whole path with the compiled kernel calling ``mu_of``,
+    and raise what the Python stepper raises.  ctypes would print an
     exception and go on with 0.0, so the callback answers it with nan and
-    calls ``mu_of`` no more; the caller raises it once the kernel returns."""
+    calls ``mu_of`` no more; the exception is raised once the kernel
+    returns.  One raised before the callback's ``try`` comes through
+    :func:`_keep_dropped`; should one still go missing, the count of
+    calls shows it."""
     caught = []
     calls = 0
 
@@ -285,13 +337,25 @@ def _guarded(mu_of: Callable[[float], float]) -> tuple:
             return math.nan
         try:
             mu = mu_of(x)
-        except BaseException as exc:  # re-raised by the caller
+        except BaseException as exc:  # re-raised below
             caught.append((exc, calls))
             return math.nan
         calls += 1
         return mu
 
-    return _native.DRIFT(call), caught
+    with _keeping_dropped(lambda exc: caught.append((exc, calls))):
+        trace = _native_path(lib, (_K_CALLBACK, 0.0, 0.0), x0, z, us, n, m, a, b, hf,
+                             sig2hf, exact_min, None, fine, _native.DRIFT(call))
+    if caught:
+        exc, before = caught[0]
+        # the Python stepper calls the drift once per fine step
+        if isinstance(exc, (OverflowError, ZeroDivisionError)):
+            raise _left_finite_range(before // m, exc) from exc
+        raise exc
+    if calls != n * m:
+        raise RuntimeError(f"the drift answered {calls} of {n * m} fine steps; ctypes "
+                           "dropped an exception from its callback")
+    return trace
 
 
 def _native_path(
@@ -336,27 +400,19 @@ def _integrate(
     ``drift`` comes from :func:`_drift_of_state`, or is the kernel's shifted
     drift ``(_K_SHIFTED, theta, 0.0)`` with ``shift`` holding the n * m
     values added at each fine step.  Every drift runs on the compiled
-    kernel when it loads, a custom one through :func:`_guarded`, which
-    raises what the Python stepper raises.  Without the kernel, or for a
-    path it gives back, the path runs interval by interval on
+    kernel when it loads, a custom one through :func:`_native_custom_path`,
+    which raises what the Python stepper raises.  Without the kernel, or
+    for a path it gives back, the path runs interval by interval on
     :func:`_reflect_interval`.  ``fine``, an array of n * m, receives every
     fine-step left endpoint.
     """
     lib = _native.load()
     if lib is not None:
         if callable(drift):
-            callback, caught = _guarded(drift)
-            trace = _native_path(lib, (_K_CALLBACK, 0.0, 0.0), x0, z, us, n, m, a, b,
-                                 hf, sig2hf, exact_min, shift, fine, callback)
-            if caught:
-                (exc, calls), = caught
-                # the Python stepper calls the drift once per fine step
-                if isinstance(exc, (OverflowError, ZeroDivisionError)):
-                    raise _left_finite_range(calls // m, exc) from exc
-                raise exc
-        else:
-            trace = _native_path(lib, drift, x0, z, us, n, m, a, b, hf, sig2hf,
-                                 exact_min, shift, fine)
+            return _native_custom_path(lib, drift, x0, z, us, n, m, a, b, hf, sig2hf,
+                                       exact_min, fine)
+        trace = _native_path(lib, drift, x0, z, us, n, m, a, b, hf, sig2hf, exact_min,
+                             shift, fine)
         if trace is not None:
             return trace
     if not callable(drift):

@@ -1,8 +1,10 @@
 """The compiled fine-step kernel: bit-for-bit parity with the Python
 stepper, the build cache, and the fallback when no compiler is found."""
 
+import contextlib
 import importlib.resources
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -233,6 +235,7 @@ class TestCustomDriftCallback:
             run = rs.run_mc(cfg, workers=workers)
             return [run.estimates[n].tobytes() for n in cfg.n_values], run.failures
 
+        hook = sys.unraisablehook
         serial = estimates(1)
         assert estimates(2) == serial
         # more threads than cores, switching as often as the interpreter can
@@ -242,6 +245,7 @@ class TestCustomDriftCallback:
             assert estimates(4) == serial
         finally:
             sys.setswitchinterval(interval)
+        assert sys.unraisablehook is hook
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_native, "load", lambda: None)
             assert estimates(1) == serial
@@ -256,6 +260,57 @@ class TestCustomDriftCallback:
                     mp.setattr(_native, "load", lambda: None)
                 with pytest.raises(KeyboardInterrupt):
                     _unvalidated_path(_custom_model(f), 1.0, rs.SimOptions(seed=1))
+
+    @staticmethod
+    def _raise_on_entry(monkeypatch, exc_type, at_call):
+        """Make the kernel's callback raise ``exc_type`` once, at call
+        ``at_call``, before the guard's ``try``: where a signal (Ctrl-C) or
+        a RecursionError strikes at the entry of the call."""
+        real_drift = _native.DRIFT
+        calls = []
+
+        def drift(call):
+            def entry(x):
+                calls.append(x)
+                if len(calls) == at_call:
+                    raise exc_type
+                return call(x)
+            return real_drift(entry)
+
+        monkeypatch.setattr(_native, "DRIFT", drift)
+
+    @pytest.mark.parametrize("exc_type", (KeyboardInterrupt, RecursionError))
+    def test_exception_before_the_guard_is_raised(self, monkeypatch, exc_type):
+        # ctypes would print and drop it, and the kernel would go on with a
+        # wrong drift for one fine step
+        records, dropped = [], []
+
+        def f(x, th):
+            records.append(x)
+            return th * (1.0 - x)
+
+        def hook(unraisable):
+            dropped.append(unraisable)
+
+        self._raise_on_entry(monkeypatch, exc_type, at_call=58)
+        monkeypatch.setattr(sys, "unraisablehook", hook)
+        with pytest.raises(exc_type):
+            _unvalidated_path(_custom_model(f), 2.0, rs.SimOptions(substeps=5, seed=9))
+        assert len(records) == 57  # the drift is called no more
+        assert dropped == []
+        assert sys.unraisablehook is hook
+
+    def test_exception_dropped_by_ctypes_is_not_missed(self, monkeypatch):
+        # with the exception past the keeper too, the count of calls shows it
+        dropped = []
+        self._raise_on_entry(monkeypatch, KeyboardInterrupt, at_call=58)
+        monkeypatch.setattr(simulate, "_keeping_dropped",
+                            lambda keep: contextlib.nullcontext())
+        monkeypatch.setattr(sys, "unraisablehook", dropped.append)
+        config = _custom_model(lambda x, th: th * (1.0 - x))
+        with pytest.raises(RuntimeError, match="the drift answered 199 of 200 fine steps"):
+            _unvalidated_path(config, 2.0, rs.SimOptions(substeps=5, seed=9))
+        assert [u.exc_type for u in dropped] == [KeyboardInterrupt]
 
 
 class TestBackend:
@@ -401,18 +456,28 @@ class TestBuild:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         cache = _native.cache_dir()
         cache.mkdir(parents=True)
+        long_ago = time.time() - _native.UNUSED_FOR_S - 3600
         for name in ("stepper-0123456789abcdef.so", "stepper-fedcba9876543210.so"):
             (cache / name).write_bytes(b"a library of another source")
-        # a directory cannot be unlinked; a build in progress and other
-        # files do not match stepper-*.so
-        kept = {"stepper-dir.so", ".stepper-abc.so", "notes.txt"}
+            os.utime(cache / name, (long_ago, long_ago))
+        # a library loaded lately may belong to another version in use; a
+        # directory cannot be unlinked; a build in progress and other files
+        # do not match stepper-*.so
+        kept = {"stepper-0000000000000000.so", "stepper-dir.so", ".stepper-abc.so",
+                "notes.txt"}
+        (cache / "stepper-0000000000000000.so").write_bytes(b"")
         (cache / "stepper-dir.so").mkdir()
+        os.utime(cache / "stepper-dir.so", (long_ago, long_ago))
         (cache / ".stepper-abc.so").write_bytes(b"")
         (cache / "notes.txt").write_text("")
         assert _native.load() is not None
         assert {p.name for p in cache.iterdir()} == kept | {_native.library_name()}
-        # loading a cached library removes nothing
+        # loading a cached library removes nothing, and marks it as loaded
         _native._load.cache_clear()
+        lib = cache / _native.library_name()
+        os.utime(lib, (long_ago, long_ago))
         (cache / "stepper-0123456789abcdef.so").write_bytes(b"")
+        os.utime(cache / "stepper-0123456789abcdef.so", (long_ago, long_ago))
         assert _native.load() is not None
         assert (cache / "stepper-0123456789abcdef.so").exists()
+        assert time.time() - lib.stat().st_mtime < 3600

@@ -693,6 +693,13 @@ class TestCompiledCsvReader:
     def test_hands_back_all_else(self, lines):
         assert simulate._read_rows("".join(lines), 2) is None
 
+    def test_rows_are_bounded_by_newlines(self):
+        # the reader writes at most one row per "\n", so a last line that
+        # no "\n" ends hands the text back; this replaces the case of a
+        # list element holding two rows, since the reader takes one text
+        assert simulate._read_rows("0,1\n1,2", 2) is None
+        assert simulate._read_rows("0,1\n1,2\n", 2).tolist() == [[0.0, 1.0], [1.0, 2.0]]
+
     def test_decimal_comma_locale_hands_back(self):
         # under a locale whose decimal point is ',' strtod ends "0.5" early
         code = (
