@@ -1,5 +1,7 @@
 """Build, cache and load the compiled library ``_stepper.c``: the
-fine-step kernel ``reflect_path`` and the CSV row reader ``read_rows``.
+fine-step kernel ``reflect_path`` and the CSV row reader ``read_rows``,
+which converts a field of up to 19 significant digits by the Eisel-Lemire
+algorithm and any other by ``strtod``, to the bits of ``np.loadtxt``.
 
 The library is compiled on first use, never at import, with the C compiler
 on ``PATH`` and cached as

@@ -546,15 +546,19 @@ def _read_rows(text: str, ncol: int) -> np.ndarray | None:
     """The rows of ``text`` parsed by the compiled ``read_rows``, or None
     where it gives them back (anything but rows as :func:`write_csv` writes
     them) or is not built, so that the caller reads them with
-    ``np.loadtxt``."""
+    ``np.loadtxt``.  ``read_rows`` converts a field of up to 19 significant
+    digits by the Eisel-Lemire algorithm and any other by ``strtod``; both
+    give the bits of ``np.loadtxt``."""
     lib = _native.load()
     if lib is None or not text.isascii():
         return None
     raw = text.encode("ascii")
-    # read_rows accepts only rows that each end with "\n"
-    rows = text.count("\n")
-    data = np.empty((rows, ncol))
-    return data if lib.read_rows(raw, len(raw), ncol, data.ctypes.data, rows) == rows else None
+    # a row takes at least two bytes a field, a digit and "," or "\n"
+    data = np.empty((len(raw) // (2 * ncol), ncol))
+    rows = lib.read_rows(raw, len(raw), ncol, data.ctypes.data, len(data))
+    # a copy frees the unused rows, which a slice would hold for the life of
+    # the path
+    return None if rows < 0 else data[:rows].copy()
 
 
 def _read_csv(

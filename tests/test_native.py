@@ -1,10 +1,12 @@
 """The compiled fine-step kernel: bit-for-bit parity with the Python
-stepper, the build cache, and the fallback when no compiler is found."""
+stepper, the build cache, and the fallback when no compiler is found; and
+the Eisel-Lemire conversion of the compiled CSV reader."""
 
 import contextlib
 import importlib.resources
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -481,3 +483,104 @@ class TestBuild:
         assert _native.load() is not None
         assert (cache / "stepper-0123456789abcdef.so").exists()
         assert time.time() - lib.stat().st_mtime < 3600
+
+
+def _pow10_128(q):
+    """10^q scaled by a power of two to [2^127, 2^128) and truncated."""
+    if q >= 0:
+        n = 5**q
+        shift = 128 - n.bit_length()
+        return n << shift if shift >= 0 else n >> -shift
+    d = 5**-q
+    return (1 << (127 + d.bit_length())) // d
+
+
+# Each is read alone and compared bit for bit with np.loadtxt.  The integer
+# halfway points that round down to the even neighbour and
+# "3.237915274644869e16" fail without the halfway guard of eisel_lemire;
+# "4503599627370497.5", the two 19-digit fractions and the two roundings of
+# a halfway point fail without its second product.
+_FIELDS = (
+    # exact halfway points between adjacent doubles, each pair rounding down
+    # to the even neighbour and then up
+    "10000000000000001", "10000000000000003",
+    "4503599627370496.5", "4503599627370497.5",
+    "100000000000000008", "100000000000000024",
+    "1000000000000000064", "1000000000000000192",
+    "2190180552635696.375", "786618438015134.6875",
+    "4503599627370496.500000000000000000000000",
+    "1000000000000000064.000000000000000000000",
+    "3.237915274644869e16",
+    # halfway points rounded to 19 significant digits
+    "1.239791724290477410e8", "3.638827496688786356",
+    # q at both ends of the table and one step beyond each
+    "1e-40", "1e-41", "1e10", "1e11",
+    "1.2345678901234567e-24", "1.2345678901234567e-25",
+    "1.2345678901234567e26", "1.2345678901234567e27",
+    # 19 against 20 significant digits; 2^64 + 1 wraps to 1 in 64 bits
+    "1234567890123456789", "12345678901234567891",
+    "9999999999999999999", "18446744073709551615", "18446744073709551617",
+    "0.1234567890123456789", "0.12345678901234567891",
+    # long runs of leading and trailing zeros
+    "0.000000000000000000000000000000000000001", "0000000000000000000000000001.5",
+    "1.5000000000000000000000000000", "100000000000000000000000000000",
+    "-0", "0e5", "-0.000e-99999999999", "0e99999999999",
+    # an exponent past the point where the scan stops counting it: with the
+    # 10^5 fraction digits the scan would see 10^0
+    "0." + "0" * 99999 + "1e1000000",
+    # the largest and smallest normal doubles
+    "1.7976931348623157e308", "-2.2250738585072014e-308",
+)
+
+
+def _loadtxt_field(field):
+    return np.loadtxt([field + "\n"], delimiter=",", ndmin=2)
+
+
+class TestCsvFieldConversion:
+    """The Eisel-Lemire conversion in ``read_rows`` and its ``strtod``
+    fallback, against exact integers and ``np.loadtxt``."""
+
+    def test_power_table_is_exact(self):
+        source = _native.SOURCE.read_text()
+        q_min, q_max = map(int, re.search(
+            r"enum \{ Q_MIN = (-?\d+), Q_MAX = (-?\d+) \};", source).groups())
+        table = source[source.index("POW10[][2] = {"):]
+        table = table[:table.index("};")]
+        pairs = re.findall(r"\{0x([0-9a-f]{16}), 0x([0-9a-f]{16})\}", table)
+        assert [(int(hi, 16) << 64) | int(lo, 16) for hi, lo in pairs] == [
+            _pow10_128(q) for q in range(q_min, q_max + 1)]
+
+    @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f[:45])
+    def test_field_reads_as_loadtxt(self, field):
+        if _native.load() is None:
+            pytest.skip("no compiled library")
+        fast = simulate._read_rows(field + "\n", 1)
+        expected = _loadtxt_field(field)
+        value = abs(expected[0, 0])
+        # every finite normal value or zero is read here; an overflow is
+        # handed back
+        assert (fast is not None) == (math.isfinite(value)
+                                      and (value == 0.0 or value >= sys.float_info.min))
+        if fast is not None:
+            assert fast.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("extra", ((), ("-U__SIZEOF_INT128__",)),
+                             ids=("default", "without_int128"))
+    def test_source_compiles_without_warnings(self, extra, tmp_path):
+        # without __int128 the 128-bit products take four 32-bit ones
+        compiler = _native.find_compiler()
+        if compiler is None:
+            pytest.skip("no C compiler")
+        lib = tmp_path / "stepper.so"
+        done = subprocess.run(
+            [compiler, *_native.FLAGS, "-Wall", "-Wextra", "-Werror", *extra,
+             "-o", str(lib), str(_native.SOURCE), "-lm"],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        read_rows = _native._open(lib).read_rows
+        for field in _FIELDS:
+            raw = (field + "\n").encode()
+            out = np.empty((1, 1))
+            if read_rows(raw, len(raw), 1, out.ctypes.data, 1) == 1:
+                assert out.tobytes() == _loadtxt_field(field).tobytes(), field

@@ -701,9 +701,13 @@ class TestCompiledCsvReader:
         assert simulate._read_rows("0,1\n1,2\n", 2).tolist() == [[0.0, 1.0], [1.0, 2.0]]
 
     def test_decimal_comma_locale_hands_back(self):
-        # under a locale whose decimal point is ',' strtod ends "0.5" early
+        # under a locale whose decimal point is ',' strtod ends "0.5" early;
+        # the Eisel-Lemire path reads such a field whatever the locale, so a
+        # text either reads as np.loadtxt or is handed back, and a field of
+        # 20 significant digits, which goes to strtod, is handed back
         code = (
             "import locale, sys\n"
+            "import numpy as np\n"
             "from reflectsde import simulate\n"
             "for name in ('de_DE.UTF-8', 'de_DE.utf8', 'fr_FR.UTF-8', 'fr_FR.utf8'):\n"
             "    try:\n"
@@ -713,7 +717,11 @@ class TestCompiledCsvReader:
             "        pass\n"
             "else:\n"
             "    sys.exit(3)\n"
-            "print(simulate._read_rows('0,0.5\\n1,2\\n', 2))\n"
+            "lines = ['0,0.5\\n', '1,2\\n']\n"
+            "fast = simulate._read_rows(''.join(lines), 2)\n"
+            "expected = np.loadtxt(lines, delimiter=',', ndmin=2)\n"
+            "print(fast is None or fast.tobytes() == expected.tobytes())\n"
+            "print(simulate._read_rows('0,0.12345678901234567891\\n', 2))\n"
         )
         src = str(Path(rs.__file__).resolve().parent.parent)
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -721,7 +729,7 @@ class TestCompiledCsvReader:
         if done.returncode == 3:
             pytest.skip("no locale with a decimal comma installed")
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "None\n"
+        assert done.stdout == "True\nNone\n"
 
 
 def _outcome_of_reading(text, src=None):
