@@ -2,6 +2,12 @@
 fine-step kernel ``reflect_path`` and the CSV row reader ``read_rows``,
 which converts a field of up to 19 significant digits by the Eisel-Lemire
 algorithm and any other by ``strtod``, to the bits of ``np.loadtxt``.
+``reflect_path`` calls a custom drift through five functions of CPython's
+stable ABI (``PyFloat_FromDouble``, ``PyFloat_AsDouble``,
+``PyObject_CallFunctionObjArgs``, ``PyErr_Occurred``, ``Py_DecRef``),
+which the library declares itself and resolves from the interpreter that
+loads it: the build needs no Python headers, and the cached library
+does not depend on the Python version.
 
 The library is compiled on first use, never at import, with the C compiler
 on ``PATH`` and cached as
@@ -9,8 +15,9 @@ on ``PATH`` and cached as
 digest is the sha256 of the source and the flags.  A cache directory that
 cannot be written gives way to a temporary one.  Each cached library ends
 with the sha256 of its own bytes, so a truncated or damaged file is rebuilt
-rather than loaded.  Without a compiler, or when the build fails,
-:func:`load` returns None and warns once per process; simulation then runs
+rather than loaded.  Without a compiler, when the build fails, or where the
+loading interpreter does not export those five functions, :func:`load`
+returns None and warns once per process; simulation then runs
 on the Python stepper and path CSVs are read by ``np.loadtxt``, which give
 the same bits.  Loading a cached library sets its mtime, and building one
 removes the other ``stepper-*.so`` files of its cache directory that no
@@ -37,9 +44,6 @@ _DIGEST_BYTES = 32
 # a build removes the cached libraries of other versions unused this long
 UNUSED_FOR_S = 30 * 24 * 3600
 _LOCK = threading.Lock()
-
-# the C type of the custom drift that reflect_path calls: double (*)(double)
-DRIFT = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double)
 
 
 def find_compiler() -> str | None:
@@ -105,13 +109,17 @@ def _prune(keep: Path) -> None:
 def _open(path: Path):
     """The library, with the C signatures of ``reflect_path`` and
     ``read_rows``, and ``reflect_path_with_gil``: ``reflect_path`` called
-    without releasing the GIL, for a custom drift, whose callback would
-    otherwise take the GIL back at every fine step."""
+    with the GIL held, for a custom drift, which the kernel calls through
+    the Python C API; ctypes raises what the drift raised once it returns.
+    Raises OSError where the loading interpreter does not provide the five
+    C API functions the library names."""
     lib = ctypes.CDLL(str(path))
     dbl, ptr, long_ = ctypes.c_double, ctypes.c_void_p, ctypes.c_long
-    # the last argument is the custom drift, a DRIFT, or None for the others
+    # the last two arguments are the custom drift (None for the others) and
+    # where the kernel stores the fine step at which it raised
     args = [ctypes.c_int, dbl, dbl, ptr, dbl, ptr, ptr, long_, long_, dbl, dbl, dbl,
-            dbl, ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+            dbl, ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.py_object,
+            ctypes.POINTER(long_)]
     lib.reflect_path.argtypes = args
     lib.reflect_path.restype = long_
     lib.reflect_path_with_gil = ctypes.PYFUNCTYPE(long_, *args)(("reflect_path", lib))
@@ -156,8 +164,8 @@ def _load():
             reason = f"building with {compiler} failed: {exc}"
     warnings.warn(f"reflectsde: {reason}; paths run on the Python stepper "
                   "(the same paths, about eight times slower for the built-in "
-                  "drifts and half as fast for custom ones) and path CSVs are "
-                  "read by np.loadtxt", RuntimeWarning, stacklevel=2)
+                  "drifts and three times slower for custom ones) and path CSVs "
+                  "are read by np.loadtxt", RuntimeWarning, stacklevel=2)
     return None
 
 

@@ -16,21 +16,35 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* The five functions of CPython's stable ABI that call a custom drift,
+ * declared here rather than through Python.h so that the build needs no
+ * Python headers and the library depends on no Python version: they
+ * resolve from the interpreter that loads the library. */
+typedef struct _object PyObject;
+PyObject *PyFloat_FromDouble(double v);
+double PyFloat_AsDouble(PyObject *o);
+PyObject *PyObject_CallFunctionObjArgs(PyObject *callable, ...);
+PyObject *PyErr_Occurred(void);
+void Py_DecRef(PyObject *o);
+
 enum { POWER, MEAN_REVERSION, CONSTANT, SHIFTED, CALLBACK };
 
 /* Integrate n observation intervals of m fine steps from x.  The drift is
  * (-theta) * x**gamma, theta * (1 - x), theta, shift[i] + theta at fine
- * step i, or drift(x), called once per fine step in order (drift is NULL
- * for the other kinds).  xs, ls, rs receive n + 1 observations, hit_lo and hit_up n
- * flags, and fine (when not NULL) the left endpoint of every fine step.
- * Returns -1, or the fine step where x ** gamma would make CPython turn
- * complex or raise: pow gives nan (a negative x) or inf from a finite x. */
+ * step i, or the Python callable drift(x), called once per fine step in
+ * order with the GIL held (drift is unused for the other kinds).  xs, ls,
+ * rs receive n + 1 observations, hit_lo and hit_up n flags, and fine (when
+ * not NULL) the left endpoint of every fine step.  Returns -1, or the fine
+ * step where x ** gamma would make CPython turn complex or raise: pow
+ * gives nan (a negative x) or inf from a finite x.  Where the drift raises,
+ * *stop receives the fine step and the exception stays set for the caller. */
 long reflect_path(int kind, double theta, double gamma, const double *shift,
                   double x, const double *z, const double *u, long n, long m,
                   double a, double b, double hf, double sig2hf, int exact_min,
                   double *xs, double *ls, double *rs, unsigned char *hit_lo,
-                  unsigned char *hit_up, double *fine, double (*drift)(double))
+                  unsigned char *hit_up, double *fine, PyObject *drift, long *stop)
 {
+    PyObject *arg, *res;
     double cl = 0.0, cr = 0.0, mu, s, dl;
     xs[0] = x;
     ls[0] = rs[0] = 0.0;
@@ -55,7 +69,15 @@ long reflect_path(int kind, double theta, double gamma, const double *shift,
             } else if (kind == SHIFTED) {
                 mu = shift[i] + theta;
             } else {
-                mu = drift(x);
+                arg = PyFloat_FromDouble(x);
+                res = arg ? PyObject_CallFunctionObjArgs(drift, arg, (PyObject *)NULL) : NULL;
+                Py_DecRef(arg);
+                mu = res ? PyFloat_AsDouble(res) : -1.0;
+                Py_DecRef(res);
+                if (mu == -1.0 && PyErr_Occurred()) {
+                    *stop = i;
+                    return i;
+                }
             }
             s = mu * hf + z[i];
             if (exact_min)

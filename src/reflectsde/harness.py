@@ -20,21 +20,25 @@ from scipy import stats as _scistats
 from . import rng
 from .errors import DataError, ModelError
 from .estimate import EstimateResult, _point_estimate, estimate_two_factor
-from .model import ModelConfig, SamplingPlan, _require_in_domain
+from .model import ModelConfig, SamplingPlan, _is_integral, _require_in_domain
 from .simulate import SamplePath, SimOptions, simulate_path, simulate_two_factor
 from .stationary import information
 
 _FAILURE_FRACTION = 0.01
 
 
-def _check_sweep(replications: int, n_values: Sequence[int]) -> tuple[int, ...]:
-    """Validate a sweep's replication count and n values; returns the n
-    values as a tuple of ints."""
-    if replications < 2:
-        raise ModelError("replications must be >= 2")
-    if not n_values:
+def _check_sweep(cfg: McConfig | TwoFactorMcConfig) -> None:
+    """Validate a sweep's replication count and n values, and store them as
+    ints: 50.0 is n=50, and 50.7, nan or "50" is refused."""
+    if not _is_integral(cfg.replications) or cfg.replications < 2:
+        raise ModelError(f"replications must be an integer >= 2, got {cfg.replications!r}")
+    if not cfg.n_values:
         raise ModelError("n_values must be non-empty")
-    return tuple(int(n) for n in n_values)
+    for n in cfg.n_values:
+        if not _is_integral(n) or n < 2:
+            raise ModelError(f"n values must be integers >= 2, got {n!r}")
+    object.__setattr__(cfg, "replications", int(cfg.replications))
+    object.__setattr__(cfg, "n_values", tuple(int(n) for n in cfg.n_values))
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class McConfig:
 
     def __post_init__(self) -> None:
         _require_in_domain(self.theta0, self.model.theta_domain)
-        object.__setattr__(self, "n_values", _check_sweep(self.replications, self.n_values))
+        _check_sweep(self)
 
 
 @dataclass(frozen=True)
@@ -231,7 +235,7 @@ class TwoFactorMcConfig:
     n_values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_values", _check_sweep(self.replications, self.n_values))
+        _check_sweep(self)
 
 
 def run_mc_two_factor(

@@ -16,21 +16,20 @@ estimators consume.  Everything is deterministic given the stream seed.
 :func:`_integrate` picks the stepper for every path.  Every path runs on
 ``reflect_path`` in ``_stepper.c`` (see :mod:`._native`), the compiled twin
 of the Python loop :func:`_reflect_interval`, which gives the same bits: the
-built-in drifts and the two-factor system in C, a custom drift through a C
-callback into Python.  Without a C compiler, or where the kernel gives a
-path back, paths run on :func:`_reflect_interval`.  The same library reads
-the CSV rows
-:func:`write_csv` writes; any other text goes to ``np.loadtxt``, which gives
-the same values and errors.
+built-in drifts and the two-factor system in C with the GIL released, a
+custom drift called from C through the Python C API with the GIL held.
+What a custom drift raises stops the kernel and is raised as the Python
+stepper raises it.  Without a C compiler, or where the kernel gives a path
+back, paths run on :func:`_reflect_interval`.  The same library reads the
+CSV rows :func:`write_csv` writes; any other text goes to ``np.loadtxt``,
+which gives the same values and errors.
 """
 
 from __future__ import annotations
 
-import contextlib
+import ctypes
 import io
 import math
-import sys
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable
@@ -274,97 +273,32 @@ def _left_finite_range(k: int, exc: ArithmeticError) -> DataError:
     return DataError(f"the drift left the finite range in observation interval {k}: {exc}")
 
 
-# the exception keepers of the threads whose custom-drift kernel runs,
-# and the unraisable hook in place before the first of them started
-_keepers: dict[int, Callable[[BaseException], None]] = {}
-_keepers_lock = threading.Lock()
-_hook_before = sys.__unraisablehook__
-
-
-def _keep_dropped(unraisable) -> None:
-    """``sys.unraisablehook`` while custom-drift kernels run.  An exception
-    raised in a guard's callback before its ``try`` (a signal such as
-    Ctrl-C checked at the call's entry, or a RecursionError there) reaches
-    ctypes, which would print and drop it; it goes to the keeper of the
-    thread instead, and anything else to the hook in place before."""
-    keep = _keepers.get(threading.get_ident())
-    if keep is not None and "ctypes callback" in (unraisable.err_msg or ""):
-        keep(unraisable.exc_value)
-    else:
-        _hook_before(unraisable)
-
-
-@contextlib.contextmanager
-def _keeping_dropped(keep: Callable[[BaseException], None]):
-    """Hand ``keep`` what ctypes drops from this thread's callbacks."""
-    global _hook_before
-    tid = threading.get_ident()
-    with _keepers_lock:
-        if not _keepers and sys.unraisablehook is not _keep_dropped:
-            _hook_before, sys.unraisablehook = sys.unraisablehook, _keep_dropped
-        outer = _keepers.get(tid)
-        _keepers[tid] = keep
-    try:
-        yield
-    finally:
-        with _keepers_lock:
-            if outer is None:
-                del _keepers[tid]
-            else:
-                _keepers[tid] = outer
-            if not _keepers and sys.unraisablehook is _keep_dropped:
-                sys.unraisablehook = _hook_before
-
-
 def _native_custom_path(
     lib, mu_of: Callable[[float], float], x0: float, z: np.ndarray, us: np.ndarray,
     n: int, m: int, a: float, b: float, hf: float, sig2hf: float, exact_min: bool,
     fine: np.ndarray | None = None,
 ) -> tuple:
     """Integrate a whole path with the compiled kernel calling ``mu_of``,
-    and raise what the Python stepper raises.  ctypes would print an
-    exception and go on with 0.0, so the callback answers it with nan and
-    calls ``mu_of`` no more; the exception is raised once the kernel
-    returns.  One raised before the callback's ``try`` comes through
-    :func:`_keep_dropped`; should one still go missing, the count of
-    calls shows it."""
-    caught = []
-    calls = 0
-
-    def call(x: float) -> float:
-        nonlocal calls
-        if caught:
-            return math.nan
-        try:
-            mu = mu_of(x)
-        except BaseException as exc:  # re-raised below
-            caught.append((exc, calls))
-            return math.nan
-        calls += 1
-        return mu
-
-    with _keeping_dropped(lambda exc: caught.append((exc, calls))):
-        trace = _native_path(lib, (_K_CALLBACK, 0.0, 0.0), x0, z, us, n, m, a, b, hf,
-                             sig2hf, exact_min, None, fine, _native.DRIFT(call))
-    if caught:
-        exc, before = caught[0]
+    and raise what the Python stepper raises.  The kernel stops at the fine
+    step whose drift raised, and ctypes raises the exception on return."""
+    stop = ctypes.c_long()
+    try:
+        return _native_path(lib, (_K_CALLBACK, 0.0, 0.0), x0, z, us, n, m, a, b, hf,
+                            sig2hf, exact_min, None, fine, mu_of, stop)
+    except (OverflowError, ZeroDivisionError) as exc:
         # the Python stepper calls the drift once per fine step
-        if isinstance(exc, (OverflowError, ZeroDivisionError)):
-            raise _left_finite_range(before // m, exc) from exc
-        raise exc
-    if calls != n * m:
-        raise RuntimeError(f"the drift answered {calls} of {n * m} fine steps; ctypes "
-                           "dropped an exception from its callback")
-    return trace
+        raise _left_finite_range(stop.value // m, exc) from exc
 
 
 def _native_path(
     lib, drift: tuple[int, float, float], x0: float, z: np.ndarray, us: np.ndarray,
     n: int, m: int, a: float, b: float, hf: float, sig2hf: float, exact_min: bool,
-    shift: np.ndarray | None = None, fine: np.ndarray | None = None, callback=None,
+    shift: np.ndarray | None = None, fine: np.ndarray | None = None,
+    mu_of: Callable[[float], float] | None = None, stop: ctypes.c_long | None = None,
 ) -> tuple | None:
-    """Integrate a whole path with the compiled kernel; ``callback``, a
-    ``_native.DRIFT``, is the drift of ``_K_CALLBACK``.
+    """Integrate a whole path with the compiled kernel; ``mu_of`` is the
+    drift of ``_K_CALLBACK``, called with the GIL held, and ``stop``
+    receives the fine step where it raised.
 
     Returns ``(x, l, r, hit_lower, hit_upper)``, or None where ``x ** gamma``
     would raise or turn complex in Python, so the caller can rerun the
@@ -379,12 +313,12 @@ def _native_path(
     xs, ls, rs = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     hit_lo, hit_up = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     code, theta, gamma = drift
-    kernel = lib.reflect_path if callback is None else lib.reflect_path_with_gil
+    kernel = lib.reflect_path if mu_of is None else lib.reflect_path_with_gil
     status = kernel(
         code, theta, gamma, None if shift is None else shift.ctypes.data, x0,
         z.ctypes.data, us.ctypes.data, n, m, a, b, hf, sig2hf, exact_min,
         xs.ctypes.data, ls.ctypes.data, rs.ctypes.data, hit_lo.ctypes.data,
-        hit_up.ctypes.data, None if fine is None else fine.ctypes.data, callback,
+        hit_up.ctypes.data, None if fine is None else fine.ctypes.data, mu_of, stop,
     )
     return (xs, ls, rs, hit_lo, hit_up) if status < 0 else None
 
@@ -441,9 +375,9 @@ def _integrate(
 
 
 def integration_backend() -> str:
-    """``"native"`` when paths run on the compiled kernel (custom drifts
-    through a callback), ``"python"`` when they fall back to the Python
-    stepper."""
+    """``"native"`` when paths run on the compiled kernel (a custom drift
+    called from it through the Python C API), ``"python"`` when they fall
+    back to the Python stepper."""
     return "python" if _native.load() is None else "native"
 
 

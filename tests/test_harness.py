@@ -53,6 +53,14 @@ def small_mc_config(replications=6, n_values=(40,), sigma=0.2, seed=5):
     )
 
 
+def _golden_two_factor_config(**overrides):
+    fields = dict(y0=1.0, r0=0.5, theta1=1.0, theta2=1.0, sigma=0.1, a=0.0, b=3.0,
+                  plan=rs.SamplingPlan(n=200, h=0.01), sim=rs.SimOptions(seed=33),
+                  replications=6, n_values=(100, 200))
+    fields.update(overrides)
+    return rs.TwoFactorMcConfig(**fields)
+
+
 class TestRunMc:
     def test_noiseless_gives_zero_spread(self):
         # substeps=1 so the contrast's own discretization matches exactly
@@ -150,6 +158,28 @@ class TestRunMc:
             small_mc_config(replications=1)
         with pytest.raises(ModelError):
             small_mc_config(n_values=())
+
+    @pytest.mark.parametrize("make", (small_mc_config, _golden_two_factor_config),
+                             ids=("mc", "two_factor"))
+    @pytest.mark.parametrize("field, value", (
+        ("replications", 2.5), ("replications", float("nan")), ("replications", "6"),
+        ("n_values", (50.7,)), ("n_values", (float("nan"),)),
+        ("n_values", (float("inf"),)), ("n_values", (40, "50")), ("n_values", (1,)),
+    ), ids=str)
+    def test_non_integral_sweep_rejected(self, make, field, value):
+        # 50.7 ran as n=50, a fractional or nan count failed in range(), and
+        # a nan or infinite n failed in int()
+        message = ("replications must be an integer >= 2" if field == "replications"
+                   else "n values must be integers >= 2")
+        with pytest.raises(ModelError, match=message):
+            make(**{field: value})
+
+    @pytest.mark.parametrize("make", (small_mc_config, _golden_two_factor_config),
+                             ids=("mc", "two_factor"))
+    def test_integral_floats_are_taken_as_ints(self, make):
+        cfg = make(replications=6.0, n_values=(40.0,))
+        assert (cfg.replications, cfg.n_values) == (6, (40,))
+        assert type(cfg.replications) is int and type(cfg.n_values[0]) is int
 
     @pytest.mark.parametrize("theta0", (0.01, 10.0, -1.0, 50.0, float("nan"), float("inf")))
     def test_theta0_outside_the_open_domain_rejected(self, theta0):
@@ -292,14 +322,6 @@ def _golden_mc_config(kind):
     return rs.McConfig(model=model, theta0=2.0, plan=rs.SamplingPlan(n=100, h=0.1),
                        sim=rs.SimOptions(seed=32), replications=8,
                        n_values=(50, 100))
-
-
-def _golden_two_factor_config(**overrides):
-    fields = dict(y0=1.0, r0=0.5, theta1=1.0, theta2=1.0, sigma=0.1, a=0.0, b=3.0,
-                  plan=rs.SamplingPlan(n=200, h=0.01), sim=rs.SimOptions(seed=33),
-                  replications=6, n_values=(100, 200))
-    fields.update(overrides)
-    return rs.TwoFactorMcConfig(**fields)
 
 
 # Recorded on the replication loops as they stood before run_mc and

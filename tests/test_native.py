@@ -2,11 +2,12 @@
 stepper, the build cache, and the fallback when no compiler is found; and
 the Eisel-Lemire conversion of the compiled CSV reader."""
 
-import contextlib
+import gc
 import importlib.resources
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -139,8 +140,9 @@ def _unvalidated_path(config, theta, opts, plan=_PLAN):
 
 
 class TestCustomDriftCallback:
-    """A custom drift runs on the compiled kernel through a C callback, with
-    the bits, calls and exceptions of the Python stepper."""
+    """A custom drift runs on the compiled kernel, which calls it through the
+    Python C API, with the bits, calls and exceptions of the Python
+    stepper."""
 
     @given(
         coefs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
@@ -252,67 +254,88 @@ class TestCustomDriftCallback:
             mp.setattr(_native, "load", lambda: None)
             assert estimates(1) == serial
 
-    def test_interrupt_in_the_drift_propagates(self):
+    @pytest.mark.parametrize("exc_type", (KeyboardInterrupt, RecursionError))
+    def test_interrupt_in_the_drift_propagates(self, exc_type):
         def f(x, th):
-            raise KeyboardInterrupt
+            raise exc_type
 
         for backend in ("native", "python"):
             with pytest.MonkeyPatch.context() as mp:
                 if backend == "python":
                     mp.setattr(_native, "load", lambda: None)
-                with pytest.raises(KeyboardInterrupt):
+                with pytest.raises(exc_type):
                     _unvalidated_path(_custom_model(f), 1.0, rs.SimOptions(seed=1))
 
-    @staticmethod
-    def _raise_on_entry(monkeypatch, exc_type, at_call):
-        """Make the kernel's callback raise ``exc_type`` once, at call
-        ``at_call``, before the guard's ``try``: where a signal (Ctrl-C) or
-        a RecursionError strikes at the entry of the call."""
-        real_drift = _native.DRIFT
-        calls = []
-
-        def drift(call):
-            def entry(x):
-                calls.append(x)
-                if len(calls) == at_call:
-                    raise exc_type
-                return call(x)
-            return real_drift(entry)
-
-        monkeypatch.setattr(_native, "DRIFT", drift)
-
-    @pytest.mark.parametrize("exc_type", (KeyboardInterrupt, RecursionError))
-    def test_exception_before_the_guard_is_raised(self, monkeypatch, exc_type):
-        # ctypes would print and drop it, and the kernel would go on with a
-        # wrong drift for one fine step
-        records, dropped = [], []
-
-        def f(x, th):
-            records.append(x)
-            return th * (1.0 - x)
-
-        def hook(unraisable):
-            dropped.append(unraisable)
-
-        self._raise_on_entry(monkeypatch, exc_type, at_call=58)
-        monkeypatch.setattr(sys, "unraisablehook", hook)
-        with pytest.raises(exc_type):
-            _unvalidated_path(_custom_model(f), 2.0, rs.SimOptions(substeps=5, seed=9))
-        assert len(records) == 57  # the drift is called no more
-        assert dropped == []
-        assert sys.unraisablehook is hook
-
-    def test_exception_dropped_by_ctypes_is_not_missed(self, monkeypatch):
-        # with the exception past the keeper too, the count of calls shows it
+    def test_signal_in_the_drift_propagates(self, monkeypatch):
+        # a real SIGINT, raised at call 58, reaches the drift through the
+        # interpreter's signal handler; the drift is called no more, and
+        # nothing is printed and dropped on the way
         dropped = []
-        self._raise_on_entry(monkeypatch, KeyboardInterrupt, at_call=58)
-        monkeypatch.setattr(simulate, "_keeping_dropped",
-                            lambda keep: contextlib.nullcontext())
         monkeypatch.setattr(sys, "unraisablehook", dropped.append)
-        config = _custom_model(lambda x, th: th * (1.0 - x))
-        with pytest.raises(RuntimeError, match="the drift answered 199 of 200 fine steps"):
-            _unvalidated_path(config, 2.0, rs.SimOptions(substeps=5, seed=9))
-        assert [u.exc_type for u in dropped] == [KeyboardInterrupt]
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            for backend in ("native", "python"):
+                calls = []
+
+                def f(x, th):
+                    calls.append(x)
+                    if len(calls) == 58:
+                        signal.raise_signal(signal.SIGINT)
+                    return th * (1.0 - x)
+
+                with pytest.MonkeyPatch.context() as mp:
+                    if backend == "python":
+                        mp.setattr(_native, "load", lambda: None)
+                    with pytest.raises(KeyboardInterrupt):
+                        _unvalidated_path(_custom_model(f), 2.0,
+                                          rs.SimOptions(substeps=5, seed=9))
+                assert 0 < len(calls) <= 58, backend
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert dropped == []
+
+    def test_drift_result_and_argument_are_released(self):
+        # the kernel owns the state it passes and the value it gets back
+        mu = float("0.625")
+        config = _custom_model(lambda x, th: mu)
+        plan, opts = rs.SamplingPlan(n=2000, h=0.01), rs.SimOptions(substeps=5, seed=4)
+        _unvalidated_path(config, 1.0, opts, plan)
+        gc.collect()
+        refs, blocks = sys.getrefcount(mu), sys.getallocatedblocks()
+        path = _unvalidated_path(config, 1.0, opts, plan)
+        del path
+        gc.collect()
+        assert sys.getrefcount(mu) == refs
+        # a leaked float per fine step would hold 10**4 blocks
+        assert sys.getallocatedblocks() - blocks < 1000
+
+    @pytest.mark.parametrize("fail_at", (None, 120))
+    def test_drift_that_simulates_a_path_matches(self, fail_at):
+        # each drift call runs a custom path, and one whose drift raises at
+        # its first fine step; the outer path still fails where its own
+        # drift raises
+        inner = _custom_model(lambda x, th: th * (1.0 - x))
+        failing = _custom_model(lambda x, th: th / 0.0)
+        plan, opts = rs.SamplingPlan(n=2, h=0.01), rs.SimOptions(substeps=2, seed=5)
+
+        def run():
+            calls = []
+
+            def f(x, th):
+                calls.append(x)
+                if len(calls) == fail_at:
+                    raise OverflowError("too big")
+                with pytest.raises(rs.DataError, match="interval 0: float division"):
+                    _unvalidated_path(failing, th, opts, plan)
+                return th * (1.0 - x) + 1e-3 * _unvalidated_path(inner, th, opts, plan).x[-1]
+
+            return [_unvalidated_path(_custom_model(f), 2.0, rs.SimOptions(substeps=5, seed=9))]
+
+        native, python = _on_both_backends(run)
+        assert native == python
+        if fail_at is not None:
+            assert native == ("DataError", "the drift left the finite range in "
+                              "observation interval 23: too big")
 
 
 class TestBackend:
@@ -384,6 +407,27 @@ class TestBuild:
             sys.setswitchinterval(interval)
         assert len(caught) == 1
         assert all(o == outcomes[0] for o in outcomes)
+
+    def test_unloadable_library_falls_back_with_one_warning(self, fresh_loader,
+                                                            monkeypatch):
+        # an interpreter that does not export the C API functions the
+        # library names
+        if _native.find_compiler() is None:
+            pytest.skip("no C compiler")
+        expected = _outcome(lambda: [_power_path()])
+        _native._load.cache_clear()
+
+        def refuse(path):
+            raise OSError(f"{path}: undefined symbol: PyFloat_AsDouble")
+
+        monkeypatch.setattr(_native, "_open", refuse)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _native.load() is None
+            assert _native.load() is None
+            assert _outcome(lambda: [_power_path()]) == expected
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "undefined symbol: PyFloat_AsDouble" in str(caught[0].message)
 
     def test_failing_compiler_falls_back(self, fresh_loader, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -578,9 +622,19 @@ class TestCsvFieldConversion:
              "-o", str(lib), str(_native.SOURCE), "-lm"],
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        read_rows = _native._open(lib).read_rows
+        built = _native._open(lib)
         for field in _FIELDS:
             raw = (field + "\n").encode()
             out = np.empty((1, 1))
-            if read_rows(raw, len(raw), 1, out.ctypes.data, 1) == 1:
+            if built.read_rows(raw, len(raw), 1, out.ctypes.data, 1) == 1:
                 assert out.tobytes() == _loadtxt_field(field).tobytes(), field
+        # a custom path, and one whose drift raises, through this build
+        for f in (lambda x, th: th * (1.0 - x) - x ** 3,
+                  lambda x, th: th / (x > 0.3)):
+            config = _custom_model(f, two_sided=False)
+            run = lambda: [_unvalidated_path(config, 1.0, rs.SimOptions(substeps=5, seed=9))]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_native, "load", lambda: built)
+                native = _outcome(run)
+                mp.setattr(_native, "load", lambda: None)
+                assert native == _outcome(run)
