@@ -117,8 +117,8 @@ def _open(path: Path):
     dbl, ptr, long_ = ctypes.c_double, ctypes.c_void_p, ctypes.c_long
     # the last two arguments are the custom drift (None for the others) and
     # where the kernel stores the fine step at which it raised
-    args = [ctypes.c_int, dbl, dbl, ptr, dbl, ptr, ptr, long_, long_, dbl, dbl, dbl,
-            dbl, ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.py_object,
+    args = [ctypes.c_int, dbl, dbl, ptr, ptr, ptr, long_, long_, dbl, dbl, dbl, dbl,
+            ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.py_object,
             ctypes.POINTER(long_)]
     lib.reflect_path.argtypes = args
     lib.reflect_path.restype = long_
@@ -128,7 +128,10 @@ def _open(path: Path):
     return lib
 
 
-def _load_from(compiler: str, directory: Path):
+def _built(compiler: str, directory: Path) -> Path:
+    """The intact library of this source and these flags in ``directory``,
+    built there unless it already is.  Raises OSError where the directory
+    cannot be made or written."""
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / library_name()
     if path.is_file() and _intact(path):
@@ -140,11 +143,12 @@ def _load_from(compiler: str, directory: Path):
     else:
         _build(compiler, path)
         _prune(path)
-    return _open(path)
+    return path
 
 
 @functools.cache
 def _load():
+    import contextlib
     import subprocess
     import tempfile
 
@@ -152,12 +156,21 @@ def _load():
     reason = "no C compiler (cc or gcc) on PATH"
     if compiler is not None:
         try:
-            try:
-                return _load_from(compiler, cache_dir())
-            except OSError:
-                # an unwritable cache directory: build where we can write
-                with tempfile.TemporaryDirectory(prefix="reflectsde-") as tmp:
-                    return _load_from(compiler, Path(tmp))
+            with contextlib.ExitStack() as stack:
+                try:
+                    path = _built(compiler, cache_dir())
+                except OSError:
+                    # an unwritable cache directory: build where we can write,
+                    # and remove it once the library is loaded
+                    tmp = stack.enter_context(
+                        tempfile.TemporaryDirectory(prefix="reflectsde-"))
+                    path = _built(compiler, Path(tmp))
+                try:
+                    return _open(path)
+                except OSError as exc:
+                    # a library that built is not built again: the second
+                    # copy would not load either
+                    reason = f"loading {path.name} failed: {exc}"
         except subprocess.CalledProcessError as exc:
             reason = f"{compiler} failed: {exc.stderr.strip()}"
         except OSError as exc:

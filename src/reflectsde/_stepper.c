@@ -29,25 +29,26 @@ void Py_DecRef(PyObject *o);
 
 enum { POWER, MEAN_REVERSION, CONSTANT, SHIFTED, CALLBACK };
 
-/* Integrate n observation intervals of m fine steps from x.  The drift is
- * (-theta) * x**gamma, theta * (1 - x), theta, shift[i] + theta at fine
- * step i, or the Python callable drift(x), called once per fine step in
- * order with the GIL held (drift is unused for the other kinds).  xs, ls,
- * rs receive n + 1 observations, hit_lo and hit_up n flags, and fine (when
- * not NULL) the left endpoint of every fine step.  Returns -1, or the fine
- * step where x ** gamma would make CPython turn complex or raise: pow
- * gives nan (a negative x) or inf from a finite x.  Where the drift raises,
- * *stop receives the fine step and the exception stays set for the caller. */
+/* Integrate n observation intervals of m fine steps, resuming from the
+ * state xs[0] and the cumulative regulators ls[0] and rs[0], so that a path
+ * can run in blocks of whole intervals with every pointer offset to its
+ * block.  The drift is (-theta) * x**gamma, theta * (1 - x), theta,
+ * shift[i] + theta at fine step i, or the Python callable drift(x), called
+ * once per fine step in order with the GIL held (drift is unused for the
+ * other kinds).  xs, ls, rs receive the n observations after xs[0], ls[0],
+ * rs[0], hit_lo and hit_up n flags, and fine (when not NULL) the left
+ * endpoint of every fine step.  Returns -1, or the fine step where
+ * x ** gamma would make CPython turn complex or raise: pow gives nan (a
+ * negative x) or inf from a finite x.  Where the drift raises, *stop
+ * receives the fine step and the exception stays set for the caller. */
 long reflect_path(int kind, double theta, double gamma, const double *shift,
-                  double x, const double *z, const double *u, long n, long m,
+                  const double *z, const double *u, long n, long m,
                   double a, double b, double hf, double sig2hf, int exact_min,
                   double *xs, double *ls, double *rs, unsigned char *hit_lo,
                   unsigned char *hit_up, double *fine, PyObject *drift, long *stop)
 {
     PyObject *arg, *res;
-    double cl = 0.0, cr = 0.0, mu, s, dl;
-    xs[0] = x;
-    ls[0] = rs[0] = 0.0;
+    double x = xs[0], cl = ls[0], cr = rs[0], mu, s, dl;
     for (long k = 0, i = 0; k < n; k++) {
         unsigned char lo = 0, up = 0;
         for (long end = i + m; i < end; i++) {

@@ -41,12 +41,36 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
 
 
-def path_draws(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the random inputs for one simulated path.
+def fill_draws(
+    gen: np.random.Generator, u: np.ndarray, normals: np.ndarray,
+    uniforms: np.ndarray, scale: float = 1.0,
+) -> None:
+    """Fill ``normals`` and ``uniforms`` with the draws of the next
+    ``len(normals)`` fine steps of ``gen``, through the (len, 2) buffer
+    ``u``; the standard normals are multiplied by ``scale``.
 
     Per fine step, two uniforms are consumed in a fixed order: the first is
-    mapped through the inverse normal CDF to the standard Gaussian increment,
-    the second is kept as the uniform used by the bridge-minimum sampler.
+    mapped through the inverse normal CDF to the Gaussian increment, the
+    second is kept as the uniform in (0, 1] used by the bridge-minimum
+    sampler.  Filling consecutive blocks consumes the stream as one call
+    for all of them would, so a path drawn block by block has the same bits
+    as one drawn whole.  Every pass writes into the given arrays, which a
+    caller reusing them keeps in the cache.
+    """
+    gen.random(out=u)
+    np.subtract(1.0, u[:, 0], out=normals)
+    np.minimum(normals, _ONE_MINUS_ULP, out=normals)
+    ndtri(normals, out=normals)
+    np.multiply(normals, scale, out=normals)
+    np.subtract(1.0, u[:, 1], out=uniforms)
+
+
+def path_draws(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the random inputs of a path of ``count`` fine steps in one
+    block of :func:`fill_draws`.  Simulation draws the same stream in
+    blocks of whole observation intervals instead (see
+    :func:`reflectsde.simulate._simulate`); this gives the whole of it at
+    once.
 
     Returns
     -------
@@ -55,7 +79,6 @@ def path_draws(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     uniforms : ndarray, shape (count,)
         Uniform draws in (0, 1].
     """
-    u = generator(seed).random((count, 2))
-    normals = ndtri(np.minimum(1.0 - u[:, 0], _ONE_MINUS_ULP))
-    uniforms = 1.0 - u[:, 1]
+    normals, uniforms = np.empty(count), np.empty(count)
+    fill_draws(generator(seed), np.empty((count, 2)), normals, uniforms)
     return normals, uniforms

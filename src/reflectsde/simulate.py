@@ -13,14 +13,18 @@ Regulator values are accumulated exactly across fine steps and recorded at
 observation times, giving the data set {X_tk, L_tk, R_tk} that the
 estimators consume.  Everything is deterministic given the stream seed.
 
-:func:`_integrate` picks the stepper for every path.  Every path runs on
+:func:`_simulate` draws and integrates each path in blocks of whole
+observation intervals of about ``_BLOCK_STEPS`` fine steps, into draw
+buffers reused from block to block, so that they stay in the cache; the
+stream, and so every path, is the same as when drawn whole.
+:func:`_integrate` picks the stepper for every path.  Every block runs on
 ``reflect_path`` in ``_stepper.c`` (see :mod:`._native`), the compiled twin
 of the Python loop :func:`_reflect_interval`, which gives the same bits: the
 built-in drifts and the two-factor system in C with the GIL released, a
 custom drift called from C through the Python C API with the GIL held.
 What a custom drift raises stops the kernel and is raised as the Python
-stepper raises it.  Without a C compiler, or where the kernel gives a path
-back, paths run on :func:`_reflect_interval`.  The same library reads the
+stepper raises it.  Without a C compiler, or where the kernel gives a block
+back, blocks run on :func:`_reflect_interval`.  The same library reads the
 CSV rows :func:`write_csv` writes; any other text goes to ``np.loadtxt``,
 which gives the same values and errors.
 """
@@ -273,105 +277,120 @@ def _left_finite_range(k: int, exc: ArithmeticError) -> DataError:
     return DataError(f"the drift left the finite range in observation interval {k}: {exc}")
 
 
-def _native_custom_path(
-    lib, mu_of: Callable[[float], float], x0: float, z: np.ndarray, us: np.ndarray,
-    n: int, m: int, a: float, b: float, hf: float, sig2hf: float, exact_min: bool,
+_Trace = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _address(arr: np.ndarray) -> int:
+    """The address of the first element of ``arr``, a C-contiguous and
+    writable array, in about 0.5 us against about 2 us for
+    ``arr.ctypes.data``; a path takes up to nine."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+
+
+def _native_stepper(
+    lib, drift: tuple[int, float, float] | Callable[[float], float], z: np.ndarray,
+    us: np.ndarray, m: int, a: float, b: float, hf: float, sig2hf: float,
+    exact_min: bool, trace: _Trace, shift: np.ndarray | None = None,
     fine: np.ndarray | None = None,
-) -> tuple:
-    """Integrate a whole path with the compiled kernel calling ``mu_of``,
-    and raise what the Python stepper raises.  The kernel stops at the fine
-    step whose drift raised, and ctypes raises the exception on return."""
-    stop = ctypes.c_long()
-    try:
-        return _native_path(lib, (_K_CALLBACK, 0.0, 0.0), x0, z, us, n, m, a, b, hf,
-                            sig2hf, exact_min, None, fine, mu_of, stop)
-    except (OverflowError, ZeroDivisionError) as exc:
-        # the Python stepper calls the drift once per fine step
-        raise _left_finite_range(stop.value // m, exc) from exc
-
-
-def _native_path(
-    lib, drift: tuple[int, float, float], x0: float, z: np.ndarray, us: np.ndarray,
-    n: int, m: int, a: float, b: float, hf: float, sig2hf: float, exact_min: bool,
-    shift: np.ndarray | None = None, fine: np.ndarray | None = None,
-    mu_of: Callable[[float], float] | None = None, stop: ctypes.c_long | None = None,
-) -> tuple | None:
-    """Integrate a whole path with the compiled kernel; ``mu_of`` is the
-    drift of ``_K_CALLBACK``, called with the GIL held, and ``stop``
-    receives the fine step where it raised.
-
-    Returns ``(x, l, r, hit_lower, hit_upper)``, or None where ``x ** gamma``
-    would raise or turn complex in Python, so the caller can rerun the
-    Python stepper and fail as it does.
-    """
-    z, us = np.ascontiguousarray(z, dtype=float), np.ascontiguousarray(us, dtype=float)
+) -> Callable[[int, int], bool]:
+    """The compiled kernel bound to one path's arrays, as in :func:`_integrate`.
+    ``step(k, count)`` passes the kernel every pointer offset to interval
+    ``k`` and returns False where the kernel gives the block back: where
+    ``x ** gamma`` would raise or turn complex in Python, so that the
+    caller can rerun the block on the Python stepper and fail as it does.
+    A custom drift is called with the GIL held and raises what the Python
+    stepper raises: the kernel stops at the fine step whose drift raised,
+    and ctypes raises the exception on return."""
+    n = len(trace[3])
     for arr in (z, us, shift, fine):
-        # the kernel reads or writes n * m contiguous doubles through each
-        if arr is not None and (arr.shape != (n * m,) or arr.dtype != np.float64
+        # the kernel reads or writes contiguous doubles through each
+        if arr is not None and (arr.ndim != 1 or arr.dtype != np.float64
                                 or not arr.flags.c_contiguous):
-            raise ValueError("fine-step arrays must be n * m contiguous doubles")
-    xs, ls, rs = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
-    hit_lo, hit_up = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    code, theta, gamma = drift
-    kernel = lib.reflect_path if mu_of is None else lib.reflect_path_with_gil
-    status = kernel(
-        code, theta, gamma, None if shift is None else shift.ctypes.data, x0,
-        z.ctypes.data, us.ctypes.data, n, m, a, b, hf, sig2hf, exact_min,
-        xs.ctypes.data, ls.ctypes.data, rs.ctypes.data, hit_lo.ctypes.data,
-        hit_up.ctypes.data, None if fine is None else fine.ctypes.data, mu_of, stop,
-    )
-    return (xs, ls, rs, hit_lo, hit_up) if status < 0 else None
+            raise ValueError("fine-step arrays must be contiguous doubles")
+    for arr in (shift, fine):
+        if arr is not None and len(arr) != n * m:
+            raise ValueError("shift and fine must hold n * m fine steps")
+    custom = callable(drift)
+    code, theta, gamma = (_K_CALLBACK, 0.0, 0.0) if custom else drift
+    kernel = lib.reflect_path_with_gil if custom else lib.reflect_path
+    mu_of = drift if custom else None
+    stop = ctypes.c_long()
+    zp, up, xp, lp, rp, lo, hi = map(_address, (z, us, *trace))
+    sp, fp = (None if arr is None else _address(arr) for arr in (shift, fine))
+    dbl = 8  # bytes a double
+
+    def step(k: int, count: int) -> bool:
+        if count * m > len(z) or k + count > n:
+            raise ValueError("a block must lie in the path and its draws")
+        j = dbl * k * m
+        try:
+            status = kernel(
+                code, theta, gamma, None if sp is None else sp + j, zp, up, count, m,
+                a, b, hf, sig2hf, exact_min, xp + dbl * k, lp + dbl * k, rp + dbl * k,
+                lo + k, hi + k, None if fp is None else fp + j, mu_of, stop)
+        except (OverflowError, ZeroDivisionError) as exc:
+            # the Python stepper calls the drift once per fine step
+            raise _left_finite_range(k + stop.value // m, exc) from exc
+        return status < 0
+
+    return step
 
 
 def _integrate(
-    drift: tuple[int, float, float] | Callable[[float], float], x0: float, z: np.ndarray, us: np.ndarray, n: int, m: int, a: float, b: float,
-    hf: float, sig2hf: float, exact_min: bool,
-    shift: np.ndarray | None = None, fine: np.ndarray | None = None,
-) -> tuple:
-    """Integrate a whole path of ``n`` intervals of ``m`` fine steps from
-    ``x0``; returns ``(x, l, r, hit_lower, hit_upper)``.
+    drift: tuple[int, float, float] | Callable[[float], float], z: np.ndarray,
+    us: np.ndarray, m: int, a: float, b: float, hf: float, sig2hf: float,
+    exact_min: bool, trace: _Trace, shift: np.ndarray | None = None,
+    fine: np.ndarray | None = None,
+) -> Callable[[int, int], None]:
+    """The stepper of one path of observation intervals of ``m`` fine steps.
+
+    ``trace`` is ``(x, l, r, hit_lower, hit_upper)``: n + 1 observations of
+    the state and the cumulative regulators, and n hit flags.  The
+    returned ``step(k, count)`` integrates intervals ``k`` to
+    ``k + count - 1`` with the scaled Gaussian increments and bridge
+    uniforms at the front of ``z`` and ``us``, resuming from ``x[k]``,
+    ``l[k]`` and ``r[k]``, and writes the rest of ``trace`` for those
+    intervals; so a path can be drawn and integrated block by block into
+    the same draw buffers.  An error names its observation interval in the
+    whole path.
 
     ``drift`` comes from :func:`_drift_of_state`, or is the kernel's shifted
     drift ``(_K_SHIFTED, theta, 0.0)`` with ``shift`` holding the n * m
     values added at each fine step.  Every drift runs on the compiled
-    kernel when it loads, a custom one through :func:`_native_custom_path`,
-    which raises what the Python stepper raises.  Without the kernel, or
-    for a path it gives back, the path runs interval by interval on
-    :func:`_reflect_interval`.  ``fine``, an array of n * m, receives every
-    fine-step left endpoint.
+    kernel when it loads (see :func:`_native_stepper`).  Without the
+    kernel, or for a block it gives back, the block runs interval by
+    interval on :func:`_reflect_interval`.  ``fine``, an array of n * m,
+    receives every fine-step left endpoint.
     """
+    xs, ls, rs, hit_lo, hit_up = trace
     lib = _native.load()
-    if lib is not None:
-        if callable(drift):
-            return _native_custom_path(lib, drift, x0, z, us, n, m, a, b, hf, sig2hf,
-                                       exact_min, fine)
-        trace = _native_path(lib, drift, x0, z, us, n, m, a, b, hf, sig2hf, exact_min,
-                             shift, fine)
-        if trace is not None:
-            return trace
-    if not callable(drift):
-        drift = _scalar_drift(*drift, shift)
-    x, cl, cr = x0, 0.0, 0.0
-    xs, ls, rs = [x], [cl], [cr]
-    hit_lo, hit_up = [], []
-    left = None if fine is None else []
-    for k in range(n):
-        j = k * m
-        try:
-            x, cl, cr, lo_k, up_k = _reflect_interval(
-                drift, x, cl, cr, z[j:j + m].tolist(), us[j:j + m].tolist(),
-                a, b, hf, sig2hf, exact_min, left,
-            )
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise _left_finite_range(k, exc) from exc
-        xs.append(x)
-        ls.append(cl)
-        rs.append(cr)
-        hit_lo.append(lo_k)
-        hit_up.append(up_k)
-    if fine is not None:
-        fine[:] = left
-    return xs, ls, rs, hit_lo, hit_up
+    native = None if lib is None else _native_stepper(
+        lib, drift, z, us, m, a, b, hf, sig2hf, exact_min, trace, shift, fine)
+
+    def step(k: int, count: int) -> None:
+        if native is not None and native(k, count):
+            return
+        j0, j1 = k * m, (k + count) * m
+        mu_of = drift if callable(drift) else _scalar_drift(
+            *drift, None if shift is None else shift[j0:j1])
+        zs, ul = z[:j1 - j0].tolist(), us[:j1 - j0].tolist()
+        x, cl, cr = float(xs[k]), float(ls[k]), float(rs[k])
+        left = None if fine is None else []
+        rows = []
+        for i in range(count):
+            try:
+                x, cl, cr, lo, up = _reflect_interval(
+                    mu_of, x, cl, cr, zs[i * m:(i + 1) * m], ul[i * m:(i + 1) * m],
+                    a, b, hf, sig2hf, exact_min, left)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise _left_finite_range(k + i, exc) from exc
+            rows.append((x, cl, cr, lo, up))
+        after = slice(k + 1, k + count + 1)
+        xs[after], ls[after], rs[after], hit_lo[k:k + count], hit_up[k:k + count] = zip(*rows)
+        if fine is not None:
+            fine[j0:j1] = left
+
+    return step
 
 
 def integration_backend() -> str:
@@ -381,23 +400,47 @@ def integration_backend() -> str:
     return "python" if _native.load() is None else "native"
 
 
+# Fine steps drawn and integrated at a time.  A path runs in blocks of whole
+# observation intervals of about this many fine steps, whose draws fill the
+# same buffers block after block: about 256 KiB that stay in the L2 cache,
+# where drawing a whole path at once wrote some 56 bytes a fine step into
+# fresh memory.  On a 2-vCPU Xeon with 2 MiB of L2 a core, a 10**5-step
+# path took 6.75 ms at 8,192 steps a block, 6.97 ms at 4,096, 6.74 ms at
+# 16,384 and 7.09 ms at 32,768, against 8.36 ms drawn whole (medians of
+# interleaved runs); a 2 * 10**4-step path took 1.44 ms against 1.42 ms.
+_BLOCK_STEPS = 8192
+
+
 def _simulate(
     drift: tuple[int, float, float] | Callable[[float], float], x0: float, seed: int,
     sigma: float, barriers: BarrierConfig, plan: SamplingPlan, opts: SimOptions,
     shift: np.ndarray | None = None, fine: np.ndarray | None = None,
 ) -> SamplePath:
     """Draw the stream of ``seed`` and integrate one path of ``plan`` from
-    ``x0`` between ``barriers``; ``drift``, ``shift`` and ``fine`` are as in
-    :func:`_integrate`.  The path is not validated here."""
+    ``x0`` between ``barriers``, in blocks of whole observation intervals of
+    about ``_BLOCK_STEPS`` fine steps (see :func:`rng.fill_draws`; the
+    stream and the path do not depend on the block size); ``drift``,
+    ``shift`` and ``fine`` are as in :func:`_integrate`.  The path is not
+    validated here."""
     n, m = plan.n, opts.substeps
     hf = plan.h / m
     sigma = float(sigma)
-    normals, uniforms = rng.path_draws(seed, n * m)
     b = float(barriers.b) if barriers.is_two_sided else math.inf
-    xs, ls, rs, hit_lo, hit_up = _integrate(
-        drift, float(x0), normals * (sigma * math.sqrt(hf)), uniforms, n, m,
-        float(barriers.a), b, hf, 2.0 * sigma * sigma * hf, opts.scheme == LEPINGLE,
-        shift, fine)
+    per = max(1, _BLOCK_STEPS // m)  # observation intervals a block
+    size = min(n, per) * m
+    u, z, us = np.empty((size, 2)), np.empty(size), np.empty(size)
+    trace = xs, ls, rs, hit_lo, hit_up = (
+        np.empty(n + 1), np.empty(n + 1), np.empty(n + 1),
+        np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+    xs[0], ls[0], rs[0] = float(x0), 0.0, 0.0
+    step = _integrate(drift, z, us, m, float(barriers.a), b, hf, 2.0 * sigma * sigma * hf,
+                      opts.scheme == LEPINGLE, trace, shift, fine)
+    gen, scale = rng.generator(seed), sigma * math.sqrt(hf)
+    for k in range(0, n, per):
+        count = min(per, n - k)
+        rows = count * m
+        rng.fill_draws(gen, u[:rows], z[:rows], us[:rows], scale)
+        step(k, count)
     return SamplePath(
         h=plan.h, times=np.arange(n + 1) * plan.h, x=xs, l=ls, r=rs,
         barriers=barriers, hit_lower=hit_lo, hit_upper=hit_up,

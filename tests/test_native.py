@@ -114,9 +114,36 @@ class TestParity:
         if kernel is None:
             pytest.skip("no compiled kernel")
         z, u = np.zeros(4), np.ones(4)
-        args = (-0.5, z, u, 2, 2, -1.0, np.inf, 0.01, 0.0, True)
-        assert simulate._native_path(kernel, (simulate._K_POWER, 1.0, 0.5), *args) is None
-        assert simulate._native_path(kernel, (simulate._K_POWER, 1.0, 1.0), *args) is not None
+
+        def runs_native(gamma):
+            trace = (np.array([-0.5, 0.0, 0.0]), np.zeros(3), np.zeros(3),
+                     np.empty(2, dtype=bool), np.empty(2, dtype=bool))
+            step = simulate._native_stepper(kernel, (simulate._K_POWER, 1.0, gamma), z, u,
+                                            2, -1.0, np.inf, 0.01, 0.0, True, trace)
+            return step(0, 2)
+
+        assert not runs_native(0.5)
+        assert runs_native(1.0)
+
+    def test_arrays_and_blocks_outside_the_path_are_refused(self):
+        # the kernel would read or write past the arrays it is given
+        kernel = _native.load()
+        if kernel is None:
+            pytest.skip("no compiled kernel")
+        trace = (np.zeros(3), np.zeros(3), np.zeros(3), np.empty(2, dtype=bool),
+                 np.empty(2, dtype=bool))
+        args = (np.zeros(4), np.ones(4), 2, 0.0, np.inf, 0.01, 0.0, True, trace)
+        drift = (simulate._K_CONSTANT, 0.0, 0.0)
+        step = simulate._native_stepper(kernel, drift, *args)
+        with pytest.raises(ValueError, match="must lie in the path"):
+            step(1, 2)
+        with pytest.raises(ValueError, match="must lie in the path"):
+            step(0, 3)
+        assert step(0, 2)
+        with pytest.raises(ValueError, match="n \\* m fine steps"):
+            simulate._native_stepper(kernel, drift, *args, fine=np.empty(5))
+        with pytest.raises(ValueError, match="contiguous doubles"):
+            simulate._native_stepper(kernel, drift, *args, shift=np.empty(8)[::2])
 
 
 def _custom_model(f, sigma=0.8, two_sided=True, x0=0.5):
@@ -428,6 +455,34 @@ class TestBuild:
             assert _outcome(lambda: [_power_path()]) == expected
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "undefined symbol: PyFloat_AsDouble" in str(caught[0].message)
+
+    def test_unloadable_library_is_built_once(self, fresh_loader, monkeypatch, tmp_path):
+        # a library that built but does not load is not built again in a
+        # temporary directory, and the warning names the load, not the build
+        if _native.find_compiler() is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        runs = []
+        real_run = subprocess.run
+
+        def spy(*args, **kwargs):
+            runs.append(args[0])
+            return real_run(*args, **kwargs)
+
+        def refuse(path):
+            raise OSError(f"{path}: undefined symbol: PyFloat_AsDouble")
+
+        monkeypatch.setattr(subprocess, "run", spy)
+        monkeypatch.setattr(_native, "_open", refuse)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _native.load() is None
+        assert len(runs) == 1
+        assert [w.category for w in caught] == [RuntimeWarning]
+        message = str(caught[0].message)
+        assert f"loading {_native.library_name()} failed" in message
+        assert "undefined symbol: PyFloat_AsDouble" in message
+        assert "building" not in message
 
     def test_failing_compiler_falls_back(self, fresh_loader, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))

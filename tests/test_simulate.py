@@ -25,9 +25,10 @@ def _step(x, mu, h, z, u, a, b=math.inf, sig2h=0.0):
     drift ``mu``, the scaled Gaussian increment ``z`` (sigma * dw), the
     bridge uniform ``u`` and 2 sigma^2 h = ``sig2h``; returns the next
     state and the lower and upper regulator increments."""
-    xs, ls, rs_, _, _ = simulate._integrate(
-        (simulate._K_CONSTANT, mu, 0.0), x, np.array([z]), np.array([u]), 1, 1,
-        a, b, h, sig2h, True)
+    xs, ls, rs_ = np.array([x, 0.0]), np.zeros(2), np.zeros(2)
+    trace = (xs, ls, rs_, np.empty(1, dtype=bool), np.empty(1, dtype=bool))
+    simulate._integrate((simulate._K_CONSTANT, mu, 0.0), np.array([z]), np.array([u]),
+                        1, a, b, h, sig2h, True, trace)(0, 1)
     return float(xs[1]), float(ls[1]), float(rs_[1])
 
 
@@ -305,7 +306,7 @@ class TestTwoFactor:
     def test_non_finite_inputs_rejected_before_drawing(self, name, bad, monkeypatch):
         def refuse(*args):
             raise AssertionError("the path was drawn before its inputs were checked")
-        monkeypatch.setattr(rng_mod, "path_draws", refuse)
+        monkeypatch.setattr(rng_mod, "generator", refuse)
         args = dict(y0=1.0, r0=0.5, theta1=1.0, theta2=1.0, sigma=0.1, a=0.0, b=3.0)
         args[name] = bad
         with pytest.raises(ModelError, match=f"^{name} must be finite, got {bad!r}$"):
@@ -465,6 +466,152 @@ class TestGoldenPaths:
         np.testing.assert_array_equal(path.x, xs)
         np.testing.assert_array_equal(path.l, ls)
         np.testing.assert_array_equal(path.r, rs_)
+
+
+# ---------------------------------------------------------------------------
+# Block boundaries: a path is drawn and integrated in blocks of whole
+# observation intervals.  n * m spans three blocks and ends in a partial one.
+# ---------------------------------------------------------------------------
+
+_BLOCK_PLAN = rs.SamplingPlan(n=2501, h=0.01)
+_BLOCK_SUBSTEPS = 7
+
+
+def _block_sizes():
+    per = simulate._BLOCK_STEPS // _BLOCK_SUBSTEPS
+    return [min(per, _BLOCK_PLAN.n - k) for k in range(0, _BLOCK_PLAN.n, per)]
+
+
+def _whole_path_reference(mu_of, x0, seed, sigma, a, b, fine=None):
+    """The path of ``mu_of`` from the draws of the whole path at once, one
+    observation interval at a time on the Python stepper; ``fine``
+    collects the fine-step left endpoints."""
+    n, m = _BLOCK_PLAN.n, _BLOCK_SUBSTEPS
+    hf = _BLOCK_PLAN.h / m
+    normals, uniforms = rng_mod.path_draws(seed, n * m)
+    zs, us = (normals * (sigma * math.sqrt(hf))).tolist(), uniforms.tolist()
+    x, cl, cr = x0, 0.0, 0.0
+    trace = [[x], [cl], [cr], [], []]
+    for k in range(n):
+        j = slice(k * m, (k + 1) * m)
+        x, cl, cr, lo, up = simulate._reflect_interval(
+            mu_of, x, cl, cr, zs[j], us[j], a, b, hf, 2.0 * sigma * sigma * hf, True, fine)
+        for column, value in zip(trace, (x, cl, cr, lo, up)):
+            column.append(value)
+    return [np.asarray(column).tobytes() for column in
+            (trace[0], trace[1], trace[2], np.array(trace[3], dtype=bool),
+             np.array(trace[4], dtype=bool))]
+
+
+def _path_bytes(path):
+    return [np.ascontiguousarray(arr).tobytes()
+            for arr in (path.x, path.l, path.r, path.hit_lower, path.hit_upper)]
+
+
+@pytest.fixture(params=("native", "python"))
+def backend(request, monkeypatch):
+    if request.param == "python":
+        monkeypatch.setattr(_native, "load", lambda: None)
+    elif _native.load() is None:
+        pytest.skip("no compiled kernel")
+    return request.param
+
+
+class TestBlocks:
+    def test_plan_spans_three_blocks_and_a_partial_one(self):
+        sizes = _block_sizes()
+        assert len(sizes) >= 3
+        assert sizes[-1] < sizes[0]
+
+    @pytest.mark.parametrize("kind", _GOLDEN_KINDS)
+    def test_single_factor_path_equals_whole_path_reference(self, kind, backend):
+        drift, theta = _golden_drift(kind)
+        config = rs.ModelConfig(drift=drift, sigma=0.8,
+                                barriers=rs.BarrierConfig.two_sided(0.0, 1.0),
+                                theta_domain=(-20.0, 20.0), x0=0.5)
+        path = rs.simulate_path(config, theta, _BLOCK_PLAN,
+                                rs.SimOptions(substeps=_BLOCK_SUBSTEPS, seed=41))
+        mu_of = simulate._drift_of_state(drift, theta)
+        if not callable(mu_of):
+            mu_of = simulate._scalar_drift(*mu_of, None)
+        assert _path_bytes(path) == _whole_path_reference(mu_of, 0.5, 41, 0.8, 0.0, 1.0)
+
+    def test_two_factor_path_equals_whole_path_reference(self, backend):
+        theta1, theta2, sigma = 1.0, 1.0, 0.5
+        opts = rs.SimOptions(substeps=_BLOCK_SUBSTEPS, seed=42)
+        tf = rs.simulate_two_factor(1.0, 0.05, theta1, theta2, sigma, 0.0, 1.5,
+                                    _BLOCK_PLAN, opts)
+        fine = []
+        rshort = _whole_path_reference(
+            simulate._scalar_drift(simulate._K_MEAN_REVERSION, theta2, 0.0, None), 0.05,
+            rng_mod.derive_seed(42, 2), sigma, 0.0, math.inf, fine)
+        y = _whole_path_reference(
+            simulate._scalar_drift(simulate._K_SHIFTED, theta1, 0.0, np.array(fine)), 1.0,
+            rng_mod.derive_seed(42, 1), sigma, 0.0, 1.5)
+        assert _path_bytes(tf.rshort) == rshort
+        assert _path_bytes(tf.y) == y
+
+    def _custom_path(self, f):
+        drift = rs.DriftSpec.custom(f=f, df_dtheta=lambda x, th: 0.0,
+                                    d2f_dtheta2=lambda x, th: 0.0, lipschitz_bound=1.0)
+        return simulate._simulate(
+            simulate._drift_of_state(drift, 2.0), 0.5, 43, 0.8,
+            rs.BarrierConfig.one_sided_lower(0.0), _BLOCK_PLAN,
+            rs.SimOptions(substeps=_BLOCK_SUBSTEPS, seed=43))
+
+    # the 16,480th drift call is fine step 16,479: observation interval 2,354
+    # of the third block
+    _LATE_CALL = 16_480
+
+    def test_overflowing_drift_in_a_later_block(self, backend):
+        assert self._LATE_CALL > _BLOCK_SUBSTEPS * sum(_block_sizes()[:2])
+        calls = []
+
+        def f(x, th):
+            calls.append(x)
+            return math.exp(1e3 * (1.0 + x)) if len(calls) == self._LATE_CALL else th * (1.0 - x)
+
+        with pytest.raises(DataError) as caught:
+            self._custom_path(f)
+        assert str(caught.value) == ("the drift left the finite range in observation "
+                                     "interval 2354: math range error")
+        assert len(calls) == self._LATE_CALL
+
+    def test_raising_drift_in_a_later_block_stops_alike(self):
+        records = {}
+        for name in ("native", "python"):
+            calls = records[name] = []
+
+            def f(x, th, calls=calls):
+                calls.append(x)
+                if len(calls) == self._LATE_CALL:
+                    raise ValueError("no drift here")
+                return th * (1.0 - x)
+
+            with pytest.MonkeyPatch.context() as mp:
+                if name == "python":
+                    mp.setattr(_native, "load", lambda: None)
+                with pytest.raises(ValueError, match="^no drift here$"):
+                    self._custom_path(f)
+        assert len(records["native"]) == self._LATE_CALL
+        assert records["native"] == records["python"]
+
+    def test_memory_is_flat_in_the_substeps(self):
+        # the draws of one block, not of the path: about 6 MB at m = 10
+        # and 24 MB at m = 40 when a path was drawn whole
+        import tracemalloc
+
+        config = power_model(0.5)
+        peaks = []
+        for m in (10, 40):
+            tracemalloc.start()
+            try:
+                rs.simulate_path(config, 2.0, rs.SamplingPlan(n=20_000, h=0.01),
+                                 rs.SimOptions(substeps=m, seed=5))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1e6, peaks
 
 
 class TestNonFinitePaths:
