@@ -37,10 +37,10 @@ enum { POWER, MEAN_REVERSION, CONSTANT, SHIFTED, CALLBACK };
  * once per fine step in order with the GIL held (drift is unused for the
  * other kinds).  xs, ls, rs receive the n observations after xs[0], ls[0],
  * rs[0], hit_lo and hit_up n flags, and fine (when not NULL) the left
- * endpoint of every fine step.  Returns -1, or the fine step where
- * x ** gamma would make CPython turn complex or raise: pow gives nan (a
- * negative x) or inf from a finite x.  Where the drift raises, *stop
- * receives the fine step and the exception stays set for the caller. */
+ * endpoint of every fine step.  Returns -1, or the fine step where pow
+ * gives NaN from a finite x (a negative x, whose x ** gamma CPython makes
+ * complex): the caller raises there, as the Python stepper does.  Where the
+ * drift raises, *stop receives the fine step and the exception stays set. */
 long reflect_path(int kind, double theta, double gamma, const double *shift,
                   const double *z, const double *u, long n, long m,
                   double a, double b, double hf, double sig2hf, int exact_min,

@@ -20,7 +20,7 @@ from scipy import stats as _scistats
 from . import rng
 from .errors import DataError, ModelError
 from .estimate import EstimateResult, _point_estimate, estimate_two_factor
-from .model import ModelConfig, SamplingPlan, _is_integral, _require_in_domain
+from .model import ModelConfig, SamplingPlan, _frozen, _is_integral, _require_in_domain
 from .simulate import SamplePath, SimOptions, simulate_path, simulate_two_factor
 from .stationary import information
 
@@ -184,9 +184,7 @@ class NormalityReport:
     passed: bool
 
     def __post_init__(self) -> None:
-        arr = np.array(self.z, dtype=float, order="C")
-        arr.setflags(write=False)
-        object.__setattr__(self, "z", arr)
+        object.__setattr__(self, "z", _frozen(self.z))
 
 
 def normality_diagnostic(

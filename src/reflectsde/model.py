@@ -43,6 +43,16 @@ def _require_in_domain(theta: float, domain: tuple[float, float]) -> None:
         raise ModelError(f"theta={theta!r} lies outside the open domain ({lo}, {hi})")
 
 
+def _frozen(arr, dtype=float) -> np.ndarray:
+    """``arr`` as a read-only C-contiguous array of ``dtype``: kept where it
+    is one and owns its memory, else copied, so that no view can write it."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.base is None
+            and arr.flags.c_contiguous and not arr.flags.writeable):
+        arr = np.array(arr, dtype=dtype, order="C")
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class DriftSpec:
     """Drift f(x, theta) with its first and second theta-derivatives.

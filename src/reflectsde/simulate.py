@@ -17,16 +17,17 @@ estimators consume.  Everything is deterministic given the stream seed.
 observation intervals of about ``_BLOCK_STEPS`` fine steps, into draw
 buffers reused from block to block, so that they stay in the cache; the
 stream, and so every path, is the same as when drawn whole.
-:func:`_integrate` picks the stepper for every path.  Every block runs on
+:func:`_integrate` picks the stepper once, and the whole path runs on it:
 ``reflect_path`` in ``_stepper.c`` (see :mod:`._native`), the compiled twin
 of the Python loop :func:`_reflect_interval`, which gives the same bits: the
 built-in drifts and the two-factor system in C with the GIL released, a
 custom drift called from C through the Python C API with the GIL held.
 What a custom drift raises stops the kernel and is raised as the Python
-stepper raises it.  Without a C compiler, or where the kernel gives a block
-back, blocks run on :func:`_reflect_interval`.  The same library reads the
-CSV rows :func:`write_csv` writes; any other text goes to ``np.loadtxt``,
-which gives the same values and errors.
+stepper raises it; a power drift of a negative state raises the same
+:class:`DataError` on both.  Without a C compiler, paths run on
+:func:`_reflect_interval`.  The same library reads the CSV rows
+:func:`write_csv` writes; any other text goes to ``np.loadtxt``, which gives
+the same values and errors.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .model import (
     DriftSpec,
     ModelConfig,
     SamplingPlan,
+    _frozen,
     _is_integral,
     _require_finite,
     _require_in_domain,
@@ -96,21 +98,19 @@ class SamplePath:
     hit_upper: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        # private copies, frozen so the path is immutable after construction
         for name in ("times", "x", "l", "r"):
-            arr = np.array(getattr(self, name), dtype=float, order="C")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for name in ("hit_lower", "hit_upper"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.array(arr, dtype=bool, order="C")
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         if len(self.x) < 2:
             raise DataError("a path needs at least two observations")
         if not (len(self.times) == len(self.x) == len(self.l) == len(self.r)):
             raise DataError("path arrays must have equal lengths")
+        for name in ("hit_lower", "hit_upper"):
+            arr = getattr(self, name)
+            if arr is not None:
+                arr = _frozen(arr, dtype=bool)
+                if arr.shape != (self.n,):
+                    raise DataError(f"{name} must hold one flag per observation interval")
+                object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -277,6 +277,11 @@ def _left_finite_range(k: int, exc: ArithmeticError) -> DataError:
     return DataError(f"the drift left the finite range in observation interval {k}: {exc}")
 
 
+def _not_real(k: int) -> DataError:
+    # a negative state to a fractional power: complex in Python, NaN in C
+    return DataError(f"the drift is not a real number in observation interval {k}")
+
+
 _Trace = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -285,55 +290,6 @@ def _address(arr: np.ndarray) -> int:
     writable array, in about 0.5 us against about 2 us for
     ``arr.ctypes.data``; a path takes up to nine."""
     return ctypes.addressof(ctypes.c_char.from_buffer(arr))
-
-
-def _native_stepper(
-    lib, drift: tuple[int, float, float] | Callable[[float], float], z: np.ndarray,
-    us: np.ndarray, m: int, a: float, b: float, hf: float, sig2hf: float,
-    exact_min: bool, trace: _Trace, shift: np.ndarray | None = None,
-    fine: np.ndarray | None = None,
-) -> Callable[[int, int], bool]:
-    """The compiled kernel bound to one path's arrays, as in :func:`_integrate`.
-    ``step(k, count)`` passes the kernel every pointer offset to interval
-    ``k`` and returns False where the kernel gives the block back: where
-    ``x ** gamma`` would raise or turn complex in Python, so that the
-    caller can rerun the block on the Python stepper and fail as it does.
-    A custom drift is called with the GIL held and raises what the Python
-    stepper raises: the kernel stops at the fine step whose drift raised,
-    and ctypes raises the exception on return."""
-    n = len(trace[3])
-    for arr in (z, us, shift, fine):
-        # the kernel reads or writes contiguous doubles through each
-        if arr is not None and (arr.ndim != 1 or arr.dtype != np.float64
-                                or not arr.flags.c_contiguous):
-            raise ValueError("fine-step arrays must be contiguous doubles")
-    for arr in (shift, fine):
-        if arr is not None and len(arr) != n * m:
-            raise ValueError("shift and fine must hold n * m fine steps")
-    custom = callable(drift)
-    code, theta, gamma = (_K_CALLBACK, 0.0, 0.0) if custom else drift
-    kernel = lib.reflect_path_with_gil if custom else lib.reflect_path
-    mu_of = drift if custom else None
-    stop = ctypes.c_long()
-    zp, up, xp, lp, rp, lo, hi = map(_address, (z, us, *trace))
-    sp, fp = (None if arr is None else _address(arr) for arr in (shift, fine))
-    dbl = 8  # bytes a double
-
-    def step(k: int, count: int) -> bool:
-        if count * m > len(z) or k + count > n:
-            raise ValueError("a block must lie in the path and its draws")
-        j = dbl * k * m
-        try:
-            status = kernel(
-                code, theta, gamma, None if sp is None else sp + j, zp, up, count, m,
-                a, b, hf, sig2hf, exact_min, xp + dbl * k, lp + dbl * k, rp + dbl * k,
-                lo + k, hi + k, None if fp is None else fp + j, mu_of, stop)
-        except (OverflowError, ZeroDivisionError) as exc:
-            # the Python stepper calls the drift once per fine step
-            raise _left_finite_range(k + stop.value // m, exc) from exc
-        return status < 0
-
-    return step
 
 
 def _integrate(
@@ -356,20 +312,52 @@ def _integrate(
 
     ``drift`` comes from :func:`_drift_of_state`, or is the kernel's shifted
     drift ``(_K_SHIFTED, theta, 0.0)`` with ``shift`` holding the n * m
-    values added at each fine step.  Every drift runs on the compiled
-    kernel when it loads (see :func:`_native_stepper`).  Without the
-    kernel, or for a block it gives back, the block runs interval by
-    interval on :func:`_reflect_interval`.  ``fine``, an array of n * m,
-    receives every fine-step left endpoint.
+    values added at each fine step.  ``fine``, an array of n * m, receives
+    every fine-step left endpoint.  Every block runs on the stepper picked
+    here: the compiled kernel when it loads, else :func:`_reflect_interval`
+    interval by interval.  Where the power drift's ``x ** gamma`` is not a
+    real number (a negative state), both raise the same :class:`DataError`.
     """
     xs, ls, rs, hit_lo, hit_up = trace
+    n = len(hit_lo)
     lib = _native.load()
-    native = None if lib is None else _native_stepper(
-        lib, drift, z, us, m, a, b, hf, sig2hf, exact_min, trace, shift, fine)
+    if lib is not None:
+        for arr in (z, us, shift, fine):
+            # the kernel reads or writes contiguous doubles through each
+            if arr is not None and (arr.ndim != 1 or arr.dtype != np.float64
+                                    or not arr.flags.c_contiguous):
+                raise ValueError("fine-step arrays must be contiguous doubles")
+        for arr in (shift, fine):
+            if arr is not None and len(arr) != n * m:
+                raise ValueError("shift and fine must hold n * m fine steps")
+        custom = callable(drift)
+        code, theta, gamma = (_K_CALLBACK, 0.0, 0.0) if custom else drift
+        kernel = lib.reflect_path_with_gil if custom else lib.reflect_path
+        stop = ctypes.c_long()
+        zp, up, xp, lp, rp, lo, hi = map(_address, (z, us, *trace))
+        sp, fp = (None if arr is None else _address(arr) for arr in (shift, fine))
+        dbl = 8  # bytes a double
+
+        def native_step(k: int, count: int) -> None:
+            if count * m > len(z) or k + count > n:
+                raise ValueError("a block must lie in the path and its draws")
+            j = dbl * k * m
+            try:
+                status = kernel(
+                    code, theta, gamma, None if sp is None else sp + j, zp, up, count, m,
+                    a, b, hf, sig2hf, exact_min, xp + dbl * k, lp + dbl * k, rp + dbl * k,
+                    lo + k, hi + k, None if fp is None else fp + j,
+                    drift if custom else None, stop)
+            except (OverflowError, ZeroDivisionError) as exc:
+                # the Python stepper calls the drift once per fine step
+                raise _left_finite_range(k + stop.value // m, exc) from exc
+            if status >= 0:
+                # pow gave NaN from a finite state
+                raise _not_real(k + status // m)
+
+        return native_step
 
     def step(k: int, count: int) -> None:
-        if native is not None and native(k, count):
-            return
         j0, j1 = k * m, (k + count) * m
         mu_of = drift if callable(drift) else _scalar_drift(
             *drift, None if shift is None else shift[j0:j1])
@@ -384,6 +372,10 @@ def _integrate(
                     a, b, hf, sig2hf, exact_min, left)
             except (OverflowError, ZeroDivisionError) as exc:
                 raise _left_finite_range(k + i, exc) from exc
+            except TypeError:
+                if callable(drift):  # a custom drift's own error
+                    raise
+                raise _not_real(k + i) from None
             rows.append((x, cl, cr, lo, up))
         after = slice(k + 1, k + count + 1)
         xs[after], ls[after], rs[after], hit_lo[k:k + count], hit_up[k:k + count] = zip(*rows)
@@ -395,8 +387,8 @@ def _integrate(
 
 def integration_backend() -> str:
     """``"native"`` when paths run on the compiled kernel (a custom drift
-    called from it through the Python C API), ``"python"`` when they fall
-    back to the Python stepper."""
+    called from it through the Python C API), ``"python"`` when they run on
+    the Python stepper.  Every path runs wholly on the stepper named."""
     return "python" if _native.load() is None else "native"
 
 
@@ -441,10 +433,11 @@ def _simulate(
         rows = count * m
         rng.fill_draws(gen, u[:rows], z[:rows], us[:rows], scale)
         step(k, count)
-    return SamplePath(
-        h=plan.h, times=np.arange(n + 1) * plan.h, x=xs, l=ls, r=rs,
-        barriers=barriers, hit_lower=hit_lo, hit_upper=hit_up,
-    )
+    times = np.arange(n + 1) * plan.h
+    for arr in (times, *trace):  # fresh, so the path keeps them uncopied
+        arr.setflags(write=False)
+    return SamplePath(h=plan.h, times=times, x=xs, l=ls, r=rs, barriers=barriers,
+                      hit_lower=hit_lo, hit_upper=hit_up)
 
 
 def simulate_path(

@@ -54,6 +54,7 @@ from .model import (
     SHIFTED_COVARIATE,
     DriftSpec,
     ModelConfig,
+    _frozen,
     _require_finite,
     eval_on_array,
 )
@@ -76,8 +77,8 @@ class DensityGrid:
 
     ``weights`` are composite Simpson weights summing to (hi - lo);
     ``values`` integrate to 1 against them.  The three arrays are read-only:
-    writeable arrays are copied on construction, read-only float arrays are
-    kept as they are.
+    read-only float arrays that own their memory are kept as they are, and
+    anything else is copied on construction.
     """
 
     lo: float
@@ -88,12 +89,7 @@ class DensityGrid:
 
     def __post_init__(self) -> None:
         for name in ("nodes", "weights", "values"):
-            arr = getattr(self, name)
-            if not (isinstance(arr, np.ndarray) and arr.dtype == float
-                    and arr.flags.c_contiguous and not arr.flags.writeable):
-                arr = np.array(arr, dtype=float, order="C")
-                arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     def integrate(self, gvals: np.ndarray | None = None) -> float:
         """Quadrature of g against the density (g = 1 when omitted)."""

@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 import reflectsde as rs
 from reflectsde import _native, simulate
 
+import test_simulate
+
 _PLAN = rs.SamplingPlan(n=40, h=0.01)
 
 
@@ -107,43 +109,73 @@ class TestParity:
             lambda: [rs.simulate_path(config, -500.0, plan, rs.SimOptions(seed=0))])
         assert native == python == ("DataError", "path x holds non-finite values")
 
-    def test_power_of_a_negative_state_defers_to_python(self):
-        # CPython turns (-0.5) ** 0.5 complex where C pow returns NaN, so
-        # the kernel gives the path back; an integer power stays native
-        kernel = _native.load()
-        if kernel is None:
+    @pytest.mark.parametrize("x0, k, count, z, interval", (
+        (-0.5, 0, 2, [0.0, 0.0, 0.0, 0.0], 0),
+        # the state turns negative in interval 1, whose first step raises
+        (0.5, 0, 2, [0.0, -1.0, 0.0, 0.0], 1),
+        # a block that starts at interval 1 numbers it in the whole path
+        (-0.5, 1, 1, [0.0, 0.0, 0.0, 0.0], 1),
+    ))
+    def test_power_of_a_negative_state_fails_alike(self, x0, k, count, z, interval):
+        # CPython turns (-0.5) ** 0.5 complex where C pow returns NaN: both
+        # steppers raise the same DataError; an integer power runs the block
+        if _native.load() is None:
             pytest.skip("no compiled kernel")
-        z, u = np.zeros(4), np.ones(4)
 
-        def runs_native(gamma):
-            trace = (np.array([-0.5, 0.0, 0.0]), np.zeros(3), np.zeros(3),
-                     np.empty(2, dtype=bool), np.empty(2, dtype=bool))
-            step = simulate._native_stepper(kernel, (simulate._K_POWER, 1.0, gamma), z, u,
-                                            2, -1.0, np.inf, 0.01, 0.0, True, trace)
-            return step(0, 2)
+        def run(gamma):
+            trace = (np.full(3, x0), np.zeros(3), np.zeros(3), np.zeros(2, dtype=bool),
+                     np.zeros(2, dtype=bool))
+            try:
+                simulate._integrate((simulate._K_POWER, 1.0, gamma), np.array(z),
+                                    np.ones(4), 2, -1.0, np.inf, 0.01, 0.0, True,
+                                    trace)(k, count)
+            except Exception as exc:  # both steppers must fail alike
+                return type(exc).__name__, str(exc)
+            return [arr.tobytes() for arr in trace]
 
-        assert not runs_native(0.5)
-        assert runs_native(1.0)
+        def on_both(gamma):
+            native = run(gamma)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_native, "load", lambda: None)
+                return native, run(gamma)
+
+        native, python = on_both(0.5)
+        assert native == python == ("DataError", "the drift is not a real number in "
+                                    f"observation interval {interval}")
+        native, python = on_both(1.0)
+        assert native == python and isinstance(native, list)
 
     def test_arrays_and_blocks_outside_the_path_are_refused(self):
         # the kernel would read or write past the arrays it is given
-        kernel = _native.load()
-        if kernel is None:
+        if _native.load() is None:
             pytest.skip("no compiled kernel")
         trace = (np.zeros(3), np.zeros(3), np.zeros(3), np.empty(2, dtype=bool),
                  np.empty(2, dtype=bool))
         args = (np.zeros(4), np.ones(4), 2, 0.0, np.inf, 0.01, 0.0, True, trace)
         drift = (simulate._K_CONSTANT, 0.0, 0.0)
-        step = simulate._native_stepper(kernel, drift, *args)
+        step = simulate._integrate(drift, *args)
         with pytest.raises(ValueError, match="must lie in the path"):
             step(1, 2)
         with pytest.raises(ValueError, match="must lie in the path"):
             step(0, 3)
-        assert step(0, 2)
+        step(0, 2)
         with pytest.raises(ValueError, match="n \\* m fine steps"):
-            simulate._native_stepper(kernel, drift, *args, fine=np.empty(5))
+            simulate._integrate(drift, *args, fine=np.empty(5))
         with pytest.raises(ValueError, match="contiguous doubles"):
-            simulate._native_stepper(kernel, drift, *args, shift=np.empty(8)[::2])
+            simulate._integrate(drift, *args, shift=np.empty(8)[::2])
+
+    def test_no_path_falls_back_to_the_python_stepper(self, monkeypatch):
+        # with the kernel loaded, every golden path runs without the Python
+        # stepper: every kind, both schemes and barriers, and two factors
+        if _native.load() is None:
+            pytest.skip("no compiled kernel")
+        monkeypatch.setattr(simulate, "_reflect_interval",
+                            lambda *args: _raise(AssertionError("Python stepper ran")))
+        golden = test_simulate.TestGoldenPaths()
+        for case in test_simulate._GOLDEN_CASES:
+            golden.test_path_digest(case)
+        for scheme in (rs.LEPINGLE, rs.PROJECTION):
+            golden.test_two_factor_digest(scheme)
 
 
 def _custom_model(f, sigma=0.8, two_sided=True, x0=0.5):
@@ -200,6 +232,9 @@ class TestCustomDriftCallback:
     @pytest.mark.parametrize("f, expected", (
         (lambda x, th: _raise(ValueError(f"no drift at x={x!r}")) if x < 0.3 else th,
          ("ValueError", "no drift at x=0.29076144268212956")),
+        # a custom drift's own TypeError is not taken for a complex power
+        (lambda x, th: _raise(TypeError(f"no drift at x={x!r}")) if x < 0.3 else th,
+         ("TypeError", "no drift at x=0.29076144268212956")),
         (lambda x, th: (x - 0.35) ** 0.5 if x < 0.35 else th,
          ("DataError", "the drift at x=0.33650977991681347 is (7.1")),
         (lambda x, th: math.exp(1000.0 * x) if x > 0.75 else th,
@@ -208,7 +243,7 @@ class TestCustomDriftCallback:
         (lambda x, th: th / (x > 0.3),
          ("DataError", "the drift left the finite range in observation interval 30: "
                       "float division by zero")),
-    ), ids=("value-error", "complex", "overflow", "zero-division"))
+    ), ids=("value-error", "type-error", "complex", "overflow", "zero-division"))
     def test_failing_drift_fails_alike(self, f, expected):
         config = _custom_model(f, sigma=0.8, two_sided=False)
         opts = rs.SimOptions(substeps=5, seed=9)

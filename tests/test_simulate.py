@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reflectsde as rs
-from reflectsde import _native, simulate
+from reflectsde import _native, model, simulate
 from reflectsde import rng as rng_mod
 from reflectsde.errors import DataError, ModelError
 
@@ -612,6 +612,53 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 1e6, peaks
+
+
+class TestSamplePathArrays:
+    @staticmethod
+    def _path(x=(0.5, 0.0, 0.0, 0.0), **hits):
+        # three intervals, in each of which the lower regulator rises
+        return rs.SamplePath(h=0.1, times=[0.0, 0.1, 0.2, 0.3], x=x,
+                             l=[0.0, 0.1, 0.2, 0.3], r=np.zeros(4),
+                             barriers=rs.BarrierConfig.one_sided_lower(0.0), **hits)
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        base = np.array([0.5, 0.0, 0.0, 0.0])
+        view = base[:]
+        view.setflags(write=False)
+        path = self._path(x=view)
+        base[0] = 9.0
+        assert path.x[0] == 0.5
+        assert not path.x.flags.writeable
+
+    def test_read_only_arrays_that_own_their_memory_are_kept(self):
+        x = np.array([0.5, 0.0, 0.0, 0.0])
+        hits = np.ones(3, dtype=bool)
+        for arr in (x, hits):
+            arr.setflags(write=False)
+        path = self._path(x=x, hit_lower=hits)
+        assert path.x is x and path.hit_lower is hits
+
+    def test_simulated_arrays_are_not_copied(self, monkeypatch):
+        kept = []
+
+        def spy(arr, dtype=float):
+            out = model._frozen(arr, dtype)
+            kept.append(out is arr)
+            return out
+
+        monkeypatch.setattr(simulate, "_frozen", spy)
+        rs.simulate_path(power_model(0.5), 2.0, rs.SamplingPlan(n=50, h=0.01),
+                         rs.SimOptions(seed=1))
+        assert kept == [True] * 6
+
+    @pytest.mark.parametrize("name", ("hit_lower", "hit_upper"))
+    @pytest.mark.parametrize("flags", ([True], [True, True]), ids=("one", "two"))
+    def test_hit_flags_of_another_length_rejected(self, name, flags):
+        # one flag used to broadcast and pass validate(); two made it raise
+        # numpy's broadcast ValueError
+        with pytest.raises(DataError, match="one flag per observation interval"):
+            self._path(**{name: flags})
 
 
 class TestNonFinitePaths:
