@@ -4,9 +4,11 @@ The contrast is the average squared discretized drift residual
 
     (1/(n h^2)) * sum_k | dX_k - f(X_k, theta) h - dL_k + dR_k |^2,
 
-whose minimizer over the parameter domain is the estimator.  For the power
-drift the minimizer has a closed form; otherwise a golden-section search on
-the compactified domain is used.  Asymptotic standard errors come from
+whose minimizer over the parameter domain is the estimator.  The
+increments dX, dL and dR are the path's own (``SamplePath.increments``),
+taken once per path.  For the power drift the minimizer has a closed form;
+otherwise a golden-section search on the compactified domain is used.
+Asymptotic standard errors come from
 sqrt(nh) * (theta_hat - theta0) -> N(0, sigma^2 / information).
 """
 
@@ -57,9 +59,8 @@ class EstimateResult:
 
 
 def _contrast_of(path: SamplePath, spec: DriftSpec) -> Callable[[float], float]:
-    """theta -> the contrast of ``path``, with the increments of x, l and r
-    taken once for every theta it is called with."""
-    dx, dl, dr = np.diff(path.x), np.diff(path.l), np.diff(path.r)
+    """theta -> the contrast of ``path``, on the path's own increments."""
+    dx, dl, dr = path.increments
     left, h = path.x[:-1], path.h
     scale = path.n * h * h
 
@@ -96,8 +97,9 @@ def nlse_closed_form_power(path: SamplePath, gamma: float) -> float:
     f(x, theta) = -theta * x**gamma."""
     if not 0.0 < gamma <= 1.0:
         raise ModelError("gamma must lie in (0, 1]")
-    return -_slope(path.x[:-1] ** gamma, np.diff(path.x) - np.diff(path.l) + np.diff(path.r),
-                   path.h, "degenerate path: sum of x**(2*gamma) vanishes")
+    dx, dl, dr = path.increments
+    return -_slope(path.x[:-1] ** gamma, dx - dl + dr, path.h,
+                   "degenerate path: sum of x**(2*gamma) vanishes")
 
 
 @dataclass(frozen=True)
@@ -288,14 +290,9 @@ def estimate_two_factor(
     _require_finite(sigma=sigma)
     n, h = tf.n, tf.h
     r_left = tf.rshort.x[:-1]
-
-    dy = np.diff(tf.y.x)
-    dl1 = np.diff(tf.y.l)
-    du1 = np.diff(tf.y.r)
+    dy, dl1, du1 = tf.y.increments
+    drs, dl2, _ = tf.rshort.increments
     theta1 = float(np.sum(dy - r_left * h - dl1 + du1)) / (n * h)
-
-    drs = np.diff(tf.rshort.x)
-    dl2 = np.diff(tf.rshort.l)
     one_minus_r = 1.0 - r_left
     theta2 = _slope(one_minus_r, drs - dl2, h,
                     "degenerate short-rate path: sum of (1-R)^2 vanishes")
@@ -317,5 +314,6 @@ def estimate_two_factor(
 def realized_volatility(path: SamplePath) -> float:
     """Diagnostic plug-in estimate of sigma^2 from the regulator-corrected
     quadratic variation; not used by the estimators (sigma is an input)."""
-    dev = np.diff(path.x) - np.diff(path.l) + np.diff(path.r)
+    dx, dl, dr = path.increments
+    dev = dx - dl + dr
     return float(np.dot(dev, dev) / (path.n * path.h))

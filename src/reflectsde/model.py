@@ -179,10 +179,8 @@ class BarrierConfig:
     def is_two_sided(self) -> bool:
         return self.b is not None
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        if x < self.a - tol:
-            return False
-        return self.b is None or x <= self.b + tol
+    def contains(self, x: float) -> bool:
+        return not x < self.a and (self.b is None or x <= self.b)
 
 
 @dataclass(frozen=True)

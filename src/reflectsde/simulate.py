@@ -36,6 +36,7 @@ import ctypes
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Callable
 
@@ -59,6 +60,7 @@ from .model import (
 
 LEPINGLE = "lepingle"
 PROJECTION = "projection"
+_BARRIER_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SimOptions:
@@ -86,6 +88,9 @@ class SamplePath:
     observation times (``r`` is identically zero for one-sided paths).
     ``hit_lower``/``hit_upper`` flag, per observation interval, whether any
     fine step touched the corresponding barrier; they are not serialized.
+    ``increments`` holds (dx, dl, dr), the read-only increments of ``x``,
+    ``l`` and ``r`` over each observation interval, taken once per path on
+    first use; validation and every estimator read them.
     """
 
     h: float
@@ -117,7 +122,14 @@ class SamplePath:
         """Number of increments."""
         return len(self.x) - 1
 
-    def validate(self, tol: float = 1e-12) -> None:
+    @cached_property
+    def increments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        steps = tuple(np.diff(arr) for arr in (self.x, self.l, self.r))
+        for arr in steps:
+            arr.setflags(write=False)
+        return steps
+
+    def validate(self) -> None:
         """Check finiteness, barrier containment, regulator monotonicity,
         and (when hit flags are present) discrete complementary
         slackness."""
@@ -125,25 +137,21 @@ class SamplePath:
             if not np.isfinite(getattr(self, name)).all():
                 raise DataError(f"path {name} holds non-finite values")
         a, b = self.barriers.a, self.barriers.b
-        if np.min(self.x) < a - tol:
+        if np.min(self.x) < a - _BARRIER_TOL:
             raise DataError(f"state drops below the lower barrier {a}")
-        if b is not None and np.max(self.x) > b + tol:
+        if b is not None and np.max(self.x) > b + _BARRIER_TOL:
             raise DataError(f"state exceeds the upper barrier {b}")
-        for name, reg in (("l", self.l), ("r", self.r)):
+        _, dl, dr = self.increments
+        for name, reg, step in (("l", self.l, dl), ("r", self.r, dr)):
             if reg[0] != 0.0:
                 raise DataError(f"regulator {name} must start at 0")
-            if np.any(np.diff(reg) < 0.0):
+            if np.any(step < 0.0):
                 raise DataError(f"regulator {name} must be non-decreasing")
         if not self.barriers.is_two_sided and np.any(self.r != 0.0):
             raise DataError("one-sided paths cannot carry an upper regulator")
-        if self.hit_lower is not None and np.any(
-            (np.diff(self.l) > 0) & ~self.hit_lower
-        ):
-            raise DataError("lower regulator increased without touching the barrier")
-        if self.hit_upper is not None and np.any(
-            (np.diff(self.r) > 0) & ~self.hit_upper
-        ):
-            raise DataError("upper regulator increased without touching the barrier")
+        for side, step, hit in (("lower", dl, self.hit_lower), ("upper", dr, self.hit_upper)):
+            if hit is not None and np.any((step > 0) & ~hit):
+                raise DataError(f"{side} regulator increased without touching the barrier")
 
 
 @dataclass(frozen=True)
@@ -170,9 +178,9 @@ class TwoFactorPath:
     def n(self) -> int:
         return self.y.n
 
-    def validate(self, tol: float = 1e-12) -> None:
-        self.y.validate(tol)
-        self.rshort.validate(tol)
+    def validate(self) -> None:
+        self.y.validate()
+        self.rshort.validate()
 
 
 def _reflect_interval(

@@ -1,4 +1,4 @@
-"""Stationary (invariant) density, scale/speed densities, and the
+"""Stationary (invariant) density, the scale density, and the
 information integral behind the estimator's asymptotic variance.
 
 The invariant density on the barrier interval is the Kolmogorov stationary
@@ -101,7 +101,9 @@ class DensityGrid:
 def _simpson_weights(lo: float, hi: float, intervals: int) -> tuple[np.ndarray, np.ndarray]:
     if intervals < 2 or intervals % 2:
         raise ModelError("Simpson rule needs an even number of intervals >= 2")
-    nodes = np.linspace(lo, hi, intervals + 1)
+    # linspace's own operations, on an array that owns its memory
+    nodes = np.arange(intervals + 1) * ((hi - lo) / intervals) + lo
+    nodes[-1] = hi
     w = np.ones(intervals + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -149,11 +151,6 @@ def scale_density(config: ModelConfig, theta: float, x: float) -> float:
     else:
         integral = float(_drift_primitive(config.drift, a, np.array([x]), theta)[0])
     return math.exp(-2.0 / config.sigma**2 * integral)
-
-
-def speed_density(config: ModelConfig, theta: float, x: float) -> float:
-    """Speed density 2 / (sigma^2 * scale_density)."""
-    return 2.0 / (config.sigma**2 * scale_density(config, theta, x))
 
 
 def _upper_limit(config: ModelConfig, theta: float) -> float:

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -362,3 +363,33 @@ class TestGoldenRuns:
         cfg = _golden_two_factor_config(y0=5.0, replications=4, n_values=(20,))
         with pytest.raises(DataError, match=r"4 of 4 replications failed at n=20: y0="):
             rs.run_mc_two_factor(cfg)
+
+
+class TestIncrementsTakenOnce:
+    """Validation and the estimators share the increments of each path, so
+    np.diff runs once per array: x, l and r of one path, or of each
+    two-factor component."""
+
+    @pytest.mark.parametrize("kind,per_rep", (("power", 3), ("custom", 3), ("two_factor", 6)))
+    def test_np_diff_calls_per_replication(self, kind, per_rep, monkeypatch):
+        if kind == "two_factor":
+            cfg = _golden_two_factor_config(replications=10, n_values=(200,))
+        else:
+            cfg = _golden_mc_config(kind)
+            cfg = replace(cfg, replications=10, n_values=(cfg.n_values[-1],))
+        calls = []
+        diff = np.diff
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return diff(*args, **kwargs)
+
+        monkeypatch.setattr(np, "diff", spy)
+        if kind == "two_factor":
+            runs = rs.run_mc_two_factor(cfg)
+        else:
+            runs = (rs.run_mc(cfg),)
+        monkeypatch.undo()
+        for run in runs:
+            assert [len(est) for est in run.estimates.values()] == [10]
+        assert len(calls) == per_rep * 10

@@ -652,6 +652,19 @@ class TestSamplePathArrays:
                          rs.SimOptions(seed=1))
         assert kept == [True] * 6
 
+    def test_increments_are_taken_once_and_read_only(self):
+        model_ = rs.ModelConfig(drift=rs.DriftSpec.power(1.0), sigma=1.0,
+                                barriers=rs.BarrierConfig.two_sided(0.0, 1.0),
+                                theta_domain=(0.01, 10.0), x0=0.5)
+        path = rs.simulate_path(model_, 1.0, rs.SamplingPlan(n=200, h=0.01),
+                                rs.SimOptions(seed=4))
+        steps = path.increments
+        assert path.l[-1] > 0.0 and path.r[-1] > 0.0
+        for arr, step in zip((path.x, path.l, path.r), steps):
+            assert step.tobytes() == np.diff(arr).tobytes()
+            assert not step.flags.writeable
+        assert all(again is step for again, step in zip(path.increments, steps))
+
     @pytest.mark.parametrize("name", ("hit_lower", "hit_upper"))
     @pytest.mark.parametrize("flags", ([True], [True, True]), ids=("one", "two"))
     def test_hit_flags_of_another_length_rejected(self, name, flags):

@@ -69,12 +69,6 @@ class TestScaleDensity:
         with pytest.raises(ModelError):
             rs.scale_density(cfg, 2.0, 3.5)
 
-    def test_speed_density_reciprocal(self):
-        cfg = power_model(1.0)
-        s = rs.scale_density(cfg, 2.0, 0.5)
-        m = rs.speed_density(cfg, 2.0, 0.5)
-        assert m == pytest.approx(2.0 / (cfg.sigma**2 * s), rel=1e-12)
-
 
 class TestInvariantDensity:
     def test_zero_drift_uniform(self):
@@ -528,6 +522,24 @@ class TestDensityGridArrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+    def test_nodes_are_the_grid_built_and_own_their_memory(self, monkeypatch):
+        built = []
+
+        def spy(lo, hi, intervals):
+            nodes, w = simpson(lo, hi, intervals)
+            built.append(nodes)
+            return nodes, w
+
+        simpson = stationary._simpson_weights
+        monkeypatch.setattr(stationary, "_simpson_weights", spy)
+        grid = rs.invariant_density(power_model(1.0), 2.0)
+        assert grid.nodes.base is None
+        assert grid.nodes is built[-1]
+        for lo, hi in ((0.0, 3.0), (-1.0, 2.0), (0.1, 7.3)):
+            for k in (512, 262144):
+                nodes, _ = simpson(lo, hi, k)
+                assert nodes.tobytes() == np.linspace(lo, hi, k + 1).tobytes()
 
     def test_caller_arrays_copied(self):
         nodes = np.linspace(0.0, 1.0, 3)
