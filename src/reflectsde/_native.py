@@ -117,7 +117,7 @@ def _open(path: Path):
     dbl, ptr, long_ = ctypes.c_double, ctypes.c_void_p, ctypes.c_long
     # the last two arguments are the custom drift (None for the others) and
     # where the kernel stores the fine step at which it raised
-    args = [ctypes.c_int, dbl, dbl, ptr, ptr, ptr, long_, long_, dbl, dbl, dbl, dbl,
+    args = [ctypes.c_int, dbl, dbl, ptr, ptr, ptr, long_, long_, long_, dbl, dbl, dbl, dbl,
             ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.py_object,
             ctypes.POINTER(long_)]
     lib.reflect_path.argtypes = args

@@ -1,10 +1,11 @@
-/* Reflected Euler fine steps for a whole path: the compiled twin of
- * simulate._reflect_interval, with the same operations in the same order;
- * and a strict reader for the CSV rows that simulate.write_csv emits,
- * which converts a field of up to 19 significant digits by the exact
- * Eisel-Lemire algorithm (Lemire 2021, "Number parsing at a gigabyte per
- * second", Softw. Pract. Exp. 51(8)) and any other field, or one the
- * algorithm cannot round with certainty, by strtod.
+/* Reflected Euler fine steps for a block of a path: the compiled twin of
+ * simulate._reflect_path, which takes the same arguments and makes the
+ * same operations in the same order; and a strict reader for the CSV rows
+ * that simulate.write_csv emits, which converts a field of up to 19
+ * significant digits by the exact Eisel-Lemire algorithm (Lemire 2021,
+ * "Number parsing at a gigabyte per second", Softw. Pract. Exp. 51(8)) and
+ * any other field, or one the algorithm cannot round with certainty, by
+ * strtod.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add rounds once where Python rounds twice.  log, sqrt and pow
@@ -29,27 +30,28 @@ void Py_DecRef(PyObject *o);
 
 enum { POWER, MEAN_REVERSION, CONSTANT, SHIFTED, CALLBACK };
 
-/* Integrate n observation intervals of m fine steps, resuming from the
- * state xs[0] and the cumulative regulators ls[0] and rs[0], so that a path
- * can run in blocks of whole intervals with every pointer offset to its
- * block.  The drift is (-theta) * x**gamma, theta * (1 - x), theta,
- * shift[i] + theta at fine step i, or the Python callable drift(x), called
- * once per fine step in order with the GIL held (drift is unused for the
- * other kinds).  xs, ls, rs receive the n observations after xs[0], ls[0],
- * rs[0], hit_lo and hit_up n flags, and fine (when not NULL) the left
- * endpoint of every fine step.  Returns -1, or the fine step where pow
- * gives NaN from a finite x (a negative x, whose x ** gamma CPython makes
- * complex): the caller raises there, as the Python stepper does.  Where the
+/* Integrate the n observation intervals k0 to k0 + n - 1 of m fine steps,
+ * resuming from the state xs[k0] and the cumulative regulators ls[k0] and
+ * rs[k0], so that a path can run in blocks of whole intervals.  z, u,
+ * shift and fine are buffers of the block, read and written from index 0.
+ * The drift is (-theta) * x**gamma, theta * (1 - x), theta, shift[i] +
+ * theta at fine step i, or the Python callable drift(x), called once per
+ * fine step in order with the GIL held (drift is unused for the other
+ * kinds).  xs, ls, rs receive the observations k0 + 1 to k0 + n, hit_lo
+ * and hit_up the flags of intervals k0 to k0 + n - 1, and fine (when not
+ * NULL) the left endpoint of every fine step.  Returns -1, or the fine step
+ * of the block where pow gives NaN from a finite x (a negative x, whose
+ * x ** gamma CPython makes complex): the caller raises there.  Where the
  * drift raises, *stop receives the fine step and the exception stays set. */
 long reflect_path(int kind, double theta, double gamma, const double *shift,
-                  const double *z, const double *u, long n, long m,
+                  const double *z, const double *u, long k0, long n, long m,
                   double a, double b, double hf, double sig2hf, int exact_min,
                   double *xs, double *ls, double *rs, unsigned char *hit_lo,
                   unsigned char *hit_up, double *fine, PyObject *drift, long *stop)
 {
     PyObject *arg, *res;
-    double x = xs[0], cl = ls[0], cr = rs[0], mu, s, dl;
-    for (long k = 0, i = 0; k < n; k++) {
+    double x = xs[k0], cl = ls[k0], cr = rs[k0], mu, s, dl;
+    for (long k = k0, i = 0; k < k0 + n; k++) {
         unsigned char lo = 0, up = 0;
         for (long end = i + m; i < end; i++) {
             if (fine)

@@ -264,7 +264,12 @@ def estimate_nlse(
     level: float = 0.95,
 ) -> EstimateResult:
     """End-to-end estimate: closed form for the power drift (golden-section
-    otherwise), with asymptotic standard error and confidence interval."""
+    otherwise), with asymptotic standard error and confidence interval.
+    ``plan``, which the standard error reads, must have the path's n and h
+    (to 1e-9 relative, the spacing tolerance of the CSV reader)."""
+    if plan.n != path.n or abs(plan.h - path.h) > 1e-9 * path.h:
+        raise ModelError(f"the plan (n={plan.n}, h={plan.h}) does not match the path "
+                         f"(n={path.n}, h={path.h})")
     result = _point_estimate(path, config)
     se = asymptotic_stderr(result.theta_hat, config, plan)
     return replace(result, stderr=se, ci=confidence_interval(result.theta_hat, se, level),

@@ -53,6 +53,11 @@ def _frozen(arr, dtype=float) -> np.ndarray:
     return arr
 
 
+# the |theta| and the least x for which the built-in drifts declare their
+# Lipschitz bounds
+_THETA_MAX, _X_MIN = 5.0, 0.01
+
+
 @dataclass(frozen=True)
 class DriftSpec:
     """Drift f(x, theta) with its first and second theta-derivatives.
@@ -81,39 +86,34 @@ class DriftSpec:
             raise ModelError("power drift requires gamma in (0, 1]")
 
     @staticmethod
-    def power(gamma: float, *, theta_max: float = 5.0, x_min: float = 0.01) -> "DriftSpec":
+    def power(gamma: float) -> "DriftSpec":
         """Pull toward zero: f(x, theta) = -theta * x**gamma, x >= 0.
 
-        The declared Lipschitz bound is theta_max * gamma * x_min**(gamma-1),
-        valid for |theta| <= theta_max on [x_min, inf).  For gamma < 1 the
-        drift is not Lipschitz at x = 0; simulation and estimation never rely
-        on the bound at runtime.
+        The declared Lipschitz bound is 5 * gamma * 0.01**(gamma - 1), valid
+        for |theta| <= 5 (``_THETA_MAX``) on [0.01, inf) (``_X_MIN``).  For
+        gamma < 1 the drift is not Lipschitz at x = 0; simulation and
+        estimation never rely on the bound at runtime.
         """
         if not 0.0 < gamma <= 1.0:
             raise ModelError("gamma must lie in (0, 1]")
-        if theta_max <= 0 or x_min <= 0:
-            raise ModelError("theta_max and x_min must be positive")
-        bound = theta_max * gamma * x_min ** (gamma - 1.0)
         return DriftSpec(
             kind=POWER,
             f=lambda x, theta: -theta * np.power(x, gamma),
             df_dtheta=lambda x, theta: -np.power(x, gamma) + 0.0 * theta,
             d2f_dtheta2=lambda x, theta: 0.0 * (x + theta),
-            lipschitz_bound=bound,
+            lipschitz_bound=_THETA_MAX * gamma * _X_MIN ** (gamma - 1.0),
             gamma=gamma,
         )
 
     @staticmethod
-    def mean_reversion_to_one(*, theta_max: float = 5.0) -> "DriftSpec":
-        """f(x, theta) = theta * (1 - x); Lipschitz constant theta_max."""
-        if theta_max <= 0:
-            raise ModelError("theta_max must be positive")
+    def mean_reversion_to_one() -> "DriftSpec":
+        """f(x, theta) = theta * (1 - x); Lipschitz constant ``_THETA_MAX``."""
         return DriftSpec(
             kind=MEAN_REVERSION_TO_ONE,
             f=lambda x, theta: theta * (1.0 - x),
             df_dtheta=lambda x, theta: 1.0 - x + 0.0 * theta,
             d2f_dtheta2=lambda x, theta: 0.0 * (x + theta),
-            lipschitz_bound=theta_max,
+            lipschitz_bound=_THETA_MAX,
         )
 
     @staticmethod
@@ -180,7 +180,7 @@ class BarrierConfig:
         return self.b is not None
 
     def contains(self, x: float) -> bool:
-        return not x < self.a and (self.b is None or x <= self.b)
+        return self.a <= x and (self.b is None or x <= self.b)
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,18 @@ estimators consume.  Everything is deterministic given the stream seed.
 :func:`_simulate` draws and integrates each path in blocks of whole
 observation intervals of about ``_BLOCK_STEPS`` fine steps, into draw
 buffers reused from block to block, so that they stay in the cache; the
-stream, and so every path, is the same as when drawn whole.
-:func:`_integrate` picks the stepper once, and the whole path runs on it:
-``reflect_path`` in ``_stepper.c`` (see :mod:`._native`), the compiled twin
-of the Python loop :func:`_reflect_interval`, which gives the same bits: the
-built-in drifts and the two-factor system in C with the GIL released, a
-custom drift called from C through the Python C API with the GIL held.
-What a custom drift raises stops the kernel and is raised as the Python
-stepper raises it; a power drift of a negative state raises the same
-:class:`DataError` on both.  Without a C compiler, paths run on
-:func:`_reflect_interval`.  The same library reads the CSV rows
+stream, and so every path, is the same as when drawn whole.  The two
+factors of :func:`simulate_two_factor` step block by block in turn, the
+log price reading one block of the short rate's fine steps.
+:func:`_integrate` picks the stepper once, and the whole path runs on it,
+called with the same arguments: ``reflect_path`` in ``_stepper.c`` (see
+:mod:`._native`), or its Python twin :func:`_reflect_path`, the reference,
+which gives the same bits.  The kernel runs the built-in drifts and the
+two-factor system in C with the GIL released, and calls a custom drift
+through the Python C API with the GIL held.  What a custom drift raises
+stops either stepper and is raised alike; a power drift of a negative
+state raises the same :class:`DataError` on both.  Without a C compiler,
+paths run on :func:`_reflect_path`.  The same library reads the CSV rows
 :func:`write_csv` writes; any other text goes to ``np.loadtxt``, which gives
 the same values and errors.
 """
@@ -183,65 +185,84 @@ class TwoFactorPath:
         self.rshort.validate()
 
 
-def _reflect_interval(
-    mu_of: Callable[[float], float],
-    x: float,
-    cl: float,
-    cr: float,
-    zs: list[float],
-    us: list[float],
-    a: float,
-    b: float,
-    hf: float,
-    sig2hf: float,
-    exact_min: bool,
-    fine: list[float] | None = None,
-) -> tuple[float, float, float, bool, bool]:
-    """Advance one observation interval by its reflected fine steps.
-
-    ``zs`` holds the interval's Gaussian increments already scaled by
-    sigma*sqrt(hf) and ``us`` its bridge-minimum uniforms, both as Python
-    floats so the loop runs on native floats; ``b`` is ``inf`` for a
-    one-sided path.  The lower reflection lifts the exactly sampled
-    within-step minimum (the endpoint, without ``exact_min``) to ``a``;
-    overshoot above ``b`` is clipped into the upper regulator.  The
-    cumulative regulators ``cl``/``cr`` are carried in and out, and
-    ``fine``, when given, collects the left endpoint of every fine step.
-
-    Returns ``(x, cl, cr, touched_lower, touched_upper)``.  ``reflect_path``
-    in ``_stepper.c`` repeats this loop operation for operation; a change
-    to one must be made to both.
-    """
-    log, sqrt = math.log, math.sqrt
-    touched_lo = touched_up = False
-    for z, u in zip(zs, us):
-        if fine is not None:
-            fine.append(x)
-        s = mu_of(x) * hf + z
-        if exact_min:
-            dl = a - x - 0.5 * (s - sqrt(s * s - sig2hf * log(u)))
-        else:
-            dl = a - (x + s)
-        if dl < 0.0:
-            dl = 0.0
-        x = x + s + dl
-        if dl > 0.0:
-            touched_lo = True
-            cl += dl
-        if x > b:
-            touched_up = True
-            cr += x - b
-            x = b
-    return x, cl, cr, touched_lo, touched_up
-
-
 # drift codes of the compiled kernel (see _stepper.c)
 _K_POWER, _K_MEAN_REVERSION, _K_CONSTANT, _K_SHIFTED, _K_CALLBACK = range(5)
+# a kernel drift (code, theta, gamma), or a custom drift x -> f(x, theta)
+_Drift = tuple[int, float, float] | Callable[[float], float]
 
 
-def _drift_of_state(
-    spec: DriftSpec, theta: float
-) -> tuple[int, float, float] | Callable[[float], float]:
+def _reflect_path(kind, theta, gamma, shift, z, u, k0, n, m, a, b, hf, sig2hf,
+                  exact_min, xs, ls, rs, hit_lo, hit_up, fine, drift, stop):
+    """Integrate the observation intervals ``k0`` to ``k0 + n - 1`` of ``m``
+    fine steps: the Python twin of ``reflect_path`` in ``_stepper.c``, with
+    its arguments (arrays where it takes pointers) and its operations in the
+    same order, on Python floats.  A change to one must be made to both.
+
+    ``z`` (the Gaussian increments scaled by sigma*sqrt(hf)), ``u`` (the
+    bridge-minimum uniforms), ``shift`` and ``fine`` are buffers of the
+    block, read and written from index 0; ``b`` is ``inf`` for a one-sided
+    path.  The lower reflection lifts the exactly sampled within-step
+    minimum (the endpoint, without ``exact_min``) to ``a``; overshoot above
+    ``b`` is clipped into the upper regulator.  Returns -1, or the fine step
+    of the block where ``x ** gamma`` is complex (a negative state); where
+    ``drift`` raises, ``stop.value`` receives the fine step.
+    """
+    log, sqrt = math.log, math.sqrt
+    power, reverting = kind == _K_POWER, kind == _K_MEAN_REVERSION
+    constant, shifted = kind == _K_CONSTANT, kind == _K_SHIFTED
+    z, u = z[:n * m].tolist(), u[:n * m].tolist()
+    if shifted:
+        shift = shift[:n * m].tolist()
+    left = [] if fine is not None else None
+    x, cl, cr = float(xs[k0]), float(ls[k0]), float(rs[k0])
+    rows = []
+    for k in range(n):
+        lo = up = False
+        for i in range(k * m, (k + 1) * m):
+            if left is not None:
+                left.append(x)
+            if power:
+                mu = x if gamma == 1.0 else x ** gamma
+                if type(mu) is complex:
+                    return i
+                mu = -theta * mu
+            elif reverting:
+                mu = theta * (1.0 - x)
+            elif constant:
+                mu = theta
+            elif shifted:
+                mu = shift[i] + theta
+            else:
+                try:
+                    mu = drift(x)
+                except BaseException:
+                    stop.value = i
+                    raise
+            s = mu * hf + z[i]
+            if exact_min:
+                dl = a - x - 0.5 * (s - sqrt(s * s - sig2hf * log(u[i])))
+            else:
+                dl = a - (x + s)
+            if dl < 0.0:
+                dl = 0.0
+            x = x + s + dl
+            if dl > 0.0:
+                lo = True
+                cl += dl
+            if x > b:
+                up = True
+                cr += x - b
+                x = b
+        rows.append((x, cl, cr, lo, up))
+    # the kernel writes these as it goes; after a failure nothing reads them
+    done = slice(k0 + 1, k0 + n + 1)
+    xs[done], ls[done], rs[done], hit_lo[k0:k0 + n], hit_up[k0:k0 + n] = zip(*rows)
+    if left is not None:
+        fine[:n * m] = left
+    return -1
+
+
+def _drift_of_state(spec: DriftSpec, theta: float) -> _Drift:
     """The drift for :func:`_integrate`: the kernel's ``(code, theta, gamma)``
     for a built-in kind, where the shifted covariate is the constant
     mu = c + theta, or a scalar closure x -> f(x, theta) for a custom one."""
@@ -264,32 +285,6 @@ def _drift_of_state(
     return custom
 
 
-def _scalar_drift(
-    code: int, p: float, gamma: float, shift: np.ndarray | None
-) -> Callable[[float], float]:
-    """A kernel drift as a closure on Python floats, spelled out rather than
-    going through ``spec.f``, whose numpy calls are slow on scalars.  The
-    shifted drift reads ``shift`` in fine-step order."""
-    if code == _K_POWER:
-        return lambda x: -p * x ** gamma
-    if code == _K_MEAN_REVERSION:
-        return lambda x: p * (1.0 - x)
-    if code == _K_CONSTANT:
-        return lambda x: p
-    left = iter(shift.tolist())
-    return lambda x: next(left) + p
-
-
-def _left_finite_range(k: int, exc: ArithmeticError) -> DataError:
-    # Python floats raise where numpy scalars returned inf
-    return DataError(f"the drift left the finite range in observation interval {k}: {exc}")
-
-
-def _not_real(k: int) -> DataError:
-    # a negative state to a fractional power: complex in Python, NaN in C
-    return DataError(f"the drift is not a real number in observation interval {k}")
-
-
 _Trace = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -301,9 +296,8 @@ def _address(arr: np.ndarray) -> int:
 
 
 def _integrate(
-    drift: tuple[int, float, float] | Callable[[float], float], z: np.ndarray,
-    us: np.ndarray, m: int, a: float, b: float, hf: float, sig2hf: float,
-    exact_min: bool, trace: _Trace, shift: np.ndarray | None = None,
+    drift: _Drift, z: np.ndarray, us: np.ndarray, m: int, a: float, b: float, hf: float,
+    sig2hf: float, exact_min: bool, trace: _Trace, shift: np.ndarray | None = None,
     fine: np.ndarray | None = None,
 ) -> Callable[[int, int], None]:
     """The stepper of one path of observation intervals of ``m`` fine steps.
@@ -319,76 +313,47 @@ def _integrate(
     whole path.
 
     ``drift`` comes from :func:`_drift_of_state`, or is the kernel's shifted
-    drift ``(_K_SHIFTED, theta, 0.0)`` with ``shift`` holding the n * m
-    values added at each fine step.  ``fine``, an array of n * m, receives
-    every fine-step left endpoint.  Every block runs on the stepper picked
-    here: the compiled kernel when it loads, else :func:`_reflect_interval`
-    interval by interval.  Where the power drift's ``x ** gamma`` is not a
-    real number (a negative state), both raise the same :class:`DataError`.
+    drift ``(_K_SHIFTED, theta, 0.0)`` with ``shift`` holding the values
+    added at each fine step of the block.  ``fine``, a buffer of the block
+    like ``shift``, receives every fine-step left endpoint.  Every block
+    runs on the stepper picked here, with the same arguments: the compiled
+    kernel when it loads, else its twin :func:`_reflect_path`.  Where the
+    power drift's ``x ** gamma`` is not a real number (a negative state),
+    both raise the same :class:`DataError`.
     """
-    xs, ls, rs, hit_lo, hit_up = trace
-    n = len(hit_lo)
+    n = len(trace[3])
+    custom = callable(drift)
+    code, theta, gamma = (_K_CALLBACK, 0.0, 0.0) if custom else drift
+    buffers = [arr for arr in (z, us, shift, fine) if arr is not None]
+    room = min(len(arr) for arr in buffers) // m  # observation intervals a block
+    arrays = (shift, z, us, *trace, fine)
     lib = _native.load()
-    if lib is not None:
-        for arr in (z, us, shift, fine):
+    if lib is None:
+        kernel = _reflect_path
+    else:
+        for arr in buffers:
             # the kernel reads or writes contiguous doubles through each
-            if arr is not None and (arr.ndim != 1 or arr.dtype != np.float64
-                                    or not arr.flags.c_contiguous):
+            if arr.ndim != 1 or arr.dtype != np.float64 or not arr.flags.c_contiguous:
                 raise ValueError("fine-step arrays must be contiguous doubles")
-        for arr in (shift, fine):
-            if arr is not None and len(arr) != n * m:
-                raise ValueError("shift and fine must hold n * m fine steps")
-        custom = callable(drift)
-        code, theta, gamma = (_K_CALLBACK, 0.0, 0.0) if custom else drift
         kernel = lib.reflect_path_with_gil if custom else lib.reflect_path
-        stop = ctypes.c_long()
-        zp, up, xp, lp, rp, lo, hi = map(_address, (z, us, *trace))
-        sp, fp = (None if arr is None else _address(arr) for arr in (shift, fine))
-        dbl = 8  # bytes a double
-
-        def native_step(k: int, count: int) -> None:
-            if count * m > len(z) or k + count > n:
-                raise ValueError("a block must lie in the path and its draws")
-            j = dbl * k * m
-            try:
-                status = kernel(
-                    code, theta, gamma, None if sp is None else sp + j, zp, up, count, m,
-                    a, b, hf, sig2hf, exact_min, xp + dbl * k, lp + dbl * k, rp + dbl * k,
-                    lo + k, hi + k, None if fp is None else fp + j,
-                    drift if custom else None, stop)
-            except (OverflowError, ZeroDivisionError) as exc:
-                # the Python stepper calls the drift once per fine step
-                raise _left_finite_range(k + stop.value // m, exc) from exc
-            if status >= 0:
-                # pow gave NaN from a finite state
-                raise _not_real(k + status // m)
-
-        return native_step
+        arrays = tuple(None if arr is None else _address(arr) for arr in arrays)
+    sp, zp, up, xp, lp, rp, lo, hi, fp = arrays
+    stop = ctypes.c_long()
 
     def step(k: int, count: int) -> None:
-        j0, j1 = k * m, (k + count) * m
-        mu_of = drift if callable(drift) else _scalar_drift(
-            *drift, None if shift is None else shift[j0:j1])
-        zs, ul = z[:j1 - j0].tolist(), us[:j1 - j0].tolist()
-        x, cl, cr = float(xs[k]), float(ls[k]), float(rs[k])
-        left = None if fine is None else []
-        rows = []
-        for i in range(count):
-            try:
-                x, cl, cr, lo, up = _reflect_interval(
-                    mu_of, x, cl, cr, zs[i * m:(i + 1) * m], ul[i * m:(i + 1) * m],
-                    a, b, hf, sig2hf, exact_min, left)
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise _left_finite_range(k + i, exc) from exc
-            except TypeError:
-                if callable(drift):  # a custom drift's own error
-                    raise
-                raise _not_real(k + i) from None
-            rows.append((x, cl, cr, lo, up))
-        after = slice(k + 1, k + count + 1)
-        xs[after], ls[after], rs[after], hit_lo[k:k + count], hit_up[k:k + count] = zip(*rows)
-        if fine is not None:
-            fine[j0:j1] = left
+        if count > room or k + count > n:
+            raise ValueError("a block must lie in the path and its buffers")
+        try:
+            status = kernel(code, theta, gamma, sp, zp, up, k, count, m, a, b, hf, sig2hf,
+                            exact_min, xp, lp, rp, lo, hi, fp, drift if custom else None, stop)
+        except (OverflowError, ZeroDivisionError) as exc:
+            # a custom drift raised at fine step stop.value of the block
+            raise DataError("the drift left the finite range in observation interval "
+                            f"{k + stop.value // m}: {exc}") from exc
+        if status >= 0:
+            # a negative state to a fractional power: complex in Python, NaN in C
+            raise DataError("the drift is not a real number in observation interval "
+                            f"{k + status // m}")
 
     return step
 
@@ -412,40 +377,53 @@ _BLOCK_STEPS = 8192
 
 
 def _simulate(
-    drift: tuple[int, float, float] | Callable[[float], float], x0: float, seed: int,
-    sigma: float, barriers: BarrierConfig, plan: SamplingPlan, opts: SimOptions,
-    shift: np.ndarray | None = None, fine: np.ndarray | None = None,
-) -> SamplePath:
-    """Draw the stream of ``seed`` and integrate one path of ``plan`` from
-    ``x0`` between ``barriers``, in blocks of whole observation intervals of
-    about ``_BLOCK_STEPS`` fine steps (see :func:`rng.fill_draws`; the
-    stream and the path do not depend on the block size); ``drift``,
-    ``shift`` and ``fine`` are as in :func:`_integrate`.  The path is not
-    validated here."""
+    factors: list[tuple[_Drift, float, int, BarrierConfig]], sigma: float,
+    plan: SamplingPlan, opts: SimOptions,
+) -> list[SamplePath]:
+    """One path of ``plan`` for each factor ``(drift, x0, seed, barriers)``:
+    the stream of ``seed`` integrated from ``x0`` between ``barriers`` with
+    ``drift`` as in :func:`_integrate`.  The paths run in blocks of whole
+    observation intervals of about ``_BLOCK_STEPS`` fine steps, each block
+    drawn (see :func:`rng.fill_draws`; the stream and the path do not depend
+    on the block size) and integrated for every factor in turn into the same
+    draw buffers.  With two factors, the first writes the block's fine-step
+    left endpoints, which the second, a shifted drift, reads.  The paths are
+    not validated here."""
     n, m = plan.n, opts.substeps
     hf = plan.h / m
     sigma = float(sigma)
-    b = float(barriers.b) if barriers.is_two_sided else math.inf
     per = max(1, _BLOCK_STEPS // m)  # observation intervals a block
     size = min(n, per) * m
     u, z, us = np.empty((size, 2)), np.empty(size), np.empty(size)
-    trace = xs, ls, rs, hit_lo, hit_up = (
-        np.empty(n + 1), np.empty(n + 1), np.empty(n + 1),
-        np.empty(n, dtype=bool), np.empty(n, dtype=bool))
-    xs[0], ls[0], rs[0] = float(x0), 0.0, 0.0
-    step = _integrate(drift, z, us, m, float(barriers.a), b, hf, 2.0 * sigma * sigma * hf,
-                      opts.scheme == LEPINGLE, trace, shift, fine)
-    gen, scale = rng.generator(seed), sigma * math.sqrt(hf)
+    left = np.empty(size) if len(factors) > 1 else None
+    runs = []
+    for drift, x0, seed, barriers in factors:
+        trace = xs, ls, rs, _, _ = (
+            np.empty(n + 1), np.empty(n + 1), np.empty(n + 1),
+            np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+        xs[0], ls[0], rs[0] = float(x0), 0.0, 0.0
+        b = float(barriers.b) if barriers.is_two_sided else math.inf
+        shifted = not callable(drift) and drift[0] == _K_SHIFTED
+        step = _integrate(drift, z, us, m, float(barriers.a), b, hf, 2.0 * sigma * sigma * hf,
+                          opts.scheme == LEPINGLE, trace, shift=left if shifted else None,
+                          fine=None if shifted else left)
+        runs.append((rng.generator(seed), step, trace, barriers))
+    scale = sigma * math.sqrt(hf)
     for k in range(0, n, per):
         count = min(per, n - k)
         rows = count * m
-        rng.fill_draws(gen, u[:rows], z[:rows], us[:rows], scale)
-        step(k, count)
+        for gen, step, _, _ in runs:
+            rng.fill_draws(gen, u[:rows], z[:rows], us[:rows], scale)
+            step(k, count)
     times = np.arange(n + 1) * plan.h
-    for arr in (times, *trace):  # fresh, so the path keeps them uncopied
-        arr.setflags(write=False)
-    return SamplePath(h=plan.h, times=times, x=xs, l=ls, r=rs, barriers=barriers,
-                      hit_lower=hit_lo, hit_upper=hit_up)
+    paths = []
+    for _, _, trace, barriers in runs:
+        for arr in (times, *trace):  # fresh, so the path keeps them uncopied
+            arr.setflags(write=False)
+        xs, ls, rs, hit_lo, hit_up = trace
+        paths.append(SamplePath(h=plan.h, times=times, x=xs, l=ls, r=rs, barriers=barriers,
+                                hit_lower=hit_lo, hit_upper=hit_up))
+    return paths
 
 
 def simulate_path(
@@ -455,8 +433,8 @@ def simulate_path(
     ``theta``.  Deterministic given ``opts.seed``; a drift that overflows
     raises :class:`DataError`."""
     _require_in_domain(theta, config.theta_domain)
-    path = _simulate(_drift_of_state(config.drift, theta), config.x0, opts.seed,
-                     config.sigma, config.barriers, plan, opts)
+    [path] = _simulate([(_drift_of_state(config.drift, theta), config.x0, opts.seed,
+                         config.barriers)], config.sigma, plan, opts)
     path.validate()
     return path
 
@@ -488,14 +466,13 @@ def simulate_two_factor(
     if sigma < 0.0 or not math.isfinite(sigma):
         raise ModelError(f"sigma must be >= 0, got {sigma!r}")
 
-    # The short rate does not feel the log price, so it is stepped first
-    # and the log price then reads its fine-step left endpoints.
-    fine = np.empty(plan.n * opts.substeps)
-    rshort = _simulate((_K_MEAN_REVERSION, float(theta2), 0.0), r0,
-                       rng.derive_seed(opts.seed, 2), sigma,
-                       BarrierConfig.one_sided_lower(0.0), plan, opts, fine=fine)
-    y = _simulate((_K_SHIFTED, float(theta1), 0.0), y0, rng.derive_seed(opts.seed, 1),
-                  sigma, barriers_y, plan, opts, shift=fine)
+    # The short rate does not feel the log price, so each block of it is
+    # stepped first and the log price then reads its fine-step left endpoints.
+    rshort, y = _simulate(
+        [((_K_MEAN_REVERSION, float(theta2), 0.0), r0, rng.derive_seed(opts.seed, 2),
+          BarrierConfig.one_sided_lower(0.0)),
+         ((_K_SHIFTED, float(theta1), 0.0), y0, rng.derive_seed(opts.seed, 1), barriers_y)],
+        sigma, plan, opts)
     tf = TwoFactorPath(y=y, rshort=rshort)
     tf.validate()
     return tf

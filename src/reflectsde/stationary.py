@@ -143,8 +143,8 @@ def scale_density(config: ModelConfig, theta: float, x: float) -> float:
     For custom drifts the integral is computed by adaptive quadrature.
     """
     _require_stationary(config, theta)
-    a, b = config.barriers.a, config.barriers.b
-    if x < a or (b is not None and x > b):
+    a = config.barriers.a
+    if not config.barriers.contains(x):
         raise ModelError(f"x={x!r} outside the barrier interval")
     if config.drift.kind == CUSTOM:
         integral, _ = _sciint.quad(lambda y: config.drift.f(y, theta), a, x)

@@ -299,6 +299,20 @@ class TestEstimateNlse:
         ]
         assert run.estimates[50].tolist() == direct
 
+    @pytest.mark.parametrize("plan", (
+        # the stderr reads plan.n: a 10x longer plan gives a 10x smaller one
+        rs.SamplingPlan(n=20_000, h=0.01),
+        rs.SamplingPlan(n=199, h=0.01),
+        rs.SamplingPlan(n=200, h=0.01 * (1.0 + 2e-9)),
+    ), ids=("n", "n-1", "h"))
+    def test_plan_must_match_the_path(self, plan):
+        cfg = power_model(0.5)
+        path = rs.simulate_path(cfg, 2.0, rs.SamplingPlan(n=200, h=0.01), rs.SimOptions(seed=3))
+        with pytest.raises(ModelError, match="does not match the path"):
+            rs.estimate_nlse(path, cfg, plan)
+        # within the CSV reader's spacing tolerance, the plan's h is the path's
+        rs.estimate_nlse(path, cfg, rs.SamplingPlan(n=200, h=0.01 * (1.0 + 5e-10)))
+
     def test_mean_reversion_golden_section_recovers(self):
         drift = rs.DriftSpec.mean_reversion_to_one()
         cfg = rs.ModelConfig(drift=drift, sigma=0.1,

@@ -153,6 +153,20 @@ class TestLipschitz:
             allowed = spec.lipschitz_bound * np.abs(xs[:, 0] - xs[:, 1]) + 1e-12
             assert np.all(gap <= allowed)
 
+    # the declared bounds of the built-in drifts, pinned: |theta| <= 5 and,
+    # for the power drift, x >= 0.01
+    @pytest.mark.parametrize("spec, bound", (
+        (rs.DriftSpec.power(0.5), 25.0),
+        (rs.DriftSpec.power(2.0 / 3.0), 15.471962778709264),
+        (rs.DriftSpec.power(0.25), 39.52847075210474),
+        (rs.DriftSpec.power(1.0), 5.0),
+        (rs.DriftSpec.mean_reversion_to_one(), 5.0),
+        (rs.DriftSpec.shifted_covariate(1.1), 1.0),
+    ), ids=("power-0.5", "power-2/3", "power-0.25", "power-1", "mean-reversion",
+            "shifted"))
+    def test_declared_bound(self, spec, bound):
+        assert spec.lipschitz_bound == bound
+
 
 class TestTypesValidation:
     def test_gamma_out_of_range(self):

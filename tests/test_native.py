@@ -4,6 +4,7 @@ the Eisel-Lemire conversion of the compiled CSV reader."""
 
 import gc
 import importlib.resources
+import inspect
 import math
 import os
 import re
@@ -159,17 +160,28 @@ class TestParity:
         with pytest.raises(ValueError, match="must lie in the path"):
             step(0, 3)
         step(0, 2)
-        with pytest.raises(ValueError, match="n \\* m fine steps"):
-            simulate._integrate(drift, *args, fine=np.empty(5))
+        # shift and fine are buffers of a block, of one interval here
+        for buffer in ({"fine": np.empty(3)}, {"shift": np.empty(2)}):
+            step = simulate._integrate(drift, *args, **buffer)
+            with pytest.raises(ValueError, match="must lie in the path and its buffers"):
+                step(0, 2)
+            step(1, 1)
         with pytest.raises(ValueError, match="contiguous doubles"):
             simulate._integrate(drift, *args, shift=np.empty(8)[::2])
+
+    def test_twins_take_the_same_arguments(self):
+        lib = _native.load()
+        if lib is None:
+            pytest.skip("no compiled kernel")
+        assert (len(lib.reflect_path.argtypes)
+                == len(inspect.signature(simulate._reflect_path).parameters))
 
     def test_no_path_falls_back_to_the_python_stepper(self, monkeypatch):
         # with the kernel loaded, every golden path runs without the Python
         # stepper: every kind, both schemes and barriers, and two factors
         if _native.load() is None:
             pytest.skip("no compiled kernel")
-        monkeypatch.setattr(simulate, "_reflect_interval",
+        monkeypatch.setattr(simulate, "_reflect_path",
                             lambda *args: _raise(AssertionError("Python stepper ran")))
         golden = test_simulate.TestGoldenPaths()
         for case in test_simulate._GOLDEN_CASES:
@@ -194,8 +206,10 @@ def _raise(exc):
 def _unvalidated_path(config, theta, opts, plan=_PLAN):
     """The path simulate_path builds before it validates, so that a NaN
     path can be compared byte for byte."""
-    return simulate._simulate(simulate._drift_of_state(config.drift, theta), config.x0,
-                              opts.seed, config.sigma, config.barriers, plan, opts)
+    [path] = simulate._simulate(
+        [(simulate._drift_of_state(config.drift, theta), config.x0, opts.seed,
+          config.barriers)], config.sigma, plan, opts)
+    return path
 
 
 class TestCustomDriftCallback:

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import io
 import math
@@ -415,6 +416,20 @@ _GOLDEN_DIGESTS = {
 }
 
 
+def _scalar_drift(drift, theta):
+    """x -> the drift the steppers take at the state x, on Python floats,
+    spelled out from the kernel's formulas."""
+    mu = simulate._drift_of_state(drift, theta)
+    if callable(mu):
+        return mu
+    code, p, gamma = mu
+    if code == simulate._K_POWER:
+        return lambda x: -p * x ** gamma
+    if code == simulate._K_MEAN_REVERSION:
+        return lambda x: p * (1.0 - x)
+    return lambda x: p
+
+
 class TestGoldenPaths:
     @pytest.mark.parametrize("case", _GOLDEN_CASES, ids=lambda c: "-".join(map(str, c)))
     def test_path_digest(self, case):
@@ -443,10 +458,7 @@ class TestGoldenPaths:
         # the drift frozen at each left endpoint, give simulate_path's bits
         case = (kind, two_sided, rs.LEPINGLE)
         path = _golden_path(*case, _golden_seed(case))
-        drift, theta = _golden_drift(kind)
-        mu_of = simulate._drift_of_state(drift, theta)
-        if not callable(mu_of):
-            mu_of = simulate._scalar_drift(*mu_of, None)
+        mu_of = _scalar_drift(*_golden_drift(kind))
         n, m = _GOLDEN_PLAN.n, _GOLDEN_SUBSTEPS
         hf = _GOLDEN_PLAN.h / m
         normals, uniforms = rng_mod.path_draws(_golden_seed(case), n * m)
@@ -482,25 +494,24 @@ def _block_sizes():
     return [min(per, _BLOCK_PLAN.n - k) for k in range(0, _BLOCK_PLAN.n, per)]
 
 
-def _whole_path_reference(mu_of, x0, seed, sigma, a, b, fine=None):
-    """The path of ``mu_of`` from the draws of the whole path at once, one
-    observation interval at a time on the Python stepper; ``fine``
-    collects the fine-step left endpoints."""
+def _whole_path_reference(drift, x0, seed, sigma, a, b, shift=None, fine=None):
+    """The path of ``drift`` (as :func:`simulate._drift_of_state` gives it)
+    from the draws of the whole path at once, in one call of the Python
+    stepper over every observation interval; ``shift`` and ``fine`` hold
+    the fine steps of the whole path."""
     n, m = _BLOCK_PLAN.n, _BLOCK_SUBSTEPS
     hf = _BLOCK_PLAN.h / m
     normals, uniforms = rng_mod.path_draws(seed, n * m)
-    zs, us = (normals * (sigma * math.sqrt(hf))).tolist(), uniforms.tolist()
-    x, cl, cr = x0, 0.0, 0.0
-    trace = [[x], [cl], [cr], [], []]
-    for k in range(n):
-        j = slice(k * m, (k + 1) * m)
-        x, cl, cr, lo, up = simulate._reflect_interval(
-            mu_of, x, cl, cr, zs[j], us[j], a, b, hf, 2.0 * sigma * sigma * hf, True, fine)
-        for column, value in zip(trace, (x, cl, cr, lo, up)):
-            column.append(value)
-    return [np.asarray(column).tobytes() for column in
-            (trace[0], trace[1], trace[2], np.array(trace[3], dtype=bool),
-             np.array(trace[4], dtype=bool))]
+    trace = (np.full(n + 1, x0), np.zeros(n + 1), np.zeros(n + 1), np.empty(n, dtype=bool),
+             np.empty(n, dtype=bool))
+    custom = callable(drift)
+    code, theta, gamma = (simulate._K_CALLBACK, 0.0, 0.0) if custom else drift
+    status = simulate._reflect_path(
+        code, theta, gamma, shift, normals * (sigma * math.sqrt(hf)), uniforms, 0, n, m,
+        a, b, hf, 2.0 * sigma * sigma * hf, True, *trace, fine, drift if custom else None,
+        ctypes.c_long())
+    assert status == -1
+    return [arr.tobytes() for arr in trace]
 
 
 def _path_bytes(path):
@@ -531,23 +542,21 @@ class TestBlocks:
                                 theta_domain=(-20.0, 20.0), x0=0.5)
         path = rs.simulate_path(config, theta, _BLOCK_PLAN,
                                 rs.SimOptions(substeps=_BLOCK_SUBSTEPS, seed=41))
-        mu_of = simulate._drift_of_state(drift, theta)
-        if not callable(mu_of):
-            mu_of = simulate._scalar_drift(*mu_of, None)
-        assert _path_bytes(path) == _whole_path_reference(mu_of, 0.5, 41, 0.8, 0.0, 1.0)
+        assert _path_bytes(path) == _whole_path_reference(
+            simulate._drift_of_state(drift, theta), 0.5, 41, 0.8, 0.0, 1.0)
 
     def test_two_factor_path_equals_whole_path_reference(self, backend):
         theta1, theta2, sigma = 1.0, 1.0, 0.5
         opts = rs.SimOptions(substeps=_BLOCK_SUBSTEPS, seed=42)
         tf = rs.simulate_two_factor(1.0, 0.05, theta1, theta2, sigma, 0.0, 1.5,
                                     _BLOCK_PLAN, opts)
-        fine = []
+        fine = np.empty(_BLOCK_PLAN.n * _BLOCK_SUBSTEPS)
         rshort = _whole_path_reference(
-            simulate._scalar_drift(simulate._K_MEAN_REVERSION, theta2, 0.0, None), 0.05,
-            rng_mod.derive_seed(42, 2), sigma, 0.0, math.inf, fine)
+            (simulate._K_MEAN_REVERSION, theta2, 0.0), 0.05, rng_mod.derive_seed(42, 2),
+            sigma, 0.0, math.inf, fine=fine)
         y = _whole_path_reference(
-            simulate._scalar_drift(simulate._K_SHIFTED, theta1, 0.0, np.array(fine)), 1.0,
-            rng_mod.derive_seed(42, 1), sigma, 0.0, 1.5)
+            (simulate._K_SHIFTED, theta1, 0.0), 1.0, rng_mod.derive_seed(42, 1), sigma,
+            0.0, 1.5, shift=fine)
         assert _path_bytes(tf.rshort) == rshort
         assert _path_bytes(tf.y) == y
 
@@ -555,9 +564,9 @@ class TestBlocks:
         drift = rs.DriftSpec.custom(f=f, df_dtheta=lambda x, th: 0.0,
                                     d2f_dtheta2=lambda x, th: 0.0, lipschitz_bound=1.0)
         return simulate._simulate(
-            simulate._drift_of_state(drift, 2.0), 0.5, 43, 0.8,
-            rs.BarrierConfig.one_sided_lower(0.0), _BLOCK_PLAN,
-            rs.SimOptions(substeps=_BLOCK_SUBSTEPS, seed=43))
+            [(simulate._drift_of_state(drift, 2.0), 0.5, 43,
+              rs.BarrierConfig.one_sided_lower(0.0))],
+            0.8, _BLOCK_PLAN, rs.SimOptions(substeps=_BLOCK_SUBSTEPS, seed=43))
 
     # the 16,480th drift call is fine step 16,479: observation interval 2,354
     # of the third block
@@ -612,6 +621,26 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 1e6, peaks
+
+    def test_two_factor_memory_is_flat_in_the_substeps(self):
+        # the log price reads the short rate of one block, not of the path,
+        # whose n * m doubles are 0.4 MB at m = 10 and 1.6 MB at m = 40; the
+        # bound is one block's draw buffers, 32 bytes a fine step (the Python
+        # stepper keeps a row of floats per observation interval of a block,
+        # 0.16 MB more at m = 10 than at m = 40)
+        import tracemalloc
+
+        peaks = []
+        for m in (10, 40):
+            tracemalloc.start()
+            try:
+                rs.simulate_two_factor(1.0, 0.05, 1.0, 1.0, 0.5, 0.0, 1.5,
+                                       rs.SamplingPlan(n=5_000, h=0.01),
+                                       rs.SimOptions(substeps=m, seed=5))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 32 * simulate._BLOCK_STEPS, peaks
 
 
 class TestSamplePathArrays:

@@ -64,10 +64,14 @@ class TestScaleDensity:
         expected = math.exp(-2.0 / 0.25 * 2.0 * (math.cos(1.0) - 1.0))
         assert rs.scale_density(cfg, 2.0, 1.0) == pytest.approx(expected, rel=1e-9)
 
-    def test_outside_interval_rejected(self):
-        cfg = power_model(0.5)
-        with pytest.raises(ModelError):
-            rs.scale_density(cfg, 2.0, 3.5)
+    # NaN lies in no interval
+    @pytest.mark.parametrize("two_sided, x", (
+        (True, 3.5), (True, -0.5), (True, math.nan), (False, -0.5), (False, math.nan),
+    ))
+    def test_outside_interval_rejected(self, two_sided, x):
+        cfg = power_model(0.5, two_sided=two_sided)
+        with pytest.raises(ModelError, match="outside the barrier interval"):
+            rs.scale_density(cfg, 2.0, x)
 
 
 class TestInvariantDensity:
