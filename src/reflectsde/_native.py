@@ -176,8 +176,8 @@ def _load():
         except OSError as exc:
             reason = f"building with {compiler} failed: {exc}"
     warnings.warn(f"reflectsde: {reason}; paths run on the Python stepper "
-                  "(the same paths, about eight times slower for the built-in "
-                  "drifts and three times slower for custom ones) and path CSVs "
+                  "(the same paths, 6 to 14 times slower for the built-in "
+                  "drifts and about 2.7 times slower for custom ones) and path CSVs "
                   "are read by np.loadtxt", RuntimeWarning, stacklevel=2)
     return None
 

@@ -242,9 +242,13 @@ def asymptotic_stderr(theta_hat: float, config: ModelConfig, plan: SamplingPlan)
 def confidence_interval(
     theta_hat: float, stderr: float, level: float = 0.95
 ) -> tuple[float, float]:
-    """Two-sided normal confidence interval around the estimate."""
+    """Two-sided normal confidence interval around the estimate.  A stderr of
+    0 gives a point and +inf the whole line; NaN or a negative stderr is
+    refused."""
     if not 0.0 < level < 1.0:
         raise ModelError(f"level must lie in (0, 1), got {level!r}")
+    if not stderr >= 0.0:
+        raise ModelError(f"stderr must be >= 0, got {stderr!r}")
     z = float(ndtri(0.5 * (1.0 + level)))
     return theta_hat - z * stderr, theta_hat + z * stderr
 

@@ -1,6 +1,7 @@
 """Monte Carlo experiment runner: replicate simulate -> estimate sweeps,
 bias / standard deviation / MSE summaries, and a normality diagnostic for
-the standardized estimates.
+the standardized estimates.  The diagnostic imports ``scipy.stats`` on its
+first call, not at import: no other code here needs it.
 
 Replications are independent pure tasks keyed by (replication index, n);
 each derives its own stream seed from the root seed, so results are
@@ -15,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scistats
 
 from . import rng
 from .errors import DataError, ModelError
@@ -201,10 +201,14 @@ def normality_diagnostic(
     values = np.asarray(estimates, dtype=float)
     if values.size < 2:
         raise DataError("the normality diagnostic needs at least two estimates")
+    if not np.all(np.isfinite(values)):
+        raise DataError("the normality diagnostic needs finite estimates")
     info = information(config, theta0)
     scale = math.sqrt(plan.n * plan.h * info) / config.sigma
     z = scale * (values - theta0)
-    ks = _scistats.kstest(z, "norm")
+    from scipy import stats  # imported here: about 0.5 s that no other code path needs
+
+    ks = stats.kstest(z, "norm")
     return NormalityReport(
         z=z,
         sample_mean=float(np.mean(z)),

@@ -17,9 +17,11 @@ log-density is shifted by one constant, its maximum on the first grid, at
 every level, so successive normalizers are comparable even when the peak
 lies between nodes.  Each doubling keeps the old nodes, so for the built-in
 drifts (analytic primitive) only the new midpoints are evaluated; a custom
-drift's cumulative-Simpson primitive is recomputed on the whole grid.  A
-grid returned at the cap before meeting the tolerance raises a
-RuntimeWarning naming the last relative change and the node count.
+drift's cumulative-Simpson primitive is recomputed on the whole grid.
+Only that primitive and the custom branch of ``scale_density`` use
+``scipy.integrate``, and they import it when first called.  A grid
+returned at the cap before meeting the tolerance raises a RuntimeWarning
+naming the last relative change and the node count.
 
 For one-sided models the support is truncated at a point where the
 remaining tail mass is below 1e-10 of the total; a drift that fails to push
@@ -43,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sciint
 from scipy import special as _special
 
 from .errors import ModelError
@@ -126,7 +127,9 @@ def _drift_primitive(drift: DriftSpec, a: float, xs: np.ndarray, theta: float) -
     if drift.kind == SHIFTED_COVARIATE:
         return (drift.covariate + theta) * (xs - a)
     fvals = eval_on_array(lambda v: drift.f(v, theta), xs)
-    return _sciint.cumulative_simpson(fvals, x=xs, initial=0.0)
+    from scipy import integrate  # imported here: the built-in drifts never need it
+
+    return integrate.cumulative_simpson(fvals, x=xs, initial=0.0)
 
 
 def _require_stationary(config: ModelConfig, theta: float) -> None:
@@ -147,7 +150,9 @@ def scale_density(config: ModelConfig, theta: float, x: float) -> float:
     if not config.barriers.contains(x):
         raise ModelError(f"x={x!r} outside the barrier interval")
     if config.drift.kind == CUSTOM:
-        integral, _ = _sciint.quad(lambda y: config.drift.f(y, theta), a, x)
+        from scipy import integrate
+
+        integral, _ = integrate.quad(lambda y: config.drift.f(y, theta), a, x)
     else:
         integral = float(_drift_primitive(config.drift, a, np.array([x]), theta)[0])
     return math.exp(-2.0 / config.sigma**2 * integral)

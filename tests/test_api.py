@@ -1,9 +1,21 @@
 """The public surface of ``reflectsde``."""
 
 import inspect
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import stats
 
 import reflectsde as rs
 from reflectsde import cli, model, rng
+
+from conftest import power_model
 
 # The names the benchmark in perfbench/workloads.py calls as ``rs.<name>``;
 # dropping one from __all__ breaks its timed and traced runs.
@@ -44,3 +56,94 @@ def test_benchmark_module_names_resolve():
 def test_benchmark_passes_workers_to_the_drivers():
     for driver in (rs.run_mc, rs.run_mc_two_factor):
         assert "workers" in inspect.signature(driver).parameters
+
+
+# scipy.stats and scipy.integrate (with the linalg, optimize and sparse
+# modules they pull in) cost about 0.7 s to import; no command but
+# `mc --zscores` and the custom-drift stationary quadrature uses them.
+_DEFERRED = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.linalg",
+             "scipy.sparse")
+
+_CLI_IN_A_FRESH_INTERPRETER = """
+import json, runpy, sys
+import reflectsde.cli
+watched = %r
+seen = {"import": sorted(m for m in watched if m in sys.modules)}
+for argv in %r:
+    sys.argv = ["reflectsde", *argv]
+    try:  # what `python -m reflectsde ...` runs
+        runpy.run_module("reflectsde", run_name="__main__", alter_sys=True)
+    except SystemExit as stop:
+        seen[argv[0] + " status"] = stop.code
+    seen[argv[0]] = sorted(m for m in watched if m in sys.modules)
+print(json.dumps(seen))
+"""
+
+_LAZY_USERS_IN_A_FRESH_INTERPRETER = """
+import json, sys
+import numpy as np
+import reflectsde as rs
+drift = rs.DriftSpec.custom(f=lambda x, th: -th * x, df_dtheta=lambda x, th: -x + 0.0 * th,
+                            d2f_dtheta2=lambda x, th: 0.0 * x, lipschitz_bound=10.0)
+custom = rs.ModelConfig(drift=drift, sigma=0.2, barriers=rs.BarrierConfig.two_sided(0.0, 3.0),
+                        theta_domain=(0.01, 10.0), x0=1.0)
+power = rs.ModelConfig(drift=rs.DriftSpec.power(1.0), sigma=0.2,
+                       barriers=rs.BarrierConfig.two_sided(0.0, 3.0),
+                       theta_domain=(0.01, 10.0), x0=1.0)
+out = {"before": sorted(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules)}
+out["values"] = rs.invariant_density(custom, 2.0).values.tolist()
+out["information"] = rs.information(custom, 2.0)
+out["scale"] = rs.scale_density(custom, 2.0, 1.5)
+estimates = 2.0 + 0.01 * np.random.default_rng(7).standard_normal(50)
+report = rs.normality_diagnostic(estimates, 2.0, rs.SamplingPlan(n=1000, h=0.01), power)
+out["z"] = report.z.tolist()
+out["ks"] = [report.ks_statistic, report.ks_pvalue]
+out["after"] = sorted(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules)
+print(json.dumps(out))
+"""
+
+
+def _fresh_interpreter(code: str, cwd: Path) -> dict:
+    src = str(Path(rs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=240, env=env, cwd=cwd, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_common_commands_import_no_heavy_scipy(tmp_path):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("drift.kind = power\ndrift.gamma = 0.5\nsigma = 0.2\nbarrier.a = 0.0\n"
+                   "barrier.b = 3.0\ntheta.lo = 0.01\ntheta.hi = 10.0\ntheta.true = 2.0\n"
+                   "x0 = 1.0\nn = 200\nh = 0.01\nseed = 42\n")
+    csv = tmp_path / "path.csv"
+    commands = (("simulate", "--config", str(cfg), "--out", str(csv)),
+                ("estimate", "--config", str(cfg), "--path", str(csv)),
+                ("density", "--config", str(cfg), "--out", str(tmp_path / "pi.csv")),
+                ("ginfo", "--config", str(cfg), "--points", "3",
+                 "--out", str(tmp_path / "g.csv")),
+                ("mc", "--config", str(cfg), "--reps", "3", "--n", "50",
+                 "--out-dir", str(tmp_path / "mc")))
+    seen = _fresh_interpreter(
+        _CLI_IN_A_FRESH_INTERPRETER % (_DEFERRED + ("scipy.special",), commands), tmp_path)
+    # numpy and scipy.special stay module-level imports: every command uses them
+    assert seen["import"] == ["scipy.special"]
+    for argv in commands:
+        assert seen[argv[0] + " status"] == 0, argv[0]
+        assert seen[argv[0]] == ["scipy.special"], argv[0]
+
+
+def test_lazy_scipy_users_work_in_a_fresh_interpreter(tmp_path):
+    out = _fresh_interpreter(_LAZY_USERS_IN_A_FRESH_INTERPRETER, tmp_path)
+    assert out["before"] == []
+    assert out["after"] == ["scipy.integrate", "scipy.stats"]
+    # the custom drift -theta*x is the built-in power drift with gamma = 1
+    power = power_model(1.0)
+    np.testing.assert_allclose(out["values"], rs.invariant_density(power, 2.0).values,
+                               rtol=1e-9)
+    assert out["information"] == pytest.approx(rs.information(power, 2.0), rel=1e-9)
+    # exp(-(2/sigma^2) * integral_0^1.5 (-2y) dy) = exp(2.25 / 0.02)
+    assert out["scale"] == pytest.approx(math.exp(2.25 / 0.02), rel=1e-12)
+    ks = stats.kstest(np.array(out["z"]), "norm")
+    assert out["ks"] == [ks.statistic, ks.pvalue]

@@ -269,6 +269,17 @@ class TestStderr:
         with pytest.raises(ModelError):
             rs.asymptotic_stderr(1.0, cfg, rs.SamplingPlan(n=10, h=0.01))
 
+    @pytest.mark.parametrize("stderr", (-1.0, -math.inf, math.nan), ids=str)
+    def test_ci_refuses_an_impossible_stderr(self, stderr):
+        # -1 would give the inverted interval (2.96, -0.96), NaN (nan, nan)
+        with pytest.raises(ModelError, match="stderr must be >= 0"):
+            rs.confidence_interval(1.0, stderr)
+
+    def test_ci_keeps_a_zero_and_an_infinite_stderr(self):
+        assert rs.confidence_interval(1.0, 0.0) == (1.0, 1.0)
+        # estimate_two_factor passes +inf when the information is 0
+        assert rs.confidence_interval(1.0, math.inf) == (-math.inf, math.inf)
+
 
 class TestEstimateNlse:
     def test_auto_uses_closed_form_for_power(self):

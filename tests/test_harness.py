@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -214,6 +215,15 @@ class TestNormalityDiagnostic:
         plan = rs.SamplingPlan(n=1000, h=0.01)
         report = rs.normality_diagnostic(np.full(100, 2.3), 2.0, plan, cfg)
         assert not report.passed
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf), ids=str)
+    def test_non_finite_estimates_refused(self, bad):
+        # read as data, not as a failed normality test (ks_pvalue nan, passed False)
+        estimates = np.full(100, 2.0)
+        estimates[7] = bad
+        with pytest.raises(DataError, match="finite estimates"):
+            rs.normality_diagnostic(estimates, 2.0, rs.SamplingPlan(n=1000, h=0.01),
+                                    power_model(1.0))
 
     def test_degenerate_information_raises(self):
         drift = rs.DriftSpec.custom(
