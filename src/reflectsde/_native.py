@@ -2,12 +2,15 @@
 fine-step kernel ``reflect_path`` and the CSV row reader ``read_rows``,
 which converts a field of up to 19 significant digits by the Eisel-Lemire
 algorithm and any other by ``strtod``, to the bits of ``np.loadtxt``.
-``reflect_path`` calls a custom drift through five functions of CPython's
-stable ABI (``PyFloat_FromDouble``, ``PyFloat_AsDouble``,
-``PyObject_CallFunctionObjArgs``, ``PyErr_Occurred``, ``Py_DecRef``),
-which the library declares itself and resolves from the interpreter that
-loads it: the build needs no Python headers, and the cached library
-does not depend on the Python version.
+``reflect_path`` calls a custom drift ``f(x, theta)`` directly, with the
+caller's ``theta`` object, and converts its result in C, through seven
+functions and one exception of CPython's stable ABI
+(``PyFloat_FromDouble``, ``PyObject_CallFunctionObjArgs``,
+``PyFloat_AsDouble``, ``PyErr_Occurred``, ``PyErr_ExceptionMatches``,
+``PyErr_Clear``, ``Py_DecRef`` and ``PyExc_TypeError``), which the library
+declares itself and resolves from the interpreter that loads it: the
+build needs no Python headers, and the cached library does not depend
+on the Python version.
 
 The library is compiled on first use, never at import, with the C compiler
 on ``PATH`` and cached as
@@ -16,7 +19,7 @@ digest is the sha256 of the source and the flags.  A cache directory that
 cannot be written gives way to a temporary one.  Each cached library ends
 with the sha256 of its own bytes, so a truncated or damaged file is rebuilt
 rather than loaded.  Without a compiler, when the build fails, or where the
-loading interpreter does not export those five functions, :func:`load`
+loading interpreter does not export those symbols, :func:`load`
 returns None and warns once per process; simulation then runs
 on the Python stepper and path CSVs are read by ``np.loadtxt``, which give
 the same bits.  Loading a cached library sets its mtime, and building one
@@ -111,14 +114,15 @@ def _open(path: Path):
     ``read_rows``, and ``reflect_path_with_gil``: ``reflect_path`` called
     with the GIL held, for a custom drift, which the kernel calls through
     the Python C API; ctypes raises what the drift raised once it returns.
-    Raises OSError where the loading interpreter does not provide the five
-    C API functions the library names."""
+    Raises OSError where the loading interpreter does not provide the C API
+    symbols the library names."""
     lib = ctypes.CDLL(str(path))
     dbl, ptr, long_ = ctypes.c_double, ctypes.c_void_p, ctypes.c_long
-    # the last two arguments are the custom drift (None for the others) and
-    # where the kernel stores the fine step at which it raised
+    # the last three arguments are the custom drift f and the theta object
+    # it is called with (None for the others), and where the kernel stores
+    # the fine step at which it raised
     args = [ctypes.c_int, dbl, dbl, ptr, ptr, ptr, long_, long_, long_, dbl, dbl, dbl, dbl,
-            ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.py_object,
+            ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr, ctypes.py_object, ctypes.py_object,
             ctypes.POINTER(long_)]
     lib.reflect_path.argtypes = args
     lib.reflect_path.restype = long_
@@ -177,7 +181,7 @@ def _load():
             reason = f"building with {compiler} failed: {exc}"
     warnings.warn(f"reflectsde: {reason}; paths run on the Python stepper "
                   "(the same paths, 6 to 14 times slower for the built-in "
-                  "drifts and about 2.7 times slower for custom ones) and path CSVs "
+                  "drifts and about 3.3 times slower for custom ones) and path CSVs "
                   "are read by np.loadtxt", RuntimeWarning, stacklevel=2)
     return None
 

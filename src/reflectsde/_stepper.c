@@ -17,15 +17,19 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* The five functions of CPython's stable ABI that call a custom drift,
- * declared here rather than through Python.h so that the build needs no
- * Python headers and the library depends on no Python version: they
- * resolve from the interpreter that loads the library. */
+/* The seven functions and the exception of CPython's stable ABI that
+ * call a custom drift and convert its result, declared here rather than
+ * through Python.h so that the build needs no Python headers and the
+ * library depends on no Python version: they resolve from the interpreter
+ * that loads the library. */
 typedef struct _object PyObject;
+extern PyObject *PyExc_TypeError;
 PyObject *PyFloat_FromDouble(double v);
 double PyFloat_AsDouble(PyObject *o);
 PyObject *PyObject_CallFunctionObjArgs(PyObject *callable, ...);
 PyObject *PyErr_Occurred(void);
+int PyErr_ExceptionMatches(PyObject *exc);
+void PyErr_Clear(void);
 void Py_DecRef(PyObject *o);
 
 enum { POWER, MEAN_REVERSION, CONSTANT, SHIFTED, CALLBACK };
@@ -35,19 +39,25 @@ enum { POWER, MEAN_REVERSION, CONSTANT, SHIFTED, CALLBACK };
  * rs[k0], so that a path can run in blocks of whole intervals.  z, u,
  * shift and fine are buffers of the block, read and written from index 0.
  * The drift is (-theta) * x**gamma, theta * (1 - x), theta, shift[i] +
- * theta at fine step i, or the Python callable drift(x), called once per
- * fine step in order with the GIL held (drift is unused for the other
- * kinds).  xs, ls, rs receive the observations k0 + 1 to k0 + n, hit_lo
- * and hit_up the flags of intervals k0 to k0 + n - 1, and fine (when not
- * NULL) the left endpoint of every fine step.  Returns -1, or the fine step
- * of the block where pow gives NaN from a finite x (a negative x, whose
- * x ** gamma CPython makes complex): the caller raises there.  Where the
- * drift raises, *stop receives the fine step and the exception stays set. */
+ * theta at fine step i, or for CALLBACK the custom drift f(x, theta)
+ * called directly: the Python callable drift with the state and param,
+ * the caller's theta object, once per fine step in order with the GIL
+ * held, its result converted by PyFloat_AsDouble (drift and param are
+ * unused for the other kinds).  xs, ls, rs receive the observations
+ * k0 + 1 to k0 + n, hit_lo and hit_up the flags of intervals k0 to
+ * k0 + n - 1, and fine (when not NULL) the left endpoint of every fine
+ * step.  Returns -1, or the fine step of the block where the drift is not
+ * a real number: pow gives NaN from a finite x (a negative x, whose
+ * x ** gamma CPython makes complex), or the conversion of a custom drift's
+ * result raises TypeError (a complex or a str), which is cleared; the
+ * caller raises there.  Where the drift, or the conversion otherwise,
+ * raises, *stop receives the fine step and the exception stays set. */
 long reflect_path(int kind, double theta, double gamma, const double *shift,
                   const double *z, const double *u, long k0, long n, long m,
                   double a, double b, double hf, double sig2hf, int exact_min,
                   double *xs, double *ls, double *rs, unsigned char *hit_lo,
-                  unsigned char *hit_up, double *fine, PyObject *drift, long *stop)
+                  unsigned char *hit_up, double *fine, PyObject *drift, PyObject *param,
+                  long *stop)
 {
     PyObject *arg, *res;
     double x = xs[k0], cl = ls[k0], cr = rs[k0], mu, s, dl;
@@ -73,12 +83,20 @@ long reflect_path(int kind, double theta, double gamma, const double *shift,
                 mu = shift[i] + theta;
             } else {
                 arg = PyFloat_FromDouble(x);
-                res = arg ? PyObject_CallFunctionObjArgs(drift, arg, (PyObject *)NULL) : NULL;
+                res = arg ? PyObject_CallFunctionObjArgs(drift, arg, param, (PyObject *)NULL)
+                          : NULL;
                 Py_DecRef(arg);
-                mu = res ? PyFloat_AsDouble(res) : -1.0;
+                if (!res) {
+                    *stop = i;
+                    return i;
+                }
+                mu = PyFloat_AsDouble(res);
                 Py_DecRef(res);
                 if (mu == -1.0 && PyErr_Occurred()) {
-                    *stop = i;
+                    if (PyErr_ExceptionMatches(PyExc_TypeError))
+                        PyErr_Clear(); /* not a real number */
+                    else
+                        *stop = i;
                     return i;
                 }
             }

@@ -59,14 +59,21 @@ class EstimateResult:
 
 
 def _contrast_of(path: SamplePath, spec: DriftSpec) -> Callable[[float], float]:
-    """theta -> the contrast of ``path``, on the path's own increments."""
+    """theta -> the contrast of ``path``, on the path's own increments.  The
+    residuals are written into one buffer of the closure at each call, never
+    into the drift's values: a custom drift may return an array it keeps."""
     dx, dl, dr = path.increments
     left, h = path.x[:-1], path.h
     scale = path.n * h * h
+    res = np.empty(path.n)
 
     def at(theta: float) -> float:
         f = eval_on_array(lambda v: spec.f(v, theta), left)
-        res = dx - f * h - dl + dr
+        # ((dx - f h) - dl) + dr, the operations of dx - f * h - dl + dr
+        np.multiply(f, h, out=res)
+        np.subtract(dx, res, out=res)
+        np.subtract(res, dl, out=res)
+        np.add(res, dr, out=res)
         return float(np.dot(res, res) / scale)
 
     return at

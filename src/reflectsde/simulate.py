@@ -24,9 +24,11 @@ called with the same arguments: ``reflect_path`` in ``_stepper.c`` (see
 :mod:`._native`), or its Python twin :func:`_reflect_path`, the reference,
 which gives the same bits.  The kernel runs the built-in drifts and the
 two-factor system in C with the GIL released, and calls a custom drift
-through the Python C API with the GIL held.  What a custom drift raises
-stops either stepper and is raised alike; a power drift of a negative
-state raises the same :class:`DataError` on both.  Without a C compiler,
+``f(x, theta)`` itself through the Python C API with the GIL held,
+converting its result in C.  What a custom drift raises stops either
+stepper and is raised alike; a power drift of a negative state, and a
+custom drift whose result is not a real number, raise the same
+:class:`DataError` on both.  Without a C compiler,
 paths run on :func:`_reflect_path`.  The same library reads the CSV rows
 :func:`write_csv` writes; any other text goes to ``np.loadtxt``, which gives
 the same values and errors.
@@ -187,12 +189,13 @@ class TwoFactorPath:
 
 # drift codes of the compiled kernel (see _stepper.c)
 _K_POWER, _K_MEAN_REVERSION, _K_CONSTANT, _K_SHIFTED, _K_CALLBACK = range(5)
-# a kernel drift (code, theta, gamma), or a custom drift x -> f(x, theta)
-_Drift = tuple[int, float, float] | Callable[[float], float]
+# a built-in drift (code, theta, gamma), or a custom one (_K_CALLBACK, f,
+# theta), whose f(x, theta) the stepper calls with the caller's theta
+_Drift = tuple[int, float, float] | tuple[int, Callable[[float, object], object], object]
 
 
 def _reflect_path(kind, theta, gamma, shift, z, u, k0, n, m, a, b, hf, sig2hf,
-                  exact_min, xs, ls, rs, hit_lo, hit_up, fine, drift, stop):
+                  exact_min, xs, ls, rs, hit_lo, hit_up, fine, drift, param, stop):
     """Integrate the observation intervals ``k0`` to ``k0 + n - 1`` of ``m``
     fine steps: the Python twin of ``reflect_path`` in ``_stepper.c``, with
     its arguments (arrays where it takes pointers) and its operations in the
@@ -203,11 +206,15 @@ def _reflect_path(kind, theta, gamma, shift, z, u, k0, n, m, a, b, hf, sig2hf,
     block, read and written from index 0; ``b`` is ``inf`` for a one-sided
     path.  The lower reflection lifts the exactly sampled within-step
     minimum (the endpoint, without ``exact_min``) to ``a``; overshoot above
-    ``b`` is clipped into the upper regulator.  Returns -1, or the fine step
-    of the block where ``x ** gamma`` is complex (a negative state); where
-    ``drift`` raises, ``stop.value`` receives the fine step.
+    ``b`` is clipped into the upper regulator.  A custom drift is
+    ``drift(x, param)``, its result converted by ``math.ldexp(mu, 0)``,
+    which converts as the kernel's ``PyFloat_AsDouble`` does.  Returns -1,
+    or the fine step of the block where the drift is not a real number:
+    ``x ** gamma`` is complex (a negative state), or the conversion raises
+    TypeError (a complex or a str result).  Where ``drift``, or the
+    conversion otherwise, raises, ``stop.value`` receives the fine step.
     """
-    log, sqrt = math.log, math.sqrt
+    log, sqrt, ldexp = math.log, math.sqrt, math.ldexp
     power, reverting = kind == _K_POWER, kind == _K_MEAN_REVERSION
     constant, shifted = kind == _K_CONSTANT, kind == _K_SHIFTED
     z, u = z[:n * m].tolist(), u[:n * m].tolist()
@@ -234,7 +241,12 @@ def _reflect_path(kind, theta, gamma, shift, z, u, k0, n, m, a, b, hf, sig2hf,
                 mu = shift[i] + theta
             else:
                 try:
-                    mu = drift(x)
+                    mu = drift(x, param)
+                    if type(mu) is not float:
+                        try:
+                            mu = ldexp(mu, 0)
+                        except TypeError:
+                            return i
                 except BaseException:
                     stop.value = i
                     raise
@@ -265,24 +277,15 @@ def _reflect_path(kind, theta, gamma, shift, z, u, k0, n, m, a, b, hf, sig2hf,
 def _drift_of_state(spec: DriftSpec, theta: float) -> _Drift:
     """The drift for :func:`_integrate`: the kernel's ``(code, theta, gamma)``
     for a built-in kind, where the shifted covariate is the constant
-    mu = c + theta, or a scalar closure x -> f(x, theta) for a custom one."""
+    mu = c + theta, or ``(_K_CALLBACK, f, theta)`` for a custom one, with
+    the caller's ``theta`` object."""
     if spec.kind == POWER:
         return _K_POWER, float(theta), float(spec.gamma)
     if spec.kind == MEAN_REVERSION_TO_ONE:
         return _K_MEAN_REVERSION, float(theta), 0.0
     if spec.kind == SHIFTED_COVARIATE:
         return _K_CONSTANT, float(spec.covariate) + float(theta), 0.0
-    f = spec.f
-
-    def custom(x: float) -> float:
-        mu = f(x, theta)
-        try:
-            return float(mu)
-        except TypeError:
-            # a negative Python float to a fractional power is complex
-            raise DataError(f"the drift at x={x!r} is {mu!r}, not a real number") from None
-
-    return custom
+    return _K_CALLBACK, spec.f, theta
 
 
 _Trace = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -318,12 +321,16 @@ def _integrate(
     like ``shift``, receives every fine-step left endpoint.  Every block
     runs on the stepper picked here, with the same arguments: the compiled
     kernel when it loads, else its twin :func:`_reflect_path`.  Where the
-    power drift's ``x ** gamma`` is not a real number (a negative state),
-    both raise the same :class:`DataError`.
+    drift is not a real number (the power drift's ``x ** gamma`` of a
+    negative state, or a custom drift's complex or str result), both raise
+    the same :class:`DataError`.
     """
     n = len(trace[3])
-    custom = callable(drift)
-    code, theta, gamma = (_K_CALLBACK, 0.0, 0.0) if custom else drift
+    custom = drift[0] == _K_CALLBACK
+    if custom:
+        (code, f, param), theta, gamma = drift, 0.0, 0.0
+    else:
+        (code, theta, gamma), f, param = drift, None, None
     buffers = [arr for arr in (z, us, shift, fine) if arr is not None]
     room = min(len(arr) for arr in buffers) // m  # observation intervals a block
     arrays = (shift, z, us, *trace, fine)
@@ -345,13 +352,14 @@ def _integrate(
             raise ValueError("a block must lie in the path and its buffers")
         try:
             status = kernel(code, theta, gamma, sp, zp, up, k, count, m, a, b, hf, sig2hf,
-                            exact_min, xp, lp, rp, lo, hi, fp, drift if custom else None, stop)
+                            exact_min, xp, lp, rp, lo, hi, fp, f, param, stop)
         except (OverflowError, ZeroDivisionError) as exc:
             # a custom drift raised at fine step stop.value of the block
             raise DataError("the drift left the finite range in observation interval "
                             f"{k + stop.value // m}: {exc}") from exc
         if status >= 0:
-            # a negative state to a fractional power: complex in Python, NaN in C
+            # a negative state to a fractional power (complex in Python, NaN
+            # in C), or a custom drift's result that does not convert
             raise DataError("the drift is not a real number in observation interval "
                             f"{k + status // m}")
 
@@ -403,7 +411,7 @@ def _simulate(
             np.empty(n, dtype=bool), np.empty(n, dtype=bool))
         xs[0], ls[0], rs[0] = float(x0), 0.0, 0.0
         b = float(barriers.b) if barriers.is_two_sided else math.inf
-        shifted = not callable(drift) and drift[0] == _K_SHIFTED
+        shifted = drift[0] == _K_SHIFTED
         step = _integrate(drift, z, us, m, float(barriers.a), b, hf, 2.0 * sigma * sigma * hf,
                           opts.scheme == LEPINGLE, trace, shift=left if shifted else None,
                           fine=None if shifted else left)

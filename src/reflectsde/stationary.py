@@ -17,9 +17,10 @@ log-density is shifted by one constant, its maximum on the first grid, at
 every level, so successive normalizers are comparable even when the peak
 lies between nodes.  Each doubling keeps the old nodes, so for the built-in
 drifts (analytic primitive) only the new midpoints are evaluated; a custom
-drift's cumulative-Simpson primitive is recomputed on the whole grid.
-Only that primitive and the custom branch of ``scale_density`` use
-``scipy.integrate``, and they import it when first called.  A grid
+drift's cumulative-Simpson primitive is recomputed on the whole grid, by
+a numpy port of ``scipy.integrate.cumulative_simpson`` with its bits.
+Only the custom branch of ``scale_density`` uses ``scipy.integrate``
+(adaptive ``quad``), and it imports it when first called.  A grid
 returned at the cap before meeting the tolerance raises a RuntimeWarning
 naming the last relative change and the node count.
 
@@ -112,11 +113,45 @@ def _simpson_weights(lo: float, hi: float, intervals: int) -> tuple[np.ndarray, 
     return nodes, w
 
 
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)`` for 1-D
+    ``y`` and strictly increasing ``x`` of at least three nodes, with
+    scipy's operations in its order, so bit for bit.  Each spacing's
+    integral comes from the parabola through three nodes (Cartwright's
+    unequal-interval formula: rounding, and the last node that
+    ``_simpson_weights`` snaps to ``hi``, make a grid's spacings differ),
+    taken forward for the even spacings and backward for the odd ones and
+    the last."""
+
+    def first_spacing(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        # the integral over the first spacing of each run of three nodes
+        x21, x32 = dx[:-1], dx[1:]
+        x31 = x21 + x32
+        x21_x31 = x21 / x31
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                          + -x21x21_x31x32 * y[2:])
+
+    dx = np.diff(x)
+    forward = first_spacing(y, dx)
+    backward = first_spacing(y[::-1], dx[::-1])[::-1]
+    parts = np.empty(len(dx))
+    parts[:-1:2] = forward[::2]
+    parts[1::2] = backward[::2]
+    parts[-1] = backward[-1]
+    out = np.empty(len(y))
+    out[0] = 0.0
+    np.cumsum(parts, out=out[1:])
+    out[1:] += 0.0  # scipy adds initial=0.0 to every sum, turning -0.0 into 0.0
+    return out
+
+
 def _drift_primitive(drift: DriftSpec, a: float, xs: np.ndarray, theta: float) -> np.ndarray:
     """integral_a^x f(y, theta) dy at each grid node.
 
-    Analytic for the built-in kinds; cumulative Simpson on the uniform grid
-    otherwise (the resolution refinement loop controls its accuracy).
+    Analytic for the built-in kinds; cumulative Simpson on the grid
+    (:func:`_cumulative_simpson`) otherwise, whose accuracy the resolution
+    refinement loop controls.
     """
     xs = np.asarray(xs, dtype=float)
     if drift.kind == POWER:
@@ -126,10 +161,7 @@ def _drift_primitive(drift: DriftSpec, a: float, xs: np.ndarray, theta: float) -
         return theta * ((xs - 0.5 * xs**2) - (a - 0.5 * a**2))
     if drift.kind == SHIFTED_COVARIATE:
         return (drift.covariate + theta) * (xs - a)
-    fvals = eval_on_array(lambda v: drift.f(v, theta), xs)
-    from scipy import integrate  # imported here: the built-in drifts never need it
-
-    return integrate.cumulative_simpson(fvals, x=xs, initial=0.0)
+    return _cumulative_simpson(eval_on_array(lambda v: drift.f(v, theta), xs), xs)
 
 
 def _require_stationary(config: ModelConfig, theta: float) -> None:

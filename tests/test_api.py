@@ -59,8 +59,8 @@ def test_benchmark_passes_workers_to_the_drivers():
 
 
 # scipy.stats and scipy.integrate (with the linalg, optimize and sparse
-# modules they pull in) cost about 0.7 s to import; no command but
-# `mc --zscores` and the custom-drift stationary quadrature uses them.
+# modules they pull in) cost about 0.7 s to import; nothing but
+# `mc --zscores` and a custom drift's scale_density uses them.
 _DEFERRED = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.linalg",
              "scipy.sparse")
 
@@ -90,10 +90,18 @@ custom = rs.ModelConfig(drift=drift, sigma=0.2, barriers=rs.BarrierConfig.two_si
 power = rs.ModelConfig(drift=rs.DriftSpec.power(1.0), sigma=0.2,
                        barriers=rs.BarrierConfig.two_sided(0.0, 3.0),
                        theta_domain=(0.01, 10.0), x0=1.0)
-out = {"before": sorted(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules)}
+watched = %r
+out = {"before": sorted(m for m in watched if m in sys.modules)}
 out["values"] = rs.invariant_density(custom, 2.0).values.tolist()
 out["information"] = rs.information(custom, 2.0)
+out["quadrature"] = sorted(m for m in watched if m in sys.modules)
+plan = rs.SamplingPlan(n=200, h=0.01)
+path = rs.simulate_path(custom, 2.0, plan, rs.SimOptions(seed=3))
+result = rs.estimate_nlse(path, custom, plan)
+out["estimate_nlse"] = [result.theta_hat, result.stderr]
+out["estimate"] = sorted(m for m in watched if m in sys.modules)
 out["scale"] = rs.scale_density(custom, 2.0, 1.5)
+out["scale_density"] = sorted(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules)
 estimates = 2.0 + 0.01 * np.random.default_rng(7).standard_normal(50)
 report = rs.normality_diagnostic(estimates, 2.0, rs.SamplingPlan(n=1000, h=0.01), power)
 out["z"] = report.z.tolist()
@@ -135,14 +143,21 @@ def test_common_commands_import_no_heavy_scipy(tmp_path):
 
 
 def test_lazy_scipy_users_work_in_a_fresh_interpreter(tmp_path):
-    out = _fresh_interpreter(_LAZY_USERS_IN_A_FRESH_INTERPRETER, tmp_path)
+    out = _fresh_interpreter(_LAZY_USERS_IN_A_FRESH_INTERPRETER % (_DEFERRED,), tmp_path)
     assert out["before"] == []
+    # a custom drift's quadrature and stderr are numpy's own; only its
+    # scale_density imports scipy.integrate
+    assert out["quadrature"] == out["estimate"] == []
+    assert out["scale_density"] == ["scipy.integrate"]
     assert out["after"] == ["scipy.integrate", "scipy.stats"]
     # the custom drift -theta*x is the built-in power drift with gamma = 1
     power = power_model(1.0)
     np.testing.assert_allclose(out["values"], rs.invariant_density(power, 2.0).values,
                                rtol=1e-9)
     assert out["information"] == pytest.approx(rs.information(power, 2.0), rel=1e-9)
+    theta_hat, stderr = out["estimate_nlse"]
+    assert stderr == pytest.approx(
+        rs.asymptotic_stderr(theta_hat, power, rs.SamplingPlan(n=200, h=0.01)), rel=1e-9)
     # exp(-(2/sigma^2) * integral_0^1.5 (-2y) dy) = exp(2.25 / 0.02)
     assert out["scale"] == pytest.approx(math.exp(2.25 / 0.02), rel=1e-12)
     ks = stats.kstest(np.array(out["z"]), "norm")

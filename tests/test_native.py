@@ -249,15 +249,25 @@ class TestCustomDriftCallback:
         # a custom drift's own TypeError is not taken for a complex power
         (lambda x, th: _raise(TypeError(f"no drift at x={x!r}")) if x < 0.3 else th,
          ("TypeError", "no drift at x=0.29076144268212956")),
+        # the first state below 0.35, 0.33650977991681347, gives a complex
+        # drift, and the str is not parsed: the conversion, PyFloat_AsDouble
+        # or its Python match, refuses both
         (lambda x, th: (x - 0.35) ** 0.5 if x < 0.35 else th,
-         ("DataError", "the drift at x=0.33650977991681347 is (7.1")),
+         ("DataError", "the drift is not a real number in observation interval 25")),
+        (lambda x, th: "0.5" if x < 0.35 else th,
+         ("DataError", "the drift is not a real number in observation interval 25")),
         (lambda x, th: math.exp(1000.0 * x) if x > 0.75 else th,
          ("DataError", "the drift left the finite range in observation interval 17: "
                       "math range error")),
         (lambda x, th: th / (x > 0.3),
          ("DataError", "the drift left the finite range in observation interval 30: "
                       "float division by zero")),
-    ), ids=("value-error", "type-error", "complex", "overflow", "zero-division"))
+        # an int too large for a double fails its conversion
+        (lambda x, th: 10 ** 400 if x < 0.3 else th,
+         ("DataError", "the drift left the finite range in observation interval 30: "
+                      "int too large to convert to float")),
+    ), ids=("value-error", "type-error", "complex", "str", "overflow", "zero-division",
+            "huge-int"))
     def test_failing_drift_fails_alike(self, f, expected):
         config = _custom_model(f, sigma=0.8, two_sided=False)
         opts = rs.SimOptions(substeps=5, seed=9)
@@ -266,6 +276,50 @@ class TestCustomDriftCallback:
         assert native == python
         assert native[0] == expected[0]
         assert native[1].startswith(expected[1])
+
+    def test_type_error_of_the_drift_propagates_unchanged(self):
+        error = TypeError("the drift's own")
+
+        def f(x, th):
+            raise error
+
+        for backend in ("native", "python"):
+            with pytest.MonkeyPatch.context() as mp:
+                if backend == "python":
+                    mp.setattr(_native, "load", lambda: None)
+                with pytest.raises(TypeError) as raised:
+                    _unvalidated_path(_custom_model(f), 1.0, rs.SimOptions(seed=1))
+            assert raised.value is error, backend
+
+    def test_drift_is_called_with_the_callers_theta(self):
+        class Theta(float):
+            pass
+
+        theta = Theta(2.0)
+        for backend in ("native", "python"):
+            received = []
+
+            def f(x, th):
+                received.append(th)
+                return th * (1.0 - x)
+
+            with pytest.MonkeyPatch.context() as mp:
+                if backend == "python":
+                    mp.setattr(_native, "load", lambda: None)
+                rs.simulate_path(_custom_model(f), theta, _PLAN, rs.SimOptions(seed=2))
+            assert len(received) == _PLAN.n * 10
+            assert all(th is theta for th in received), backend
+
+    def test_int_float_and_numpy_results_give_the_same_path(self):
+        def run(convert):
+            config = _custom_model(lambda x, th: convert(2 if x < 0.5 else -3))
+            return [_unvalidated_path(config, 1.0, rs.SimOptions(substeps=5, seed=9))]
+
+        outcomes = [_on_both_backends(lambda: run(convert))
+                    for convert in (float, int, np.float64)]
+        native, python = outcomes[0]
+        assert isinstance(native, list) and native == python
+        assert all(outcome == outcomes[0] for outcome in outcomes)
 
     def test_nan_drift_gives_the_same_nan_path(self):
         config = _custom_model(lambda x, th: math.nan if x < 0.3 else th, two_sided=False)

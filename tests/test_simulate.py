@@ -419,10 +419,9 @@ _GOLDEN_DIGESTS = {
 def _scalar_drift(drift, theta):
     """x -> the drift the steppers take at the state x, on Python floats,
     spelled out from the kernel's formulas."""
-    mu = simulate._drift_of_state(drift, theta)
-    if callable(mu):
-        return mu
-    code, p, gamma = mu
+    code, p, gamma = simulate._drift_of_state(drift, theta)
+    if code == simulate._K_CALLBACK:
+        return lambda x: float(p(x, gamma))
     if code == simulate._K_POWER:
         return lambda x: -p * x ** gamma
     if code == simulate._K_MEAN_REVERSION:
@@ -504,12 +503,13 @@ def _whole_path_reference(drift, x0, seed, sigma, a, b, shift=None, fine=None):
     normals, uniforms = rng_mod.path_draws(seed, n * m)
     trace = (np.full(n + 1, x0), np.zeros(n + 1), np.zeros(n + 1), np.empty(n, dtype=bool),
              np.empty(n, dtype=bool))
-    custom = callable(drift)
-    code, theta, gamma = (simulate._K_CALLBACK, 0.0, 0.0) if custom else drift
+    if drift[0] == simulate._K_CALLBACK:
+        (code, f, param), theta, gamma = drift, 0.0, 0.0
+    else:
+        (code, theta, gamma), f, param = drift, None, None
     status = simulate._reflect_path(
         code, theta, gamma, shift, normals * (sigma * math.sqrt(hf)), uniforms, 0, n, m,
-        a, b, hf, 2.0 * sigma * sigma * hf, True, *trace, fine, drift if custom else None,
-        ctypes.c_long())
+        a, b, hf, 2.0 * sigma * sigma * hf, True, *trace, fine, f, param, ctypes.c_long())
     assert status == -1
     return [arr.tobytes() for arr in trace]
 

@@ -478,6 +478,39 @@ def _cubic_custom_drift():
     )
 
 
+class TestCumulativeSimpson:
+    """The custom-drift primitive's numpy port of scipy's cumulative
+    Simpson rule gives scipy's bits."""
+
+    @staticmethod
+    def _scipy(y, x):
+        from scipy import integrate
+
+        return integrate.cumulative_simpson(y, x=x, initial=0.0)
+
+    # the grids of the refinement levels, 4,096 to 16,384 panels
+    @pytest.mark.parametrize("intervals", (4096, 8192, 16384))
+    @pytest.mark.parametrize("lo, hi", ((0.0, 3.0), (0.01, 7.3), (-2.3, 11.9)))
+    def test_refinement_grids_match_scipy(self, intervals, lo, hi):
+        nodes, _ = stationary._simpson_weights(lo, hi, intervals)
+        for f in (lambda x: 2.0 * (1.0 - x) - x ** 3, np.sin, lambda x: np.exp(-x * x)):
+            y = f(nodes)
+            assert stationary._cumulative_simpson(y, nodes).tobytes() == \
+                self._scipy(y, nodes).tobytes()
+
+    @pytest.mark.parametrize("count", (3, 4, 5, 6, 7, 8))
+    def test_small_odd_and_even_node_counts_match_scipy(self, count):
+        rng = np.random.default_rng(count)
+        x = np.cumsum(rng.uniform(0.1, 1.0, count))
+        y = rng.standard_normal(count)
+        assert stationary._cumulative_simpson(y, x).tobytes() == self._scipy(y, x).tobytes()
+
+    def test_negative_zero_sums_to_zero_as_in_scipy(self):
+        y, x = np.full(4, -0.0), np.arange(4.0)
+        out = stationary._cumulative_simpson(y, x)
+        assert out.tobytes() == self._scipy(y, x).tobytes() == np.zeros(4).tobytes()
+
+
 class TestRefinement:
     @pytest.mark.parametrize("case", sorted(_GOLDEN_GRIDS), ids=str)
     def test_grid_bytes_unchanged(self, case):
