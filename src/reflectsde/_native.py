@@ -1,15 +1,19 @@
 """Build, cache and load the compiled library ``_stepper.c``: the
-fine-step kernel ``reflect_path`` and the CSV row reader ``read_rows``,
-which converts a field of up to 19 significant digits by the Eisel-Lemire
-algorithm and any other by ``strtod``, to the bits of ``np.loadtxt``.
-``reflect_path`` calls a custom drift ``f(x, theta)`` directly, with the
-caller's ``theta`` object, and converts its result in C, through seven
-functions and one exception of CPython's stable ABI
+fine-step kernel ``reflect_path``; ``contrast_residuals``, the residuals
+of the least-squares contrast in one pass, fixed once per search by a
+:class:`Contrast`; and the CSV row reader ``read_rows``, which scans
+digits eight at a time and converts a field of up to 19 significant
+digits by the Eisel-Lemire algorithm, or Clinger's exact quotient, and any
+other by ``strtod``, to the bits of ``np.loadtxt``.  ``reflect_path``
+calls a custom drift ``f(x, theta)`` directly, with the caller's
+``theta`` object, and converts its result in C, through eight functions,
+one exception and two types of CPython's stable ABI
 (``PyFloat_FromDouble``, ``PyObject_CallFunctionObjArgs``,
-``PyFloat_AsDouble``, ``PyErr_Occurred``, ``PyErr_ExceptionMatches``,
-``PyErr_Clear``, ``Py_DecRef`` and ``PyExc_TypeError``), which the library
-declares itself and resolves from the interpreter that loads it: the
-build needs no Python headers, and the cached library does not depend
+``PyObject_IsInstance``, ``PyFloat_AsDouble``, ``PyErr_Occurred``,
+``PyErr_ExceptionMatches``, ``PyErr_Clear``, ``Py_DecRef``,
+``PyExc_TypeError``, ``PyFloat_Type`` and ``PyComplex_Type``), which the
+library declares itself and resolves from the interpreter that loads it:
+the build needs no Python headers, and the cached library does not depend
 on the Python version.
 
 The library is compiled on first use, never at import, with the C compiler
@@ -109,9 +113,22 @@ def _prune(keep: Path) -> None:
             pass
 
 
+class Contrast(ctypes.Structure):
+    """``struct contrast`` of ``_stepper.c``: the addresses of the residual
+    buffer, of the increments dx, dl and dr, of the left endpoints x and of
+    what the drift reads of its own, g; the number of intervals, the drift
+    code, the step h and the shifted covariate c."""
+
+    _fields_ = [("res", ctypes.c_void_p), ("dx", ctypes.c_void_p), ("dl", ctypes.c_void_p),
+                ("dr", ctypes.c_void_p), ("x", ctypes.c_void_p), ("g", ctypes.c_void_p),
+                ("n", ctypes.c_long), ("kind", ctypes.c_int), ("h", ctypes.c_double),
+                ("c", ctypes.c_double)]
+
+
 def _open(path: Path):
-    """The library, with the C signatures of ``reflect_path`` and
-    ``read_rows``, and ``reflect_path_with_gil``: ``reflect_path`` called
+    """The library, with the C signatures of ``reflect_path``,
+    ``contrast_residuals`` (the address of a :class:`Contrast` and theta)
+    and ``read_rows``, and ``reflect_path_with_gil``: ``reflect_path`` called
     with the GIL held, for a custom drift, which the kernel calls through
     the Python C API; ctypes raises what the drift raised once it returns.
     Raises OSError where the loading interpreter does not provide the C API
@@ -127,6 +144,8 @@ def _open(path: Path):
     lib.reflect_path.argtypes = args
     lib.reflect_path.restype = long_
     lib.reflect_path_with_gil = ctypes.PYFUNCTYPE(long_, *args)(("reflect_path", lib))
+    lib.contrast_residuals.argtypes = [ptr, dbl]
+    lib.contrast_residuals.restype = None
     lib.read_rows.argtypes = [ctypes.c_char_p, long_, long_, ptr, long_]
     lib.read_rows.restype = long_
     return lib
@@ -187,7 +206,8 @@ def _load():
 
 
 def load():
-    """The compiled library (``reflect_path`` and ``read_rows``), built or
-    loaded on the first call, or None when it cannot be built."""
+    """The compiled library (``reflect_path``, ``contrast_residuals`` and
+    ``read_rows``), built or loaded on the first call, or None when it
+    cannot be built."""
     with _LOCK:
         return _load()

@@ -1,31 +1,38 @@
 /* Reflected Euler fine steps for a block of a path: the compiled twin of
  * simulate._reflect_path, which takes the same arguments and makes the
- * same operations in the same order; and a strict reader for the CSV rows
- * that simulate.write_csv emits, which converts a field of up to 19
- * significant digits by the exact Eisel-Lemire algorithm (Lemire 2021,
- * "Number parsing at a gigabyte per second", Softw. Pract. Exp. 51(8)) and
- * any other field, or one the algorithm cannot round with certainty, by
- * strtod.
+ * same operations in the same order; the residuals of the least-squares
+ * contrast, contrast_residuals, the compiled twin of the numpy expression
+ * of estimate._numpy_contrast_of; and a strict reader for the CSV rows that
+ * simulate.write_csv emits, which scans digits eight at a time and
+ * converts a field of up to 19 significant digits by the exact
+ * Eisel-Lemire algorithm (Lemire 2021, "Number parsing at a gigabyte per
+ * second", Softw. Pract. Exp. 51(8)), one the algorithm cannot round with
+ * certainty by Clinger's exact quotient where that applies, and any other
+ * by strtod.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add rounds once where Python rounds twice.  log, sqrt and pow
  * are the libm calls behind CPython's math.log, math.sqrt and x ** y.
  */
 #include <errno.h>
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* The seven functions and the exception of CPython's stable ABI that
- * call a custom drift and convert its result, declared here rather than
- * through Python.h so that the build needs no Python headers and the
- * library depends on no Python version: they resolve from the interpreter
- * that loads the library. */
+/* The eight functions, the exception and the two types of CPython's
+ * stable ABI that call a custom drift and convert its result, declared
+ * here rather than through Python.h so that the build needs no Python
+ * headers and the library depends on no Python version: they resolve from
+ * the interpreter that loads the library. */
 typedef struct _object PyObject;
+typedef struct _typeobject PyTypeObject;
 extern PyObject *PyExc_TypeError;
+extern PyTypeObject PyFloat_Type, PyComplex_Type;
 PyObject *PyFloat_FromDouble(double v);
 double PyFloat_AsDouble(PyObject *o);
+int PyObject_IsInstance(PyObject *o, PyObject *cls);
 PyObject *PyObject_CallFunctionObjArgs(PyObject *callable, ...);
 PyObject *PyErr_Occurred(void);
 int PyErr_ExceptionMatches(PyObject *exc);
@@ -33,6 +40,16 @@ void PyErr_Clear(void);
 void Py_DecRef(PyObject *o);
 
 enum { POWER, MEAN_REVERSION, CONSTANT, SHIFTED, CALLBACK };
+
+/* Whether a custom drift's result is complex (numpy.complex128 is a
+ * complex), which PyFloat_AsDouble would cut to its real part: 1, 0, or
+ * -1 with the exception of the test set.  A float, the usual result, is
+ * told by the first test's exact type match alone. */
+static int is_complex(PyObject *res)
+{
+    int real = PyObject_IsInstance(res, (PyObject *)&PyFloat_Type);
+    return real ? (real < 0 ? -1 : 0) : PyObject_IsInstance(res, (PyObject *)&PyComplex_Type);
+}
 
 /* Integrate the n observation intervals k0 to k0 + n - 1 of m fine steps,
  * resuming from the state xs[k0] and the cumulative regulators ls[k0] and
@@ -42,15 +59,15 @@ enum { POWER, MEAN_REVERSION, CONSTANT, SHIFTED, CALLBACK };
  * theta at fine step i, or for CALLBACK the custom drift f(x, theta)
  * called directly: the Python callable drift with the state and param,
  * the caller's theta object, once per fine step in order with the GIL
- * held, its result converted by PyFloat_AsDouble (drift and param are
- * unused for the other kinds).  xs, ls, rs receive the observations
- * k0 + 1 to k0 + n, hit_lo and hit_up the flags of intervals k0 to
- * k0 + n - 1, and fine (when not NULL) the left endpoint of every fine
- * step.  Returns -1, or the fine step of the block where the drift is not
+ * held, its result converted by PyFloat_AsDouble unless it is complex
+ * (drift and param are unused for the other kinds).  xs, ls, rs receive
+ * the observations k0 + 1 to k0 + n, hit_lo and hit_up the flags of
+ * intervals k0 to k0 + n - 1, and fine (when not NULL) the left endpoint
+ * of every fine step.  Returns -1, or the fine step of the block where the drift is not
  * a real number: pow gives NaN from a finite x (a negative x, whose
- * x ** gamma CPython makes complex), or the conversion of a custom drift's
- * result raises TypeError (a complex or a str), which is cleared; the
- * caller raises there.  Where the drift, or the conversion otherwise,
+ * x ** gamma CPython makes complex), a custom drift's result is complex,
+ * or its conversion raises TypeError (a str), which is cleared; the caller
+ * raises there.  Where the drift, or the test or the conversion otherwise,
  * raises, *stop receives the fine step and the exception stays set. */
 long reflect_path(int kind, double theta, double gamma, const double *shift,
                   const double *z, const double *u, long k0, long n, long m,
@@ -61,6 +78,7 @@ long reflect_path(int kind, double theta, double gamma, const double *shift,
 {
     PyObject *arg, *res;
     double x = xs[k0], cl = ls[k0], cr = rs[k0], mu, s, dl;
+    int cplx;
     for (long k = k0, i = 0; k < k0 + n; k++) {
         unsigned char lo = 0, up = 0;
         for (long end = i + m; i < end; i++) {
@@ -90,8 +108,14 @@ long reflect_path(int kind, double theta, double gamma, const double *shift,
                     *stop = i;
                     return i;
                 }
-                mu = PyFloat_AsDouble(res);
+                cplx = is_complex(res);
+                mu = cplx ? -1.0 : PyFloat_AsDouble(res);
                 Py_DecRef(res);
+                if (cplx) {
+                    if (cplx < 0)
+                        *stop = i;
+                    return i;
+                }
                 if (mu == -1.0 && PyErr_Occurred()) {
                     if (PyErr_ExceptionMatches(PyExc_TypeError))
                         PyErr_Clear(); /* not a real number */
@@ -125,6 +149,52 @@ long reflect_path(int kind, double theta, double gamma, const double *shift,
         hit_up[k] = up;
     }
     return -1;
+}
+
+/* The arrays and constants of one contrast, which estimate._contrast_of
+ * fixes once per closure: res receives the n residuals; dx, dl and dr are
+ * the increments of the state and of both regulators over the n
+ * observation intervals; x holds their left endpoints and g what the drift
+ * reads of its own (see contrast_residuals). */
+struct contrast {
+    double *res;
+    const double *dx, *dl, *dr, *x, *g;
+    long n;
+    int kind;
+    double h, c;
+};
+
+/* The residuals ((dx - f h) - dl) + dr of the least-squares contrast at
+ * theta, with the drift f at the left endpoints of the intervals:
+ * (-theta) * g for POWER, where g holds x ** gamma as numpy's power gave
+ * it (C's pow may differ); theta * (1.0 - x) for MEAN_REVERSION;
+ * (c + theta) + 0.0 * x for SHIFTED, the shifted covariate c; and g itself
+ * for CALLBACK, the values a custom drift returned.  These are the
+ * operations of the drifts' numpy expressions and of the residual's, in
+ * their order; the caller sums the squares with np.dot, whose summation
+ * order is part of the result. */
+void contrast_residuals(const struct contrast *c, double theta)
+{
+    const double *dx = c->dx, *dl = c->dl, *dr = c->dr, *x = c->x, *g = c->g;
+    double *res = c->res, h = c->h, f;
+    long n = c->n;
+#define RESIDUALS(F)                                                       \
+    for (long i = 0; i < n; i++) {                                         \
+        f = (F);                                                           \
+        res[i] = ((dx[i] - f * h) - dl[i]) + dr[i];                        \
+    }
+    if (c->kind == POWER) {
+        double neg = -theta;
+        RESIDUALS(neg * g[i])
+    } else if (c->kind == MEAN_REVERSION) {
+        RESIDUALS(theta * (1.0 - x[i]))
+    } else if (c->kind == SHIFTED) {
+        double shifted = c->c + theta;
+        RESIDUALS(shifted + 0.0 * x[i])
+    } else {
+        RESIDUALS(g[i])
+    }
+#undef RESIDUALS
 }
 
 static int is_digit(char c)
@@ -218,18 +288,29 @@ static uint64_t mul128(uint64_t a, uint64_t b, uint64_t *lo)
  * word; only where that could carry into the 54 bits kept is the low word
  * of 10^q multiplied in, and a product that still could is given back.
  * For q < 0 that gives back every value that is a double, or halfway
- * between two, such as 0.5: the truncated table leaves it just below. */
+ * between two, such as 0.5: the truncated table leaves it just below;
+ * clinger takes most of those. */
 static int eisel_lemire(uint64_t w, long q, double *out)
 {
     const uint64_t *p10 = POW10[q - Q_MIN];
     uint64_t lo, hi, m, bits;
     int lz = 0, top;
     long e2;
+    /* shift w up to its top bit: GCC's and Clang's __builtin_clzll counts
+     * its leading zeros in one instruction, the loop in six steps.  The
+     * builtin is taken where mul128 takes __int128, which only those
+     * compilers define, so that one build without __SIZEOF_INT128__ checks
+     * both portable paths. */
+#ifdef __SIZEOF_INT128__
+    lz = __builtin_clzll(w);
+    w <<= lz;
+#else
     for (int s = 32; s; s >>= 1)
         if (w >> (64 - s) == 0) {
             w <<= s;
             lz += s;
         }
+#endif
     hi = mul128(w, p10[0], &lo);
     if ((hi & 0x1FF) == 0x1FF && lo + w < lo) {
         uint64_t low, mid = mul128(w, p10[1], &low);
@@ -260,16 +341,82 @@ static int eisel_lemire(uint64_t w, long q, double *out)
     return 1;
 }
 
+/* 10^k for k in [0, 22], each a double exactly: 10^k = 5^k * 2^k, and
+ * 5^22 < 2^53. */
+static const double EXACT_POW10[] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+/* Store in *out the double nearest w * 10^q and return 1 where w <= 2^53
+ * and -22 <= q < 0, or return 0: there w and 10^-q are doubles exactly, so
+ * their IEEE quotient is the correctly rounded value (Clinger 1990, "How
+ * to read floating point numbers accurately").  Only where doubles are
+ * evaluated in double precision (FLT_EVAL_METHOD 0): x87 arithmetic
+ * would round twice. */
+static int clinger(uint64_t w, long q, double *out)
+{
+#if FLT_EVAL_METHOD == 0
+    if (w <= (uint64_t)1 << 53 && q >= -22 && q < 0) {
+        *out = (double)w / EXACT_POW10[-q];
+        return 1;
+    }
+#else
+    (void)w;
+    (void)q;
+    (void)out;
+#endif
+    return 0;
+}
+
+/* The 8 bytes at p as a little-endian word, whatever the byte order of the
+ * machine; compilers make one load of it where that is little-endian. */
+static uint64_t load8(const char *p)
+{
+    const unsigned char *b = (const unsigned char *)p;
+    return (uint64_t)b[0] | (uint64_t)b[1] << 8 | (uint64_t)b[2] << 16 | (uint64_t)b[3] << 24
+           | (uint64_t)b[4] << 32 | (uint64_t)b[5] << 40 | (uint64_t)b[6] << 48
+           | (uint64_t)b[7] << 56;
+}
+
+/* Whether all 8 bytes of v are ASCII digits: a byte above '9' sets its top
+ * bit when 0x46 is added, one below '0' when 0x30 is taken away. */
+static int eight_digits(uint64_t v)
+{
+    return !(((v + 0x4646464646464646) | (v - 0x3030303030303030)) & 0x8080808080808080);
+}
+
+/* The number the 8 digits of v spell, first byte first: adjacent digits,
+ * then pairs and quadruples of them, combine by multiplying and shifting
+ * within the word (fast_float's parse_eight_digits_unrolled). */
+static uint64_t eight_digit_value(uint64_t v)
+{
+    const uint64_t mask = 0x000000FF000000FF;
+    const uint64_t mul1 = 0x000F424000000064; /* 100 + (1000000 << 32) */
+    const uint64_t mul2 = 0x0000271000000001; /* 1 + (10000 << 32) */
+    v -= 0x3030303030303030;
+    v = (v * 10) + (v >> 8);
+    return (((v & mask) * mul1) + (((v >> 16) & mask) * mul2)) >> 32;
+}
+
 /* Append the digits at p to the significand *w and count in *nd those
  * from the first nonzero one (*w wraps past 19 of them, 10^19 < 2^64);
- * returns the end of the run. */
+ * returns the end of the run.  Leading zeros are skipped one by one, then
+ * the digits go eight at a time while eight are left, and one by one after
+ * that: *w wraps the same way either way. */
 static const char *read_digits(const char *p, const char *end, uint64_t *w, int *nd)
 {
-    for (; p < end && is_digit(*p); p++)
-        if (*nd || *p != '0') {
-            *w = 10 * *w + (uint64_t)(*p - '0');
-            ++*nd;
-        }
+    if (!*nd)
+        while (p < end && *p == '0')
+            p++;
+    for (uint64_t v; end - p >= 8 && eight_digits(v = load8(p)); p += 8) {
+        *w = 100000000 * *w + eight_digit_value(v);
+        *nd += 8;
+    }
+    for (; p < end && is_digit(*p); p++) {
+        *w = 10 * *w + (uint64_t)(*p - '0');
+        ++*nd;
+    }
     return p;
 }
 
@@ -279,9 +426,10 @@ static const char *read_digits(const char *p, const char *end, uint64_t *w, int 
  * digit run of the mantissa may be empty but not both.  The scan builds
  * the field's significand w and exponent q, its value being w * 10^q: w = 0
  * gives a signed zero, and w of up to 19 significant digits with q in the
- * table goes to eisel_lemire.  Every other field, and one eisel_lemire
- * gives back, is converted by strtod.  Both round correctly like the
- * PyOS_string_to_double behind np.loadtxt.  Returns the number of rows, or -1 for any other text: a
+ * table goes to eisel_lemire, then to clinger if eisel_lemire gives it
+ * back.  Every other field, and one both give back, is converted by
+ * strtod.  All three round correctly like the PyOS_string_to_double behind
+ * np.loadtxt.  Returns the number of rows, or -1 for any other text: a
  * comment, a blank line, whitespace, '\r', inf or nan, a value strtod
  * reports out of range, or a field strtod ends elsewhere than the scan (a
  * locale whose decimal point is not '.'). */
@@ -328,7 +476,7 @@ long read_rows(const char *text, long len, long ncol, double *out, long maxrows)
             if (nd == 0) {
                 *v = neg ? -0.0 : 0.0;
             } else if (nd <= 19 && e < 100000 && q >= Q_MIN && q <= Q_MAX
-                       && eisel_lemire(w, q, v)) {
+                       && (eisel_lemire(w, q, v) || clinger(w, q, v))) {
                 if (neg)
                     *v = -*v;
             } else {

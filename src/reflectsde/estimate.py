@@ -14,6 +14,7 @@ sqrt(nh) * (theta_hat - theta0) -> N(0, sigma^2 / information).
 
 from __future__ import annotations
 
+import ctypes
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -22,17 +23,27 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-from . import stationary
+from . import _native, stationary
 from .errors import DataError, ModelError
 from .model import (
+    MEAN_REVERSION_TO_ONE,
     POWER,
+    SHIFTED_COVARIATE,
     DriftSpec,
     ModelConfig,
     SamplingPlan,
     _require_finite,
     eval_on_array,
 )
-from .simulate import SamplePath, TwoFactorPath
+from .simulate import (
+    _K_CALLBACK,
+    _K_MEAN_REVERSION,
+    _K_POWER,
+    _K_SHIFTED,
+    SamplePath,
+    TwoFactorPath,
+    _address,
+)
 
 CLOSED_FORM = "closed_form"
 GOLDEN_SECTION = "golden_section"
@@ -58,18 +69,19 @@ class EstimateResult:
     level: float | None = None
 
 
-def _contrast_of(path: SamplePath, spec: DriftSpec) -> Callable[[float], float]:
-    """theta -> the contrast of ``path``, on the path's own increments.  The
-    residuals are written into one buffer of the closure at each call, never
-    into the drift's values: a custom drift may return an array it keeps."""
+def _numpy_contrast_of(path: SamplePath, spec: DriftSpec) -> Callable[[float], float]:
+    """theta -> the contrast of ``path``, on the path's own increments, by
+    numpy: the residuals ((dx - f h) - dl) + dr, the operations of
+    dx - f * h - dl + dr, are written into one buffer of the closure at each
+    call, never into the drift's values (a custom drift may return an array
+    it keeps), and np.dot sums their squares."""
     dx, dl, dr = path.increments
     left, h = path.x[:-1], path.h
     scale = path.n * h * h
     res = np.empty(path.n)
 
     def at(theta: float) -> float:
-        f = eval_on_array(lambda v: spec.f(v, theta), left)
-        # ((dx - f h) - dl) + dr, the operations of dx - f * h - dl + dr
+        f = eval_on_array(lambda v: spec.f(v, theta), left, "the drift")
         np.multiply(f, h, out=res)
         np.subtract(dx, res, out=res)
         np.subtract(res, dl, out=res)
@@ -79,14 +91,60 @@ def _contrast_of(path: SamplePath, spec: DriftSpec) -> Callable[[float], float]:
     return at
 
 
+def _contrast_of(path: SamplePath, spec: DriftSpec) -> Callable[[float], float]:
+    """theta -> the contrast of ``path`` for a search, which evaluates it
+    many times: the residuals of :func:`_numpy_contrast_of`, bit for bit, in
+    one call of the compiled ``contrast_residuals``, whose arguments are
+    fixed here.  It computes a mean-reversion or shifted-covariate drift
+    itself, and reads x ** gamma, taken here once, or a custom drift's
+    values; np.dot still sums the squares.  Without the compiled library
+    this is :func:`_numpy_contrast_of`."""
+    lib = _native.load()
+    if lib is None:
+        return _numpy_contrast_of(path, spec)
+    dx, dl, dr = path.increments
+    left, h, n = path.x[:-1], path.h, path.n
+    scale = n * h * h
+    # res, then g: the values the kernel reads for a power or custom drift
+    work = np.empty(2 * n)
+    res, g = work[:n], work[n:]
+    code, x, c = _K_CALLBACK, None, 0.0
+    if spec.kind == POWER:
+        code = _K_POWER
+        np.power(left, spec.gamma, out=g)
+    elif spec.kind == MEAN_REVERSION_TO_ONE:
+        code, x = _K_MEAN_REVERSION, left.ctypes.data
+    elif spec.kind == SHIFTED_COVARIATE:
+        code, x, c = _K_SHIFTED, left.ctypes.data, spec.covariate
+    base = _address(work)
+    fixed = _native.Contrast(base, dx.ctypes.data, dl.ctypes.data, dr.ctypes.data, x,
+                             base + res.nbytes, n, code, h, c)
+    # the reference keeps the arguments alive as long as the closure
+    residuals, args = lib.contrast_residuals, ctypes.byref(fixed)
+
+    if code == _K_CALLBACK:
+        def at(theta: float) -> float:
+            np.copyto(g, eval_on_array(lambda v: spec.f(v, theta), left, "the drift"))
+            residuals(args, theta)
+            return float(np.dot(res, res) / scale)
+    else:
+        def at(theta: float) -> float:
+            residuals(args, theta)
+            return float(np.dot(res, res) / scale)
+
+    return at
+
+
 def contrast(path: SamplePath, spec: DriftSpec, theta: float) -> float:
     """Average squared drift residual; the upper-regulator term vanishes
-    automatically on one-sided paths."""
+    automatically on one-sided paths.  One evaluation takes the numpy
+    expression: fixing the arguments of the compiled pass would cost it
+    more than the pass saves."""
     if path.n < 1:
         raise DataError("contrast needs at least one increment")
     if not math.isfinite(theta):
         raise ModelError(f"theta must be finite, got {theta!r}")
-    return _contrast_of(path, spec)(theta)
+    return _numpy_contrast_of(path, spec)(theta)
 
 
 def _slope(g: np.ndarray, y: np.ndarray, h: float, degenerate: str) -> float:

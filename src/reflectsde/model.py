@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import DataError, ModelError
 
 DriftFn = Callable[[float, float], float]
 
@@ -268,20 +268,35 @@ def validate_regime(plan: SamplingPlan) -> RegimeDiagnostics:
     )
 
 
-def eval_on_array(g: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+def _complex_type(t: type) -> bool:
+    return issubclass(t, (complex, np.complexfloating))
+
+
+def eval_on_array(g: Callable[[float], float], x: np.ndarray, what: str = "g") -> np.ndarray:
     """Evaluate ``g`` on the whole array ``x``, or value by value when ``g``
     rejects arrays (custom drifts need not accept them) or returns a result
     of another shape.  Built-in drifts keep the shape of ``x`` through
     their ``0.0 * x`` terms, so a custom drift that reduces over its
-    argument is caught here rather than broadcast."""
+    argument is caught here rather than broadcast.  A complex result, which
+    the conversion to float would cut to its real part, raises
+    :class:`DataError` "``what`` is not a real number"."""
     x = np.asarray(x, dtype=float)
     try:
-        out = np.asarray(g(x), dtype=float)
-        if out.shape == x.shape:
-            return out
+        out = g(x)
+        # a float64 array, the usual result, is not looked into
+        complex_ = getattr(out, "dtype", None) != np.float64 and np.iscomplexobj(out)
+        if not complex_:
+            out = np.asarray(out, dtype=float)
+            if out.shape == x.shape:
+                return out
     except (TypeError, ValueError):
-        pass
-    return np.array([g(float(v)) for v in x], dtype=float)
+        complex_ = False
+    if not complex_:
+        values = [g(float(v)) for v in x]
+        complex_ = any(_complex_type(t) for t in set(map(type, values)) - {float})
+    if complex_:
+        raise DataError(f"{what} is not a real number")
+    return np.array(values, dtype=float)
 
 
 def validate_drift_derivatives(

@@ -128,10 +128,13 @@ class SamplePath:
 
     @cached_property
     def increments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        steps = tuple(np.diff(arr) for arr in (self.x, self.l, self.r))
-        for arr in steps:
-            arr.setflags(write=False)
-        return steps
+        # the subtractions of np.diff, into the rows of one array: about
+        # half the time of three np.diff calls on a short path
+        steps = np.empty((3, self.n))
+        for arr, out in zip((self.x, self.l, self.r), steps):
+            np.subtract(arr[1:], arr[:-1], out=out)
+        steps.setflags(write=False)
+        return tuple(steps)
 
     def validate(self) -> None:
         """Check finiteness, barrier containment, regulator monotonicity,
@@ -208,11 +211,13 @@ def _reflect_path(kind, theta, gamma, shift, z, u, k0, n, m, a, b, hf, sig2hf,
     minimum (the endpoint, without ``exact_min``) to ``a``; overshoot above
     ``b`` is clipped into the upper regulator.  A custom drift is
     ``drift(x, param)``, its result converted by ``math.ldexp(mu, 0)``,
-    which converts as the kernel's ``PyFloat_AsDouble`` does.  Returns -1,
-    or the fine step of the block where the drift is not a real number:
-    ``x ** gamma`` is complex (a negative state), or the conversion raises
-    TypeError (a complex or a str result).  Where ``drift``, or the
-    conversion otherwise, raises, ``stop.value`` receives the fine step.
+    which converts as the kernel's ``PyFloat_AsDouble`` does, unless it is
+    a ``complex`` (``numpy.complex128`` is one), whose real part that would
+    keep.  Returns -1, or the fine step of the block where the drift is not
+    a real number: ``x ** gamma`` is complex (a negative state), the custom
+    drift's result is complex, or its conversion raises TypeError (a str).
+    Where ``drift``, or the test or the conversion otherwise, raises,
+    ``stop.value`` receives the fine step.
     """
     log, sqrt, ldexp = math.log, math.sqrt, math.ldexp
     power, reverting = kind == _K_POWER, kind == _K_MEAN_REVERSION
@@ -243,6 +248,8 @@ def _reflect_path(kind, theta, gamma, shift, z, u, k0, n, m, a, b, hf, sig2hf,
                 try:
                     mu = drift(x, param)
                     if type(mu) is not float:
+                        if isinstance(mu, complex):
+                            return i
                         try:
                             mu = ldexp(mu, 0)
                         except TypeError:
@@ -322,8 +329,8 @@ def _integrate(
     runs on the stepper picked here, with the same arguments: the compiled
     kernel when it loads, else its twin :func:`_reflect_path`.  Where the
     drift is not a real number (the power drift's ``x ** gamma`` of a
-    negative state, or a custom drift's complex or str result), both raise
-    the same :class:`DataError`.
+    negative state, or a custom drift's complex, ``numpy.complex128`` or
+    str result), both raise the same :class:`DataError`.
     """
     n = len(trace[3])
     custom = drift[0] == _K_CALLBACK
@@ -560,10 +567,22 @@ def _read_csv(
     if data.shape[0] < 2 or data.shape[1] != header.count(",") + 1:
         raise DataError(f"CSV must have >= 2 rows with the columns {header!r}")
     steps = np.diff(data[:, 0])
-    h = steps[0]
-    if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
+    h = float(steps[0])
+    if h <= 0 or not _regular(steps, h):
         raise DataError("CSV requires regularly spaced times")
-    return data, float(h)
+    return data, h
+
+
+def _regular(steps: np.ndarray, h: float) -> bool:
+    """Whether ``np.allclose(steps, h, rtol=1e-9, atol=0.0)`` for h > 0, in
+    one pass of max |step - h| <= 1e-9 h: a NaN step propagates through the
+    max and fails it; a step of +inf passes only where h is +inf too, as
+    allclose takes equal values to be close; and step - h warns where it
+    overflows, as in allclose.  ``steps`` is overwritten."""
+    if not math.isfinite(h):
+        return bool(np.all(steps == h))
+    np.subtract(steps, h, out=steps)
+    return bool(np.max(np.abs(steps, out=steps)) <= 1e-9 * h)
 
 
 def write_path_csv(path: SamplePath, dest: str | Path | IO[str]) -> None:

@@ -161,7 +161,8 @@ def _drift_primitive(drift: DriftSpec, a: float, xs: np.ndarray, theta: float) -
         return theta * ((xs - 0.5 * xs**2) - (a - 0.5 * a**2))
     if drift.kind == SHIFTED_COVARIATE:
         return (drift.covariate + theta) * (xs - a)
-    return _cumulative_simpson(eval_on_array(lambda v: drift.f(v, theta), xs), xs)
+    return _cumulative_simpson(eval_on_array(lambda v: drift.f(v, theta), xs, "the drift"),
+                               xs)
 
 
 def _require_stationary(config: ModelConfig, theta: float) -> None:
@@ -396,7 +397,8 @@ def information(
     if value is None:
         if grid is None:
             grid = invariant_density(config, theta)
-        sens = eval_on_array(lambda v: config.drift.df_dtheta(v, theta), grid.nodes)
+        sens = eval_on_array(lambda v: config.drift.df_dtheta(v, theta), grid.nodes,
+                             "df_dtheta")
         value = grid.integrate(sens * sens)
     if not math.isfinite(value) or value <= 1e-14:
         raise ModelError(

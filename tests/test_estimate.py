@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reflectsde as rs
-from reflectsde import estimate
+from reflectsde import _native, estimate
 from reflectsde import rng as rng_mod
 from reflectsde.errors import DataError, ModelError
 from reflectsde.model import eval_on_array
@@ -125,6 +128,91 @@ class TestSearchObjective:
         assert (result.theta_hat, result.contrast_at_min, result.iterations,
                 result.boundary_hit) == (found.x, found.fx, found.iterations,
                                          found.boundary_hit)
+
+
+def _residuals(objective):
+    """The residual buffer a closure of ``estimate._contrast_of`` writes."""
+    cells = dict(zip(objective.__code__.co_freevars,
+                     (cell.cell_contents for cell in objective.__closure__)))
+    return cells["res"]
+
+
+def _scalar_drift(x, th):
+    if isinstance(x, np.ndarray):
+        raise TypeError("scalars only")
+    return th * math.sin(3.0 * x) - x * x
+
+
+class TestCompiledContrast:
+    """``contrast_residuals`` in the compiled library gives the residuals,
+    and so the contrast, of the numpy expression it replaces, bit for
+    bit."""
+
+    @given(
+        kind=st.sampled_from(("power", "mean_reversion", "shifted_covariate", "custom",
+                              "custom_scalar")),
+        gamma=st.floats(0.0, 1.0, exclude_min=True),
+        covariate=st.floats(-3.0, 3.0),
+        two_sided=st.booleans(),
+        theta=st.one_of(st.floats(-1e6, 1e6), st.sampled_from((0.0, -0.0, 1e-300, 2.0))),
+        n=st.integers(2, 80),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_compiled_contrast_is_the_numpy_expression(self, kind, gamma, covariate,
+                                                        two_sided, theta, n, seed):
+        spec = {
+            "power": lambda: rs.DriftSpec.power(gamma),
+            "mean_reversion": rs.DriftSpec.mean_reversion_to_one,
+            "shifted_covariate": lambda: rs.DriftSpec.shifted_covariate(covariate),
+            "custom": lambda: _SEARCH_SPECS["custom"],
+            "custom_scalar": lambda: rs.DriftSpec.custom(
+                _scalar_drift, lambda x, th: math.sin(3.0 * x), lambda x, th: 0.0, 5.0),
+        }[kind]()
+        # narrow barriers keep both regulators busy
+        cfg = rs.ModelConfig(
+            drift=rs.DriftSpec.mean_reversion_to_one(), sigma=0.5,
+            barriers=rs.BarrierConfig.two_sided(0.9, 1.1) if two_sided
+            else rs.BarrierConfig.one_sided_lower(0.95),
+            theta_domain=(0.01, 10.0), x0=1.0)
+        path = rs.simulate_path(cfg, 2.0, rs.SamplingPlan(n=n, h=0.01),
+                                rs.SimOptions(substeps=2, seed=seed))
+        outcomes = []
+        for backend in ("compiled", "numpy"):
+            with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if backend == "numpy":
+                    mp.setattr(_native, "load", lambda: None)
+                objective = estimate._contrast_of(path, spec)
+                value = objective(theta)
+                outcomes.append((value, _residuals(objective).tobytes()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == _reference_contrast(path, spec, theta)
+
+
+class TestComplexDrift:
+    """A custom drift whose values are complex, numpy.complex128 among
+    them, is refused in the contrast on either backend, rather than cut to
+    its real part with a ComplexWarning."""
+
+    @pytest.mark.parametrize("backend", ("compiled", "numpy"))
+    @pytest.mark.parametrize("f", (
+        lambda x, th: np.complex128(th) * (1.0 - x),
+        lambda x, th: (th * (1.0 - x)).astype(np.complex64),
+        lambda x, th: np.complex128(_scalar_drift(x, th)),
+        lambda x, th: complex(_scalar_drift(x, th)),
+    ), ids=("vectorised", "complex64-array", "scalar", "python-complex"))
+    def test_complex_drift_is_refused(self, f, backend, monkeypatch):
+        if backend == "numpy":
+            monkeypatch.setattr(_native, "load", lambda: None)
+        spec = rs.DriftSpec.custom(f, lambda x, th: 1.0 - x, lambda x, th: 0.0, 1.0)
+        _, path = noiseless_path()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="the drift is not a real number"):
+                rs.contrast(path, spec, 1.0)
+            with pytest.raises(DataError, match="the drift is not a real number"):
+                rs.nlse_optimize(path, spec, (-5.0, 5.0))
 
 
 class TestClosedForm:

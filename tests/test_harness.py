@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from dataclasses import replace
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import reflectsde as rs
+from reflectsde import simulate
 from reflectsde.errors import DataError, ModelError
 from reflectsde.estimate import estimate_power_closed_form
 
@@ -377,24 +379,27 @@ class TestGoldenRuns:
 
 class TestIncrementsTakenOnce:
     """Validation and the estimators share the increments of each path, so
-    np.diff runs once per array: x, l and r of one path, or of each
+    each array is differenced once: x, l and r of one path, or of each
     two-factor component."""
 
     @pytest.mark.parametrize("kind,per_rep", (("power", 3), ("custom", 3), ("two_factor", 6)))
-    def test_np_diff_calls_per_replication(self, kind, per_rep, monkeypatch):
+    def test_increments_per_replication(self, kind, per_rep, monkeypatch):
         if kind == "two_factor":
             cfg = _golden_two_factor_config(replications=10, n_values=(200,))
         else:
             cfg = _golden_mc_config(kind)
             cfg = replace(cfg, replications=10, n_values=(cfg.n_values[-1],))
         calls = []
-        diff = np.diff
+        take = simulate.SamplePath.increments.func
 
-        def spy(*args, **kwargs):
-            calls.append(None)
-            return diff(*args, **kwargs)
+        def spy(path):
+            steps = take(path)
+            calls.extend(steps)  # one per array differenced
+            return steps
 
-        monkeypatch.setattr(np, "diff", spy)
+        increments = functools.cached_property(spy)
+        increments.__set_name__(simulate.SamplePath, "increments")
+        monkeypatch.setattr(simulate.SamplePath, "increments", increments)
         if kind == "two_factor":
             runs = rs.run_mc_two_factor(cfg)
         else:

@@ -2,6 +2,8 @@
 stepper, the build cache, and the fallback when no compiler is found; and
 the Eisel-Lemire conversion of the compiled CSV reader."""
 
+import ctypes
+import decimal
 import gc
 import importlib.resources
 import inspect
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reflectsde as rs
-from reflectsde import _native, simulate
+from reflectsde import _native, estimate, simulate
 
 import test_simulate
 
@@ -175,6 +177,24 @@ class TestParity:
             pytest.skip("no compiled kernel")
         assert (len(lib.reflect_path.argtypes)
                 == len(inspect.signature(simulate._reflect_path).parameters))
+        # contrast_residuals takes its arguments fixed in a struct contrast
+        # and theta, as its numpy twin, estimate._numpy_contrast_of, takes
+        # theta with the rest fixed in its closure; the ctypes mirror must
+        # follow the C struct member for member
+        source = _native.SOURCE.read_text()
+        body = re.search(r"struct contrast \{(.*?)\};", source, re.S).group(1)
+        members = []
+        for decl in body.split(";")[:-1]:
+            ctype, names = re.match(r"\s*((?:const )?\w+)\s+(.*)", decl, re.S).groups()
+            for name in names.split(","):
+                members.append((name.strip().lstrip("*"), "ptr" if "*" in name else ctype))
+        ctypes_of = {"ptr": ctypes.c_void_p, "long": ctypes.c_long, "int": ctypes.c_int,
+                     "double": ctypes.c_double}
+        assert [(name, ctypes_of[ctype]) for name, ctype in members] == _native.Contrast._fields_
+        assert lib.contrast_residuals.argtypes == [ctypes.c_void_p, ctypes.c_double]
+        for closure_of in (estimate._contrast_of, estimate._numpy_contrast_of):
+            closure = closure_of(_power_path(), rs.DriftSpec.power(0.5))
+            assert list(inspect.signature(closure).parameters) == ["theta"]
 
     def test_no_path_falls_back_to_the_python_stepper(self, monkeypatch):
         # with the kernel loaded, every golden path runs without the Python
@@ -256,6 +276,12 @@ class TestCustomDriftCallback:
          ("DataError", "the drift is not a real number in observation interval 25")),
         (lambda x, th: "0.5" if x < 0.35 else th,
          ("DataError", "the drift is not a real number in observation interval 25")),
+        # a numpy.complex128 converts to its real part with a ComplexWarning
+        # unless it is refused first, whatever its imaginary part
+        (lambda x, th: np.complex128(th) if x < 0.35 else th,
+         ("DataError", "the drift is not a real number in observation interval 25")),
+        (lambda x, th: np.complex128(th, 1.0) if x < 0.35 else th,
+         ("DataError", "the drift is not a real number in observation interval 25")),
         (lambda x, th: math.exp(1000.0 * x) if x > 0.75 else th,
          ("DataError", "the drift left the finite range in observation interval 17: "
                       "math range error")),
@@ -266,13 +292,15 @@ class TestCustomDriftCallback:
         (lambda x, th: 10 ** 400 if x < 0.3 else th,
          ("DataError", "the drift left the finite range in observation interval 30: "
                       "int too large to convert to float")),
-    ), ids=("value-error", "type-error", "complex", "str", "overflow", "zero-division",
-            "huge-int"))
+    ), ids=("value-error", "type-error", "complex", "str", "numpy-complex-real",
+            "numpy-complex", "overflow", "zero-division", "huge-int"))
     def test_failing_drift_fails_alike(self, f, expected):
         config = _custom_model(f, sigma=0.8, two_sided=False)
         opts = rs.SimOptions(substeps=5, seed=9)
-        native, python = _on_both_backends(
-            lambda: [_unvalidated_path(config, 1.0, opts)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ComplexWarning among them
+            native, python = _on_both_backends(
+                lambda: [_unvalidated_path(config, 1.0, opts)])
         assert native == python
         assert native[0] == expected[0]
         assert native[1].startswith(expected[1])
@@ -732,6 +760,23 @@ _FIELDS = (
     "0." + "0" * 99999 + "1e1000000",
     # the largest and smallest normal doubles
     "1.7976931348623157e308", "-2.2250738585072014e-308",
+    # doubles and halfway points with q < 0, which eisel_lemire gives back,
+    # read by Clinger's quotient where w <= 2^53 and q >= -22: w = 2^53 - 1,
+    # 2^53 and 2^53 + 1 with q = -1, and q = -22 against -23
+    "0.5", "0.25", "1.5", "2.5e-1", "-0.125",
+    "900719925474099.1", "900719925474099.2", "900719925474099.3",
+    "5e-22", "5e-23", "0.0000000000000000000005", "2.384185791015625e-7",
+    # digit runs of 7, 8, 9, 16 and 17 digits, which the scan takes eight
+    # at a time and one at a time
+    "1234567", "12345678", "123456789", "1234567890123456", "12345678901234567",
+    "0.1234567", "0.12345678", "0.123456789", "0.1234567890123456",
+    "0.12345678901234567", "98765432.12345678e-3",
+    # leading zeros that straddle an 8-byte boundary
+    "0.000000001234567891", "000000000000123456789.5",
+    # 19 against 20 significant digits, the 20th the last digit of an
+    # eight-digit chunk and inside one
+    "1234.567890123456789", "1234.5678901234567891",
+    "12345.67890123456789", "12345.678901234567891234",
 )
 
 
@@ -766,6 +811,48 @@ class TestCsvFieldConversion:
                                       and (value == 0.0 or value >= sys.float_info.min))
         if fast is not None:
             assert fast.tobytes() == expected.tobytes()
+
+    @given(k=st.integers(1, 2**40), j=st.integers(1, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_dyadic_fractions_read_as_loadtxt(self, k, j):
+        # k / 2^j is a double with j decimal places, which eisel_lemire
+        # gives back and Clinger's quotient reads where w <= 2^53, q >= -22
+        if _native.load() is None:
+            pytest.skip("no compiled library")
+        field = format(decimal.Context(prec=100).divide(k, 2**j), "f")
+        # a trailing zero makes w ten times larger and q one less
+        for text in (field, field + "0"):
+            assert (simulate._read_rows(text + "\n", 1).tobytes()
+                    == _loadtxt_field(text).tobytes()), text
+
+    @pytest.mark.parametrize("at", range(9))
+    @pytest.mark.parametrize("char", ("/", ":"))
+    def test_digit_scan_stops_at_the_neighbours_of_the_digits(self, char, at):
+        # "/" and ":" are 0x2F and 0x3A, one either side of the digits: in
+        # any byte of an 8-byte word they end the run, and the field with it
+        if _native.load() is None:
+            pytest.skip("no compiled library")
+        digits = "123456789"
+        for lead in ("", "0.", "1234567."):
+            field = lead + digits[:at] + char + digits[at + 1:]
+            assert simulate._read_rows(field + "\n", 1) is None, field
+            assert simulate._read_rows(f"{field},1\n", 2) is None, field
+
+    def test_digit_run_that_ends_the_text(self):
+        # the scan reads no byte past the length it is given: an 8-digit
+        # run that ends the text ends no row, though a newline follows it
+        lib = _native.load()
+        if lib is None:
+            pytest.skip("no compiled library")
+        out = np.empty((4, 1))
+        for text in ("12345678", "1\n12345678", "1\n0.12345678", "1\n1234567812345678"):
+            raw = (text + "9\n").encode()
+            assert lib.read_rows(raw, len(text), 1, out.ctypes.data, 4) == -1, text
+            assert lib.read_rows(raw, len(raw), 1, out.ctypes.data, 4) == text.count("\n") + 1
+            assert simulate._read_rows(text, 1) is None
+            lines = [line + "\n" for line in text.split("\n")]
+            assert (simulate._read_rows("".join(lines), 1).tobytes()
+                    == np.loadtxt(lines, delimiter=",", ndmin=2).tobytes())
 
     @pytest.mark.parametrize("extra", ((), ("-U__SIZEOF_INT128__",)),
                              ids=("default", "without_int128"))

@@ -849,6 +849,50 @@ class TestCsvRoundTripOnLoadtxt(TestCsvRoundTrip):
     read by ``np.loadtxt``."""
 
 
+class TestTimeGrid:
+    """``simulate._regular``, the spacing check of ``_read_csv``, accepts
+    exactly what ``np.allclose(steps, h, rtol=1e-9, atol=0.0)`` accepts,
+    NaN and infinite steps among them."""
+
+    @staticmethod
+    def _outcomes(steps, h):
+        """What ``_regular`` and ``np.allclose`` give, or the warning each
+        raises: both overflow alike where step - h does."""
+        outcomes = []
+        for check in (lambda: simulate._regular(steps.copy(), h),
+                      lambda: np.allclose(steps, h, rtol=1e-9, atol=0.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    outcomes.append(bool(check()))
+                except RuntimeWarning as warning:
+                    outcomes.append(str(warning))
+        return outcomes
+
+    @given(
+        h=st.floats(min_value=0.0, exclude_min=True),
+        steps=st.lists(st.one_of(
+            st.floats(-3e-9, 3e-9).map(lambda d: ("rel", d)),
+            st.floats().map(lambda v: ("abs", v))), max_size=6),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_accepts_what_allclose_accepts(self, h, steps):
+        arr = np.array([h] + [h * (1.0 + v) if how == "rel" else v for how, v in steps])
+        regular, allclose = self._outcomes(arr, h)
+        assert regular == allclose
+
+    @pytest.mark.parametrize("h, steps", (
+        (0.01, [0.01 * (1 + 1e-9)]), (0.01, [0.01 * (1 - 1e-9)]),
+        (0.01, [0.01 * (1 + 2e-9)]), (0.01, [math.nan]), (0.01, [math.inf]),
+        (0.01, [-math.inf]), (math.inf, [math.inf]), (math.inf, [1.0]),
+        (math.inf, [math.nan]), (5e-324, [5e-324]), (5e-324, [1e-323]),
+        (1e308, [1.7976931348623157e308]), (1e308, [-1e308]),
+    ))
+    def test_edges(self, h, steps):
+        regular, allclose = self._outcomes(np.array([h, *steps]), h)
+        assert regular == allclose
+
+
 def _loadtxt(lines):
     return np.loadtxt(lines, delimiter=",", ndmin=2)
 
