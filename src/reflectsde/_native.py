@@ -1,7 +1,7 @@
 """Build, cache and load the compiled library ``_stepper.c``: the
 fine-step kernel ``reflect_path``; ``contrast_residuals``, the residuals
-of the least-squares contrast in one pass, fixed once per search by a
-:class:`Contrast`; and the CSV row reader ``read_rows``, which scans
+of the least-squares contrast for a mean-reversion or shifted-covariate
+drift in one pass, fixed once per search by a :class:`Contrast`; and the CSV row reader ``read_rows``, which scans
 digits eight at a time and converts a field of up to 19 significant
 digits by the Eisel-Lemire algorithm, or Clinger's exact quotient, and any
 other by ``strtod``, to the bits of ``np.loadtxt``.  ``reflect_path``
@@ -115,14 +115,13 @@ def _prune(keep: Path) -> None:
 
 class Contrast(ctypes.Structure):
     """``struct contrast`` of ``_stepper.c``: the addresses of the residual
-    buffer, of the increments dx, dl and dr, of the left endpoints x and of
-    what the drift reads of its own, g; the number of intervals, the drift
-    code, the step h and the shifted covariate c."""
+    buffer, of the increments dx, dl and dr and of the left endpoints x;
+    the number of intervals, the drift code, the step h and the shifted
+    covariate c."""
 
     _fields_ = [("res", ctypes.c_void_p), ("dx", ctypes.c_void_p), ("dl", ctypes.c_void_p),
-                ("dr", ctypes.c_void_p), ("x", ctypes.c_void_p), ("g", ctypes.c_void_p),
-                ("n", ctypes.c_long), ("kind", ctypes.c_int), ("h", ctypes.c_double),
-                ("c", ctypes.c_double)]
+                ("dr", ctypes.c_void_p), ("x", ctypes.c_void_p), ("n", ctypes.c_long),
+                ("kind", ctypes.c_int), ("h", ctypes.c_double), ("c", ctypes.c_double)]
 
 
 def _open(path: Path):

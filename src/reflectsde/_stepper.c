@@ -1,8 +1,9 @@
 /* Reflected Euler fine steps for a block of a path: the compiled twin of
  * simulate._reflect_path, which takes the same arguments and makes the
  * same operations in the same order; the residuals of the least-squares
- * contrast, contrast_residuals, the compiled twin of the numpy expression
- * of estimate._numpy_contrast_of; and a strict reader for the CSV rows that
+ * contrast for a mean-reversion or shifted-covariate drift,
+ * contrast_residuals, the compiled twin of the numpy expression of
+ * estimate._numpy_contrast_of; and a strict reader for the CSV rows that
  * simulate.write_csv emits, which scans digits eight at a time and
  * converts a field of up to 19 significant digits by the exact
  * Eisel-Lemire algorithm (Lemire 2021, "Number parsing at a gigabyte per
@@ -154,11 +155,10 @@ long reflect_path(int kind, double theta, double gamma, const double *shift,
 /* The arrays and constants of one contrast, which estimate._contrast_of
  * fixes once per closure: res receives the n residuals; dx, dl and dr are
  * the increments of the state and of both regulators over the n
- * observation intervals; x holds their left endpoints and g what the drift
- * reads of its own (see contrast_residuals). */
+ * observation intervals, and x holds their left endpoints. */
 struct contrast {
     double *res;
-    const double *dx, *dl, *dr, *x, *g;
+    const double *dx, *dl, *dr, *x;
     long n;
     int kind;
     double h, c;
@@ -166,16 +166,14 @@ struct contrast {
 
 /* The residuals ((dx - f h) - dl) + dr of the least-squares contrast at
  * theta, with the drift f at the left endpoints of the intervals:
- * (-theta) * g for POWER, where g holds x ** gamma as numpy's power gave
- * it (C's pow may differ); theta * (1.0 - x) for MEAN_REVERSION;
- * (c + theta) + 0.0 * x for SHIFTED, the shifted covariate c; and g itself
- * for CALLBACK, the values a custom drift returned.  These are the
- * operations of the drifts' numpy expressions and of the residual's, in
- * their order; the caller sums the squares with np.dot, whose summation
- * order is part of the result. */
+ * theta * (1.0 - x) for MEAN_REVERSION and (c + theta) + 0.0 * x for
+ * SHIFTED, the shifted covariate c.  These are the operations of the
+ * drifts' numpy expressions and of the residual's, in their order; the
+ * caller sums the squares with np.dot, whose summation order is part of
+ * the result. */
 void contrast_residuals(const struct contrast *c, double theta)
 {
-    const double *dx = c->dx, *dl = c->dl, *dr = c->dr, *x = c->x, *g = c->g;
+    const double *dx = c->dx, *dl = c->dl, *dr = c->dr, *x = c->x;
     double *res = c->res, h = c->h, f;
     long n = c->n;
 #define RESIDUALS(F)                                                       \
@@ -183,16 +181,11 @@ void contrast_residuals(const struct contrast *c, double theta)
         f = (F);                                                           \
         res[i] = ((dx[i] - f * h) - dl[i]) + dr[i];                        \
     }
-    if (c->kind == POWER) {
-        double neg = -theta;
-        RESIDUALS(neg * g[i])
-    } else if (c->kind == MEAN_REVERSION) {
+    if (c->kind == MEAN_REVERSION) {
         RESIDUALS(theta * (1.0 - x[i]))
-    } else if (c->kind == SHIFTED) {
+    } else {
         double shifted = c->c + theta;
         RESIDUALS(shifted + 0.0 * x[i])
-    } else {
-        RESIDUALS(g[i])
     }
 #undef RESIDUALS
 }

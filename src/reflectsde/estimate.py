@@ -36,9 +36,7 @@ from .model import (
     eval_on_array,
 )
 from .simulate import (
-    _K_CALLBACK,
     _K_MEAN_REVERSION,
-    _K_POWER,
     _K_SHIFTED,
     SamplePath,
     TwoFactorPath,
@@ -93,44 +91,35 @@ def _numpy_contrast_of(path: SamplePath, spec: DriftSpec) -> Callable[[float], f
 
 def _contrast_of(path: SamplePath, spec: DriftSpec) -> Callable[[float], float]:
     """theta -> the contrast of ``path`` for a search, which evaluates it
-    many times: the residuals of :func:`_numpy_contrast_of`, bit for bit, in
-    one call of the compiled ``contrast_residuals``, whose arguments are
-    fixed here.  It computes a mean-reversion or shifted-covariate drift
-    itself, and reads x ** gamma, taken here once, or a custom drift's
-    values; np.dot still sums the squares.  Without the compiled library
-    this is :func:`_numpy_contrast_of`."""
+    many times: for a mean-reversion or shifted-covariate drift, the
+    residuals of :func:`_numpy_contrast_of`, bit for bit, in one call of the
+    compiled ``contrast_residuals``, whose arguments are fixed here, and
+    np.dot sums their squares.  A power or custom drift, and any drift
+    without the compiled library, takes :func:`_numpy_contrast_of`."""
+    if spec.kind not in (MEAN_REVERSION_TO_ONE, SHIFTED_COVARIATE):
+        return _numpy_contrast_of(path, spec)
     lib = _native.load()
     if lib is None:
         return _numpy_contrast_of(path, spec)
     dx, dl, dr = path.increments
     left, h, n = path.x[:-1], path.h, path.n
     scale = n * h * h
-    # res, then g: the values the kernel reads for a power or custom drift
-    work = np.empty(2 * n)
-    res, g = work[:n], work[n:]
-    code, x, c = _K_CALLBACK, None, 0.0
-    if spec.kind == POWER:
-        code = _K_POWER
-        np.power(left, spec.gamma, out=g)
-    elif spec.kind == MEAN_REVERSION_TO_ONE:
-        code, x = _K_MEAN_REVERSION, left.ctypes.data
-    elif spec.kind == SHIFTED_COVARIATE:
-        code, x, c = _K_SHIFTED, left.ctypes.data, spec.covariate
-    base = _address(work)
-    fixed = _native.Contrast(base, dx.ctypes.data, dl.ctypes.data, dr.ctypes.data, x,
-                             base + res.nbytes, n, code, h, c)
-    # the reference keeps the arguments alive as long as the closure
+    res = np.empty(n)
+    if spec.kind == MEAN_REVERSION_TO_ONE:
+        code, c = _K_MEAN_REVERSION, 0.0
+    else:
+        code, c = _K_SHIFTED, spec.covariate
+    fixed = _native.Contrast(_address(res), dx.ctypes.data, dl.ctypes.data, dr.ctypes.data,
+                             left.ctypes.data, n, code, h, c)
+    # the struct holds bare addresses into the path's x and increments, so
+    # it keeps the path, and the reference to it keeps the struct, as long
+    # as the closure lives
+    fixed.path = path
     residuals, args = lib.contrast_residuals, ctypes.byref(fixed)
 
-    if code == _K_CALLBACK:
-        def at(theta: float) -> float:
-            np.copyto(g, eval_on_array(lambda v: spec.f(v, theta), left, "the drift"))
-            residuals(args, theta)
-            return float(np.dot(res, res) / scale)
-    else:
-        def at(theta: float) -> float:
-            residuals(args, theta)
-            return float(np.dot(res, res) / scale)
+    def at(theta: float) -> float:
+        residuals(args, theta)
+        return float(np.dot(res, res) / scale)
 
     return at
 

@@ -268,6 +268,9 @@ def validate_regime(plan: SamplingPlan) -> RegimeDiagnostics:
     )
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _complex_type(t: type) -> bool:
     return issubclass(t, (complex, np.complexfloating))
 
@@ -284,7 +287,7 @@ def eval_on_array(g: Callable[[float], float], x: np.ndarray, what: str = "g") -
     try:
         out = g(x)
         # a float64 array, the usual result, is not looked into
-        complex_ = getattr(out, "dtype", None) != np.float64 and np.iscomplexobj(out)
+        complex_ = getattr(out, "dtype", None) is not _FLOAT64 and np.iscomplexobj(out)
         if not complex_:
             out = np.asarray(out, dtype=float)
             if out.shape == x.shape:

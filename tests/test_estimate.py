@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -144,9 +146,11 @@ def _scalar_drift(x, th):
 
 
 class TestCompiledContrast:
-    """``contrast_residuals`` in the compiled library gives the residuals,
-    and so the contrast, of the numpy expression it replaces, bit for
-    bit."""
+    """The search's contrast gives the residuals, and so the contrast, of
+    the numpy expression for every drift kind, bit for bit, with and
+    without the compiled library: ``contrast_residuals`` for the
+    mean-reversion and shifted-covariate drifts, the numpy expression
+    itself for the others."""
 
     @given(
         kind=st.sampled_from(("power", "mean_reversion", "shifted_covariate", "custom",
@@ -188,6 +192,24 @@ class TestCompiledContrast:
                 outcomes.append((value, _residuals(objective).tobytes()))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == _reference_contrast(path, spec, theta)
+
+    @pytest.mark.parametrize("kind", ("mean_reversion", "shifted_covariate"))
+    def test_compiled_closure_keeps_its_path(self, kind):
+        # contrast_residuals reads the path's arrays through the bare
+        # addresses of a struct: the closure must keep the path alive once
+        # the caller drops it, and let it go with the closure
+        spec = _SEARCH_SPECS[kind]
+        _, path = noiseless_path()
+        expected = rs.contrast(path, spec, 0.7)
+        alive = weakref.ref(path)
+        objective = estimate._contrast_of(path, spec)
+        del path
+        gc.collect()
+        assert alive() is not None
+        assert objective(0.7) == expected
+        del objective
+        gc.collect()
+        assert alive() is None
 
 
 class TestComplexDrift:

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 from dataclasses import replace
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 
 import reflectsde as rs
-from reflectsde import simulate
 from reflectsde.errors import DataError, ModelError
 from reflectsde.estimate import estimate_power_closed_form
 
@@ -379,27 +377,24 @@ class TestGoldenRuns:
 
 class TestIncrementsTakenOnce:
     """Validation and the estimators share the increments of each path, so
-    each array is differenced once: x, l and r of one path, or of each
+    np.diff runs once per array: x, l and r of one path, or of each
     two-factor component."""
 
     @pytest.mark.parametrize("kind,per_rep", (("power", 3), ("custom", 3), ("two_factor", 6)))
-    def test_increments_per_replication(self, kind, per_rep, monkeypatch):
+    def test_np_diff_calls_per_replication(self, kind, per_rep, monkeypatch):
         if kind == "two_factor":
             cfg = _golden_two_factor_config(replications=10, n_values=(200,))
         else:
             cfg = _golden_mc_config(kind)
             cfg = replace(cfg, replications=10, n_values=(cfg.n_values[-1],))
         calls = []
-        take = simulate.SamplePath.increments.func
+        diff = np.diff
 
-        def spy(path):
-            steps = take(path)
-            calls.extend(steps)  # one per array differenced
-            return steps
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return diff(*args, **kwargs)
 
-        increments = functools.cached_property(spy)
-        increments.__set_name__(simulate.SamplePath, "increments")
-        monkeypatch.setattr(simulate.SamplePath, "increments", increments)
+        monkeypatch.setattr(np, "diff", spy)
         if kind == "two_factor":
             runs = rs.run_mc_two_factor(cfg)
         else:

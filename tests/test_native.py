@@ -193,7 +193,7 @@ class TestParity:
         assert [(name, ctypes_of[ctype]) for name, ctype in members] == _native.Contrast._fields_
         assert lib.contrast_residuals.argtypes == [ctypes.c_void_p, ctypes.c_double]
         for closure_of in (estimate._contrast_of, estimate._numpy_contrast_of):
-            closure = closure_of(_power_path(), rs.DriftSpec.power(0.5))
+            closure = closure_of(_power_path(), rs.DriftSpec.mean_reversion_to_one())
             assert list(inspect.signature(closure).parameters) == ["theta"]
 
     def test_no_path_falls_back_to_the_python_stepper(self, monkeypatch):
