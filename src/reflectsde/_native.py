@@ -6,12 +6,13 @@ digits eight at a time and converts a field of up to 19 significant
 digits by the Eisel-Lemire algorithm, or Clinger's exact quotient, and any
 other by ``strtod``, to the bits of ``np.loadtxt``.  ``reflect_path``
 calls a custom drift ``f(x, theta)`` directly, with the caller's
-``theta`` object, and converts its result in C, through eight functions,
-one exception and two types of CPython's stable ABI
-(``PyFloat_FromDouble``, ``PyObject_CallFunctionObjArgs``,
-``PyObject_IsInstance``, ``PyFloat_AsDouble``, ``PyErr_Occurred``,
-``PyErr_ExceptionMatches``, ``PyErr_Clear``, ``Py_DecRef``,
-``PyExc_TypeError``, ``PyFloat_Type`` and ``PyComplex_Type``), which the
+``theta`` object, and converts its result in C unless it is one of
+:data:`COMPLEX_TYPES`, through nine functions, one exception and one type
+of CPython's stable ABI (``PyFloat_FromDouble``,
+``PyObject_CallFunctionObjArgs``, ``PyObject_IsInstance``,
+``PyFloat_AsDouble``, ``PyErr_Occurred``, ``PyErr_ExceptionMatches``,
+``PyErr_Clear``, ``Py_IncRef``, ``Py_DecRef``, ``PyExc_TypeError`` and
+``PyFloat_Type``), which the
 library declares itself and resolves from the interpreter that loads it:
 the build needs no Python headers, and the cached library does not depend
 on the Python version.
@@ -42,6 +43,8 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 SOURCE = Path(__file__).with_name("_stepper.c")
 # -ffp-contract=off keeps a*b + c two roundings, as in Python; no
 # -ffast-math and no -march=native for the same reason
@@ -51,6 +54,11 @@ _DIGEST_BYTES = 32
 # a build removes the cached libraries of other versions unused this long
 UNUSED_FOR_S = 30 * 24 * 3600
 _LOCK = threading.Lock()
+# A custom drift's result of one of these types is not a real number,
+# though PyFloat_AsDouble (and math.ldexp) would keep the real part of a
+# numpy.complex64, complex128 or clongdouble.  A type that merely defines
+# __complex__ is not refused: a 0-d ndarray, Fraction or Decimal is real.
+COMPLEX_TYPES = (complex, np.complexfloating)
 
 
 def find_compiler() -> str | None:
@@ -130,6 +138,7 @@ def _open(path: Path):
     and ``read_rows``, and ``reflect_path_with_gil``: ``reflect_path`` called
     with the GIL held, for a custom drift, which the kernel calls through
     the Python C API; ctypes raises what the drift raised once it returns.
+    The library's complex types are set to :data:`COMPLEX_TYPES`.
     Raises OSError where the loading interpreter does not provide the C API
     symbols the library names."""
     lib = ctypes.CDLL(str(path))
@@ -143,6 +152,7 @@ def _open(path: Path):
     lib.reflect_path.argtypes = args
     lib.reflect_path.restype = long_
     lib.reflect_path_with_gil = ctypes.PYFUNCTYPE(long_, *args)(("reflect_path", lib))
+    ctypes.PYFUNCTYPE(None, ctypes.py_object)(("set_complex_types", lib))(COMPLEX_TYPES)
     lib.contrast_residuals.argtypes = [ptr, dbl]
     lib.contrast_residuals.restype = None
     lib.read_rows.argtypes = [ctypes.c_char_p, long_, long_, ptr, long_]

@@ -30,7 +30,7 @@
 typedef struct _object PyObject;
 typedef struct _typeobject PyTypeObject;
 extern PyObject *PyExc_TypeError;
-extern PyTypeObject PyFloat_Type, PyComplex_Type;
+extern PyTypeObject PyFloat_Type;
 PyObject *PyFloat_FromDouble(double v);
 double PyFloat_AsDouble(PyObject *o);
 int PyObject_IsInstance(PyObject *o, PyObject *cls);
@@ -38,18 +38,29 @@ PyObject *PyObject_CallFunctionObjArgs(PyObject *callable, ...);
 PyObject *PyErr_Occurred(void);
 int PyErr_ExceptionMatches(PyObject *exc);
 void PyErr_Clear(void);
+void Py_IncRef(PyObject *o);
 void Py_DecRef(PyObject *o);
 
 enum { POWER, MEAN_REVERSION, CONSTANT, SHIFTED, CALLBACK };
 
-/* Whether a custom drift's result is complex (numpy.complex128 is a
- * complex), which PyFloat_AsDouble would cut to its real part: 1, 0, or
- * -1 with the exception of the test set.  A float, the usual result, is
- * told by the first test's exact type match alone. */
+/* The complex types, (complex, numpy.complexfloating), which the loader
+ * sets once: PyFloat_AsDouble would cut a numpy.complex64, complex128 or
+ * clongdouble to its real part. */
+static PyObject *complex_types;
+
+void set_complex_types(PyObject *types)
+{
+    Py_IncRef(types);
+    complex_types = types;
+}
+
+/* Whether a custom drift's result is complex: 1, 0, or -1 with the
+ * exception of the test set.  A float, the usual result, is told by the
+ * first test's exact type match alone. */
 static int is_complex(PyObject *res)
 {
     int real = PyObject_IsInstance(res, (PyObject *)&PyFloat_Type);
-    return real ? (real < 0 ? -1 : 0) : PyObject_IsInstance(res, (PyObject *)&PyComplex_Type);
+    return real ? (real < 0 ? -1 : 0) : PyObject_IsInstance(res, complex_types);
 }
 
 /* Integrate the n observation intervals k0 to k0 + n - 1 of m fine steps,

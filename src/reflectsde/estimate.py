@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _native, stationary
+from ._special import ndtri
 from .errors import DataError, ModelError
 from .model import (
     MEAN_REVERSION_TO_ONE,

@@ -10,7 +10,8 @@ package only, not across implementations.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
+
+from ._special import ndtri
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

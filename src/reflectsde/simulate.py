@@ -209,14 +209,15 @@ def _reflect_path(kind, theta, gamma, shift, z, u, k0, n, m, a, b, hf, sig2hf,
     ``b`` is clipped into the upper regulator.  A custom drift is
     ``drift(x, param)``, its result converted by ``math.ldexp(mu, 0)``,
     which converts as the kernel's ``PyFloat_AsDouble`` does, unless it is
-    a ``complex`` (``numpy.complex128`` is one), whose real part that would
-    keep.  Returns -1, or the fine step of the block where the drift is not
-    a real number: ``x ** gamma`` is complex (a negative state), the custom
-    drift's result is complex, or its conversion raises TypeError (a str).
+    one of ``_native.COMPLEX_TYPES`` (a ``complex`` or a numpy complex
+    scalar), whose real part that would keep.  Returns -1, or the fine step
+    of the block where the drift is not a real number: ``x ** gamma`` is
+    complex (a negative state), the custom drift's result is complex, or
+    its conversion raises TypeError (a str).
     Where ``drift``, or the test or the conversion otherwise, raises,
     ``stop.value`` receives the fine step.
     """
-    log, sqrt, ldexp = math.log, math.sqrt, math.ldexp
+    log, sqrt, ldexp, complex_types = math.log, math.sqrt, math.ldexp, _native.COMPLEX_TYPES
     power, reverting = kind == _K_POWER, kind == _K_MEAN_REVERSION
     constant, shifted = kind == _K_CONSTANT, kind == _K_SHIFTED
     z, u = z[:n * m].tolist(), u[:n * m].tolist()
@@ -245,7 +246,7 @@ def _reflect_path(kind, theta, gamma, shift, z, u, k0, n, m, a, b, hf, sig2hf,
                 try:
                     mu = drift(x, param)
                     if type(mu) is not float:
-                        if isinstance(mu, complex):
+                        if isinstance(mu, complex_types):
                             return i
                         try:
                             mu = ldexp(mu, 0)
@@ -326,8 +327,8 @@ def _integrate(
     runs on the stepper picked here, with the same arguments: the compiled
     kernel when it loads, else its twin :func:`_reflect_path`.  Where the
     drift is not a real number (the power drift's ``x ** gamma`` of a
-    negative state, or a custom drift's complex, ``numpy.complex128`` or
-    str result), both raise the same :class:`DataError`.
+    negative state, or a custom drift's complex, numpy complex or str
+    result), both raise the same :class:`DataError`.
     """
     n = len(trace[3])
     custom = drift[0] == _K_CALLBACK

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as _special
 
+from . import _special
 from .errors import ModelError
 from .model import (
     CUSTOM,

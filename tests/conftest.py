@@ -3,7 +3,12 @@ reused by the harness tests and the acceptance suite."""
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,18 @@ import reflectsde as rs
 from reflectsde import _native
 
 ROOT_SEED = 202608
+
+
+def fresh_interpreter(code: str, cwd: Path, env: dict[str, str] | None = None) -> dict:
+    """The JSON object on the last stdout line of ``python -c code`` run in a
+    new interpreter that imports this checkout's package, with ``env``
+    added to its environment."""
+    src = str(Path(rs.__file__).resolve().parent.parent)
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=240, env=env, cwd=cwd, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def power_model(

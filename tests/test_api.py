@@ -1,12 +1,7 @@
 """The public surface of ``reflectsde``."""
 
 import inspect
-import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +10,7 @@ from scipy import stats
 import reflectsde as rs
 from reflectsde import cli, model, rng
 
-from conftest import power_model
+from conftest import fresh_interpreter, power_model
 
 # The names the benchmark in perfbench/workloads.py calls as ``rs.<name>``;
 # dropping one from __all__ breaks its timed and traced runs.
@@ -63,6 +58,11 @@ def test_benchmark_passes_workers_to_the_drivers():
 # `mc --zscores` and a custom drift's scale_density uses them.
 _DEFERRED = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.linalg",
              "scipy.sparse")
+# Nor does any command need scipy.special's package (the five ufuncs come
+# from its compiled _ufuncs), whose __init__ loads scipy's array-API layer
+# and with it numpy.f2py, numpy.ma and numpy.testing.
+_UNUSED = _DEFERRED + ("scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.ma",
+                       "numpy.testing")
 
 _CLI_IN_A_FRESH_INTERPRETER = """
 import json, runpy, sys
@@ -111,15 +111,6 @@ print(json.dumps(out))
 """
 
 
-def _fresh_interpreter(code: str, cwd: Path) -> dict:
-    src = str(Path(rs.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=240, env=env, cwd=cwd, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
 def test_common_commands_import_no_heavy_scipy(tmp_path):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("drift.kind = power\ndrift.gamma = 0.5\nsigma = 0.2\nbarrier.a = 0.0\n"
@@ -133,17 +124,15 @@ def test_common_commands_import_no_heavy_scipy(tmp_path):
                  "--out", str(tmp_path / "g.csv")),
                 ("mc", "--config", str(cfg), "--reps", "3", "--n", "50",
                  "--out-dir", str(tmp_path / "mc")))
-    seen = _fresh_interpreter(
-        _CLI_IN_A_FRESH_INTERPRETER % (_DEFERRED + ("scipy.special",), commands), tmp_path)
-    # numpy and scipy.special stay module-level imports: every command uses them
-    assert seen["import"] == ["scipy.special"]
+    seen = fresh_interpreter(_CLI_IN_A_FRESH_INTERPRETER % (_UNUSED, commands), tmp_path)
+    assert seen["import"] == []
     for argv in commands:
         assert seen[argv[0] + " status"] == 0, argv[0]
-        assert seen[argv[0]] == ["scipy.special"], argv[0]
+        assert seen[argv[0]] == [], argv[0]
 
 
-def test_lazy_scipy_users_work_in_a_fresh_interpreter(tmp_path):
-    out = _fresh_interpreter(_LAZY_USERS_IN_A_FRESH_INTERPRETER % (_DEFERRED,), tmp_path)
+def test_lazy_scipy_users_work_in_afresh_interpreter(tmp_path):
+    out = fresh_interpreter(_LAZY_USERS_IN_A_FRESH_INTERPRETER % (_DEFERRED,), tmp_path)
     assert out["before"] == []
     # a custom drift's quadrature and stderr are numpy's own; only its
     # scale_density imports scipy.integrate

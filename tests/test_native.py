@@ -282,6 +282,11 @@ class TestCustomDriftCallback:
          ("DataError", "the drift is not a real number in observation interval 25")),
         (lambda x, th: np.complex128(th, 1.0) if x < 0.35 else th,
          ("DataError", "the drift is not a real number in observation interval 25")),
+        # numpy's other complex scalars are not complex subclasses
+        (lambda x, th: np.complex64(th) if x < 0.35 else th,
+         ("DataError", "the drift is not a real number in observation interval 25")),
+        (lambda x, th: np.clongdouble(th) if x < 0.35 else th,
+         ("DataError", "the drift is not a real number in observation interval 25")),
         (lambda x, th: math.exp(1000.0 * x) if x > 0.75 else th,
          ("DataError", "the drift left the finite range in observation interval 17: "
                       "math range error")),
@@ -293,7 +298,8 @@ class TestCustomDriftCallback:
          ("DataError", "the drift left the finite range in observation interval 30: "
                       "int too large to convert to float")),
     ), ids=("value-error", "type-error", "complex", "str", "numpy-complex-real",
-            "numpy-complex", "overflow", "zero-division", "huge-int"))
+            "numpy-complex", "complex64", "clongdouble", "overflow", "zero-division",
+            "huge-int"))
     def test_failing_drift_fails_alike(self, f, expected):
         config = _custom_model(f, sigma=0.8, two_sided=False)
         opts = rs.SimOptions(substeps=5, seed=9)
@@ -343,8 +349,10 @@ class TestCustomDriftCallback:
             config = _custom_model(lambda x, th: convert(2 if x < 0.5 else -3))
             return [_unvalidated_path(config, 1.0, rs.SimOptions(substeps=5, seed=9))]
 
+        # a 0-d array is real, though its type defines __complex__
         outcomes = [_on_both_backends(lambda: run(convert))
-                    for convert in (float, int, np.float64)]
+                    for convert in (float, int, np.float64, np.float32, np.longdouble,
+                                    np.asarray)]
         native, python = outcomes[0]
         assert isinstance(native, list) and native == python
         assert all(outcome == outcomes[0] for outcome in outcomes)

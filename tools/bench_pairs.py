@@ -4,8 +4,9 @@
         --pairs 10 --seconds 25 --percall-rounds 4
 
 runs ``perfbench/run.py --workload W --seed S --seconds T`` from each
-checkout in turn (seeds 1 to N; the side that runs first alternates from
-pair to pair), for every workload of ``BENCHMARK.json``, and writes
+checkout in turn (seeds ``--first-seed`` to ``--first-seed`` + N − 1, 1
+by default; the side that runs first alternates from pair to pair), for
+every workload of ``BENCHMARK.json``, and writes
 ``BENCH_<label>.json`` beside this script's repository: every run's last
 stdout line, and per workload and end-to-end metric the medians,
 quartiles and ranges of both sides, the relative change of the median and
@@ -17,8 +18,15 @@ the pairs the change won.  With ``--percall-rounds R`` it also runs
 prints per-call timings of the checkout at ``--root`` as one JSON object:
 the golden-section search, a contrast closure built and evaluated once,
 the CSV reader on the five CSVs of the estimate_ci workload, its time-grid
-check, a custom drift's fine step, and a sha256 of every search result
-over 60 paths per drift kind on both steppers.  Only names that both
+check, a custom drift's fine step, a sha256 of every search result
+over 60 paths per drift kind on both steppers, and the cold start: fresh
+children (one a sample, ``--cold-samples`` of each) of
+``python -c "import reflectsde.cli"``, timed with the ``sys.modules``
+count after it, whether ``scipy.special``'s package was imported and the
+child's peak RSS, and of ``python -m reflectsde estimate`` on the
+estimate_ci mean-reversion CSV (2,001 rows), timed with a sha256 of its
+stdout, plus one ``python -X importtime`` of the import.  The children run
+with one BLAS thread, as ``perfbench/run.py`` does.  Only names that both
 checkouts define are called.
 """
 
@@ -27,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -80,7 +89,7 @@ def run_pairs(args: argparse.Namespace) -> None:
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     runs = []
     for wl in workloads:
-        for seed in range(1, args.pairs + 1):
+        for seed in range(args.first_seed, args.first_seed + args.pairs):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for name in order:
                 started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -97,7 +106,8 @@ def run_pairs(args: argparse.Namespace) -> None:
     for k in range(args.percall_rounds):
         for name in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
             done = subprocess.run([sys.executable, __file__, "percall", "--root",
-                                   str(sides[name])], capture_output=True, text=True, check=True)
+                                   str(sides[name]), "--cold-samples", str(args.cold_samples)],
+                                  capture_output=True, text=True, check=True)
             percall[name].append(_last_json(done.stdout))
     record = {
         "description": args.description,
@@ -121,7 +131,54 @@ def _best_median(fn, calls: int) -> dict:
     return {"best_us": min(times) * 1e6, "median_us": statistics.median(times) * 1e6}
 
 
-def percall(root: Path) -> dict:
+_IMPORT_CHILD = ("import reflectsde.cli, sys; n = len(sys.modules); "
+                 "init = 'scipy.special' in sys.modules; import resource; "
+                 "print(n, init, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+# the modules whose cumulative import time the importtime record keeps
+_IMPORTTIME_NAMES = ("site", "numpy", "scipy", "scipy.special", "scipy.special._ufuncs",
+                     "scipy.special._support_alternative_backends", "numpy.f2py",
+                     "reflectsde", "reflectsde.cli")
+
+
+def _timed_child(argv: list[str], env: dict) -> tuple[float, subprocess.CompletedProcess]:
+    t0 = time.perf_counter()
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+    return time.perf_counter() - t0, done
+
+
+def cold_start(root: Path, cfg: Path, csv: Path, samples: int) -> dict:
+    """Fresh-process timings of the checkout at ``root`` (see the module
+    text): ``samples`` children of each kind, one a sample."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    imports, estimates = [], []
+    for _ in range(samples):
+        wall, done = _timed_child([sys.executable, "-c", _IMPORT_CHILD], env)
+        modules, init, rss_kb = done.stdout.split()
+        imports.append({"wall_s": wall, "modules": int(modules),
+                        "scipy_special_init": init == "True", "maxrss_mb": int(rss_kb) / 1024})
+        wall, done = _timed_child([sys.executable, "-m", "reflectsde", "estimate", "--config",
+                                   str(cfg), "--path", str(csv)], env)
+        estimates.append({"wall_s": wall,
+                          "stdout_sha256": hashlib.sha256(done.stdout.encode()).hexdigest()})
+    _, done = _timed_child([sys.executable, "-X", "importtime", "-c", "import reflectsde.cli"],
+                           env)
+    cumulative_us = {}
+    for line in done.stderr.splitlines():
+        fields = line.split("|")
+        if line.startswith("import time:") and len(fields) == 3 and fields[1].strip().isdigit():
+            if fields[2].strip() in _IMPORTTIME_NAMES:
+                cumulative_us[fields[2].strip()] = int(fields[1])
+    return {
+        "import": {"median_s": statistics.median(s["wall_s"] for s in imports),
+                   "samples": imports},
+        "estimate": {"csv": csv.name, "csv_sha256": hashlib.sha256(csv.read_bytes()).hexdigest(),
+                     "median_s": statistics.median(s["wall_s"] for s in estimates),
+                     "samples": estimates},
+        "importtime_cumulative_us": cumulative_us,
+    }
+
+
+def percall(root: Path, cold_samples: int = 3) -> dict:
     """Per-call timings of the checkout at ``root`` (see the module text)."""
     import contextlib
     import io
@@ -178,6 +235,9 @@ def percall(root: Path) -> dict:
         check = ((lambda: regular(steps.copy(), h)) if regular else
                  (lambda: np.allclose(steps, h, rtol=1e-9, atol=0.0)))
         out["time_grid_check"] = _best_median(check, 1001)
+        leg = "mean_reversion_two_sided"
+        out["cold_start"] = cold_start(root, Path(tmp, leg + ".cfg"), Path(tmp, leg + ".csv"),
+                                       cold_samples)
     custom = rs.ModelConfig(drift=workloads.custom_drift(), sigma=0.5,
                             barriers=rs.BarrierConfig.two_sided(0.0, 2.0),
                             theta_domain=(-20.0, 20.0), x0=1.0)
@@ -210,19 +270,22 @@ def main(argv: list[str] | None = None) -> None:
     pairs.add_argument("--change", default=str(HERE.parent))
     pairs.add_argument("--label", required=True)
     pairs.add_argument("--pairs", type=int, default=10)
+    pairs.add_argument("--first-seed", type=int, default=1)
     pairs.add_argument("--seconds", type=float, default=25)
     pairs.add_argument("--workloads", nargs="*")
     pairs.add_argument("--percall-rounds", type=int, default=0)
+    pairs.add_argument("--cold-samples", type=int, default=3)
     pairs.add_argument("--description", default="")
     pairs.add_argument("--host", default="")
     pairs.add_argument("--out")
     one = sub.add_parser("percall")
     one.add_argument("--root", required=True)
+    one.add_argument("--cold-samples", type=int, default=3)
     args = parser.parse_args(argv)
     if args.command == "pairs":
         run_pairs(args)
     else:
-        print(json.dumps(percall(Path(args.root).resolve())))
+        print(json.dumps(percall(Path(args.root).resolve(), args.cold_samples)))
 
 
 if __name__ == "__main__":
