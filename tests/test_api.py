@@ -131,7 +131,7 @@ def test_common_commands_import_no_heavy_scipy(tmp_path):
         assert seen[argv[0]] == [], argv[0]
 
 
-def test_lazy_scipy_users_work_in_afresh_interpreter(tmp_path):
+def test_lazy_scipy_users_work_in_a_fresh_interpreter(tmp_path):
     out = fresh_interpreter(_LAZY_USERS_IN_A_FRESH_INTERPRETER % (_DEFERRED,), tmp_path)
     assert out["before"] == []
     # a custom drift's quadrature and stderr are numpy's own; only its

@@ -142,18 +142,42 @@ def test_edge_inputs_give_scipys_values_and_warnings(tmp_path):
 
 
 _RACE = """
-import json, sys, threading
-sys.setswitchinterval(1e-5)
+import importlib._bootstrap, importlib.machinery, json, sys, threading, time
 import numpy, scipy
 out = {}
-imported = threading.Event()
+stub_up = threading.Event()
+
+class Held:
+    # the extension loader of _ufuncs, run by the second thread while the
+    # stub stands: lets the first thread see the stub, then holds it up
+    # until that thread waits on the module lock of scipy.special
+    def __init__(self, loader):
+        self.loader = loader
+
+    def create_module(self, spec):
+        stub_up.set()
+        lock = importlib._bootstrap._module_locks["scipy.special"]()
+        deadline = time.monotonic() + 60
+        while not lock.waiters and time.monotonic() < deadline:
+            time.sleep(0.001)
+        out["blocked"] = bool(lock.waiters)
+        return self.loader.create_module(spec)
+
+    def exec_module(self, module):
+        self.loader.exec_module(module)
+
+class HoldStub:
+    # finders run under the global import lock, so the hold is in the loader
+    def find_spec(self, name, path=None, target=None):
+        if name != "scipy.special._ufuncs" or stub_up.is_set():
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name, path, target)
+        spec.loader = Held(spec.loader)
+        return spec
 
 def first():
-    # imports scipy.special as soon as the stub appears, or once the other
-    # thread is done
-    seen = None
-    while seen is None and not imported.is_set():
-        seen = sys.modules.get("scipy.special")
+    stub_up.wait()
+    seen = sys.modules.get("scipy.special")
     out["saw_stub"] = seen is not None and "gamma" not in vars(seen)
     %s
     import scipy.special as sp
@@ -167,8 +191,9 @@ def second():
         out["bound"] = (sys.modules["reflectsde._special"].ndtri
                         is sys.modules["scipy.special._ufuncs"].ndtri)
     finally:
-        imported.set()
+        stub_up.set()  # releases the first thread if the stub never stood
 
+sys.meta_path.insert(0, HoldStub())
 threads = [threading.Thread(target=first), threading.Thread(target=second)]
 for t in threads:
     t.start()
@@ -190,10 +215,9 @@ _FORMS = {
 
 @pytest.mark.parametrize("form", _FORMS)
 def test_a_concurrent_importer_gets_the_real_package(form, tmp_path):
-    runs = [fresh_interpreter(_RACE % _FORMS[form], tmp_path) for _ in range(3)]
-    for out in runs:
-        assert out["finished"]
-        assert out["real"] and out["gamma"] == 24.0 and out["bound"]
-    # the first thread met the stub in at least one run
-    assert any(out["saw_stub"] for out in runs)
-
+    # the first thread meets the stub and imports scipy.special while the
+    # second thread's import of _ufuncs is held under it
+    out = fresh_interpreter(_RACE % _FORMS[form], tmp_path)
+    assert out["finished"]
+    assert out["saw_stub"] and out["blocked"]
+    assert out["real"] and out["gamma"] == 24.0 and out["bound"]

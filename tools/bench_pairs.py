@@ -20,7 +20,7 @@ the golden-section search, a contrast closure built and evaluated once,
 the CSV reader on the five CSVs of the estimate_ci workload, its time-grid
 check, a custom drift's fine step, a sha256 of every search result
 over 60 paths per drift kind on both steppers, and the cold start: fresh
-children (one a sample, ``--cold-samples`` of each) of
+children (one a sample, three of each) of
 ``python -c "import reflectsde.cli"``, timed with the ``sys.modules``
 count after it, whether ``scipy.special``'s package was imported and the
 child's peak RSS, and of ``python -m reflectsde estimate`` on the
@@ -105,8 +105,7 @@ def run_pairs(args: argparse.Namespace) -> None:
     percall: dict = {"parent": [], "change": []}
     for k in range(args.percall_rounds):
         for name in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-            done = subprocess.run([sys.executable, __file__, "percall", "--root",
-                                   str(sides[name]), "--cold-samples", str(args.cold_samples)],
+            done = subprocess.run([sys.executable, __file__, "percall", "--root", str(sides[name])],
                                   capture_output=True, text=True, check=True)
             percall[name].append(_last_json(done.stdout))
     record = {
@@ -138,6 +137,8 @@ _IMPORT_CHILD = ("import reflectsde.cli, sys; n = len(sys.modules); "
 _IMPORTTIME_NAMES = ("site", "numpy", "scipy", "scipy.special", "scipy.special._ufuncs",
                      "scipy.special._support_alternative_backends", "numpy.f2py",
                      "reflectsde", "reflectsde.cli")
+# fresh children of each kind per cold-start record
+_COLD_SAMPLES = 3
 
 
 def _timed_child(argv: list[str], env: dict) -> tuple[float, subprocess.CompletedProcess]:
@@ -146,12 +147,12 @@ def _timed_child(argv: list[str], env: dict) -> tuple[float, subprocess.Complete
     return time.perf_counter() - t0, done
 
 
-def cold_start(root: Path, cfg: Path, csv: Path, samples: int) -> dict:
+def cold_start(root: Path, cfg: Path, csv: Path) -> dict:
     """Fresh-process timings of the checkout at ``root`` (see the module
-    text): ``samples`` children of each kind, one a sample."""
+    text): ``_COLD_SAMPLES`` children of each kind, one a sample."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
     imports, estimates = [], []
-    for _ in range(samples):
+    for _ in range(_COLD_SAMPLES):
         wall, done = _timed_child([sys.executable, "-c", _IMPORT_CHILD], env)
         modules, init, rss_kb = done.stdout.split()
         imports.append({"wall_s": wall, "modules": int(modules),
@@ -178,7 +179,7 @@ def cold_start(root: Path, cfg: Path, csv: Path, samples: int) -> dict:
     }
 
 
-def percall(root: Path, cold_samples: int = 3) -> dict:
+def percall(root: Path) -> dict:
     """Per-call timings of the checkout at ``root`` (see the module text)."""
     import contextlib
     import io
@@ -236,8 +237,7 @@ def percall(root: Path, cold_samples: int = 3) -> dict:
                  (lambda: np.allclose(steps, h, rtol=1e-9, atol=0.0)))
         out["time_grid_check"] = _best_median(check, 1001)
         leg = "mean_reversion_two_sided"
-        out["cold_start"] = cold_start(root, Path(tmp, leg + ".cfg"), Path(tmp, leg + ".csv"),
-                                       cold_samples)
+        out["cold_start"] = cold_start(root, Path(tmp, leg + ".cfg"), Path(tmp, leg + ".csv"))
     custom = rs.ModelConfig(drift=workloads.custom_drift(), sigma=0.5,
                             barriers=rs.BarrierConfig.two_sided(0.0, 2.0),
                             theta_domain=(-20.0, 20.0), x0=1.0)
@@ -274,18 +274,16 @@ def main(argv: list[str] | None = None) -> None:
     pairs.add_argument("--seconds", type=float, default=25)
     pairs.add_argument("--workloads", nargs="*")
     pairs.add_argument("--percall-rounds", type=int, default=0)
-    pairs.add_argument("--cold-samples", type=int, default=3)
     pairs.add_argument("--description", default="")
     pairs.add_argument("--host", default="")
     pairs.add_argument("--out")
     one = sub.add_parser("percall")
     one.add_argument("--root", required=True)
-    one.add_argument("--cold-samples", type=int, default=3)
     args = parser.parse_args(argv)
     if args.command == "pairs":
         run_pairs(args)
     else:
-        print(json.dumps(percall(Path(args.root).resolve(), args.cold_samples)))
+        print(json.dumps(percall(Path(args.root).resolve())))
 
 
 if __name__ == "__main__":
