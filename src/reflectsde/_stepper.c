@@ -2,8 +2,8 @@
  * simulate._reflect_path, which takes the same arguments and makes the
  * same operations in the same order; the residuals of the least-squares
  * contrast for a mean-reversion or shifted-covariate drift,
- * contrast_residuals, the compiled twin of the numpy expression of
- * estimate._numpy_contrast_of; and a strict reader for the CSV rows that
+ * contrast_residuals, the compiled twin of the residual pass
+ * estimate._contrast_value; and a strict reader for the CSV rows that
  * simulate.write_csv emits, which scans digits eight at a time and
  * converts a field of up to 19 significant digits by the exact
  * Eisel-Lemire algorithm (Lemire 2021, "Number parsing at a gigabyte per
@@ -22,11 +22,11 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* The eight functions, the exception and the two types of CPython's
- * stable ABI that call a custom drift and convert its result, declared
- * here rather than through Python.h so that the build needs no Python
- * headers and the library depends on no Python version: they resolve from
- * the interpreter that loads the library. */
+/* The nine functions, the exception and the type of CPython's stable ABI
+ * that call a custom drift and convert its result, declared here rather
+ * than through Python.h so that the build needs no Python headers and the
+ * library depends on no Python version: they resolve from the interpreter
+ * that loads the library. */
 typedef struct _object PyObject;
 typedef struct _typeobject PyTypeObject;
 extern PyObject *PyExc_TypeError;
@@ -178,10 +178,10 @@ struct contrast {
 /* The residuals ((dx - f h) - dl) + dr of the least-squares contrast at
  * theta, with the drift f at the left endpoints of the intervals:
  * theta * (1.0 - x) for MEAN_REVERSION and (c + theta) + 0.0 * x for
- * SHIFTED, the shifted covariate c.  These are the operations of the
+ * CONSTANT, the shifted covariate c.  These are the operations of the
  * drifts' numpy expressions and of the residual's, in their order; the
- * caller sums the squares with np.dot, whose summation order is part of
- * the result. */
+ * caller sums the squares with np.dot, as estimate._contrast_value does,
+ * whose summation order is part of the result. */
 void contrast_residuals(const struct contrast *c, double theta)
 {
     const double *dx = c->dx, *dl = c->dl, *dr = c->dr, *x = c->x;

@@ -6,8 +6,10 @@ The contrast is the average squared discretized drift residual
 
 whose minimizer over the parameter domain is the estimator.  The
 increments dX, dL and dR are the path's own (``SamplePath.increments``),
-taken once per path.  For the power drift the minimizer has a closed form;
-otherwise a golden-section search on the compactified domain is used.
+taken once per path, and one residual pass, :func:`_contrast_value`,
+evaluates the contrast for every estimator.  For the power drift the
+minimizer has a closed form; otherwise a golden-section search on the
+compactified domain is used.
 Asymptotic standard errors come from
 sqrt(nh) * (theta_hat - theta0) -> N(0, sigma^2 / information).
 """
@@ -36,8 +38,8 @@ from .model import (
     eval_on_array,
 )
 from .simulate import (
+    _K_CONSTANT,
     _K_MEAN_REVERSION,
-    _K_SHIFTED,
     SamplePath,
     TwoFactorPath,
     _address,
@@ -67,24 +69,31 @@ class EstimateResult:
     level: float | None = None
 
 
+def _contrast_value(f: np.ndarray, increments: tuple[np.ndarray, np.ndarray, np.ndarray],
+                    h: float, res: np.ndarray) -> float:
+    """The contrast of the drift values ``f`` on the left endpoints of n
+    intervals with increments (dx, dl, dr): the residuals ((dx - f h) - dl)
+    + dr go into ``res``, which may be ``f`` itself, and
+    np.dot(res, res) / (n h^2) is returned.  ``contrast_residuals`` in
+    ``_stepper.c`` is the compiled twin of these residuals."""
+    dx, dl, dr = increments
+    np.multiply(f, h, out=res)
+    np.subtract(dx, res, out=res)
+    np.subtract(res, dl, out=res)
+    np.add(res, dr, out=res)
+    return float(np.dot(res, res) / (len(dx) * h * h))
+
+
 def _numpy_contrast_of(path: SamplePath, spec: DriftSpec) -> Callable[[float], float]:
-    """theta -> the contrast of ``path``, on the path's own increments, by
-    numpy: the residuals ((dx - f h) - dl) + dr, the operations of
-    dx - f * h - dl + dr, are written into one buffer of the closure at each
-    call, never into the drift's values (a custom drift may return an array
-    it keeps), and np.dot sums their squares."""
-    dx, dl, dr = path.increments
-    left, h = path.x[:-1], path.h
-    scale = path.n * h * h
+    """theta -> the contrast of ``path`` by :func:`_contrast_value`, whose
+    residuals go into one buffer of the closure at each call, never into
+    the drift's values (a custom drift may return an array it keeps)."""
+    increments, left, h = path.increments, path.x[:-1], path.h
     res = np.empty(path.n)
 
     def at(theta: float) -> float:
         f = eval_on_array(lambda v: spec.f(v, theta), left, "the drift")
-        np.multiply(f, h, out=res)
-        np.subtract(dx, res, out=res)
-        np.subtract(res, dl, out=res)
-        np.add(res, dr, out=res)
-        return float(np.dot(res, res) / scale)
+        return _contrast_value(f, increments, h, res)
 
     return at
 
@@ -108,7 +117,7 @@ def _contrast_of(path: SamplePath, spec: DriftSpec) -> Callable[[float], float]:
     if spec.kind == MEAN_REVERSION_TO_ONE:
         code, c = _K_MEAN_REVERSION, 0.0
     else:
-        code, c = _K_SHIFTED, spec.covariate
+        code, c = _K_CONSTANT, spec.covariate
     fixed = _native.Contrast(_address(res), dx.ctypes.data, dl.ctypes.data, dr.ctypes.data,
                              left.ctypes.data, n, code, h, c)
     # the struct holds bare addresses into the path's x and increments, so
@@ -129,8 +138,6 @@ def contrast(path: SamplePath, spec: DriftSpec, theta: float) -> float:
     automatically on one-sided paths.  One evaluation takes the numpy
     expression: fixing the arguments of the compiled pass would cost it
     more than the pass saves."""
-    if path.n < 1:
-        raise DataError("contrast needs at least one increment")
     if not math.isfinite(theta):
         raise ModelError(f"theta must be finite, got {theta!r}")
     return _numpy_contrast_of(path, spec)(theta)
@@ -146,14 +153,20 @@ def _slope(g: np.ndarray, y: np.ndarray, h: float, degenerate: str) -> float:
     return float(np.dot(g, y)) / denom
 
 
-def nlse_closed_form_power(path: SamplePath, gamma: float) -> float:
-    """Closed-form least-squares estimate for the power drift
-    f(x, theta) = -theta * x**gamma."""
+def _power_fit(path: SamplePath, gamma: float) -> tuple[float, np.ndarray]:
+    """The closed-form estimate for the power drift f(x, theta) = -theta * g,
+    and g = x**gamma on the left endpoints, for the slope and the contrast."""
     if not 0.0 < gamma <= 1.0:
         raise ModelError("gamma must lie in (0, 1]")
     dx, dl, dr = path.increments
-    return -_slope(path.x[:-1] ** gamma, dx - dl + dr, path.h,
-                   "degenerate path: sum of x**(2*gamma) vanishes")
+    g = path.x[:-1] ** gamma
+    return -_slope(g, dx - dl + dr, path.h, "degenerate path: sum of x**(2*gamma) vanishes"), g
+
+
+def nlse_closed_form_power(path: SamplePath, gamma: float) -> float:
+    """Closed-form least-squares estimate for the power drift
+    f(x, theta) = -theta * x**gamma."""
+    return _power_fit(path, gamma)[0]
 
 
 @dataclass(frozen=True)
@@ -164,23 +177,18 @@ class ScalarMinimum:
     boundary_hit: bool
 
 
-def minimize_unimodal(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = _BRACKET_REL_TOL,
-) -> ScalarMinimum:
+def minimize_unimodal(fn: Callable[[float], float], lo: float, hi: float) -> ScalarMinimum:
     """Golden-section search on [lo, hi] followed by one parabolic
     refinement step.
 
-    The search shrinks the bracket to ``rel_tol * (hi - lo)``.  A flat
+    The search shrinks the bracket to ``1e-10 * (hi - lo)``.  A flat
     objective yields the bracket midpoint; a minimum pinned against either
     end of the interval sets ``boundary_hit``.
     """
     if not lo < hi:
         raise ModelError("minimize_unimodal needs lo < hi")
     span = hi - lo
-    tol = rel_tol * span
+    tol = _BRACKET_REL_TOL * span
     a, b = lo, hi
     c = a + _INV_PHI2 * span
     d = a + _INV_PHI * span
@@ -270,18 +278,20 @@ def estimate_power_closed_form(
     """Closed-form power-drift estimate packaged with diagnostics.  When a
     parameter domain is given the estimate is clamped to it and flagged if
     it lands on the boundary."""
-    theta = nlse_closed_form_power(path, gamma)
+    theta, g = _power_fit(path, gamma)
     boundary = False
     if theta_domain is not None:
         lo, hi = theta_domain
         clamped = min(max(theta, lo), hi)
         boundary = clamped != theta
         theta = clamped
-    spec = DriftSpec.power(gamma)
+    if not math.isfinite(theta):
+        raise ModelError(f"theta must be finite, got {theta!r}")
+    f = (-theta) * g
     return EstimateResult(
         theta_hat=theta,
         method=CLOSED_FORM,
-        contrast_at_min=contrast(path, spec, theta),
+        contrast_at_min=_contrast_value(f, path.increments, path.h, f),
         iterations=0,
         boundary_hit=boundary,
     )
@@ -360,15 +370,15 @@ def estimate_two_factor(
     theta2 = _slope(one_minus_r, drs - dl2, h,
                     "degenerate short-rate path: sum of (1-R)^2 vanishes")
 
-    res1 = dy - (r_left + theta1) * h - dl1 + du1
-    res2 = drs - theta2 * one_minus_r * h - dl2
     info2 = float(np.mean(one_minus_r**2))
     results = []
-    for theta, res, info in ((theta1, res1, 1.0), (theta2, res2, info2)):
+    # the drifts r + theta1 and theta2 (1 - r); the short rate's dr is zero
+    for theta, f, factor, info in ((theta1, r_left + theta1, tf.y, 1.0),
+                                   (theta2, theta2 * one_minus_r, tf.rshort, info2)):
         se = math.sqrt(sigma**2 / (n * h * info)) if info > 0 else math.inf
         results.append(EstimateResult(
             theta_hat=theta, method=CLOSED_FORM,
-            contrast_at_min=float(np.dot(res, res)) / (n * h * h), iterations=0,
+            contrast_at_min=_contrast_value(f, factor.increments, h, f), iterations=0,
             stderr=se, ci=confidence_interval(theta, se, level), level=level,
         ))
     return tuple(results)

@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._native import COMPLEX_TYPES
 from .errors import DataError, ModelError
 
 DriftFn = Callable[[float, float], float]
@@ -271,10 +272,6 @@ def validate_regime(plan: SamplingPlan) -> RegimeDiagnostics:
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _complex_type(t: type) -> bool:
-    return issubclass(t, (complex, np.complexfloating))
-
-
 def eval_on_array(g: Callable[[float], float], x: np.ndarray, what: str = "g") -> np.ndarray:
     """Evaluate ``g`` on the whole array ``x``, or value by value when ``g``
     rejects arrays (custom drifts need not accept them) or returns a result
@@ -296,27 +293,23 @@ def eval_on_array(g: Callable[[float], float], x: np.ndarray, what: str = "g") -
         complex_ = False
     if not complex_:
         values = [g(float(v)) for v in x]
-        complex_ = any(_complex_type(t) for t in set(map(type, values)) - {float})
+        complex_ = any(issubclass(t, COMPLEX_TYPES) for t in set(map(type, values)) - {float})
     if complex_:
         raise DataError(f"{what} is not a real number")
     return np.array(values, dtype=float)
 
 
 def validate_drift_derivatives(
-    spec: DriftSpec,
-    x_probes: Sequence[float],
-    theta_probes: Sequence[float],
-    rel_tol: float = 1e-6,
-    eps_first: float = 1e-5,
-    eps_second: float = 1e-3,
+    spec: DriftSpec, x_probes: Sequence[float], theta_probes: Sequence[float]
 ) -> tuple[float, float]:
     """Check stored theta-derivatives against central finite differences.
 
     Returns the worst relative discrepancies (first, second) over the probe
-    grid and raises :class:`ModelError` if either exceeds ``rel_tol``.  The
+    grid and raises :class:`ModelError` if either exceeds 1e-6.  The
     second-difference stencil uses a wider eps because the 1e-5 step puts
     roundoff of order machine-eps/eps**2 above the tolerance.
     """
+    rel_tol, eps_first, eps_second = 1e-6, 1e-5, 1e-3
     worst1 = 0.0
     worst2 = 0.0
     for x in x_probes:

@@ -61,7 +61,7 @@ from .model import (
     eval_on_array,
 )
 
-DEFAULT_INTERVALS = 4096
+_START_INTERVALS = 4096
 _REFINE_REL_TOL = 1e-10
 _TAIL_MASS = 1e-10
 _MAX_REFINES = 6
@@ -101,8 +101,6 @@ class DensityGrid:
 
 
 def _simpson_weights(lo: float, hi: float, intervals: int) -> tuple[np.ndarray, np.ndarray]:
-    if intervals < 2 or intervals % 2:
-        raise ModelError("Simpson rule needs an even number of intervals >= 2")
     # linspace's own operations, on an array that owns its memory
     nodes = np.arange(intervals + 1) * ((hi - lo) / intervals) + lo
     nodes[-1] = hi
@@ -216,13 +214,11 @@ def _upper_limit(config: ModelConfig, theta: float) -> float:
     )
 
 
-def invariant_density(
-    config: ModelConfig, theta: float, intervals: int = DEFAULT_INTERVALS
-) -> DensityGrid:
+def invariant_density(config: ModelConfig, theta: float) -> DensityGrid:
     """Normalized invariant density on the barrier interval.
 
     The quadrature resolution is doubled until the normalizing constant is
-    stable to 1e-10 relative, starting from ``intervals`` Simpson panels;
+    stable to 1e-10 relative, starting from 4,096 Simpson panels;
     a :class:`RuntimeWarning` reports a grid returned at the refinement cap
     before that.
     """
@@ -236,7 +232,7 @@ def invariant_density(
     drift = config.drift
     scale = 2.0 / config.sigma**2
     shift = unnorm = z = None
-    k = intervals
+    k = _START_INTERVALS
     for _ in range(_MAX_REFINES + 1):
         nodes, w = _simpson_weights(a, hi, k)
         if unnorm is None or drift.kind == CUSTOM:

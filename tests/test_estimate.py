@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import warnings
 import weakref
@@ -131,6 +132,19 @@ class TestSearchObjective:
                 result.boundary_hit) == (found.x, found.fx, found.iterations,
                                          found.boundary_hit)
 
+    def test_a_custom_drift_array_is_not_written(self, paths):
+        # a custom drift may return an array it keeps: the residual pass
+        # writes into a buffer of its own
+        path = paths[True]
+        kept = 1.0 - path.x[:-1]
+        before = kept.copy()
+        spec = rs.DriftSpec.custom(lambda x, th: kept, lambda x, th: 0.0 * x,
+                                   lambda x, th: 0.0 * x, 1.0)
+        value = rs.contrast(path, spec, 2.0)
+        rs.nlse_optimize(path, spec, (-5.0, 5.0))
+        assert kept.tobytes() == before.tobytes()
+        assert value == _reference_contrast(path, spec, 2.0) == rs.contrast(path, spec, 2.0)
+
 
 def _residuals(objective):
     """The residual buffer a closure of ``estimate._contrast_of`` writes."""
@@ -255,6 +269,65 @@ class TestClosedForm:
         )
         with pytest.raises(DataError):
             rs.nlse_closed_form_power(stuck, 0.5)
+
+    def test_closed_form_digest(self):
+        # 720 estimates: four powers, both barrier kinds, three sample sizes,
+        # 15 seeds, and a domain that holds the estimate and one, above
+        # theta0 = 2, that clamps it
+        digest = hashlib.sha256()
+        clamped = 0
+        for gamma in (0.25, 0.5, 2.0 / 3.0, 1.0):
+            for two_sided in (True, False):
+                cfg = power_model(gamma, two_sided=two_sided)
+                for n in (50, 200, 2000):
+                    plan = rs.SamplingPlan(n=n, h=0.01)
+                    for seed in range(15):
+                        path = rs.simulate_path(cfg, 2.0, plan, rs.SimOptions(seed=seed))
+                        for domain in ((0.01, 10.0), (2.5, 3.0)):
+                            res = rs.estimate_power_closed_form(path, gamma, domain)
+                            clamped += res.boundary_hit
+                            digest.update(repr((res.theta_hat.hex(), res.contrast_at_min.hex(),
+                                                res.boundary_hit)).encode())
+        assert clamped > 300
+        assert digest.hexdigest() == _GOLDEN_CLOSED_FORM_DIGEST
+
+    @pytest.mark.parametrize("gamma", (0.5, 2.0 / 3.0))
+    def test_one_power_estimate_evaluates_the_power_once(self, gamma, monkeypatch):
+        # x**gamma at the left endpoints is taken once, for the slope and
+        # the contrast (numpy takes x**0.5 as np.sqrt), and no DriftSpec is
+        # built
+        powers, specs = [], []
+
+        class Counting(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc in (np_power, np.sqrt):
+                    powers.append(ufunc)
+                inputs = [np.asarray(v) if isinstance(v, Counting) else v for v in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        def power_call(*args, **kwargs):
+            powers.append(np_power)
+            return np_power(*args, **kwargs)
+
+        def spec_init(self, *args, **kwargs):
+            specs.append(self)
+            spec_init_of(self, *args, **kwargs)
+
+        np_power, spec_init_of = np.power, rs.DriftSpec.__init__
+        _, path = noiseless_path(gamma=gamma)
+        path.increments  # noqa: B018 - taken before x becomes a Counting view
+        object.__setattr__(path, "x", path.x.view(Counting))
+        monkeypatch.setattr(np, "power", power_call)
+        monkeypatch.setattr(rs.DriftSpec, "__init__", spec_init)
+        result = rs.estimate_power_closed_form(path, gamma, (0.1, 6.0))
+        assert (len(powers), specs) == (1, [])
+        assert result.theta_hat == pytest.approx(2.0, rel=1e-9)
+
+
+# Recorded on the parent of the shared residual pass (CPython 3.11,
+# numpy 2.4, x86-64 Linux), where the power closed form's contrast went
+# through DriftSpec.power and ``contrast``.
+_GOLDEN_CLOSED_FORM_DIGEST = "cc39858341cca2bc8eda31c8a1245958ff64544f0f415485bba2271af8327b8a"
 
 
 class TestOptimizer:
@@ -521,6 +594,31 @@ class TestTwoFactorEstimation:
         assert r2.stderr == pytest.approx(0.1 / math.sqrt(nh * info2), rel=1e-12)
         assert r1.ci[0] < r1.theta_hat < r1.ci[1]
         assert r2.ci[0] < r2.theta_hat < r2.ci[1]
+
+
+    def test_two_factor_digest(self):
+        # both factors' estimates, contrasts, stderrs and intervals over 120
+        # paths, noisy and noiseless (whose residuals are zero or nearly);
+        # a narrow log-price band and a short rate started near 0 keep the
+        # regulators busy
+        digest = hashlib.sha256()
+        plan = rs.SamplingPlan(n=200, h=0.01)
+        pushed = np.zeros(3)
+        for sigma in (0.1, 0.0):
+            for seed in range(60):
+                tf = rs.simulate_two_factor(1.0, 0.01, -0.05, 0.2, sigma, 0.95, 1.05, plan,
+                                            rs.SimOptions(seed=seed))
+                pushed += [tf.y.l[-1] > 0, tf.y.r[-1] > 0, tf.rshort.l[-1] > 0]
+                for res in rs.estimate_two_factor(tf, sigma):
+                    digest.update(repr((res.theta_hat.hex(), res.contrast_at_min.hex(),
+                                        res.stderr, res.ci)).encode())
+        assert np.all(pushed >= 20)
+        assert digest.hexdigest() == _GOLDEN_TWO_FACTOR_DIGEST
+
+
+# Recorded on the parent of the shared residual pass (CPython 3.11,
+# numpy 2.4, x86-64 Linux), where each factor spelled out its residual.
+_GOLDEN_TWO_FACTOR_DIGEST = "8d5323b62412ff986993e1cdb54a8efe6ebfc74e8c0fe932fd6e4fbf92976168"
 
 
 class TestRealizedVolatility:

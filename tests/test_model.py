@@ -127,7 +127,7 @@ class TestDriftDerivatives:
         # 50 probe points inside the working domain
         xs = np.linspace(0.02, 3.0, 10)
         thetas = np.linspace(0.2, 4.8, 5)
-        err1, err2 = validate_drift_derivatives(spec, xs, thetas, rel_tol=1e-6)
+        err1, err2 = validate_drift_derivatives(spec, xs, thetas)
         assert err1 <= 1e-6 and err2 <= 1e-6
 
 

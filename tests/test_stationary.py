@@ -217,11 +217,13 @@ class TestInformation:
         with pytest.raises(ModelError):
             rs.information(cfg, 1.0)
 
-    def test_refinement_stability(self):
-        # a custom drift, because only the quadrature path reads the grid
+    def test_refinement_stability(self, monkeypatch):
+        # a custom drift, because only the quadrature path reads the grid;
+        # the second grid's refinement starts from twice the panels
         cfg = model_with(_cubic_custom_drift())
-        g1 = rs.information(cfg, 2.0, grid=rs.invariant_density(cfg, 2.0, intervals=4096))
-        g2 = rs.information(cfg, 2.0, grid=rs.invariant_density(cfg, 2.0, intervals=8192))
+        g1 = rs.information(cfg, 2.0, grid=rs.invariant_density(cfg, 2.0))
+        monkeypatch.setattr(stationary, "_START_INTERVALS", 8192)
+        g2 = rs.information(cfg, 2.0, grid=rs.invariant_density(cfg, 2.0))
         assert g1 != g2  # the value comes from the grid it is given
         assert abs(g2 - g1) <= 1e-8 * abs(g2)
 

@@ -17,9 +17,12 @@ the pairs the change won.  With ``--percall-rounds R`` it also runs
 
 prints per-call timings of the checkout at ``--root`` as one JSON object:
 the golden-section search, a contrast closure built and evaluated once,
-the CSV reader on the five CSVs of the estimate_ci workload, its time-grid
-check, a custom drift's fine step, a sha256 of every search result
-over 60 paths per drift kind on both steppers, and the cold start: fresh
+the power closed form ``estimate_power_closed_form`` at n = 200 and
+2,000 with a sha256 of its results (θ̂, ``contrast_at_min`` and
+``boundary_hit``) on 480 paths in two domains, the CSV reader on the
+five CSVs of the estimate_ci workload, its time-grid check, a custom
+drift's fine step, a sha256 of every search result over 60 paths per
+drift kind on both steppers, and the cold start: fresh
 children (one a sample, three of each) of
 ``python -c "import reflectsde.cli"``, timed with the ``sys.modules``
 count after it, whether ``scipy.special``'s package was imported and the
@@ -203,7 +206,8 @@ def percall(root: Path) -> dict:
              "shifted_covariate": (rs.DriftSpec.shifted_covariate(-1.0), (-5.0, 5.0)),
              "custom": (workloads.custom_drift(), (-20.0, 20.0)),
              "power_half": (rs.DriftSpec.power(0.5), (0.01, 10.0))}
-    out: dict = {"golden_section": {}, "contrast_closure": {}, "read_rows": {}}
+    out: dict = {"golden_section": {}, "contrast_closure": {}, "closed_form": {},
+                 "read_rows": {}}
     for name, n in (("mean_reversion", 2000), ("shifted_covariate", 2000), ("custom", 200),
                     ("custom", 2000)):
         drift, domain = kinds[name]
@@ -218,8 +222,20 @@ def percall(root: Path) -> dict:
             lambda: estimate._contrast_of(path, spec)(2.0), 2001)
         out["contrast_closure"][f"contrast power n={n}"] = _best_median(
             lambda: rs.contrast(path, spec, 2.0), 2001)
-        out["contrast_closure"][f"estimate_power_closed_form n={n}"] = _best_median(
+        out["closed_form"][f"estimate_power_closed_form n={n}"] = _best_median(
             lambda: rs.estimate_power_closed_form(path, 0.5, (0.01, 10.0)), 2001)
+    digest = hashlib.sha256()
+    for gamma in (0.25, 0.5, 2.0 / 3.0, 1.0):
+        spec = rs.DriftSpec.power(gamma)
+        for n in (200, 2000):
+            for seed in range(60):
+                path = path_of(spec, n, seed)
+                # the second domain lies above theta0 = 2 and clamps
+                for domain in ((0.01, 10.0), (2.5, 3.0)):
+                    res = rs.estimate_power_closed_form(path, gamma, domain)
+                    digest.update(repr((res.theta_hat, res.contrast_at_min,
+                                        res.boundary_hit)).encode())
+    out["closed_form_results_sha256"] = digest.hexdigest()
     with tempfile.TemporaryDirectory() as tmp:
         for leg in workloads.CLI_LEGS:
             cfg, csv = Path(tmp, leg.name + ".cfg"), Path(tmp, leg.name + ".csv")
