@@ -1,18 +1,22 @@
 """Build, cache and load the compiled library ``_stepper.c``: the
 fine-step kernel ``reflect_path``; ``contrast_residuals``, the residuals
 of the least-squares contrast for a mean-reversion or shifted-covariate
-drift in one pass, fixed once per search by a :class:`Contrast`; and the CSV row reader ``read_rows``, which scans
-digits eight at a time and converts a field of up to 19 significant
-digits by the Eisel-Lemire algorithm, or Clinger's exact quotient, and any
-other by ``strtod``, to the bits of ``np.loadtxt``.  ``reflect_path``
-calls a custom drift ``f(x, theta)`` directly, with the caller's
-``theta`` object, and converts its result in C unless it is one of
-:data:`COMPLEX_TYPES`, through nine functions, one exception and one type
-of CPython's stable ABI (``PyFloat_FromDouble``,
-``PyObject_CallFunctionObjArgs``, ``PyObject_IsInstance``,
-``PyFloat_AsDouble``, ``PyErr_Occurred``, ``PyErr_ExceptionMatches``,
-``PyErr_Clear``, ``Py_IncRef``, ``Py_DecRef``, ``PyExc_TypeError`` and
-``PyFloat_Type``), which the
+drift in one pass, fixed once per search by a :class:`Contrast`;
+``check_path``, which makes every check of ``SamplePath.validate`` in one
+pass over the path and writes its increments; and the CSV row reader
+``read_rows``, which scans digits eight at a time and converts a field of
+up to 19 significant digits by the Eisel-Lemire algorithm, or Clinger's
+exact quotient, and any other by ``strtod``, to the bits of
+``np.loadtxt``.  ``reflect_path`` calls a custom drift ``f(x, theta)``
+directly, with the caller's ``theta`` object, and converts its result in
+C unless it is one of :data:`COMPLEX_TYPES`, and ``check_path`` reads the
+path's arrays through the buffer protocol, through eleven functions, one
+exception, one type and ``None`` of CPython's stable ABI
+(``PyFloat_FromDouble``, ``PyObject_CallFunctionObjArgs``,
+``PyObject_IsInstance``, ``PyFloat_AsDouble``, ``PyErr_Occurred``,
+``PyErr_ExceptionMatches``, ``PyErr_Clear``, ``Py_IncRef``,
+``Py_DecRef``, ``PyObject_GetBuffer``, ``PyBuffer_Release``,
+``PyExc_TypeError``, ``PyFloat_Type`` and ``_Py_NoneStruct``), which the
 library declares itself and resolves from the interpreter that loads it:
 the build needs no Python headers, and the cached library does not depend
 on the Python version.
@@ -26,11 +30,12 @@ with the sha256 of its own bytes, so a truncated or damaged file is rebuilt
 rather than loaded.  Without a compiler, when the build fails, or where the
 loading interpreter does not export those symbols, :func:`load`
 returns None and warns once per process; simulation then runs
-on the Python stepper and path CSVs are read by ``np.loadtxt``, which give
-the same bits.  Loading a cached library sets its mtime, and building one
-removes the other ``stepper-*.so`` files of its cache directory that no
-process has loaded for 30 days: older sources or flags left them there,
-while the library of another version in use stays.
+on the Python stepper, path CSVs are read by ``np.loadtxt`` and paths are
+validated by numpy, which give the same bits and errors.  Loading a cached
+library sets its mtime, and building one removes the other
+``stepper-*.so`` files of its cache directory that no process has loaded
+for 30 days: older sources or flags left them there, while the library of
+another version in use stays.
 """
 
 from __future__ import annotations
@@ -135,9 +140,11 @@ class Contrast(ctypes.Structure):
 def _open(path: Path):
     """The library, with the C signatures of ``reflect_path``,
     ``contrast_residuals`` (the address of a :class:`Contrast` and theta)
-    and ``read_rows``, and ``reflect_path_with_gil``: ``reflect_path`` called
+    and ``read_rows``; ``reflect_path_with_gil``: ``reflect_path`` called
     with the GIL held, for a custom drift, which the kernel calls through
-    the Python C API; ctypes raises what the drift raised once it returns.
+    the Python C API; ctypes raises what the drift raised once it returns;
+    and ``check_path``, also called with the GIL held, which it needs to
+    take the buffers of the arrays it is passed.
     The library's complex types are set to :data:`COMPLEX_TYPES`.
     Raises OSError where the loading interpreter does not provide the C API
     symbols the library names."""
@@ -157,6 +164,9 @@ def _open(path: Path):
     lib.contrast_residuals.restype = None
     lib.read_rows.argtypes = [ctypes.c_char_p, long_, long_, ptr, long_]
     lib.read_rows.restype = long_
+    obj = ctypes.py_object
+    lib.check_path = ctypes.PYFUNCTYPE(ctypes.c_int, long_, obj, obj, obj, obj, obj, dbl, dbl,
+                                       ctypes.c_int, obj, obj, obj)(("check_path", lib))
     return lib
 
 
@@ -209,14 +219,15 @@ def _load():
             reason = f"building with {compiler} failed: {exc}"
     warnings.warn(f"reflectsde: {reason}; paths run on the Python stepper "
                   "(the same paths, 6 to 14 times slower for the built-in "
-                  "drifts and about 3.3 times slower for custom ones) and path CSVs "
-                  "are read by np.loadtxt", RuntimeWarning, stacklevel=2)
+                  "drifts and about 3.3 times slower for custom ones), path CSVs "
+                  "are read by np.loadtxt and paths are validated by numpy rather "
+                  "than check_path", RuntimeWarning, stacklevel=2)
     return None
 
 
 def load():
-    """The compiled library (``reflect_path``, ``contrast_residuals`` and
-    ``read_rows``), built or loaded on the first call, or None when it
-    cannot be built."""
+    """The compiled library (``reflect_path``, ``contrast_residuals``,
+    ``check_path`` and ``read_rows``), built or loaded on the first call,
+    or None when it cannot be built."""
     with _LOCK:
         return _load()

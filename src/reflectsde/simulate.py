@@ -32,6 +32,13 @@ custom drift whose result is not a real number, raise the same
 paths run on :func:`_reflect_path`.  The same library reads the CSV rows
 :func:`write_csv` writes; any other text goes to ``np.loadtxt``, which gives
 the same values and errors.
+
+Every path, simulated or read from CSV, one factor or two, is checked by
+:meth:`SamplePath.validate`, which makes every check in one pass of the
+compiled ``check_path`` and keeps the increments it writes.  Where that
+finds a fault, or without the library, the numpy checks of ``validate``
+run: they are the reference, and their first failing check names the
+fault.
 """
 
 from __future__ import annotations
@@ -93,7 +100,8 @@ class SamplePath:
     ``hit_lower``/``hit_upper`` flag, per observation interval, whether any
     fine step touched the corresponding barrier; they are not serialized.
     ``increments`` holds (dx, dl, dr), the read-only increments of ``x``,
-    ``l`` and ``r`` over each observation interval, taken once per path on
+    ``l`` and ``r`` over each observation interval, taken once per path:
+    by the compiled check of :meth:`validate`, else by ``np.diff`` on
     first use; validation and every estimator read them.
     """
 
@@ -135,8 +143,33 @@ class SamplePath:
 
     def validate(self) -> None:
         """Check finiteness, barrier containment, regulator monotonicity,
-        and (when hit flags are present) discrete complementary
-        slackness."""
+        and (when hit flags are present) discrete complementary slackness,
+        raising :class:`DataError` at the first fault.  A step ``h`` that is
+        not positive and finite is refused first.
+
+        The compiled ``check_path`` (see :mod:`._native`) makes every check
+        in one pass and writes the increments, which it leaves as
+        :attr:`increments`.  Where it finds a fault, or is not built, the
+        numpy checks below run: the reference, whose first failing check
+        names the fault."""
+        h = self.h
+        if not (h > 0.0 and math.isfinite(h)):
+            raise DataError(f"the observation step h must be positive and finite, got {h!r}")
+        lib = _native.load()
+        if lib is not None:
+            # three arrays of their own: as rows of one 3-by-n array they
+            # made perfbench's estimate_ci about 4% slower on a 2-vCPU Xeon
+            steps = np.empty(self.n), np.empty(self.n), np.empty(self.n)
+            b = self.barriers.b
+            if not lib.check_path(self.n, self.x, self.l, self.r, self.hit_lower,
+                                  self.hit_upper, self.barriers.a - _BARRIER_TOL,
+                                  math.inf if b is None else b + _BARRIER_TOL,
+                                  b is None, *steps):
+                for arr in steps:
+                    arr.setflags(write=False)
+                # the cached_property's slot: increments taken earlier stay
+                self.__dict__.setdefault("increments", steps)
+                return
         for name in ("x", "l", "r"):
             if not np.isfinite(getattr(self, name)).all():
                 raise DataError(f"path {name} holds non-finite values")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reflectsde as rs
+from reflectsde import _native
 from reflectsde.errors import DataError, ModelError
 from reflectsde.estimate import estimate_power_closed_form
 
@@ -377,16 +378,22 @@ class TestGoldenRuns:
 
 class TestIncrementsTakenOnce:
     """Validation and the estimators share the increments of each path, so
-    np.diff runs once per array: x, l and r of one path, or of each
-    two-factor component."""
+    no estimator differences x, l or r itself: the compiled check_path
+    writes them while it validates, and without it np.diff runs once per
+    array, on x, l and r of one path, or of each two-factor component."""
 
+    @pytest.mark.parametrize("compiled", (True, False), ids=("compiled", "numpy"))
     @pytest.mark.parametrize("kind,per_rep", (("power", 3), ("custom", 3), ("two_factor", 6)))
-    def test_np_diff_calls_per_replication(self, kind, per_rep, monkeypatch):
+    def test_np_diff_calls_per_replication(self, kind, per_rep, compiled, monkeypatch):
         if kind == "two_factor":
             cfg = _golden_two_factor_config(replications=10, n_values=(200,))
         else:
             cfg = _golden_mc_config(kind)
             cfg = replace(cfg, replications=10, n_values=(cfg.n_values[-1],))
+        if not compiled:
+            monkeypatch.setattr(_native, "load", lambda: None)
+        elif _native.load() is None:
+            pytest.skip("the compiled library is not built")
         calls = []
         diff = np.diff
 
@@ -402,4 +409,4 @@ class TestIncrementsTakenOnce:
         monkeypatch.undo()
         for run in runs:
             assert [len(est) for est in run.estimates.values()] == [10]
-        assert len(calls) == per_rep * 10
+        assert len(calls) == (0 if compiled else per_rep * 10)

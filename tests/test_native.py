@@ -4,6 +4,7 @@ the Eisel-Lemire conversion of the compiled CSV reader."""
 
 import ctypes
 import decimal
+import functools
 import gc
 import importlib.resources
 import inspect
@@ -208,6 +209,128 @@ class TestParity:
             golden.test_path_digest(case)
         for scheme in (rs.LEPINGLE, rs.PROJECTION):
             golden.test_two_factor_digest(scheme)
+
+
+# the faults that TestCheckPath plants in a valid path
+_FAULTS = ("nonfinite", "lower_edge", "upper_edge", "start", "decrease", "r_one_sided",
+           "false_hit")
+
+
+@functools.cache
+def _base_path(two_sided):
+    """A valid path on [0, 1] or [0, inf) whose regulators both rise in
+    some intervals and stay in others."""
+    path = rs.simulate_path(_model("mean_reversion", sigma=2.0, two_sided=two_sided), 1.0,
+                            _PLAN, rs.SimOptions(substeps=5, seed=2))
+    for reg in (path.l, path.r) if two_sided else (path.l,):
+        assert 0 < np.count_nonzero(np.diff(reg)) < path.n
+    return path
+
+
+def _planted(data, two_sided, flags):
+    """Writable copies of the arrays of a valid path, its hit flags or None
+    (a path read from CSV), and up to two faults drawn from _FAULTS."""
+    base = _base_path(two_sided)
+    x, l, r = (np.array(arr) for arr in (base.x, base.l, base.r))
+    hits = [np.array(base.hit_lower), np.array(base.hit_upper)] if flags else [None, None]
+    for fault in data.draw(st.lists(st.sampled_from(_FAULTS), max_size=2), label="faults"):
+        i = data.draw(st.integers(0, base.n), label="at")
+        if fault == "nonfinite":
+            arr = data.draw(st.sampled_from((x, l, r)), label="array")
+            arr[i] = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)), label="value")
+        elif fault in ("lower_edge", "upper_edge"):
+            # the bound validate computes, and the double one ulp past it
+            bound, beyond = ((0.0 - simulate._BARRIER_TOL, -math.inf) if fault == "lower_edge"
+                             else (1.0 + simulate._BARRIER_TOL, math.inf))
+            x[i] = data.draw(st.sampled_from((bound, np.nextafter(bound, beyond))), label="x")
+        elif fault == "start":
+            arr = data.draw(st.sampled_from((l, r)), label="regulator")
+            arr[0] = data.draw(st.sampled_from((-0.0, 5e-324, -5e-324, 0.25)), label="value")
+        elif fault == "decrease":
+            arr = data.draw(st.sampled_from((l, r)), label="regulator")
+            i = max(i, 1)
+            arr[i] = data.draw(st.sampled_from((np.nextafter(arr[i - 1], -math.inf),
+                                                arr[i - 1] - 0.1)), label="value")
+        elif fault == "r_one_sided":
+            # a rise that stays, so r is non-decreasing, or r negated from i
+            # on, which is -0.0 where r is 0: equal to 0, and np.diff gives
+            # -0.0 at i - 1
+            rise = data.draw(st.sampled_from((None, 5e-324, 0.01)), label="rise")
+            r[i:] = -r[i:] if rise is None else r[i:] + rise
+        elif flags:
+            # a regulator that rises where its flag says the barrier was not hit
+            side = data.draw(st.sampled_from((0, 1)), label="side")
+            rises = np.flatnonzero(np.diff((l, r)[side]) > 0.0)
+            if len(rises):
+                hits[side][rises[i % len(rises)]] = False
+    return base, x, l, r, hits
+
+
+class TestCheckPath:
+    """The compiled check_path against the numpy checks of
+    SamplePath.validate, its reference and fallback: the same verdict, the
+    numpy message, and increments equal to np.diff's bit for bit."""
+
+    @given(data=st.data(), two_sided=st.booleans(), flags=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_verdict_message_and_increments_match_numpy(self, data, two_sided, flags):
+        lib = _native.load()
+        if lib is None:
+            pytest.skip("no compiled library")
+        base, x, l, r, hits = _planted(data, two_sided, flags)
+        verdicts, taken = [], []
+        check = lib.check_path
+
+        def spy(*args):
+            verdicts.append(check(*args))
+            return verdicts[-1]
+
+        def run():
+            path = rs.SamplePath(h=base.h, times=base.times, x=x, l=l, r=r,
+                                 barriers=base.barriers, hit_lower=hits[0],
+                                 hit_upper=hits[1])
+            path.validate()
+            taken.append(path.increments)
+            return [path]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lib, "check_path", spy)
+            native, python = _on_both_backends(run)
+        assert native == python
+        valid = not isinstance(native, tuple)
+        assert verdicts == [0 if valid else 1]
+        if valid:
+            for steps in taken:
+                for step, arr in zip(steps, (x, l, r)):
+                    assert step.tobytes() == np.diff(arr).tobytes()
+        else:
+            assert native[0] == "DataError"
+
+    def test_arrays_it_cannot_read_are_left_to_numpy(self):
+        # an array of another length, a strided one, read-only increments or
+        # no buffer at all: the check reads nothing and sends the path to
+        # the numpy checks, with no exception left set
+        lib = _native.load()
+        if lib is None:
+            pytest.skip("no compiled library")
+        path = _base_path(True)
+        n, strided = path.n, np.repeat(path.x, 2)[::2]
+        frozen = np.empty(n)
+        frozen.setflags(write=False)
+        good = {"x": path.x, "l": path.l, "r": path.r, "hit_lo": path.hit_lower,
+                "hit_up": path.hit_upper, "dx": np.empty(n), "dl": np.empty(n),
+                "dr": np.empty(n)}
+
+        def check(**arrays):
+            a = {**good, **arrays}
+            return lib.check_path(n, a["x"], a["l"], a["r"], a["hit_lo"], a["hit_up"],
+                                  -1e-12, 1.0 + 1e-12, False, a["dx"], a["dl"], a["dr"])
+
+        assert check() == 0
+        for bad in ({"x": path.x[:-1]}, {"l": strided}, {"r": list(path.r)},
+                    {"hit_up": path.hit_upper[1:]}, {"dl": np.empty(n - 1)},
+                    {"dr": frozen}):
+            assert check(**bad) == 1, list(bad)
 
 
 def _custom_model(f, sigma=0.8, two_sided=True, x0=0.5):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -748,6 +749,24 @@ class TestNonFinitePaths:
         with pytest.raises(DataError, match="not a real number"):
             rs.simulate_path(config, 3.0, rs.SamplingPlan(n=200, h=0.01),
                              rs.SimOptions(seed=1))
+
+
+class TestObservationStep:
+    @pytest.mark.parametrize("h", (-0.01, 0.0, math.nan, math.inf))
+    def test_step_that_is_not_positive_and_finite_is_refused(self, h, backend):
+        # h = -0.01 let nlse_optimize return a pinned estimate, and h = 0
+        # failed in the search with "objective is not finite"
+        config = rs.ModelConfig(drift=rs.DriftSpec.mean_reversion_to_one(), sigma=0.5,
+                                barriers=rs.BarrierConfig.two_sided(0.0, 2.0),
+                                theta_domain=(0.01, 10.0), x0=1.0)
+        path = rs.simulate_path(config, 2.0, rs.SamplingPlan(n=50, h=0.01),
+                                rs.SimOptions(seed=3))
+        x = np.array(path.x)
+        x[3] = math.nan
+        # refused before the checks of the path, which the NaN would fail
+        for bad in (replace(path, h=h), replace(path, h=h, x=x)):
+            with pytest.raises(DataError, match="h must be positive and finite"):
+                bad.validate()
 
 
 # header, row builder and reader for each CSV format

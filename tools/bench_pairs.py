@@ -19,11 +19,13 @@ prints per-call timings of the checkout at ``--root`` as one JSON object:
 the golden-section search, a contrast closure built and evaluated once,
 the power closed form ``estimate_power_closed_form`` at n = 200 and
 2,000 with a sha256 of its results (θ̂, ``contrast_at_min`` and
-``boundary_hit``) on 480 paths in two domains, the CSV reader on the
-five CSVs of the estimate_ci workload, its time-grid check, a custom
-drift's fine step, a sha256 of every search result over 60 paths per
-drift kind on both steppers, and the cold start: fresh
-children (one a sample, three of each) of
+``boundary_hit``) on 480 paths in two domains, ``SamplePath.validate``
+of a simulated path at n = 200 and 2,000 with the compiled check and on
+the numpy fallback (a checkout without the check runs numpy in both
+rows), the CSV reader on the five CSVs of the estimate_ci workload, its
+time-grid check, a custom drift's fine step, a sha256 of every search
+result over 60 paths per drift kind on both steppers, and the cold start:
+fresh children (one a sample, three of each) of
 ``python -c "import reflectsde.cli"``, timed with the ``sys.modules``
 count after it, whether ``scipy.special``'s package was imported and the
 child's peak RSS, and of ``python -m reflectsde estimate`` on the
@@ -207,7 +209,7 @@ def percall(root: Path) -> dict:
              "custom": (workloads.custom_drift(), (-20.0, 20.0)),
              "power_half": (rs.DriftSpec.power(0.5), (0.01, 10.0))}
     out: dict = {"golden_section": {}, "contrast_closure": {}, "closed_form": {},
-                 "read_rows": {}}
+                 "validate": {}, "read_rows": {}}
     for name, n in (("mean_reversion", 2000), ("shifted_covariate", 2000), ("custom", 200),
                     ("custom", 2000)):
         drift, domain = kinds[name]
@@ -236,6 +238,19 @@ def percall(root: Path) -> dict:
                     digest.update(repr((res.theta_hat, res.contrast_at_min,
                                         res.boundary_hit)).encode())
     out["closed_form_results_sha256"] = digest.hexdigest()
+    load = _native.load
+    for n in (200, 2000):
+        path = path_of(rs.DriftSpec.power(0.5), n, 7)
+
+        def validate():
+            # the increments a call leaves are taken again by the next
+            path.__dict__.pop("increments", None)
+            path.validate()
+
+        out["validate"][f"compiled n={n}"] = _best_median(validate, 2001)
+        _native.load = lambda: None
+        out["validate"][f"numpy n={n}"] = _best_median(validate, 2001)
+        _native.load = load
     with tempfile.TemporaryDirectory() as tmp:
         for leg in workloads.CLI_LEGS:
             cfg, csv = Path(tmp, leg.name + ".cfg"), Path(tmp, leg.name + ".csv")
