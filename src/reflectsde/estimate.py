@@ -277,11 +277,14 @@ def estimate_power_closed_form(
 ) -> EstimateResult:
     """Closed-form power-drift estimate packaged with diagnostics.  When a
     parameter domain is given the estimate is clamped to it and flagged if
-    it lands on the boundary."""
+    it lands on the boundary; the domain must satisfy lo < hi, as for
+    :func:`nlse_optimize`."""
     theta, g = _power_fit(path, gamma)
     boundary = False
     if theta_domain is not None:
         lo, hi = theta_domain
+        if not lo < hi:
+            raise ModelError("theta domain must satisfy lo < hi")
         clamped = min(max(theta, lo), hi)
         boundary = clamped != theta
         theta = clamped
@@ -382,11 +385,3 @@ def estimate_two_factor(
             stderr=se, ci=confidence_interval(theta, se, level), level=level,
         ))
     return tuple(results)
-
-
-def realized_volatility(path: SamplePath) -> float:
-    """Diagnostic plug-in estimate of sigma^2 from the regulator-corrected
-    quadratic variation; not used by the estimators (sigma is an input)."""
-    dx, dl, dr = path.increments
-    dev = dx - dl + dr
-    return float(np.dot(dev, dev) / (path.n * path.h))

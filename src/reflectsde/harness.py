@@ -195,7 +195,10 @@ def normality_diagnostic(
     level: float = 0.01,
 ) -> NormalityReport:
     """Standardize replicate estimates with the model-based scaling at the
-    true parameter and test them against the standard normal limit."""
+    true parameter and test them against the standard normal limit at
+    ``level``, which must lie in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ModelError(f"level must lie in (0, 1), got {level!r}")
     if config.sigma <= 0:
         raise ModelError("the normality diagnostic requires sigma > 0")
     values = np.asarray(estimates, dtype=float)

@@ -33,12 +33,13 @@ paths run on :func:`_reflect_path`.  The same library reads the CSV rows
 :func:`write_csv` writes; any other text goes to ``np.loadtxt``, which gives
 the same values and errors.
 
-Every path, simulated or read from CSV, one factor or two, is checked by
-:meth:`SamplePath.validate`, which makes every check in one pass of the
-compiled ``check_path`` and keeps the increments it writes.  Where that
-finds a fault, or without the library, the numpy checks of ``validate``
-run: they are the reference, and their first failing check names the
-fault.
+Every :class:`SamplePath` is checked as it is built, whether simulated,
+read from CSV, made by hand or by ``dataclasses.replace``, so no path
+exists unchecked.  One pass of the compiled ``check_path`` makes every
+check and writes the increments, which the path keeps.  Where that finds
+a fault, or without the library, the numpy checks of
+:meth:`SamplePath.validate` run: they are the reference, and their first
+failing check names the fault.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class SamplePath:
     ``increments`` holds (dx, dl, dr), the read-only increments of ``x``,
     ``l`` and ``r`` over each observation interval, taken once per path:
     by the compiled check of :meth:`validate`, else by ``np.diff`` on
-    first use; validation and every estimator read them.
+    first use; validation and every estimator read them.  Construction
+    ends with :meth:`validate`, so no path exists unchecked.
     """
 
     h: float
@@ -128,6 +130,7 @@ class SamplePath:
                 if arr.shape != (self.n,):
                     raise DataError(f"{name} must hold one flag per observation interval")
                 object.__setattr__(self, name, arr)
+        self.validate()
 
     @property
     def n(self) -> int:
@@ -145,13 +148,15 @@ class SamplePath:
         """Check finiteness, barrier containment, regulator monotonicity,
         and (when hit flags are present) discrete complementary slackness,
         raising :class:`DataError` at the first fault.  A step ``h`` that is
-        not positive and finite is refused first.
+        not positive and finite is refused first.  Every path runs these
+        checks as it is built; a second call runs them again.
 
         The compiled ``check_path`` (see :mod:`._native`) makes every check
         in one pass and writes the increments, which it leaves as
-        :attr:`increments`.  Where it finds a fault, or is not built, the
-        numpy checks below run: the reference, whose first failing check
-        names the fault."""
+        :attr:`increments` unless the path already holds them: the
+        increments taken first stay.  Where it finds a fault, or is not
+        built, the numpy checks below run: the reference, whose first
+        failing check names the fault."""
         h = self.h
         if not (h > 0.0 and math.isfinite(h)):
             raise DataError(f"the observation step h must be positive and finite, got {h!r}")
@@ -216,6 +221,7 @@ class TwoFactorPath:
         return self.y.n
 
     def validate(self) -> None:
+        """Run :meth:`SamplePath.validate` again on both factors."""
         self.y.validate()
         self.rshort.validate()
 
@@ -433,8 +439,8 @@ def _simulate(
     drawn (see :func:`rng.fill_draws`; the stream and the path do not depend
     on the block size) and integrated for every factor in turn into the same
     draw buffers.  With two factors, the first writes the block's fine-step
-    left endpoints, which the second, a shifted drift, reads.  The paths are
-    not validated here."""
+    left endpoints, which the second, a shifted drift, reads.  Each
+    :class:`SamplePath` checks itself as it is built."""
     n, m = plan.n, opts.substeps
     hf = plan.h / m
     sigma = float(sigma)
@@ -479,10 +485,8 @@ def simulate_path(
     ``theta``.  Deterministic given ``opts.seed``; a drift that overflows
     raises :class:`DataError`."""
     _require_in_domain(theta, config.theta_domain)
-    [path] = _simulate([(_drift_of_state(config.drift, theta), config.x0, opts.seed,
-                         config.barriers)], config.sigma, plan, opts)
-    path.validate()
-    return path
+    return _simulate([(_drift_of_state(config.drift, theta), config.x0, opts.seed,
+                       config.barriers)], config.sigma, plan, opts)[0]
 
 
 def simulate_two_factor(
@@ -519,9 +523,7 @@ def simulate_two_factor(
           BarrierConfig.one_sided_lower(0.0)),
          ((_K_SHIFTED, float(theta1), 0.0), y0, rng.derive_seed(opts.seed, 1), barriers_y)],
         sigma, plan, opts)
-    tf = TwoFactorPath(y=y, rshort=rshort)
-    tf.validate()
-    return tf
+    return TwoFactorPath(y=y, rshort=rshort)
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +634,8 @@ def read_path_csv(src: str | Path | IO[str], barriers: BarrierConfig) -> SampleP
     """
     data, h = _read_csv(src, ("t,x,l,r", "t,x,l"))
     r = data[:, 3] if data.shape[1] == 4 else np.zeros(len(data))
-    path = SamplePath(h=h, times=data[:, 0], x=data[:, 1], l=data[:, 2],
+    return SamplePath(h=h, times=data[:, 0], x=data[:, 1], l=data[:, 2],
                       r=r, barriers=barriers)
-    path.validate()
-    return path
 
 
 def write_two_factor_csv(tf: TwoFactorPath, dest: str | Path | IO[str]) -> None:
@@ -651,11 +651,9 @@ def read_two_factor_csv(
     data, h = _read_csv(src, ("t,y,l1,u1,r,l2",))
     times = data[:, 0]
     zeros = np.zeros(len(times))
-    tf = TwoFactorPath(
+    return TwoFactorPath(
         y=SamplePath(h=h, times=times, x=data[:, 1], l=data[:, 2],
                      r=data[:, 3], barriers=BarrierConfig.two_sided(a, b)),
         rshort=SamplePath(h=h, times=times, x=data[:, 4], l=data[:, 5],
                           r=zeros, barriers=BarrierConfig.one_sided_lower(0.0)),
     )
-    tf.validate()
-    return tf

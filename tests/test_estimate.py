@@ -323,6 +323,17 @@ class TestClosedForm:
         assert (len(powers), specs) == (1, [])
         assert result.theta_hat == pytest.approx(2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("domain", ((10.0, 0.01), (math.nan, 10.0), (0.01, math.nan),
+                                        (5.0, 5.0)), ids=str)
+    def test_domain_that_is_not_an_interval_is_refused(self, domain):
+        # the closed form returned a pinned 0.01 for (10, 0.01), the
+        # unclamped 2.0 for either NaN and a pinned 5.0 for (5, 5)
+        _, path = noiseless_path(gamma=0.5)
+        for estimate_with in (lambda: rs.estimate_power_closed_form(path, 0.5, domain),
+                              lambda: rs.nlse_optimize(path, rs.DriftSpec.power(0.5), domain)):
+            with pytest.raises(ModelError, match="theta domain must satisfy lo < hi"):
+                estimate_with()
+
 
 # Recorded on the parent of the shared residual pass (CPython 3.11,
 # numpy 2.4, x86-64 Linux), where the power closed form's contrast went
@@ -619,11 +630,3 @@ class TestTwoFactorEstimation:
 # Recorded on the parent of the shared residual pass (CPython 3.11,
 # numpy 2.4, x86-64 Linux), where each factor spelled out its residual.
 _GOLDEN_TWO_FACTOR_DIGEST = "8d5323b62412ff986993e1cdb54a8efe6ebfc74e8c0fe932fd6e4fbf92976168"
-
-
-class TestRealizedVolatility:
-    def test_recovers_sigma_squared(self):
-        cfg = power_model(1.0)
-        plan = rs.SamplingPlan(n=20_000, h=0.01)
-        path = rs.simulate_path(cfg, 2.0, plan, rs.SimOptions(seed=61))
-        assert rs.realized_volatility(path) == pytest.approx(cfg.sigma**2, rel=0.1)

@@ -226,6 +226,13 @@ class TestNormalityDiagnostic:
             rs.normality_diagnostic(estimates, 2.0, rs.SamplingPlan(n=1000, h=0.01),
                                     power_model(1.0))
 
+    @pytest.mark.parametrize("level", (0.0, 1.0, 1.5, -0.01, math.nan), ids=str)
+    def test_level_outside_the_unit_interval_refused(self, level):
+        # level=1.5 returned passed=False, as if the estimates were not normal
+        with pytest.raises(ModelError, match="level must lie in"):
+            rs.normality_diagnostic(np.full(100, 2.0), 2.0, rs.SamplingPlan(n=1000, h=0.01),
+                                    power_model(1.0), level=level)
+
     def test_degenerate_information_raises(self):
         drift = rs.DriftSpec.custom(
             f=lambda x, th: 0.0 * x, df_dtheta=lambda x, th: 0.0 * x,

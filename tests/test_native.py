@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -289,7 +290,6 @@ class TestCheckPath:
             path = rs.SamplePath(h=base.h, times=base.times, x=x, l=l, r=r,
                                  barriers=base.barriers, hit_lower=hits[0],
                                  hit_upper=hits[1])
-            path.validate()
             taken.append(path.increments)
             return [path]
 
@@ -347,11 +347,14 @@ def _raise(exc):
 
 
 def _unvalidated_path(config, theta, opts, plan=_PLAN):
-    """The path simulate_path builds before it validates, so that a NaN
-    path can be compared byte for byte."""
-    [path] = simulate._simulate(
-        [(simulate._drift_of_state(config.drift, theta), config.x0, opts.seed,
-          config.barriers)], config.sigma, plan, opts)
+    """The arrays of the path simulate_path builds, taken before a
+    SamplePath checks them, so that a NaN path can be compared byte for
+    byte: a namespace of the SamplePath's fields."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "SamplePath", types.SimpleNamespace)
+        [path] = simulate._simulate(
+            [(simulate._drift_of_state(config.drift, theta), config.x0, opts.seed,
+              config.barriers)], config.sigma, plan, opts)
     return path
 
 

@@ -712,10 +712,9 @@ class TestNonFinitePaths:
         # lets it through
         arrays = {"x": [0.5, 0.5, 0.5], "l": [0.0, 0.0, 0.0], "r": [0.0, 0.0, 0.0]}
         arrays[name][1] = bad
-        path = rs.SamplePath(h=0.1, times=[0.0, 0.1, 0.2],
-                             barriers=rs.BarrierConfig.two_sided(0.0, 1.0), **arrays)
         with pytest.raises(DataError, match="non-finite"):
-            path.validate()
+            rs.SamplePath(h=0.1, times=[0.0, 0.1, 0.2],
+                          barriers=rs.BarrierConfig.two_sided(0.0, 1.0), **arrays)
 
     @pytest.mark.parametrize("f, x0, message", (
         # theta*x**3 from x0 = 5 blows up to an infinite state
@@ -764,9 +763,118 @@ class TestObservationStep:
         x = np.array(path.x)
         x[3] = math.nan
         # refused before the checks of the path, which the NaN would fail
-        for bad in (replace(path, h=h), replace(path, h=h, x=x)):
+        for changes in ({"h": h}, {"h": h, "x": x}):
             with pytest.raises(DataError, match="h must be positive and finite"):
-                bad.validate()
+                replace(path, **changes)
+
+
+# a valid hand-built path on [0, 1] whose lower regulator rises in the first
+# interval and upper one in the second, each under a set flag, and the one
+# change to it that breaks each check of validate(), with the message
+_CHECKED_PATH = {"h": 0.1, "times": [0.0, 0.1, 0.2], "x": [0.5, 0.0, 1.0],
+                 "l": [0.0, 0.1, 0.1], "r": [0.0, 0.0, 0.2],
+                 "barriers": rs.BarrierConfig.two_sided(0.0, 1.0),
+                 "hit_lower": [True, False], "hit_upper": [False, True]}
+_BROKEN_PATHS = {
+    "negative-h": ({"h": -0.01}, "the observation step h must be positive and finite, got -0.01"),
+    "inf-l": ({"l": [0.0, math.inf, math.inf]}, "path l holds non-finite values"),
+    "below-a": ({"x": [0.5, -0.5, 1.0]}, "state drops below the lower barrier 0.0"),
+    "above-b": ({"x": [0.5, 0.0, 5.0]}, "state exceeds the upper barrier 1.0"),
+    "l-start": ({"l": [0.1, 0.2, 0.2]}, "regulator l must start at 0"),
+    "l-decreases": ({"l": [0.0, 0.1, 0.05]}, "regulator l must be non-decreasing"),
+    "r-decreases": ({"r": [0.0, 0.2, 0.1], "hit_upper": [True, True]},
+                    "regulator r must be non-decreasing"),
+    "r-one-sided": ({"barriers": rs.BarrierConfig.one_sided_lower(0.0)},
+                    "one-sided paths cannot carry an upper regulator"),
+    "l-unflagged": ({"hit_lower": [False, False]},
+                    "lower regulator increased without touching the barrier"),
+    "r-unflagged": ({"hit_upper": [False, False]},
+                    "upper regulator increased without touching the barrier"),
+}
+
+
+class TestCheckedWhenBuilt:
+    """Every SamplePath runs validate() as it is built, by hand, by
+    dataclasses.replace, by the simulators or by the CSV readers, so no
+    estimator sees a path that breaks its invariants."""
+
+    @pytest.mark.parametrize("case", _BROKEN_PATHS)
+    def test_building_or_replacing_a_broken_path_raises(self, case, backend):
+        changes, message = _BROKEN_PATHS[case]
+        valid = rs.SamplePath(**_CHECKED_PATH)
+        for build in (lambda: rs.SamplePath(**{**_CHECKED_PATH, **changes}),
+                      lambda: replace(valid, **changes)):
+            with pytest.raises(DataError) as raised:
+                build()
+            assert str(raised.value) == message
+
+    def test_estimators_never_see_a_broken_path(self, backend):
+        # each returned an estimate from the path unchecked: a pinned
+        # 0.01000001 for h = -0.01, 9.99999999 for a state above b and a
+        # pinned 0.01 from the closed form for a decreasing l
+        config = rs.ModelConfig(drift=rs.DriftSpec.mean_reversion_to_one(), sigma=0.5,
+                                barriers=rs.BarrierConfig.two_sided(0.0, 2.0),
+                                theta_domain=(0.01, 10.0), x0=1.0)
+        path = rs.simulate_path(config, 2.0, rs.SamplingPlan(n=50, h=0.01),
+                                rs.SimOptions(seed=3))
+        x, l = np.array(path.x), np.array(path.l)
+        x[3], l[-1] = 5.0, -1.0
+        spec, domain = config.drift, config.theta_domain
+        with pytest.raises(DataError, match="h must be positive and finite"):
+            rs.nlse_optimize(replace(path, h=-0.01), spec, domain)
+        with pytest.raises(DataError, match="state exceeds the upper barrier"):
+            rs.nlse_optimize(replace(path, x=x), spec, domain)
+        with pytest.raises(DataError, match="regulator l must be non-decreasing"):
+            rs.estimate_power_closed_form(replace(path, l=l), 1.0, domain)
+
+    def test_each_path_is_checked_once_as_it_is_built(self, monkeypatch):
+        # the producers call validate() no more: each SamplePath runs it
+        # once, and TwoFactorPath.validate is not called
+        lib = _native.load()
+        if lib is None:
+            pytest.skip("no compiled library")
+        plan, opts = rs.SamplingPlan(n=50, h=0.01), rs.SimOptions(seed=2)
+        one = io.StringIO()
+        rs.write_path_csv(rs.simulate_path(power_model(0.5), 2.0, plan, opts), one)
+        two = io.StringIO()
+        rs.write_two_factor_csv(
+            rs.simulate_two_factor(1.0, 0.5, 1.0, 1.0, 0.1, 0.0, 3.0, plan, opts), two)
+        checks, validated = [], []
+        check = lib.check_path
+        monkeypatch.setattr(lib, "check_path", lambda *args: checks.append(1) or check(*args))
+
+        def spy(cls):
+            validate = cls.validate
+
+            def counted(self):
+                validated.append(cls.__name__)
+                validate(self)
+
+            monkeypatch.setattr(cls, "validate", counted)
+
+        spy(rs.SamplePath)
+        spy(rs.TwoFactorPath)
+        for produce, count in (
+                (lambda: rs.simulate_path(power_model(0.5), 2.0, plan, opts), 1),
+                (lambda: rs.read_path_csv(io.StringIO(one.getvalue()),
+                                          rs.BarrierConfig.two_sided(0.0, 3.0)), 1),
+                (lambda: rs.simulate_two_factor(1.0, 0.5, 1.0, 1.0, 0.1, 0.0, 3.0, plan,
+                                                opts), 2),
+                (lambda: rs.read_two_factor_csv(io.StringIO(two.getvalue()), 0.0, 3.0), 2)):
+            checks.clear()
+            validated.clear()
+            produce()
+            assert (len(checks), validated) == (count, ["SamplePath"] * count)
+
+    def test_another_validate_keeps_the_increments(self, backend):
+        # the compiled contrast closure holds raw addresses into them
+        path = rs.simulate_path(power_model(0.5), 2.0, rs.SamplingPlan(n=50, h=0.01),
+                                rs.SimOptions(seed=5))
+        steps = path.increments
+        arrays = tuple(steps)
+        path.validate()
+        assert path.increments is steps
+        assert all(again is arr for again, arr in zip(path.increments, arrays))
 
 
 # header, row builder and reader for each CSV format
