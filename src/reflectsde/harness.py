@@ -21,7 +21,8 @@ from . import rng
 from .errors import DataError, ModelError
 from .estimate import EstimateResult, _point_estimate, estimate_two_factor
 from .model import ModelConfig, SamplingPlan, _frozen, _is_integral, _require_in_domain
-from .simulate import SamplePath, SimOptions, simulate_path, simulate_two_factor
+from .simulate import (SamplePath, SimOptions, _check_two_factor, simulate_path,
+                       simulate_two_factor)
 from .stationary import information
 
 _FAILURE_FRACTION = 0.01
@@ -29,7 +30,7 @@ _FAILURE_FRACTION = 0.01
 
 def _check_sweep(cfg: McConfig | TwoFactorMcConfig) -> None:
     """Validate a sweep's replication count and n values, and store them as
-    ints: 50.0 is n=50, and 50.7, nan or "50" is refused."""
+    ints: 50.0 is n=50, and 50.7, nan, "50" or a repeated n is refused."""
     if not _is_integral(cfg.replications) or cfg.replications < 2:
         raise ModelError(f"replications must be an integer >= 2, got {cfg.replications!r}")
     if not cfg.n_values:
@@ -37,8 +38,11 @@ def _check_sweep(cfg: McConfig | TwoFactorMcConfig) -> None:
     for n in cfg.n_values:
         if not _is_integral(n) or n < 2:
             raise ModelError(f"n values must be integers >= 2, got {n!r}")
+    n_values = tuple(int(n) for n in cfg.n_values)
+    if len(set(n_values)) < len(n_values):
+        raise ModelError(f"n values must not repeat, got {cfg.n_values!r}")
     object.__setattr__(cfg, "replications", int(cfg.replications))
-    object.__setattr__(cfg, "n_values", tuple(int(n) for n in cfg.n_values))
+    object.__setattr__(cfg, "n_values", n_values)
 
 
 @dataclass(frozen=True)
@@ -240,6 +244,8 @@ class TwoFactorMcConfig:
     n_values: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_two_factor(self.y0, self.r0, self.theta1, self.theta2, self.sigma, self.a,
+                          self.b)
         _check_sweep(self)
 
 

@@ -35,11 +35,12 @@ the same values and errors.
 
 Every :class:`SamplePath` is checked as it is built, whether simulated,
 read from CSV, made by hand or by ``dataclasses.replace``, so no path
-exists unchecked.  One pass of the compiled ``check_path`` makes every
-check and writes the increments, which the path keeps.  Where that finds
-a fault, or without the library, the numpy checks of
-:meth:`SamplePath.validate` run: they are the reference, and their first
-failing check names the fault.
+exists unchecked, and keeps the increments its checks take: those one
+pass of the compiled ``check_path`` writes as it makes every check, else
+``np.diff`` of x, l and r in the numpy checks, which run where the pass
+finds a fault or without the library: they are the reference, and their
+first failing check names the fault.  :meth:`SamplePath.validate` makes
+the same checks again on the arrays as they are, and replaces nothing.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ from __future__ import annotations
 import ctypes
 import io
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable
 
@@ -101,10 +101,9 @@ class SamplePath:
     ``hit_lower``/``hit_upper`` flag, per observation interval, whether any
     fine step touched the corresponding barrier; they are not serialized.
     ``increments`` holds (dx, dl, dr), the read-only increments of ``x``,
-    ``l`` and ``r`` over each observation interval, taken once per path:
-    by the compiled check of :meth:`validate`, else by ``np.diff`` on
-    first use; validation and every estimator read them.  Construction
-    ends with :meth:`validate`, so no path exists unchecked.
+    ``l`` and ``r`` over each observation interval, taken once by the
+    checks the path makes as it is built (see :meth:`validate`) and never
+    replaced: every estimator reads them, the compiled contrast by address.
     """
 
     h: float
@@ -115,6 +114,8 @@ class SamplePath:
     barriers: BarrierConfig
     hit_lower: np.ndarray | None = None
     hit_upper: np.ndarray | None = None
+    increments: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("times", "x", "l", "r"):
@@ -130,33 +131,31 @@ class SamplePath:
                 if arr.shape != (self.n,):
                     raise DataError(f"{name} must hold one flag per observation interval")
                 object.__setattr__(self, name, arr)
-        self.validate()
+        steps = self._check()
+        for arr in steps:
+            arr.setflags(write=False)
+        object.__setattr__(self, "increments", steps)
 
     @property
     def n(self) -> int:
         """Number of increments."""
         return len(self.x) - 1
 
-    @cached_property
-    def increments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        steps = tuple(np.diff(arr) for arr in (self.x, self.l, self.r))
-        for arr in steps:
-            arr.setflags(write=False)
-        return steps
-
     def validate(self) -> None:
         """Check finiteness, barrier containment, regulator monotonicity,
         and (when hit flags are present) discrete complementary slackness,
         raising :class:`DataError` at the first fault.  A step ``h`` that is
-        not positive and finite is refused first.  Every path runs these
-        checks as it is built; a second call runs them again.
+        not positive and finite is refused first.  Every path makes these
+        checks as it is built; a call makes them again on the arrays as they
+        are now, and leaves :attr:`increments` as they were."""
+        self._check()
 
-        The compiled ``check_path`` (see :mod:`._native`) makes every check
-        in one pass and writes the increments, which it leaves as
-        :attr:`increments` unless the path already holds them: the
-        increments taken first stay.  Where it finds a fault, or is not
-        built, the numpy checks below run: the reference, whose first
-        failing check names the fault."""
+    def _check(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Make the checks of :meth:`validate` and return the increments
+        (dx, dl, dr) they took.  The compiled ``check_path`` (see
+        :mod:`._native`) makes every check in one pass and writes them.
+        Where it finds a fault, or is not built, the numpy checks below
+        run: the reference, whose first failing check names the fault."""
         h = self.h
         if not (h > 0.0 and math.isfinite(h)):
             raise DataError(f"the observation step h must be positive and finite, got {h!r}")
@@ -170,11 +169,7 @@ class SamplePath:
                                   self.hit_upper, self.barriers.a - _BARRIER_TOL,
                                   math.inf if b is None else b + _BARRIER_TOL,
                                   b is None, *steps):
-                for arr in steps:
-                    arr.setflags(write=False)
-                # the cached_property's slot: increments taken earlier stay
-                self.__dict__.setdefault("increments", steps)
-                return
+                return steps
         for name in ("x", "l", "r"):
             if not np.isfinite(getattr(self, name)).all():
                 raise DataError(f"path {name} holds non-finite values")
@@ -183,7 +178,7 @@ class SamplePath:
             raise DataError(f"state drops below the lower barrier {a}")
         if b is not None and np.max(self.x) > b + _BARRIER_TOL:
             raise DataError(f"state exceeds the upper barrier {b}")
-        _, dl, dr = self.increments
+        steps = _, dl, dr = tuple(np.diff(arr) for arr in (self.x, self.l, self.r))
         for name, reg, step in (("l", self.l, dl), ("r", self.r, dr)):
             if reg[0] != 0.0:
                 raise DataError(f"regulator {name} must start at 0")
@@ -194,6 +189,7 @@ class SamplePath:
         for side, step, hit in (("lower", dl, self.hit_lower), ("upper", dr, self.hit_upper)):
             if hit is not None and np.any((step > 0) & ~hit):
                 raise DataError(f"{side} regulator increased without touching the barrier")
+        return steps
 
 
 @dataclass(frozen=True)
@@ -489,6 +485,25 @@ def simulate_path(
                        config.barriers)], config.sigma, plan, opts)[0]
 
 
+def _check_two_factor(
+    y0: float, r0: float, theta1: float, theta2: float, sigma: float, a: float, b: float
+) -> BarrierConfig:
+    """Refuse, with :class:`ModelError`, a two-factor model that
+    :func:`simulate_two_factor` cannot run: barriers [a, b] that are not
+    0 <= a < b < inf, y0 outside them, a non-finite r0, theta1 or theta2,
+    r0 < 0, or a sigma that is not finite and >= 0.  Returns the log
+    price's barriers."""
+    barriers = BarrierConfig.two_sided(a, b)
+    if not barriers.contains(y0):
+        raise ModelError(f"y0={y0!r} must lie in [{a}, {b}]")
+    _require_finite(r0=r0, theta1=theta1, theta2=theta2)
+    if r0 < 0.0:
+        raise ModelError(f"r0={r0!r} must be >= 0")
+    if sigma < 0.0 or not math.isfinite(sigma):
+        raise ModelError(f"sigma must be >= 0, got {sigma!r}")
+    return barriers
+
+
 def simulate_two_factor(
     y0: float,
     r0: float,
@@ -507,15 +522,7 @@ def simulate_two_factor(
     The two Brownian drivers use independent streams derived from
     ``opts.seed``.
     """
-    barriers_y = BarrierConfig.two_sided(a, b)
-    if not barriers_y.contains(y0):
-        raise ModelError(f"y0={y0!r} must lie in [{a}, {b}]")
-    _require_finite(r0=r0, theta1=theta1, theta2=theta2)
-    if r0 < 0.0:
-        raise ModelError(f"r0={r0!r} must be >= 0")
-    if sigma < 0.0 or not math.isfinite(sigma):
-        raise ModelError(f"sigma must be >= 0, got {sigma!r}")
-
+    barriers_y = _check_two_factor(y0, r0, theta1, theta2, sigma, a, b)
     # The short rate does not feel the log price, so each block of it is
     # stepped first and the log price then reads its fine-step left endpoints.
     rshort, y = _simulate(
@@ -559,9 +566,7 @@ def _read_rows(text: str, ncol: int) -> np.ndarray | None:
     # a row takes at least two bytes a field, a digit and "," or "\n"
     data = np.empty((len(raw) // (2 * ncol), ncol))
     rows = lib.read_rows(raw, len(raw), ncol, data.ctypes.data, len(data))
-    # a copy frees the unused rows, which a slice would hold for the life of
-    # the path
-    return None if rows < 0 else data[:rows].copy()
+    return None if rows < 0 else data[:rows]
 
 
 def _read_csv(

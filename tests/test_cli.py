@@ -506,6 +506,21 @@ def test_mc_theta_outside_the_domain_exits_before_the_out_dir(theta, cfg_file, t
     assert proc.stdout == "" and not out_dir.exists()
 
 
+def test_mc_repeated_n_exits_before_simulating(cfg_file, tmp_path, monkeypatch, capsys):
+    # --n 50,50 simulated every replication twice and wrote one entry for n=50
+    def simulate(*args):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr(rs.harness, "simulate_path", simulate)
+    out_dir = tmp_path / "out"
+    status = main(["mc", "--config", str(cfg_file), "--reps", "3", "--n", "50,50",
+                   "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err == "model/data error: n values must not repeat, got (50, 50)\n"
+    assert captured.out == "" and not out_dir.exists()
+
+
 def test_module_entry_point(cfg_file, tmp_path):
     out = tmp_path / "path.csv"
     proc = _run_module("simulate", "--config", str(cfg_file), "--n", "20", "--out", str(out))

@@ -315,7 +315,6 @@ class TestClosedForm:
 
         np_power, spec_init_of = np.power, rs.DriftSpec.__init__
         _, path = noiseless_path(gamma=gamma)
-        path.increments  # noqa: B018 - taken before x becomes a Counting view
         object.__setattr__(path, "x", path.x.view(Counting))
         monkeypatch.setattr(np, "power", power_call)
         monkeypatch.setattr(rs.DriftSpec, "__init__", spec_init)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reflectsde as rs
-from reflectsde import _native
+from reflectsde import _native, harness
 from reflectsde.errors import DataError, ModelError
 from reflectsde.estimate import estimate_power_closed_form
 
@@ -184,6 +184,14 @@ class TestRunMc:
         assert (cfg.replications, cfg.n_values) == (6, (40,))
         assert type(cfg.replications) is int and type(cfg.n_values[0]) is int
 
+    @pytest.mark.parametrize("make", (small_mc_config, _golden_two_factor_config),
+                             ids=("mc", "two_factor"))
+    @pytest.mark.parametrize("n_values", ((50, 50), (40, 50, 40), (50, 50.0)), ids=str)
+    def test_repeated_n_rejected(self, make, n_values):
+        # (50, 50) ran every replication twice and returned one entry for n=50
+        with pytest.raises(ModelError, match=r"^n values must not repeat, got \("):
+            make(replications=5, n_values=n_values)
+
     @pytest.mark.parametrize("theta0", (0.01, 10.0, -1.0, 50.0, float("nan"), float("inf")))
     def test_theta0_outside_the_open_domain_rejected(self, theta0):
         # the error simulate_path raises for the same theta
@@ -301,6 +309,24 @@ class TestConsistencyTrend:
 
 
 class TestTwoFactorHarness:
+    @pytest.mark.parametrize("field, value", (
+        ("a", -1.0), ("b", 0.0), ("b", math.inf), ("y0", 5.0), ("y0", -0.5), ("y0", math.nan),
+        ("r0", math.nan), ("theta1", math.inf), ("theta2", -math.inf), ("r0", -0.5),
+        ("sigma", -1.0), ("sigma", math.nan), ("sigma", math.inf),
+    ), ids=str)
+    def test_config_refuses_what_simulation_refuses(self, field, value):
+        # sigma = -1 or y0 = 5 built a config whose every replication then
+        # failed, and run_mc_two_factor raised a DataError for a model error
+        cfg = _golden_two_factor_config(replications=4, n_values=(20,))
+        args = {name: getattr(cfg, name)
+                for name in ("y0", "r0", "theta1", "theta2", "sigma", "a", "b")}
+        args[field] = value
+        with pytest.raises(ModelError) as per_path:
+            rs.simulate_two_factor(**args, plan=cfg.plan, opts=cfg.sim)
+        with pytest.raises(ModelError) as up_front:
+            _golden_two_factor_config(**args, replications=4, n_values=(20,))
+        assert str(up_front.value) == str(per_path.value)
+
     def test_deterministic_and_identity(self):
         cfg = rs.TwoFactorMcConfig(
             y0=1.0, r0=0.5, theta1=1.0, theta2=1.0, sigma=0.1, a=0.0, b=3.0,
@@ -376,11 +402,16 @@ class TestGoldenRuns:
         threaded = rs.run_mc_two_factor(cfg, workers=2)
         assert _run_digest(*threaded) == _run_digest(*serial)
 
-    def test_two_factor_abort_names_the_reason(self):
-        # y0 outside [a, b] fails every replication
-        cfg = _golden_two_factor_config(y0=5.0, replications=4, n_values=(20,))
-        with pytest.raises(DataError, match=r"4 of 4 replications failed at n=20: y0="):
+    def test_two_factor_abort_names_the_reason(self, monkeypatch):
+        # a failure that the config cannot see fails every replication
+        def fail(tf, sigma):
+            raise DataError("the estimate failed")
+
+        monkeypatch.setattr(harness, "estimate_two_factor", fail)
+        cfg = _golden_two_factor_config(replications=4, n_values=(20,))
+        with pytest.raises(DataError) as raised:
             rs.run_mc_two_factor(cfg)
+        assert str(raised.value) == "4 of 4 replications failed at n=20: the estimate failed"
 
 
 class TestIncrementsTakenOnce:

@@ -695,6 +695,26 @@ class TestSamplePathArrays:
             assert not step.flags.writeable
         assert all(again is step for again, step in zip(path.increments, steps))
 
+    def test_csv_paths_own_their_arrays(self, backend):
+        # the rows the compiled reader returns are a slice of a larger
+        # buffer: the path keeps copies of its columns, not views into it
+        plan, opts = rs.SamplingPlan(n=50, h=0.01), rs.SimOptions(seed=6)
+        texts = []
+        for two_sided in (True, False):
+            config = power_model(0.5, two_sided=two_sided)
+            buf = io.StringIO()
+            rs.write_path_csv(rs.simulate_path(config, 2.0, plan, opts), buf)
+            texts.append((buf.getvalue(), config.barriers))
+        buf = io.StringIO()
+        rs.write_two_factor_csv(
+            rs.simulate_two_factor(1.0, 0.5, 1.0, 1.0, 0.1, 0.0, 3.0, plan, opts), buf)
+        tf = rs.read_two_factor_csv(io.StringIO(buf.getvalue()), 0.0, 3.0)
+        paths = [rs.read_path_csv(io.StringIO(text), barriers) for text, barriers in texts]
+        for path in (*paths, tf.y, tf.rshort):
+            for arr in (path.times, path.x, path.l, path.r, *path.increments):
+                assert arr.base is None and arr.flags.owndata
+                assert not arr.flags.writeable
+
     @pytest.mark.parametrize("name", ("hit_lower", "hit_upper"))
     @pytest.mark.parametrize("flags", ([True], [True, True]), ids=("one", "two"))
     def test_hit_flags_of_another_length_rejected(self, name, flags):
@@ -792,6 +812,15 @@ _BROKEN_PATHS = {
                     "upper regulator increased without touching the barrier"),
 }
 
+# one element of _CHECKED_PATH changed after it is built, and the message
+# of the check that the change breaks
+_CHANGED_AFTER_BUILD = {
+    "l-decreases": ("l", 2, 0.05, "regulator l must be non-decreasing"),
+    "r-decreases": ("r", 1, 0.3, "regulator r must be non-decreasing"),
+    "l-unflagged": ("l", 2, 0.2, "lower regulator increased without touching the barrier"),
+    "above-b": ("x", 2, 5.0, "state exceeds the upper barrier 1.0"),
+}
+
 
 class TestCheckedWhenBuilt:
     """Every SamplePath runs validate() as it is built, by hand, by
@@ -828,8 +857,8 @@ class TestCheckedWhenBuilt:
             rs.estimate_power_closed_form(replace(path, l=l), 1.0, domain)
 
     def test_each_path_is_checked_once_as_it_is_built(self, monkeypatch):
-        # the producers call validate() no more: each SamplePath runs it
-        # once, and TwoFactorPath.validate is not called
+        # the producers call validate() no more: each SamplePath makes its
+        # checks once, in _check, and neither validate() is called
         lib = _native.load()
         if lib is None:
             pytest.skip("no compiled library")
@@ -843,17 +872,18 @@ class TestCheckedWhenBuilt:
         check = lib.check_path
         monkeypatch.setattr(lib, "check_path", lambda *args: checks.append(1) or check(*args))
 
-        def spy(cls):
-            validate = cls.validate
+        def spy(cls, name):
+            method = getattr(cls, name)
 
             def counted(self):
-                validated.append(cls.__name__)
-                validate(self)
+                validated.append(f"{cls.__name__}.{name}")
+                return method(self)
 
-            monkeypatch.setattr(cls, "validate", counted)
+            monkeypatch.setattr(cls, name, counted)
 
-        spy(rs.SamplePath)
-        spy(rs.TwoFactorPath)
+        spy(rs.SamplePath, "_check")
+        spy(rs.SamplePath, "validate")
+        spy(rs.TwoFactorPath, "validate")
         for produce, count in (
                 (lambda: rs.simulate_path(power_model(0.5), 2.0, plan, opts), 1),
                 (lambda: rs.read_path_csv(io.StringIO(one.getvalue()),
@@ -864,7 +894,21 @@ class TestCheckedWhenBuilt:
             checks.clear()
             validated.clear()
             produce()
-            assert (len(checks), validated) == (count, ["SamplePath"] * count)
+            assert (len(checks), validated) == (count, ["SamplePath._check"] * count)
+
+    @pytest.mark.parametrize("case", _CHANGED_AFTER_BUILD)
+    def test_another_validate_checks_the_arrays_it_is_given(self, case, backend):
+        # it checked the regulators against the increments taken when the
+        # path was built, so the first three passed
+        name, index, value, message = _CHANGED_AFTER_BUILD[case]
+        path = rs.SamplePath(**_CHECKED_PATH)
+        path.validate()
+        arr = getattr(path, name)
+        arr.setflags(write=True)
+        arr[index] = value
+        with pytest.raises(DataError) as raised:
+            path.validate()
+        assert str(raised.value) == message
 
     def test_another_validate_keeps_the_increments(self, backend):
         # the compiled contrast closure holds raw addresses into them
@@ -875,6 +919,19 @@ class TestCheckedWhenBuilt:
         path.validate()
         assert path.increments is steps
         assert all(again is arr for again, arr in zip(path.increments, arrays))
+        # nor does a validate() that fails
+        for name, index, value, _ in _CHANGED_AFTER_BUILD.values():
+            path = rs.SamplePath(**_CHECKED_PATH)
+            steps = path.increments
+            arrays, values = tuple(steps), [step.tobytes() for step in steps]
+            changed = getattr(path, name)
+            changed.setflags(write=True)
+            changed[index] = value
+            with pytest.raises(DataError):
+                path.validate()
+            assert path.increments is steps
+            assert all(again is arr for again, arr in zip(path.increments, arrays))
+            assert [step.tobytes() for step in path.increments] == values
 
 
 # header, row builder and reader for each CSV format

@@ -12,6 +12,9 @@ stdout line, and per workload and end-to-end metric the medians,
 quartiles and ranges of both sides, the relative change of the median and
 the pairs the change won.  With ``--percall-rounds R`` it also runs
 ``percall`` R times a side, alternating sides, one fresh process each.
+The parent must be a git checkout of its own, such as a ``git clone`` or
+a ``git worktree add --detach``, so that the record names its commit; an
+export without ``.git`` (``git archive``) is refused before the first run.
 
     python tools/bench_pairs.py percall --root ../parent
 
@@ -92,6 +95,13 @@ def run_pairs(args: argparse.Namespace) -> None:
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    # the parent's own commit, not that of a repository that holds an export
+    top, _, commit = subprocess.run(
+        ["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=sides["parent"],
+        capture_output=True, text=True).stdout.strip().partition("\n")
+    if not commit or Path(top).resolve() != sides["parent"]:
+        sys.exit(f"--parent {sides['parent']} is not a git checkout, so its commit is "
+                 "unknown: use a git clone or git worktree add --detach")
     runs = []
     for wl in workloads:
         for seed in range(args.first_seed, args.first_seed + args.pairs):
@@ -116,8 +126,7 @@ def run_pairs(args: argparse.Namespace) -> None:
     record = {
         "description": args.description,
         "host": args.host,
-        "parent_commit": subprocess.run(["git", "rev-parse", "HEAD"], cwd=sides["parent"],
-                                        capture_output=True, text=True).stdout.strip(),
+        "parent_commit": commit,
         "medians": summarize(runs, metrics),
         "percall": percall,
         "runs": runs,
@@ -241,15 +250,9 @@ def percall(root: Path) -> dict:
     load = _native.load
     for n in (200, 2000):
         path = path_of(rs.DriftSpec.power(0.5), n, 7)
-
-        def validate():
-            # the increments a call leaves are taken again by the next
-            path.__dict__.pop("increments", None)
-            path.validate()
-
-        out["validate"][f"compiled n={n}"] = _best_median(validate, 2001)
+        out["validate"][f"compiled n={n}"] = _best_median(path.validate, 2001)
         _native.load = lambda: None
-        out["validate"][f"numpy n={n}"] = _best_median(validate, 2001)
+        out["validate"][f"numpy n={n}"] = _best_median(path.validate, 2001)
         _native.load = load
     with tempfile.TemporaryDirectory() as tmp:
         for leg in workloads.CLI_LEGS:
