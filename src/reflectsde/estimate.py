@@ -7,9 +7,11 @@ The contrast is the average squared discretized drift residual
 whose minimizer over the parameter domain is the estimator.  The
 increments dX, dL and dR are the path's own (``SamplePath.increments``),
 taken once per path, and one residual pass, :func:`_contrast_value`,
-evaluates the contrast for every estimator.  For the power drift the
-minimizer has a closed form; otherwise a golden-section search on the
-compactified domain is used.
+evaluates the contrast for every estimator.  Where the drift is linear in
+theta, f = f0 + theta g, the minimizer is one least-squares slope, and
+one fit, :func:`_linear_fit`, serves every closed form: the power drift
+and both equations of the two-factor system.  Otherwise a golden-section
+search on the compactified domain is used.
 Asymptotic standard errors come from
 sqrt(nh) * (theta_hat - theta0) -> N(0, sigma^2 / information).
 """
@@ -35,6 +37,7 @@ from .model import (
     ModelConfig,
     SamplingPlan,
     _require_finite,
+    _require_finite_width,
     eval_on_array,
 )
 from .simulate import (
@@ -143,30 +146,53 @@ def contrast(path: SamplePath, spec: DriftSpec, theta: float) -> float:
     return _numpy_contrast_of(path, spec)(theta)
 
 
-def _slope(g: np.ndarray, y: np.ndarray, h: float, degenerate: str) -> float:
-    """Least-squares slope dot(g, y) / (sum(g*g) h) of the increments ``y``
-    on the covariate ``g``; a vanishing denominator raises DataError with
-    the message ``degenerate``."""
-    denom = float(np.sum(g * g)) * h
-    if not denom > 0.0:
-        raise DataError(degenerate)
-    return float(np.dot(g, y)) / denom
-
-
-def _power_fit(path: SamplePath, gamma: float) -> tuple[float, np.ndarray]:
-    """The closed-form estimate for the power drift f(x, theta) = -theta * g,
-    and g = x**gamma on the left endpoints, for the slope and the contrast."""
-    if not 0.0 < gamma <= 1.0:
-        raise ModelError("gamma must lie in (0, 1]")
-    dx, dl, dr = path.increments
-    g = path.x[:-1] ** gamma
-    return -_slope(g, dx - dl + dr, path.h, "degenerate path: sum of x**(2*gamma) vanishes"), g
+def _linear_fit(factor: SamplePath, g: np.ndarray | None, f0: np.ndarray | None,
+                degenerate: str | None, theta_domain: tuple[float, float] | None = None
+                ) -> EstimateResult:
+    """The closed-form estimate for a drift f0 + theta g, linear in theta, on
+    the left endpoints of ``factor``: the least-squares slope
+    dot(g, y) / (sum(g^2) h) of y = ((dx - f0 h) - dl) + dr, or
+    sum(y) / (n h) where g is None (g = 1).  f0 None is f0 = 0, and then
+    y = (dx - dl) + dr.  A vanishing sum(g^2) raises DataError with the
+    message ``degenerate``.  When a domain is given the estimate is clamped
+    to it and flagged if it lands on the boundary; the domain must satisfy
+    lo < hi, as for :func:`nlse_optimize`."""
+    dx, dl, dr = factor.increments
+    h = factor.h
+    y = ((dx if f0 is None else dx - f0 * h) - dl) + dr
+    if g is None:
+        theta = float(np.sum(y)) / (factor.n * h)
+    else:
+        denom = float(np.sum(g * g)) * h
+        if not denom > 0.0:
+            raise DataError(degenerate)
+        theta = float(np.dot(g, y)) / denom
+    boundary = False
+    if theta_domain is not None:
+        lo, hi = theta_domain
+        if not lo < hi:
+            raise ModelError("theta domain must satisfy lo < hi")
+        clamped = min(max(theta, lo), hi)
+        boundary = clamped != theta
+        theta = clamped
+    if not math.isfinite(theta):
+        raise ModelError(f"theta must be finite, got {theta!r}")
+    f = np.full(factor.n, theta) if g is None else theta * g
+    if f0 is not None:
+        np.add(f0, f, out=f)
+    return EstimateResult(
+        theta_hat=theta,
+        method=CLOSED_FORM,
+        contrast_at_min=_contrast_value(f, factor.increments, h, f),
+        iterations=0,
+        boundary_hit=boundary,
+    )
 
 
 def nlse_closed_form_power(path: SamplePath, gamma: float) -> float:
     """Closed-form least-squares estimate for the power drift
     f(x, theta) = -theta * x**gamma."""
-    return _power_fit(path, gamma)[0]
+    return estimate_power_closed_form(path, gamma).theta_hat
 
 
 @dataclass(frozen=True)
@@ -259,6 +285,7 @@ def nlse_optimize(
     lo, hi = theta_domain
     if not lo < hi:
         raise ModelError("theta domain must satisfy lo < hi")
+    _require_finite_width(lo, hi)
     eps = _DOMAIN_SHRINK * (hi - lo)
     found = minimize_unimodal(_contrast_of(path, spec), lo + eps, hi - eps)
     return EstimateResult(
@@ -275,29 +302,14 @@ def estimate_power_closed_form(
     gamma: float,
     theta_domain: tuple[float, float] | None = None,
 ) -> EstimateResult:
-    """Closed-form power-drift estimate packaged with diagnostics.  When a
-    parameter domain is given the estimate is clamped to it and flagged if
-    it lands on the boundary; the domain must satisfy lo < hi, as for
-    :func:`nlse_optimize`."""
-    theta, g = _power_fit(path, gamma)
-    boundary = False
-    if theta_domain is not None:
-        lo, hi = theta_domain
-        if not lo < hi:
-            raise ModelError("theta domain must satisfy lo < hi")
-        clamped = min(max(theta, lo), hi)
-        boundary = clamped != theta
-        theta = clamped
-    if not math.isfinite(theta):
-        raise ModelError(f"theta must be finite, got {theta!r}")
-    f = (-theta) * g
-    return EstimateResult(
-        theta_hat=theta,
-        method=CLOSED_FORM,
-        contrast_at_min=_contrast_value(f, path.increments, path.h, f),
-        iterations=0,
-        boundary_hit=boundary,
-    )
+    """Closed-form power-drift estimate packaged with diagnostics: the
+    drift -theta x**gamma is theta g with g = -x**gamma, fitted by
+    :func:`_linear_fit`, which clamps to ``theta_domain`` when one is
+    given."""
+    if not 0.0 < gamma <= 1.0:
+        raise ModelError("gamma must lie in (0, 1]")
+    return _linear_fit(path, -(path.x[:-1] ** gamma), None,
+                       "degenerate path: sum of x**(2*gamma) vanishes", theta_domain)
 
 
 def asymptotic_stderr(theta_hat: float, config: ModelConfig, plan: SamplingPlan) -> float:
@@ -364,24 +376,15 @@ def estimate_two_factor(
     if sigma < 0.0:
         raise ModelError("sigma must be >= 0")
     _require_finite(sigma=sigma)
-    n, h = tf.n, tf.h
     r_left = tf.rshort.x[:-1]
-    dy, dl1, du1 = tf.y.increments
-    drs, dl2, _ = tf.rshort.increments
-    theta1 = float(np.sum(dy - r_left * h - dl1 + du1)) / (n * h)
     one_minus_r = 1.0 - r_left
-    theta2 = _slope(one_minus_r, drs - dl2, h,
-                    "degenerate short-rate path: sum of (1-R)^2 vanishes")
-
-    info2 = float(np.mean(one_minus_r**2))
-    results = []
     # the drifts r + theta1 and theta2 (1 - r); the short rate's dr is zero
-    for theta, f, factor, info in ((theta1, r_left + theta1, tf.y, 1.0),
-                                   (theta2, theta2 * one_minus_r, tf.rshort, info2)):
-        se = math.sqrt(sigma**2 / (n * h * info)) if info > 0 else math.inf
-        results.append(EstimateResult(
-            theta_hat=theta, method=CLOSED_FORM,
-            contrast_at_min=_contrast_value(f, factor.increments, h, f), iterations=0,
-            stderr=se, ci=confidence_interval(theta, se, level), level=level,
-        ))
+    fits = (_linear_fit(tf.y, None, r_left, None),
+            _linear_fit(tf.rshort, one_minus_r, None,
+                        "degenerate short-rate path: sum of (1-R)^2 vanishes"))
+    results = []
+    for fit, info in zip(fits, (1.0, float(np.mean(one_minus_r**2)))):
+        se = math.sqrt(sigma**2 / (tf.n * tf.h * info)) if info > 0 else math.inf
+        results.append(replace(fit, stderr=se, ci=confidence_interval(fit.theta_hat, se, level),
+                               level=level))
     return tuple(results)

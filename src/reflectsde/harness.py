@@ -19,10 +19,9 @@ import numpy as np
 
 from . import rng
 from .errors import DataError, ModelError
-from .estimate import EstimateResult, _point_estimate, estimate_two_factor
+from .estimate import _point_estimate, estimate_two_factor
 from .model import ModelConfig, SamplingPlan, _frozen, _is_integral, _require_in_domain
-from .simulate import (SamplePath, SimOptions, _check_two_factor, simulate_path,
-                       simulate_two_factor)
+from .simulate import SimOptions, _check_two_factor, simulate_path, simulate_two_factor
 from .stationary import information
 
 _FAILURE_FRACTION = 0.01
@@ -98,7 +97,10 @@ def _replicate(
     """Run ``rep`` for each n and replication i, seeded from (root seed, i,
     n), and return one run per position of the estimate tuple it returns.
     A failure reason returned, or a DataError/ModelError raised, excludes
-    the replication; more than 1% failures at any n aborts the run."""
+    the replication; more than 1% failures at any n aborts the run.
+    ``workers`` must be an integer >= 1."""
+    if not _is_integral(workers) or workers < 1:
+        raise ModelError(f"workers must be an integer >= 1, got {workers!r}")
     root = cfg.sim.seed
     columns: dict[int, np.ndarray] = {}
     rep_indices: dict[int, np.ndarray] = {}
@@ -137,14 +139,10 @@ def _replicate(
                  for j in range(width))
 
 
-def run_mc(
-    cfg: McConfig,
-    estimator: Callable[[SamplePath], EstimateResult] | None = None,
-    workers: int = 1,
-) -> McRun:
+def run_mc(cfg: McConfig, workers: int = 1) -> McRun:
     """Run the experiment: for each n and replication i, simulate with the
-    stream seed derived from (root seed, i, n) and estimate, by default
-    with the estimator :func:`~reflectsde.estimate_nlse` picks.
+    stream seed derived from (root seed, i, n) and estimate with the
+    estimator :func:`~reflectsde.estimate_nlse` picks.
 
     Failed replications (estimation errors or estimates pinned at the
     parameter-domain boundary) are recorded and excluded; more than 1%
@@ -154,7 +152,7 @@ def run_mc(
 
     def rep(plan: SamplingPlan, opts: SimOptions) -> tuple[float] | str:
         path = simulate_path(cfg.model, cfg.theta0, plan, opts)
-        result = _point_estimate(path, cfg.model) if estimator is None else estimator(path)
+        result = _point_estimate(path, cfg.model)
         if result.boundary_hit:
             return "estimate pinned at the domain boundary"
         return (result.theta_hat,)

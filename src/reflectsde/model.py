@@ -38,6 +38,12 @@ def _is_integral(v) -> bool:
         return False
 
 
+def _require_finite_width(lo: float, hi: float) -> None:
+    """Refuse a theta domain whose width hi - lo overflows to inf."""
+    if not math.isfinite(hi - lo):
+        raise ModelError(f"theta domain ({lo}, {hi}) is too wide: hi - lo is not finite")
+
+
 def _require_in_domain(theta: float, domain: tuple[float, float]) -> None:
     lo, hi = domain
     if not lo < theta < hi:
@@ -207,6 +213,7 @@ class ModelConfig:
         _require_finite(theta_lo=lo, theta_hi=hi)
         if not lo < hi:
             raise ModelError(f"theta domain must satisfy lo < hi, got ({lo}, {hi})")
+        _require_finite_width(lo, hi)
         if not self.barriers.contains(self.x0):
             raise ModelError(
                 f"x0={self.x0!r} lies outside the barrier set "

@@ -109,6 +109,17 @@ def ou_nh100():
     return model, plan, run.estimates[10_000]
 
 
+@pytest.fixture(params=("native", "python"))
+def backend(request, monkeypatch):
+    """Each stepper in turn: the compiled kernel (skipped without one), then
+    the Python stepper."""
+    if request.param == "python":
+        monkeypatch.setattr(_native, "load", lambda: None)
+    elif _native.load() is None:
+        pytest.skip("no compiled kernel")
+    return request.param
+
+
 @pytest.fixture
 def python_stepper(monkeypatch):
     """Run without the compiled library: built-in drifts on the Python

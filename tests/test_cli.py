@@ -401,6 +401,18 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, text)
         assert main(["simulate", "--config", str(cfg)]) == 2
 
+    def test_domain_whose_width_overflows_exit_2(self, tmp_path, capsys):
+        text = TABLE1_CFG.replace("theta.lo = 0.01", "theta.lo = -1e308").replace(
+            "theta.hi = 10.0", "theta.hi = 1e308")
+        cfg = write_cfg(tmp_path, text)
+        csv = tmp_path / "path.csv"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, TABLE1_CFG, "ok.cfg")),
+                     "--out", str(csv)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(cfg), "--path", str(csv)]) == 2
+        assert capsys.readouterr().err == ("model/data error: theta domain (-1e+308, 1e+308) "
+                                           "is too wide: hi - lo is not finite\n")
+
     def test_sigma_zero_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, TABLE1_CFG.replace("sigma = 0.2", "sigma = 0"))
         assert main(["simulate", "--config", str(cfg)]) == 2

@@ -333,6 +333,16 @@ class TestClosedForm:
             with pytest.raises(ModelError, match="theta domain must satisfy lo < hi"):
                 estimate_with()
 
+    @pytest.mark.parametrize("domain", ((-1e308, 1e308), (-math.inf, 5.0), (0.01, math.inf)),
+                             ids=str)
+    def test_domain_whose_width_overflows_is_refused(self, domain):
+        # (-1e308, 1e308) failed with "minimize_unimodal needs lo < hi"
+        _, path = noiseless_path(gamma=0.5)
+        with pytest.raises(ModelError) as raised:
+            rs.nlse_optimize(path, rs.DriftSpec.power(0.5), domain)
+        assert str(raised.value) == (f"theta domain ({domain[0]}, {domain[1]}) is too wide: "
+                                     "hi - lo is not finite")
+
 
 # Recorded on the parent of the shared residual pass (CPython 3.11,
 # numpy 2.4, x86-64 Linux), where the power closed form's contrast went

@@ -91,21 +91,22 @@ class TestRunMc:
         run = rs.run_mc(cfg)
         assert len(np.unique(run.estimates[40])) == 8
 
-    def test_failures_excluded_with_count(self):
+    def test_failures_excluded_with_count(self, monkeypatch):
         cfg = small_mc_config(replications=300, n_values=(5,))
 
-        def estimator(path, _memo={"count": 0}):
+        def estimator(path, config, _memo={"count": 0}):
             _memo["count"] += 1
             if _memo["count"] == 7:
                 raise DataError("synthetic failure")
             return estimate_power_closed_form(path, 0.5)
 
-        run = rs.run_mc(cfg, estimator=estimator)
+        monkeypatch.setattr(harness, "_point_estimate", estimator)
+        run = rs.run_mc(cfg)
         assert len(run.failures[5]) == 1
         assert len(run.estimates[5]) == 299
         assert 6 not in run.rep_indices[5]
 
-    def test_overflowing_drift_is_a_failed_replication(self):
+    def test_overflowing_drift_is_a_failed_replication(self, monkeypatch):
         # the drift overflows on its 301st call: the first fine step of
         # replication 6 (5 intervals x 10 substeps per replication)
         calls = {"count": 0}
@@ -124,7 +125,9 @@ class TestRunMc:
                                                x0=1.0),
                           theta0=2.0, plan=base.plan, sim=base.sim,
                           replications=300, n_values=(5,))
-        run = rs.run_mc(cfg, estimator=lambda path: estimate_power_closed_form(path, 0.5))
+        monkeypatch.setattr(harness, "_point_estimate",
+                            lambda path, config: estimate_power_closed_form(path, 0.5))
+        run = rs.run_mc(cfg)
         assert [i for i, _ in run.failures[5]] == [6]
         assert "finite range" in run.failures[5][0][1]
         assert len(run.estimates[5]) == 299
@@ -144,17 +147,18 @@ class TestRunMc:
     def test_exploding_builtin_drift_fails_alike_on_python_stepper(self, python_stepper):
         self.test_exploding_builtin_drift_is_a_failed_replication()
 
-    def test_too_many_failures_abort(self):
+    def test_too_many_failures_abort(self, monkeypatch):
         cfg = small_mc_config(replications=300, n_values=(5,))
 
-        def estimator(path, _memo={"count": 0}):
+        def estimator(path, config, _memo={"count": 0}):
             _memo["count"] += 1
             if _memo["count"] % 50 == 0:
                 raise DataError("synthetic failure")
             return estimate_power_closed_form(path, 0.5)
 
+        monkeypatch.setattr(harness, "_point_estimate", estimator)
         with pytest.raises(DataError):
-            rs.run_mc(cfg, estimator=estimator)
+            rs.run_mc(cfg)
 
     def test_config_validation(self):
         with pytest.raises(ModelError):
@@ -191,6 +195,24 @@ class TestRunMc:
         # (50, 50) ran every replication twice and returned one entry for n=50
         with pytest.raises(ModelError, match=r"^n values must not repeat, got \("):
             make(replications=5, n_values=n_values)
+
+    @pytest.mark.parametrize("driver, make", ((rs.run_mc, small_mc_config),
+                                              (rs.run_mc_two_factor, _golden_two_factor_config)),
+                             ids=("mc", "two_factor"))
+    @pytest.mark.parametrize("workers", (0, -3, 2.5, "2", float("nan"), float("inf"), None),
+                             ids=repr)
+    def test_workers_must_be_an_integer_of_at_least_one(self, driver, make, workers,
+                                                        monkeypatch):
+        # 0, -3 and 2.5 ran serially and "2" raised a bare TypeError; the
+        # refusal comes before any replication is simulated
+        def no_path(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "simulate_path", no_path)
+        monkeypatch.setattr(harness, "simulate_two_factor", no_path)
+        with pytest.raises(ModelError) as raised:
+            driver(make(), workers=workers)
+        assert str(raised.value) == f"workers must be an integer >= 1, got {workers!r}"
 
     @pytest.mark.parametrize("theta0", (0.01, 10.0, -1.0, 50.0, float("nan"), float("inf")))
     def test_theta0_outside_the_open_domain_rejected(self, theta0):

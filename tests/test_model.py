@@ -202,6 +202,17 @@ class TestTypesValidation:
             rs.ModelConfig(drift=drift, sigma=0.2, barriers=barriers,
                            theta_domain=(0.0, 1.0), x0=3.5)
 
+    @pytest.mark.parametrize("domain", ((-1e308, 1e308), (-1.7e308, 1.7e308)), ids=str)
+    def test_domain_whose_width_overflows_is_refused(self, domain):
+        # (-1e308, 1e308) built, and the search then failed with
+        # "minimize_unimodal needs lo < hi"
+        with pytest.raises(ModelError) as raised:
+            rs.ModelConfig(drift=rs.DriftSpec.mean_reversion_to_one(), sigma=0.2,
+                           barriers=rs.BarrierConfig.two_sided(0.0, 3.0),
+                           theta_domain=domain, x0=1.0)
+        assert str(raised.value) == (f"theta domain ({domain[0]}, {domain[1]}) is too wide: "
+                                     "hi - lo is not finite")
+
     def test_sampling_plan_invariants(self):
         with pytest.raises(ModelError):
             rs.SamplingPlan(n=1, h=0.01)

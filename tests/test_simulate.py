@@ -520,15 +520,6 @@ def _path_bytes(path):
             for arr in (path.x, path.l, path.r, path.hit_lower, path.hit_upper)]
 
 
-@pytest.fixture(params=("native", "python"))
-def backend(request, monkeypatch):
-    if request.param == "python":
-        monkeypatch.setattr(_native, "load", lambda: None)
-    elif _native.load() is None:
-        pytest.skip("no compiled kernel")
-    return request.param
-
-
 class TestBlocks:
     def test_plan_spans_three_blocks_and_a_partial_one(self):
         sizes = _block_sizes()

@@ -22,7 +22,9 @@ prints per-call timings of the checkout at ``--root`` as one JSON object:
 the golden-section search, a contrast closure built and evaluated once,
 the power closed form ``estimate_power_closed_form`` at n = 200 and
 2,000 with a sha256 of its results (θ̂, ``contrast_at_min`` and
-``boundary_hit``) on 480 paths in two domains, ``SamplePath.validate``
+``boundary_hit``) on 480 paths in two domains, a sha256 of the
+``estimate_two_factor`` results (θ̂, ``contrast_at_min`` and stderr, as
+hex) on 60 two-factor paths, ``SamplePath.validate``
 of a simulated path at n = 200 and 2,000 with the compiled check and on
 the numpy fallback (a checkout without the check runs numpy in both
 rows), the CSV reader on the five CSVs of the estimate_ci workload, its
@@ -247,6 +249,16 @@ def percall(root: Path) -> dict:
                     digest.update(repr((res.theta_hat, res.contrast_at_min,
                                         res.boundary_hit)).encode())
     out["closed_form_results_sha256"] = digest.hexdigest()
+    digest = hashlib.sha256()
+    plan = rs.SamplingPlan(n=200, h=0.01)
+    for seed in range(60):
+        # a narrow log-price band keeps both regulators of the log price busy
+        tf = rs.simulate_two_factor(1.0, 0.01, -0.05, 0.2, 0.1, 0.95, 1.05, plan,
+                                    rs.SimOptions(seed=seed))
+        for res in rs.estimate_two_factor(tf, 0.1):
+            digest.update(repr((res.theta_hat.hex(), res.contrast_at_min.hex(),
+                                res.stderr.hex())).encode())
+    out["two_factor_results_sha256"] = digest.hexdigest()
     load = _native.load
     for n in (200, 2000):
         path = path_of(rs.DriftSpec.power(0.5), n, 7)
