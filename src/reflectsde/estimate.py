@@ -189,12 +189,6 @@ def _linear_fit(factor: SamplePath, g: np.ndarray | None, f0: np.ndarray | None,
     )
 
 
-def nlse_closed_form_power(path: SamplePath, gamma: float) -> float:
-    """Closed-form least-squares estimate for the power drift
-    f(x, theta) = -theta * x**gamma."""
-    return estimate_power_closed_form(path, gamma).theta_hat
-
-
 @dataclass(frozen=True)
 class ScalarMinimum:
     x: float

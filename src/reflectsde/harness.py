@@ -20,7 +20,7 @@ import numpy as np
 from . import rng
 from .errors import DataError, ModelError
 from .estimate import _point_estimate, estimate_two_factor
-from .model import ModelConfig, SamplingPlan, _frozen, _is_integral, _require_in_domain
+from .model import ModelConfig, SamplingPlan, _as_int, _frozen, _require_in_domain
 from .simulate import SimOptions, _check_two_factor, simulate_path, simulate_two_factor
 from .stationary import information
 
@@ -30,17 +30,13 @@ _FAILURE_FRACTION = 0.01
 def _check_sweep(cfg: McConfig | TwoFactorMcConfig) -> None:
     """Validate a sweep's replication count and n values, and store them as
     ints: 50.0 is n=50, and 50.7, nan, "50" or a repeated n is refused."""
-    if not _is_integral(cfg.replications) or cfg.replications < 2:
-        raise ModelError(f"replications must be an integer >= 2, got {cfg.replications!r}")
+    replications = _as_int(cfg.replications, "replications must be an integer >= 2", 2)
     if not cfg.n_values:
         raise ModelError("n_values must be non-empty")
-    for n in cfg.n_values:
-        if not _is_integral(n) or n < 2:
-            raise ModelError(f"n values must be integers >= 2, got {n!r}")
-    n_values = tuple(int(n) for n in cfg.n_values)
+    n_values = tuple(_as_int(n, "n values must be integers >= 2", 2) for n in cfg.n_values)
     if len(set(n_values)) < len(n_values):
         raise ModelError(f"n values must not repeat, got {cfg.n_values!r}")
-    object.__setattr__(cfg, "replications", int(cfg.replications))
+    object.__setattr__(cfg, "replications", replications)
     object.__setattr__(cfg, "n_values", n_values)
 
 
@@ -99,8 +95,7 @@ def _replicate(
     A failure reason returned, or a DataError/ModelError raised, excludes
     the replication; more than 1% failures at any n aborts the run.
     ``workers`` must be an integer >= 1."""
-    if not _is_integral(workers) or workers < 1:
-        raise ModelError(f"workers must be an integer >= 1, got {workers!r}")
+    workers = _as_int(workers, "workers must be an integer >= 1", 1)
     root = cfg.sim.seed
     columns: dict[int, np.ndarray] = {}
     rep_indices: dict[int, np.ndarray] = {}

@@ -30,12 +30,17 @@ def _require_finite(**values: float) -> None:
             raise ModelError(f"{name} must be finite, got {v!r}")
 
 
-def _is_integral(v) -> bool:
-    """Whether ``v`` has an integer value: 3 or 3.0, not 3.5, nan or "3"."""
+def _as_int(v, what: str, least: int | None = None) -> int:
+    """``v`` as an int, the form counts and seeds are stored in: 3 or 3.0
+    is 3, and anything that is not a whole number (3.5, nan, "3") or is
+    below ``least`` raises ModelError "``what``, got ``v!r``"."""
     try:
-        return int(v) == v
+        integral = int(v) == v
     except (TypeError, ValueError, OverflowError):
-        return False
+        integral = False
+    if not integral or (least is not None and v < least):
+        raise ModelError(f"{what}, got {v!r}")
+    return int(v)
 
 
 def _require_finite_width(lo: float, hi: float) -> None:
@@ -224,17 +229,18 @@ class ModelConfig:
 @dataclass(frozen=True)
 class SamplingPlan:
     """Observation scheme: n increments at step size h, with the regime
-    exponent alpha in (0, 1/2) used only for diagnostics."""
+    exponent alpha in (0, 1/2) used only for diagnostics.  n is stored as
+    an int and h as a float, the forms both steppers compute with."""
 
     n: int
     h: float
     alpha: float = 0.25
 
     def __post_init__(self) -> None:
-        if not _is_integral(self.n) or self.n < 2:
-            raise ModelError(f"n must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", _as_int(self.n, "n must be an integer >= 2", 2))
         if not (math.isfinite(self.h) and self.h > 0):
             raise ModelError(f"h must be positive and finite, got {self.h!r}")
+        object.__setattr__(self, "h", float(self.h))
         if not 0.0 < self.alpha < 0.5:
             raise ModelError(f"alpha must lie in (0, 0.5), got {self.alpha!r}")
 

@@ -64,8 +64,8 @@ from .model import (
     DriftSpec,
     ModelConfig,
     SamplingPlan,
+    _as_int,
     _frozen,
-    _is_integral,
     _require_finite,
     _require_in_domain,
 )
@@ -77,7 +77,8 @@ _BARRIER_TOL = 1e-12
 @dataclass(frozen=True)
 class SimOptions:
     """Integration scheme, fine steps per observation interval, and the
-    64-bit stream seed (an integer, taken modulo 2**64)."""
+    64-bit stream seed (an integer, taken modulo 2**64).  substeps and
+    seed are stored as ints: 10.0 is 10."""
 
     scheme: str = LEPINGLE
     substeps: int = 10
@@ -86,10 +87,9 @@ class SimOptions:
     def __post_init__(self) -> None:
         if self.scheme not in (LEPINGLE, PROJECTION):
             raise ModelError(f"unknown scheme {self.scheme!r}")
-        if not _is_integral(self.substeps) or self.substeps < 1:
-            raise ModelError(f"substeps must be an integer >= 1, got {self.substeps!r}")
-        if not _is_integral(self.seed):
-            raise ModelError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "substeps",
+                           _as_int(self.substeps, "substeps must be an integer >= 1", 1))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed must be an integer"))
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,7 @@ class SamplePath:
         for arr in steps:
             arr.setflags(write=False)
         object.__setattr__(self, "increments", steps)
+        object.__setattr__(self, "h", float(self.h))
 
     @property
     def n(self) -> int:

@@ -1,5 +1,5 @@
-"""Stationary (invariant) density, the scale density, and the
-information integral behind the estimator's asymptotic variance.
+"""Stationary (invariant) density and the information integral behind the
+estimator's asymptotic variance.
 
 The invariant density on the barrier interval is the Kolmogorov stationary
 solution
@@ -8,8 +8,7 @@ solution
 
 normalized by composite Simpson quadrature.  For a mean-reverting drift this
 puts the mass where the drift pushes the state, which is what long-run
-simulated histograms show.  The scale density carries the opposite sign in
-the exponent, so pi is proportional to 1/scale.
+simulated histograms show.
 
 The quadrature starts at 4,096 Simpson panels and doubles them, up to at
 most 262,144, until the normalizer changes by at most 1e-10 relative.  The
@@ -18,11 +17,10 @@ every level, so successive normalizers are comparable even when the peak
 lies between nodes.  Each doubling keeps the old nodes, so for the built-in
 drifts (analytic primitive) only the new midpoints are evaluated; a custom
 drift's cumulative-Simpson primitive is recomputed on the whole grid, by
-a numpy port of ``scipy.integrate.cumulative_simpson`` with its bits.
-Only the custom branch of ``scale_density`` uses ``scipy.integrate``
-(adaptive ``quad``), and it imports it when first called.  A grid
-returned at the cap before meeting the tolerance raises a RuntimeWarning
-naming the last relative change and the node count.
+a numpy port of ``scipy.integrate.cumulative_simpson`` with its bits, so
+no code here imports ``scipy.integrate``.  A grid returned at the cap
+before meeting the tolerance raises a RuntimeWarning naming the last
+relative change and the node count.
 
 For one-sided models the support is truncated at a point where the
 remaining tail mass is below 1e-10 of the total; a drift that fails to push
@@ -169,24 +167,6 @@ def _require_stationary(config: ModelConfig, theta: float) -> None:
     if config.sigma <= 0.0:
         raise ModelError("stationary quantities require sigma > 0")
     _require_finite(theta=theta)
-
-
-def scale_density(config: ModelConfig, theta: float, x: float) -> float:
-    """Scale density exp(-(2/sigma^2) * integral_a^x f(y, theta) dy).
-
-    For custom drifts the integral is computed by adaptive quadrature.
-    """
-    _require_stationary(config, theta)
-    a = config.barriers.a
-    if not config.barriers.contains(x):
-        raise ModelError(f"x={x!r} outside the barrier interval")
-    if config.drift.kind == CUSTOM:
-        from scipy import integrate
-
-        integral, _ = integrate.quad(lambda y: config.drift.f(y, theta), a, x)
-    else:
-        integral = float(_drift_primitive(config.drift, a, np.array([x]), theta)[0])
-    return math.exp(-2.0 / config.sigma**2 * integral)
 
 
 def _upper_limit(config: ModelConfig, theta: float) -> float:

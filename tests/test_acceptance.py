@@ -108,7 +108,7 @@ def test_criterion_6_oracle_equivalences():
     worst_opt = 0.0
     for seed in range(100):
         path = rs.simulate_path(cfg, 2.0, plan, rs.SimOptions(seed=seed))
-        closed = rs.nlse_closed_form_power(path, 0.5)
+        closed = rs.estimate_power_closed_form(path, 0.5).theta_hat
         opt = rs.nlse_optimize(path, cfg.drift, cfg.theta_domain)
         worst_opt = max(worst_opt, abs(opt.theta_hat - closed))
 
@@ -120,7 +120,7 @@ def test_criterion_6_oracle_equivalences():
     worst_grid = 0.0
     for seed in range(10):
         path = rs.simulate_path(cfg, 2.0, plan_small, rs.SimOptions(seed=1000 + seed))
-        closed = rs.nlse_closed_form_power(path, 0.5)
+        closed = rs.estimate_power_closed_form(path, 0.5).theta_hat
         dx = np.diff(path.x)
         dl = np.diff(path.l)
         dr = np.diff(path.r)

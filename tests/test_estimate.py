@@ -253,13 +253,15 @@ class TestComplexDrift:
 
 class TestClosedForm:
     def test_two_point_hand_value(self):
-        assert rs.nlse_closed_form_power(two_point_path(), 1.0) == pytest.approx(1.0, rel=1e-14)
+        theta = rs.estimate_power_closed_form(two_point_path(), 1.0).theta_hat
+        assert theta == pytest.approx(1.0, rel=1e-14)
 
     def test_noiseless_exact_recovery(self):
         for gamma in (1.0, 0.5):
             for two_sided in (True, False):
                 _, path = noiseless_path(gamma=gamma, two_sided=two_sided)
-                assert rs.nlse_closed_form_power(path, gamma) == pytest.approx(2.0, rel=1e-9)
+                theta = rs.estimate_power_closed_form(path, gamma).theta_hat
+                assert theta == pytest.approx(2.0, rel=1e-9)
 
     def test_degenerate_path_rejected(self):
         stuck = rs.SamplePath(
@@ -268,7 +270,7 @@ class TestClosedForm:
             barriers=rs.BarrierConfig.one_sided_lower(0.0),
         )
         with pytest.raises(DataError):
-            rs.nlse_closed_form_power(stuck, 0.5)
+            rs.estimate_power_closed_form(stuck, 0.5)
 
     def test_closed_form_digest(self):
         # 720 estimates: four powers, both barrier kinds, three sample sizes,
@@ -356,7 +358,7 @@ class TestOptimizer:
         plan = rs.SamplingPlan(n=200, h=0.01)
         for seed in range(20):
             path = rs.simulate_path(cfg, 2.0, plan, rs.SimOptions(seed=seed))
-            closed = rs.nlse_closed_form_power(path, 0.5)
+            closed = rs.estimate_power_closed_form(path, 0.5).theta_hat
             opt = rs.nlse_optimize(path, cfg.drift, cfg.theta_domain)
             assert abs(opt.theta_hat - closed) <= 1e-8
             assert opt.method == "golden_section"

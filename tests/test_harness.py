@@ -424,6 +424,21 @@ class TestGoldenRuns:
         threaded = rs.run_mc_two_factor(cfg, workers=2)
         assert _run_digest(*threaded) == _run_digest(*serial)
 
+    @pytest.mark.parametrize("driver, make", ((rs.run_mc, small_mc_config),
+                                              (rs.run_mc_two_factor, _golden_two_factor_config)),
+                             ids=("mc", "two_factor"))
+    def test_integral_floats_and_a_float32_step_run_as_their_twins(self, driver, make,
+                                                                   backend):
+        # substeps=4.0 let a bare TypeError out of run_mc_two_factor's
+        # handling of failed replications
+        cfg, h = make(), np.float32(0.01)
+        digests = []
+        for n, step, substeps, seed in ((40.0, h, 4.0, 5.0), (40, float(h), 4, 5)):
+            runs = driver(replace(cfg, plan=rs.SamplingPlan(n=n, h=step),
+                                  sim=rs.SimOptions(substeps=substeps, seed=seed)))
+            digests.append(_run_digest(*(runs if isinstance(runs, tuple) else (runs,))))
+        assert digests[0] == digests[1]
+
     def test_two_factor_abort_names_the_reason(self, monkeypatch):
         # a failure that the config cannot see fails every replication
         def fail(tf, sigma):

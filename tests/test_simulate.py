@@ -1316,3 +1316,38 @@ class TestOptionsValidation:
     def test_bad_scheme(self):
         with pytest.raises(ModelError):
             rs.SimOptions(scheme="euler")
+
+
+class TestStoredForms:
+    """Counts are stored as ints and the step as a float, the forms both
+    steppers compute with, so an input in another numeric form gives the
+    path of its int or float twin."""
+
+    # n=200.0 and substeps=10.0 raised a bare TypeError in simulate_path, and
+    # a float32 h made the Python stepper compute in float32
+    @pytest.mark.parametrize("given, twin", (
+        ({"n": 200.0}, {"n": 200}),
+        ({"substeps": 10.0}, {"substeps": 10}),
+        ({"seed": 5.0}, {"seed": 5}),
+        ({"h": np.float32(0.01)}, {"h": float(np.float32(0.01))}),
+        ({"n": np.int64(200), "substeps": np.int32(10), "h": np.float64(0.01)}, {}),
+    ), ids=("n", "substeps", "seed", "h", "numpy"))
+    def test_path_of_the_int_or_float_twin(self, given, twin, backend):
+        def simulate(fields):
+            fields = {"n": 200, "h": 0.01, "substeps": 10, "seed": 5, **fields}
+            plan = rs.SamplingPlan(n=fields["n"], h=fields["h"])
+            opts = rs.SimOptions(substeps=fields["substeps"], seed=fields["seed"])
+            assert (type(plan.n), type(plan.h)) == (int, float)
+            assert (type(opts.substeps), type(opts.seed)) == (int, int)
+            return rs.simulate_path(power_model(0.5), 2.0, plan, opts)
+
+        path, expected = simulate(given), simulate(twin)
+        assert type(path.h) is float and path.h == expected.h
+        assert path.times.tobytes() == expected.times.tobytes()
+        assert _path_bytes(path) == _path_bytes(expected)
+
+    @pytest.mark.parametrize("h", (np.float32(0.1), np.float64(0.1), 1), ids=repr)
+    def test_sample_path_step_is_a_float(self, h):
+        path = rs.SamplePath(**{**_CHECKED_PATH, "h": h})
+        assert type(path.h) is float and path.h == float(h)
+        assert type(replace(path, h=h).h) is float

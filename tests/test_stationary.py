@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate as sciint
 from scipy import stats as scistats
 
 import reflectsde as rs
@@ -31,47 +30,6 @@ def zero_drift(sensitivity=lambda x, th: 1.0 + 0.0 * x):
         d2f_dtheta2=lambda x, th: 0.0 * x,
         lipschitz_bound=1.0,
     )
-
-
-class TestScaleDensity:
-    def test_zero_drift_scale_is_one(self):
-        cfg = model_with(zero_drift())
-        for x in (0.0, 0.7, 3.0):
-            assert rs.scale_density(cfg, 2.0, x) == pytest.approx(1.0, abs=1e-14)
-
-    def test_at_lower_barrier_exactly_one(self):
-        cfg = power_model(0.5)
-        assert rs.scale_density(cfg, 2.0, 0.0) == 1.0
-
-    def test_linear_drift_against_quadrature_oracle(self):
-        # gamma=1, theta=2, sigma^2=1, a=0, x=1
-        cfg = model_with(rs.DriftSpec.power(1.0), sigma=1.0)
-        value = rs.scale_density(cfg, 2.0, 1.0)
-        integral, _ = sciint.quad(lambda y: -2.0 * y, 0.0, 1.0)
-        oracle = math.exp(-2.0 / 1.0**2 * integral)
-        assert oracle == pytest.approx(math.exp(2.0), rel=1e-12)
-        assert value == pytest.approx(oracle, rel=1e-10)
-
-    def test_custom_drift_adaptive_quadrature(self):
-        drift = rs.DriftSpec.custom(
-            f=lambda x, th: -th * math.sin(x) if np.isscalar(x) else -th * np.sin(x),
-            df_dtheta=lambda x, th: -np.sin(x),
-            d2f_dtheta2=lambda x, th: 0.0 * x,
-            lipschitz_bound=5.0,
-        )
-        cfg = model_with(drift, sigma=0.5)
-        # integral of -2 sin on [0, 1] = 2(cos 1 - 1)
-        expected = math.exp(-2.0 / 0.25 * 2.0 * (math.cos(1.0) - 1.0))
-        assert rs.scale_density(cfg, 2.0, 1.0) == pytest.approx(expected, rel=1e-9)
-
-    # NaN lies in no interval
-    @pytest.mark.parametrize("two_sided, x", (
-        (True, 3.5), (True, -0.5), (True, math.nan), (False, -0.5), (False, math.nan),
-    ))
-    def test_outside_interval_rejected(self, two_sided, x):
-        cfg = power_model(0.5, two_sided=two_sided)
-        with pytest.raises(ModelError, match="outside the barrier interval"):
-            rs.scale_density(cfg, 2.0, x)
 
 
 class TestInvariantDensity:
@@ -295,7 +253,6 @@ _STATIONARY_CALLS = {
     # theta only picks the grid, so a supplied one must not hide a bad theta
     "stationary_average_on_grid": lambda cfg, th: rs.stationary_average(
         cfg, th, lambda x: x, grid=_UNIFORM_GRID),
-    "scale_density": lambda cfg, th: rs.scale_density(cfg, th, 1.0),
 }
 
 
