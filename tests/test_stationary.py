@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate as sciint
 from scipy import stats as scistats
 
 import reflectsde as rs
@@ -138,6 +139,68 @@ class TestInvariantDensity:
         g_custom = rs.invariant_density(model_with(custom), 2.0)
         np.testing.assert_allclose(g_custom.values, g_analytic.values,
                                    rtol=1e-12, atol=1e-15)
+
+    def test_density_ratio_is_exp_of_the_drift_primitive(self):
+        # pi(x) / pi(a) = exp(2 / sigma^2 * integral_a^x f): for
+        # f = -theta sin x on [0, 3] the integral is theta (cos x - 1)
+        cfg = model_with(_sine_drift(), sigma=0.5)
+        grid = rs.invariant_density(cfg, 2.0)
+        expected = np.exp(2.0 / 0.25 * 2.0 * (np.cos(grid.nodes) - 1.0))
+        np.testing.assert_allclose(grid.values / grid.values[0], expected, rtol=1e-9)
+
+
+def _sine_drift():
+    return rs.DriftSpec.custom(
+        f=lambda x, th: -th * np.sin(x),
+        df_dtheta=lambda x, th: -np.sin(x),
+        d2f_dtheta2=lambda x, th: 0.0 * x,
+        lipschitz_bound=5.0,
+    )
+
+
+_PRIMITIVE_DRIFTS = {
+    "power_sqrt": lambda: rs.DriftSpec.power(0.5),
+    "power_linear": lambda: rs.DriftSpec.power(1.0),
+    "mean_reversion": rs.DriftSpec.mean_reversion_to_one,
+    "shifted_covariate": lambda: rs.DriftSpec.shifted_covariate(0.3),
+    "custom_sine": _sine_drift,
+}
+
+
+class TestDriftPrimitive:
+    """``_drift_primitive``, integral_a^x f(y, theta) dy, which sets the
+    shape of every invariant density."""
+
+    @pytest.mark.parametrize("kind", sorted(_PRIMITIVE_DRIFTS))
+    def test_zero_at_the_lower_barrier(self, kind):
+        nodes, _ = stationary._simpson_weights(0.5, 2.5, 64)
+        prim = stationary._drift_primitive(_PRIMITIVE_DRIFTS[kind](), 0.5, nodes, 2.0)
+        assert prim[0] == 0.0
+
+    @pytest.mark.parametrize("kind", sorted(set(_PRIMITIVE_DRIFTS) - {"custom_sine"}))
+    def test_builtin_matches_quadrature_oracle(self, kind):
+        # a = 0.5 keeps the lower-limit terms of each analytic primitive live
+        drift = _PRIMITIVE_DRIFTS[kind]()
+        nodes, _ = stationary._simpson_weights(0.5, 2.5, 8)
+        prim = stationary._drift_primitive(drift, 0.5, nodes, 2.0)
+        for x, value in zip(nodes[1:], prim[1:]):
+            oracle, _ = sciint.quad(lambda y: drift.f(y, 2.0), 0.5, x)
+            assert value == pytest.approx(oracle, rel=1e-12, abs=1e-14)
+
+    def test_zero_drift_is_zero_everywhere(self):
+        nodes, _ = stationary._simpson_weights(0.0, 3.0, 64)
+        prim = stationary._drift_primitive(zero_drift(), 0.0, nodes, 2.0)
+        np.testing.assert_array_equal(prim, np.zeros_like(nodes))
+
+    def test_custom_drift_cumulative_quadrature(self):
+        # integral_0^x -theta sin y dy = theta (cos x - 1) = -2 theta sin^2(x/2),
+        # the last form free of the cancellation near x = 0; each spacing's
+        # parabola is off by O(h^4) ~ 1e-16 absolute, which is the whole of
+        # the tiny first values
+        nodes, _ = stationary._simpson_weights(0.0, 1.0, 4096)
+        prim = stationary._drift_primitive(_sine_drift(), 0.0, nodes, 2.0)
+        np.testing.assert_allclose(prim[1:], -4.0 * np.sin(0.5 * nodes[1:]) ** 2,
+                                   rtol=1e-9, atol=1e-14)
 
 
 class TestInformation:
