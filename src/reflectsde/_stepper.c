@@ -14,7 +14,8 @@
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add rounds once where Python rounds twice.  log, sqrt and pow
- * are the libm calls behind CPython's math.log, math.sqrt and x ** y.
+ * are the libm calls behind CPython's math.log, math.sqrt and x ** y;
+ * the power drift takes x**0.5 by sqrt in both twins.
  */
 #include <errno.h>
 #include <float.h>
@@ -101,8 +102,9 @@ static int is_complex(PyObject *res)
  * the observations k0 + 1 to k0 + n, hit_lo and hit_up the flags of
  * intervals k0 to k0 + n - 1, and fine (when not NULL) the left endpoint
  * of every fine step.  Returns -1, or the fine step of the block where the drift is not
- * a real number: pow gives NaN from a finite x (a negative x, whose
- * x ** gamma CPython makes complex), a custom drift's result is complex,
+ * a real number: sqrt or pow gives NaN from an x that is not NaN (a
+ * negative x, whose root math.sqrt refuses and whose x ** gamma CPython
+ * makes complex), a custom drift's result is complex,
  * or its conversion raises TypeError (a str), which is cleared; the caller
  * raises there.  Where the drift, or the test or the conversion otherwise,
  * raises, *stop receives the fine step and the exception stays set. */
@@ -122,12 +124,13 @@ long reflect_path(int kind, double theta, double gamma, const double *shift,
             if (fine)
                 fine[i] = x;
             if (kind == POWER) {
-                /* pow(x, 1.0) is x: glibc pow errs by under 0.52 ulp and
-                 * the exact result x is a double (it held bit for bit on
-                 * 2e8 random finite doubles), so the linear drift skips
-                 * the call and keeps the bits of CPython's x ** 1.0 */
-                mu = gamma == 1.0 ? x : pow(x, gamma);
-                if (isfinite(x) && !isfinite(mu))
+                /* x**1 is x, and x**0.5 is sqrt(x), which IEEE 754 rounds
+                 * correctly on every machine, where glibc pow errs by up
+                 * to 0.52 ulp and its variants differ.  Both give NaN from
+                 * a negative x, sqrt from -inf too (pow gives inf), as the
+                 * Python twin refuses every x < 0 under gamma 0.5 */
+                mu = gamma == 1.0 ? x : gamma == 0.5 ? sqrt(x) : pow(x, gamma);
+                if (isnan(mu) && !isnan(x))
                     return i;
                 mu = -theta * mu;
             } else if (kind == MEAN_REVERSION) {

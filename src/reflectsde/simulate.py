@@ -247,9 +247,11 @@ def _reflect_path(kind, theta, gamma, shift, z, u, k0, n, m, a, b, hf, sig2hf,
     which converts as the kernel's ``PyFloat_AsDouble`` does, unless it is
     one of ``_native.COMPLEX_TYPES`` (a ``complex`` or a numpy complex
     scalar), whose real part that would keep.  Returns -1, or the fine step
-    of the block where the drift is not a real number: ``x ** gamma`` is
-    complex (a negative state), the custom drift's result is complex, or
-    its conversion raises TypeError (a str).
+    of the block where the drift is not a real number: a negative state to
+    a fractional power (``math.sqrt``, which takes ``x ** 0.5`` as the
+    kernel's ``sqrt`` does, refuses it, and ``x ** gamma`` is complex), the
+    custom drift's result is complex, or its conversion raises TypeError (a
+    str).
     Where ``drift``, or the test or the conversion otherwise, raises,
     ``stop.value`` receives the fine step.
     """
@@ -268,9 +270,16 @@ def _reflect_path(kind, theta, gamma, shift, z, u, k0, n, m, a, b, hf, sig2hf,
             if left is not None:
                 left.append(x)
             if power:
-                mu = x if gamma == 1.0 else x ** gamma
-                if type(mu) is complex:
-                    return i
+                if gamma == 1.0:
+                    mu = x
+                elif gamma == 0.5:
+                    if x < 0.0:
+                        return i
+                    mu = sqrt(x)
+                else:
+                    mu = x ** gamma
+                    if type(mu) is complex:
+                        return i
                 mu = -theta * mu
             elif reverting:
                 mu = theta * (1.0 - x)
@@ -362,9 +371,9 @@ def _integrate(
     like ``shift``, receives every fine-step left endpoint.  Every block
     runs on the stepper picked here, with the same arguments: the compiled
     kernel when it loads, else its twin :func:`_reflect_path`.  Where the
-    drift is not a real number (the power drift's ``x ** gamma`` of a
-    negative state, or a custom drift's complex, numpy complex or str
-    result), both raise the same :class:`DataError`.
+    drift is not a real number (the power drift of a negative state, or a
+    custom drift's complex, numpy complex or str result), both raise the
+    same :class:`DataError`.
     """
     n = len(trace[3])
     custom = drift[0] == _K_CALLBACK
@@ -399,8 +408,9 @@ def _integrate(
             raise DataError("the drift left the finite range in observation interval "
                             f"{k + stop.value // m}: {exc}") from exc
         if status >= 0:
-            # a negative state to a fractional power (complex in Python, NaN
-            # in C), or a custom drift's result that does not convert
+            # a negative state to a fractional power (NaN in C; refused by
+            # math.sqrt or complex in Python), or a custom drift's result
+            # that does not convert
             raise DataError("the drift is not a real number in observation interval "
                             f"{k + status // m}")
 

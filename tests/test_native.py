@@ -70,13 +70,16 @@ def _power_path():
 
 
 class TestParity:
+    # the exponents the steppers take without pow, x itself and sqrt(x),
+    # which a continuous range would almost never draw; and -0.0, whose
+    # sqrt is -0.0 where pow(-0.0, 0.5) is +0.0
     @given(
         kind=st.sampled_from(("power", "mean_reversion", "shifted_covariate")),
-        gamma=st.floats(0.0, 1.0, exclude_min=True),
+        gamma=st.sampled_from((0.5, 1.0)) | st.floats(0.0, 1.0, exclude_min=True),
         covariate=st.floats(-2.0, 2.0),
         theta=st.floats(-10.0, 10.0),
         sigma=st.floats(0.0, 2.0),
-        x0=st.floats(0.0, 1.0),
+        x0=st.just(-0.0) | st.floats(0.0, 1.0),
         scheme=st.sampled_from((rs.LEPINGLE, rs.PROJECTION)),
         two_sided=st.booleans(),
         seed=st.integers(0, 2**64 - 1),
@@ -105,6 +108,16 @@ class TestParity:
         native, python = _on_both_backends(lambda: (lambda tf: [tf.y, tf.rshort])(
             rs.simulate_two_factor(y0, r0, theta1, theta2, sigma, 0.0, 1.5, _PLAN, opts)))
         assert native == python
+
+    @pytest.mark.parametrize("gamma", (0.5, 2.0 / 3.0, 1.0))
+    @pytest.mark.parametrize("sigma", (0.0, 0.8))
+    @pytest.mark.parametrize("scheme", (rs.LEPINGLE, rs.PROJECTION))
+    def test_power_paths_from_negative_zero_match(self, gamma, sigma, scheme):
+        config = _model("power", gamma, sigma=sigma, x0=-0.0)
+        opts = rs.SimOptions(scheme=scheme, substeps=5, seed=9)
+        native, python = _on_both_backends(
+            lambda: [rs.simulate_path(config, 2.0, _PLAN, opts)])
+        assert native == python and isinstance(native, list)
 
     def test_exploding_mean_reversion_fails_alike(self):
         # theta = -500 repels from 1: the state runs to inf, then NaN
@@ -149,6 +162,29 @@ class TestParity:
                                     f"observation interval {interval}")
         native, python = on_both(1.0)
         assert native == python and isinstance(native, list)
+
+    def test_root_of_minus_infinity_fails_alike(self):
+        # sqrt(-inf) is NaN, and math.sqrt refuses every negative state:
+        # both steppers stop at -inf under gamma = 0.5, where pow(-inf, 0.5)
+        # was inf, and run on under gamma = 2/3, whose pow is still inf
+        def run(gamma):
+            trace = (np.full(2, -math.inf), np.zeros(2), np.zeros(2),
+                     np.zeros(1, dtype=bool), np.zeros(1, dtype=bool))
+            z, u = np.zeros(1), np.ones(1)
+            try:
+                simulate._integrate((simulate._K_POWER, 1.0, gamma), z, u, 1, -math.inf,
+                                    math.inf, 0.01, 0.0, False, trace)(0, 1)
+            except rs.DataError as exc:
+                return str(exc)
+            return [arr.tobytes() for arr in trace]
+
+        for gamma, expected in ((0.5, "the drift is not a real number in observation "
+                                       "interval 0"), (2.0 / 3.0, None)):
+            native = run(gamma)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_native, "load", lambda: None)
+                assert run(gamma) == native
+            assert native == expected if expected else isinstance(native, list)
 
     def test_arrays_and_blocks_outside_the_path_are_refused(self):
         # the kernel would read or write past the arrays it is given

@@ -29,7 +29,9 @@ of a simulated path at n = 200 and 2,000 with the compiled check and on
 the numpy fallback (a checkout without the check runs numpy in both
 rows), the CSV reader on the five CSVs of the estimate_ci workload, its
 time-grid check, a custom drift's fine step, a sha256 of every search
-result over 60 paths per drift kind on both steppers, and the cold start:
+result over 60 paths per drift kind on both steppers, ``simulate_path`` of
+the power drift at γ = ½, ⅔ and 1 at the table-1 shape (two-sided,
+n = 200, m = 10) with a sha256 of 60 such paths per γ, and the cold start:
 fresh children (one a sample, three of each) of
 ``python -c "import reflectsde.cli"``, timed with the ``sys.modules``
 count after it, whether ``scipy.special``'s package was imported and the
@@ -208,11 +210,13 @@ def percall(root: Path) -> dict:
     import workloads
     from reflectsde import _native, cli, estimate, simulate
 
+    def model_of(drift, domain=(0.01, 10.0)):
+        return rs.ModelConfig(drift=drift, sigma=workloads.SIGMA,
+                              barriers=rs.BarrierConfig.two_sided(0.0, 3.0),
+                              theta_domain=domain, x0=1.0)
+
     def path_of(drift, n, seed, domain=(0.01, 10.0)):
-        model = rs.ModelConfig(drift=drift, sigma=workloads.SIGMA,
-                               barriers=rs.BarrierConfig.two_sided(0.0, 3.0),
-                               theta_domain=domain, x0=1.0)
-        return rs.simulate_path(model, 2.0 if domain[0] > 0 else 0.5,
+        return rs.simulate_path(model_of(drift, domain), 2.0 if domain[0] > 0 else 0.5,
                                 rs.SamplingPlan(n=n, h=0.01), rs.SimOptions(seed=seed))
 
     kinds = {"mean_reversion": (rs.DriftSpec.mean_reversion_to_one(), (0.01, 10.0)),
@@ -220,7 +224,18 @@ def percall(root: Path) -> dict:
              "custom": (workloads.custom_drift(), (-20.0, 20.0)),
              "power_half": (rs.DriftSpec.power(0.5), (0.01, 10.0))}
     out: dict = {"golden_section": {}, "contrast_closure": {}, "closed_form": {},
-                 "validate": {}, "read_rows": {}}
+                 "validate": {}, "read_rows": {}, "simulate_path": {}}
+    plan = rs.SamplingPlan(n=200, h=0.01)
+    for gamma, label in ((0.5, "1/2"), (2.0 / 3.0, "2/3"), (1.0, "1")):
+        model, opts = model_of(rs.DriftSpec.power(gamma)), rs.SimOptions(seed=7)
+        digest = hashlib.sha256()
+        for seed in range(60):
+            path = rs.simulate_path(model, 2.0, plan, rs.SimOptions(seed=seed))
+            for arr in (path.x, path.l, path.r, path.hit_lower, path.hit_upper):
+                digest.update(arr.tobytes())
+        entry = _best_median(lambda: rs.simulate_path(model, 2.0, plan, opts), 301)
+        out["simulate_path"][f"power gamma={label} n=200 m=10"] = {
+            **entry, "paths_sha256": digest.hexdigest()}
     for name, n in (("mean_reversion", 2000), ("shifted_covariate", 2000), ("custom", 200),
                     ("custom", 2000)):
         drift, domain = kinds[name]
