@@ -7,7 +7,13 @@ pass over the path and writes its increments; and the CSV row reader
 ``read_rows``, which scans digits eight at a time and converts a field of
 up to 19 significant digits by the Eisel-Lemire algorithm, or Clinger's
 exact quotient, and any other by ``strtod``, to the bits of
-``np.loadtxt``.  ``reflect_path`` calls a custom drift ``f(x, theta)``
+``np.loadtxt``; and its twin ``write_rows``, which writes rows as
+``simulate.write_csv`` does, every value as ``{:.17g}``: a zero, or a
+finite value of magnitude in [1e-16, 1e17), by exact 128-bit integer
+arithmetic (the 17 digits of m 5^s 2^(e + s) for v = m 2^e and
+s = 16 - floor(log10 |v|), rounded half to even), and it hands back a
+block that holds any other value, and every block on a build without
+``__int128``, for ``write_csv`` to format in Python.  ``reflect_path`` calls a custom drift ``f(x, theta)``
 directly, with the caller's ``theta`` object, and converts its result in
 C unless it is one of :data:`COMPLEX_TYPES`, and ``check_path`` reads the
 path's arrays through the buffer protocol, through eleven functions, one
@@ -30,8 +36,9 @@ with the sha256 of its own bytes, so a truncated or damaged file is rebuilt
 rather than loaded.  Without a compiler, when the build fails, or where the
 loading interpreter does not export those symbols, :func:`load`
 returns None and warns once per process; simulation then runs
-on the Python stepper, path CSVs are read by ``np.loadtxt`` and paths are
-validated by numpy, which give the same bits and errors.  Loading a cached
+on the Python stepper, path CSVs are read by ``np.loadtxt`` and written by
+``str.format``, and paths are validated by numpy, which give the same bits
+and errors.  Loading a cached
 library sets its mtime, and building one removes the other
 ``stepper-*.so`` files of its cache directory that no process has loaded
 for 30 days: older sources or flags left them there, while the library of
@@ -139,8 +146,8 @@ class Contrast(ctypes.Structure):
 
 def _open(path: Path):
     """The library, with the C signatures of ``reflect_path``,
-    ``contrast_residuals`` (the address of a :class:`Contrast` and theta)
-    and ``read_rows``; ``reflect_path_with_gil``: ``reflect_path`` called
+    ``contrast_residuals`` (the address of a :class:`Contrast` and theta),
+    ``read_rows`` and ``write_rows``; ``reflect_path_with_gil``: ``reflect_path`` called
     with the GIL held, for a custom drift, which the kernel calls through
     the Python C API; ctypes raises what the drift raised once it returns;
     and ``check_path``, also called with the GIL held, which it needs to
@@ -164,6 +171,8 @@ def _open(path: Path):
     lib.contrast_residuals.restype = None
     lib.read_rows.argtypes = [ctypes.c_char_p, long_, long_, ptr, long_]
     lib.read_rows.restype = long_
+    lib.write_rows.argtypes = [ptr, long_, long_, ptr, long_]
+    lib.write_rows.restype = long_
     obj = ctypes.py_object
     lib.check_path = ctypes.PYFUNCTYPE(ctypes.c_int, long_, obj, obj, obj, obj, obj, dbl, dbl,
                                        ctypes.c_int, obj, obj, obj)(("check_path", lib))
@@ -220,14 +229,14 @@ def _load():
     warnings.warn(f"reflectsde: {reason}; paths run on the Python stepper "
                   "(the same paths, 6 to 14 times slower for the built-in "
                   "drifts and about 3.3 times slower for custom ones), path CSVs "
-                  "are read by np.loadtxt and paths are validated by numpy rather "
-                  "than check_path", RuntimeWarning, stacklevel=2)
+                  "are read by np.loadtxt and written by str.format, and paths are "
+                  "validated by numpy rather than check_path", RuntimeWarning, stacklevel=2)
     return None
 
 
 def load():
     """The compiled library (``reflect_path``, ``contrast_residuals``,
-    ``check_path`` and ``read_rows``), built or loaded on the first call,
+    ``check_path``, ``read_rows`` and ``write_rows``), built or loaded on the first call,
     or None when it cannot be built."""
     with _LOCK:
         return _load()

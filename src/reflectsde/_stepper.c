@@ -9,8 +9,10 @@
  * Eisel-Lemire algorithm (Lemire 2021, "Number parsing at a gigabyte per
  * second", Softw. Pract. Exp. 51(8)), one the algorithm cannot round with
  * certainty by Clinger's exact quotient where that applies, and any other
- * by strtod; and check_path, the checks of SamplePath.validate and the
- * increments of the path in one pass.
+ * by strtod; check_path, the checks of SamplePath.validate and the
+ * increments of the path in one pass; and write_rows, the twin of the
+ * Python expression of simulate.write_csv, which formats rows of doubles
+ * as '{:.17g}' by exact 128-bit integer arithmetic.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add rounds once where Python rounds twice.  log, sqrt and pow
@@ -56,8 +58,9 @@ void PyErr_Clear(void);
 void Py_IncRef(PyObject *o);
 void Py_DecRef(PyObject *o);
 /* GCC calls these two through the GOT rather than the PLT, and check_path
- * comes last, so that every other function keeps its address: a 32-byte
- * shift of read_rows made it about 5% slower on a 2-vCPU Xeon. */
+ * and then write_rows, which calls no function of libc, come last, so
+ * that every other function keeps its address: a 32-byte shift of
+ * read_rows made it about 5% slower on a 2-vCPU Xeon. */
 #if defined(__GNUC__) && !defined(__clang__)
 #define NOPLT __attribute__((noplt))
 #else
@@ -597,4 +600,148 @@ release:
     while (held--)
         PyBuffer_Release(&views[held]);
     return bad;
+}
+
+#ifdef __SIZEOF_INT128__
+/* 5^s for s in [0, 27], the largest power of 5 below 2^64 */
+static const uint64_t POW5[] = {
+    1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125, 9765625, 48828125,
+    244140625, 1220703125, 6103515625, 30517578125, 152587890625, 762939453125,
+    3814697265625, 19073486328125, 95367431640625, 476837158203125, 2384185791015625,
+    11920928955078125, 59604644775390625, 298023223876953125, 1490116119384765625,
+    7450580596923828125,
+};
+
+/* Write the nd digits of d at p, the first last, with '.' after the first
+ * point of them where 0 < point < nd; return the end.  Digits are written
+ * in place, as a copy loop would compile to a call of memcpy. */
+static char *put_digits(uint64_t d, int nd, int point, char *p)
+{
+    char *end = p + nd + (point > 0 && point < nd), *q = end;
+    for (int i = nd - 1; i >= 0; i--, d /= 10) {
+        *--q = (char)('0' + d % 10);
+        if (i == point && i > 0)
+            *--q = '.';
+    }
+    return end;
+}
+
+/* Write v at p as Python's '{:.17g}'.format(v) and return the end, or
+ * return NULL where v is not zero and not of magnitude in [1e-16, 1e17):
+ * a NaN, an infinity, a subnormal, or a value outside that range.  With
+ * v = m 2^e and k = floor(log10 |v|), s = 16 - k lies in [0, 32], so
+ * N = m 5^s < 2^53 5^32 < 2^128 holds exactly in 128 bits, and the 17
+ * significant digits are N 2^(e + s) rounded to an integer, half to even
+ * on the exact remainder: the correctly rounded conversion of CPython's
+ * dtoa (the fixed-precision problem of Adams 2019, "Ryu revisited: printf
+ * floating point conversion").  The digits are laid out as %g lays them
+ * out: trailing zeros stripped, fixed notation for -4 <= k < 17, else
+ * d.ddde-XX. */
+static char *format_g17(double v, char *p)
+{
+    const uint64_t e16 = 10000000000000000, e17 = 100000000000000000;
+    uint64_t bits, m, d;
+    unsigned __int128 n, rem, half;
+    int e, k, s, t, nd = 17;
+    memcpy(&bits, &v, sizeof bits);
+    if (bits >> 63)
+        *p++ = '-';
+    bits &= ~((uint64_t)1 << 63);
+    if (bits == 0) {
+        *p++ = '0';
+        return p;
+    }
+    v = v < 0.0 ? -v : v;
+    /* 1e17 is a double exactly; a NaN fails the test too, and the search
+     * for k below hands back a magnitude under 10^-16 (the double 1e-16
+     * among them, which lies just below it) */
+    if (!(v < 1e17))
+        return NULL;
+    m = (bits & (((uint64_t)1 << 52) - 1)) | (uint64_t)1 << 52;
+    e = (int)(bits >> 52) - 1075;
+    /* |v| lies in [2^(e + 52), 2^(e + 53)), so k is floor((e + 52) log10 2)
+     * or one more; 78913 / 2^18 gives that floor exactly for |e| < 1650.
+     * Try the larger, which is at most 16 as |v| < 10^17 */
+    k = (((e + 52) * 78913) >> 18) + 1;
+    if (k > 16)
+        k = 16;
+    for (;; k--) {
+        s = 16 - k;
+        if (s > 32)
+            return NULL;
+        n = (unsigned __int128)m * POW5[s < 27 ? s : 27];
+        if (s > 27)
+            n *= POW5[s - 27];
+        t = e + s;
+        if (t >= 0) {
+            d = (uint64_t)(n << t);
+            rem = half = 0;
+        } else {
+            d = (uint64_t)(n >> -t);
+            rem = n & (((unsigned __int128)1 << -t) - 1);
+            half = (unsigned __int128)1 << (-t - 1);
+        }
+        /* floor(|v| 10^s) >= 10^16 exactly where k is floor(log10 |v|) */
+        if (d >= e16)
+            break;
+    }
+    if (rem > half || (rem == half && rem && (d & 1))) {
+        if (++d == e17) {
+            d = e16;
+            k++;
+        }
+    }
+    /* trailing zeros go, but not those of the integer part */
+    for (int keep = k < 0 ? 1 : k + 1; nd > keep && d % 10 == 0; nd--)
+        d /= 10;
+    if (k < -4) {
+        p = put_digits(d, nd, 1, p);
+        *p++ = 'e';
+        *p++ = '-';
+        *p++ = (char)('0' + -k / 10);
+        *p++ = (char)('0' + -k % 10);
+    } else if (k < 0) {
+        /* "0." and -k - 1 zeros */
+        p[0] = '0', p[1] = '.', p[2] = '0', p[3] = '0', p[4] = '0';
+        p = put_digits(d, nd, 0, p + 1 - k);
+    } else {
+        p = put_digits(d, nd, k + 1, p);
+    }
+    return p;
+}
+#endif
+
+/* The longest field format_g17 writes, '-0.000' and 17 digits or '-d.',
+ * 16 digits and 'e-XX', with its ',' or '\n'. */
+enum { FIELD_BYTES = 24 };
+
+/* Write nrows rows of the ncol columns of doubles cols[0], ..., cols[ncol -
+ * 1] at out, as simulate.write_csv writes them: every value as
+ * '{:.17g}'.format(v), fields separated by ',' and each row ended by '\n'.
+ * The compiled twin of the Python expression in write_csv, which stays
+ * the reference: returns the number of bytes written, or -1 where a value
+ * is handed back (see format_g17), where cap bytes could not hold
+ * FIELD_BYTES a field, or on a build without __int128, for the caller to
+ * format the rows itself.  Uses no function of libc. */
+long write_rows(const double *const *cols, long ncol, long nrows, char *out, long cap)
+{
+#ifdef __SIZEOF_INT128__
+    char *p = out;
+    if (cap < ncol * nrows * FIELD_BYTES)
+        return -1;
+    for (long i = 0; i < nrows; i++)
+        for (long j = 0; j < ncol; j++) {
+            if (!(p = format_g17(cols[j][i], p)))
+                return -1;
+            *p++ = j + 1 < ncol ? ',' : '\n';
+        }
+    return p - out;
+#else
+    (void)cols;
+    (void)ncol;
+    (void)nrows;
+    (void)out;
+    (void)cap;
+    return -1;
+#endif
 }

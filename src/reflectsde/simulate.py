@@ -31,7 +31,10 @@ custom drift whose result is not a real number, raise the same
 :class:`DataError` on both.  Without a C compiler,
 paths run on :func:`_reflect_path`.  The same library reads the CSV rows
 :func:`write_csv` writes; any other text goes to ``np.loadtxt``, which gives
-the same values and errors.
+the same values and errors.  It also writes them: its ``write_rows``
+formats blocks of rows to the bytes of the Python expression
+``"{:.17g}".format`` in :func:`write_csv`, which formats every block it
+hands back, and every row without the library.
 
 Every :class:`SamplePath` is checked as it is built, whether simulated,
 read from CSV, made by hand or by ``dataclasses.replace``, so no path
@@ -414,6 +417,9 @@ def _integrate(
             raise DataError("the drift is not a real number in observation interval "
                             f"{k + status // m}")
 
+    # step holds the arrays behind the addresses it passes as long as it
+    # lives: a caller's temporary buffer would otherwise be freed under the kernel
+    step.arrays = (shift, z, us, trace, fine)
     return step
 
 
@@ -549,18 +555,67 @@ def simulate_two_factor(
 # ---------------------------------------------------------------------------
 
 
+# Rows formatted at a time by the compiled write_rows, into one buffer of
+# at most this many rows of FIELD_BYTES a field, reused block after block
+_WRITE_ROWS = 4096
+# the longest field write_rows writes, with its separator
+_FIELD_BYTES = 24
+
+
 def write_csv(dest: str | Path | IO[str], header: str, *columns) -> None:
     """Write ``header`` and one row per position of the equal-length
-    ``columns``, every value as ``{:.17g}``."""
-    # Python floats and ints format faster than numpy scalars
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
-    line = ",".join(["{:.17g}"] * len(columns)) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(header + "\n")
-        dest.writelines(line.format(*row) for row in rows)
+    ``columns``, every value as ``{:.17g}``; raises ValueError where the
+    columns differ in length, before ``dest`` is opened.
+
+    Numeric columns (integers of magnitude below 2**53, which format as
+    their float) are converted to contiguous float64 once and formatted
+    in blocks of ``_WRITE_ROWS`` rows by the compiled ``write_rows`` (see
+    :mod:`._native`), which gives the bytes of the Python expression.  A
+    block that holds a value it hands back, which is anything but zero or
+    a magnitude in [1e-16, 1e17), is formatted by that expression, the
+    reference, as is every row without the library or of other columns."""
+    cols = [np.asarray(col) for col in columns]
+    if len({len(col) for col in cols}) > 1:
+        raise ValueError("write_csv: columns differ in length: "
+                         + ", ".join(str(len(col)) for col in cols))
+    if not hasattr(dest, "write"):
+        with open(dest, "w", encoding="utf-8") as fh:
+            write_csv(fh, header, *cols)
         return
-    with open(dest, "w", encoding="utf-8") as fh:
-        write_csv(fh, header, *columns)
+    dest.write(header + "\n")
+    line = ",".join(["{:.17g}"] * len(cols)) + "\n"
+    lib = _native.load() if cols else None
+    if lib is None or not all(_formats_as_float(col) for col in cols):
+        # Python floats and ints format faster than numpy scalars
+        dest.writelines(line.format(*row) for row in zip(*(col.tolist() for col in cols)))
+        return
+    cols = [np.ascontiguousarray(col, dtype=np.float64) for col in cols]
+    nrows = len(cols[0])
+    buf = bytearray(min(nrows, _WRITE_ROWS) * len(cols) * _FIELD_BYTES)
+    out = np.frombuffer(buf, dtype=np.uint8).ctypes.data
+    # the address of each column's next row, advanced block by block
+    starts = np.array([col.ctypes.data for col in cols], dtype=np.uintp)
+    for k in range(0, nrows, _WRITE_ROWS):
+        count = min(_WRITE_ROWS, nrows - k)
+        size = lib.write_rows(starts.ctypes.data, len(cols), count, out, len(buf))
+        if size < 0:
+            dest.writelines(line.format(*row) for row in
+                            zip(*(col[k:k + count].tolist() for col in cols)))
+        else:
+            dest.write(str(memoryview(buf)[:size], "ascii"))
+        starts += count * 8
+
+
+def _formats_as_float(col: np.ndarray) -> bool:
+    """Whether every value of ``col``, an array, formats as ``{:.17g}`` of
+    its float64: it is 1-d and of floats of at most 64 bits, of bools, or of
+    integers of magnitude below 2**53, which ``int.__format__`` converts
+    exactly."""
+    if col.ndim != 1 or col.dtype.kind not in "biuf" or col.dtype.itemsize > 8:
+        return False
+    if col.dtype.kind in "iu" and col.size:
+        return -2**53 < int(col.min()) and int(col.max()) < 2**53
+    return True
 
 
 def _read_rows(text: str, ncol: int) -> np.ndarray | None:

@@ -109,6 +109,41 @@ class TestParity:
             rs.simulate_two_factor(y0, r0, theta1, theta2, sigma, 0.0, 1.5, _PLAN, opts)))
         assert native == python
 
+    # 2,000 intervals of 10 fine steps: long enough for a one-ulp change of
+    # the drift on one stepper (x**0.5 by pow rather than sqrt) to show
+    @pytest.mark.parametrize("gamma", (0.5, 2.0 / 3.0, 1.0))
+    @pytest.mark.parametrize("two_sided", (True, False))
+    def test_long_power_paths_match(self, gamma, two_sided):
+        config = _model("power", gamma, sigma=0.8, two_sided=two_sided)
+        plan = rs.SamplingPlan(n=2000, h=0.01)
+        native, python = _on_both_backends(
+            lambda: [rs.simulate_path(config, 2.0, plan, rs.SimOptions(substeps=10, seed=2020))])
+        assert native == python and isinstance(native, list)
+
+    def test_stepper_holds_its_buffers(self, backend):
+        # the kernel is passed addresses, so a buffer that only the stepper
+        # refers to must live as long as the stepper does
+        n, m = 200, 10
+        draws = np.random.default_rng(8)
+        z, us = 0.05 * draws.standard_normal(n * m), draws.random(n * m)
+        drift = simulate._drift_of_state(rs.DriftSpec.power(0.5), 2.0)
+
+        def run(temporary):
+            trace = (np.full(n + 1, 0.5), np.zeros(n + 1), np.zeros(n + 1),
+                     np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+            held = z.copy(), us.copy()
+            buffers = (z.copy(), us.copy()) if temporary else held
+            step = simulate._integrate(drift, *buffers, m, 0.0, 1.0, 0.01 / m,
+                                       2.0 * 0.8**2 * 0.01 / m, True, trace)
+            del buffers
+            # memory the size of a buffer, written over
+            junk = [np.full(n * m, 7.0) for _ in range(8)]
+            step(0, n)
+            del junk
+            return [arr.tobytes() for arr in trace]
+
+        assert run(temporary=True) == run(temporary=False)
+
     @pytest.mark.parametrize("gamma", (0.5, 2.0 / 3.0, 1.0))
     @pytest.mark.parametrize("sigma", (0.0, 0.8))
     @pytest.mark.parametrize("scheme", (rs.LEPINGLE, rs.PROJECTION))
@@ -1038,6 +1073,16 @@ class TestCsvFieldConversion:
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         built = _native._open(lib)
+        # write_rows formats with __int128 and hands every value back without
+        values = [0.5, -0.0, 1e-5, 123.25, math.nan]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_native, "load", lambda: built)
+            assert test_simulate._written("v", values) == test_simulate._formatted("v", values)
+        col = np.array(values[:-1])
+        out = np.empty(len(col) * simulate._FIELD_BYTES, dtype=np.uint8)
+        size = built.write_rows(np.array([col.ctypes.data], dtype=np.uintp).ctypes.data, 1,
+                                len(col), out.ctypes.data, len(out))
+        assert (size < 0) == bool(extra)
         for field in _FIELDS:
             raw = (field + "\n").encode()
             out = np.empty((1, 1))

@@ -1353,6 +1353,170 @@ class TestGoldenCsv:
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
                 == _GOLDEN_CSV_DIGESTS["two_factor"])
 
+    # the same bytes from the Python expression alone
+    @pytest.mark.parametrize("kind", ("two_sided", "one_sided"))
+    def test_path_csv_bytes_on_python_writer(self, kind, tmp_path, python_stepper):
+        self.test_path_csv_bytes(kind, tmp_path)
+
+    def test_two_factor_csv_bytes_on_python_writer(self, tmp_path, python_stepper):
+        self.test_two_factor_csv_bytes(tmp_path)
+
+
+def _formatted(header, *columns):
+    """What the Python expression of ``write_csv`` writes, the reference."""
+    line = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    return header + "\n" + "".join(line.format(*row) for row in rows)
+
+
+def _written(header, *columns):
+    buf = io.StringIO()
+    simulate.write_csv(buf, header, *columns)
+    return buf.getvalue()
+
+
+def _written_on_both(header, *columns):
+    """The text ``write_csv`` writes with the compiled ``write_rows`` (None
+    without the library) and on the Python expression alone."""
+    native = None if _native.load() is None else _written(header, *columns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        python = _written(header, *columns)
+    return native, python
+
+
+def _ties():
+    """Doubles halfway between two 17-digit decimals: j / 2^(s + 1) for odd
+    j with j 5^s in [2e16, 2e17), so that 10^s v is an odd multiple of 1/2
+    between 10^16 and 10^17."""
+    ties = []
+    for s in range(1, 25):
+        lo, hi = -(-2 * 10**16 // 5**s), min(2 * 10**17 // 5**s, 2**53)
+        for j in np.linspace(lo, hi - 1, 9).astype(np.int64).tolist():
+            j |= 1
+            if j < hi:
+                ties.append(math.ldexp(j, -(s + 1)))
+    return ties
+
+
+def _neighbours(v):
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+class TestCsvWriter:
+    """``write_csv`` writes the bytes of its Python expression, ``{:.17g}``
+    a value, whether the compiled ``write_rows`` formats a block of rows or
+    hands it back."""
+
+    @given(values=st.lists(st.floats() | st.floats(1e-16, 1e17) | st.floats(-1e17, -1e-16),
+                           min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_double_on_both_backends(self, values):
+        expected = _formatted("a,b", values, values[::-1])
+        native, python = _written_on_both("a,b", values, values[::-1])
+        assert python == expected
+        assert native in (None, expected)
+
+    @pytest.mark.parametrize("values", (
+        [0.0, -0.0],
+        [*_neighbours(1e-16), 1e-16 * 1.0000000000000002],
+        _neighbours(1e17),
+        [float(f"1e{k}") * sign for k in range(-20, 21) for sign in (1, -1)],
+        [math.ldexp(1.0, k) * sign for k in range(-60, 61) for sign in (1, -1)],
+        [*_ties(), 2251799813685247.75, 0.5, 2.5, -0.125],
+        [k * 0.01 for k in range(2001)],
+        [9.9999999999999995e-5, 0.0001, 9.999999999999999e-5, 1e-5, 123456789012345680.0],
+    ), ids=("zeros", "1e-16", "1e17", "powers_of_10", "powers_of_2", "ties", "times", "edges"))
+    def test_edges_on_both_backends(self, values):
+        native, python = _written_on_both("v,w", values, np.negative(values))
+        assert python == _formatted("v,w", values, np.negative(values))
+        assert native in (None, python)
+
+    def test_ties_and_range_ends_are_formatted_in_c(self):
+        lib = _native.load()
+        if lib is None:
+            pytest.skip("no compiled library")
+        col = np.array([*_ties(), 0.0, -0.0, np.nextafter(1e-16, 1.0), np.nextafter(1e17, 0.0)])
+        out = np.empty(len(col) * simulate._FIELD_BYTES, dtype=np.uint8)
+        size = lib.write_rows(np.array([col.ctypes.data], dtype=np.uintp).ctypes.data, 1,
+                              len(col), out.ctypes.data, len(out))
+        assert out[:size].tobytes().decode() == _formatted("v", col).partition("\n")[2]
+        assert _written("v", [2251799813685247.75]) == "v\n2251799813685247.8\n"
+        # the longest fields fit the bytes a field that write_csv reserves
+        longest = [-1.2345678901234567e-16, -0.00012345678901234567]
+        assert max(map(len, _written(",", longest, longest).splitlines()[1:])) == (
+            2 * simulate._FIELD_BYTES - 1)
+
+    @pytest.mark.parametrize("value", (math.nan, -math.inf, math.inf, 5e-324, 2.0**-1070,
+                                       1e-16, -1e17, 1e300))
+    def test_block_with_one_handed_back_value(self, value, monkeypatch):
+        lib = _native.load()
+        if lib is None:
+            pytest.skip("no compiled library")
+        sizes, write_rows = [], lib.write_rows
+
+        def spy(*args):
+            sizes.append(write_rows(*args))
+            return sizes[-1]
+
+        values = np.linspace(0.5, 3.0, 11)
+        values[6] = value
+        monkeypatch.setattr(simulate, "_WRITE_ROWS", 4)
+        monkeypatch.setattr(lib, "write_rows", spy)
+        assert _written("x,y", values, values * 2) == _formatted("x,y", values, values * 2)
+        # rows 4 to 7 go to the Python expression, the others to write_rows
+        assert [size < 0 for size in sizes] == [False, True, False]
+
+    def test_integer_columns_of_mc(self):
+        ns = np.repeat([200, 2000], 3)
+        reps = np.concatenate([np.arange(3), np.arange(3)])
+        theta = np.array([1.9, 2.1, math.nan, 2.0, 1.99, 2.01])
+        for columns in ((ns, reps, theta), ((200, 2000), (0.1, math.nan), (7, 8)),
+                        ([2**53 - 1, -(2**53 - 1)], [True, False]),
+                        (np.array([2**53 + 1, 0], dtype=np.int64), np.array([2**64 - 1, 1],
+                                                                            dtype=np.uint64))):
+            native, python = _written_on_both("h", *columns)
+            assert python == _formatted("h", *columns)
+            assert native in (None, python)
+
+    def test_other_columns_take_the_python_expression(self):
+        # 2-d and complex columns fail, and strings format, as they did
+        for columns in (([[1.0, 2.0]],), ([1 + 2j],), (["1.5"],)):
+            try:
+                expected = _formatted("h", *columns)
+            except (TypeError, ValueError) as exc:
+                with pytest.raises(type(exc)):
+                    _written("h", *columns)
+            else:
+                assert _written("h", *columns) == expected
+        assert _written("h") == "h\n"
+        assert _written("a,b", [], []) == "a,b\n"
+
+    @pytest.mark.parametrize("on_python", (False, True))
+    def test_unequal_columns_refused(self, on_python, monkeypatch, tmp_path):
+        if on_python:
+            monkeypatch.setattr(_native, "load", lambda: None)
+        with pytest.raises(ValueError, match="columns differ in length: 3, 2"):
+            _written("a,b", [1.0, 2.0, 3.0], [4.0, 5.0])
+        out = tmp_path / "kept.csv"
+        out.write_text("kept\n")
+        with pytest.raises(ValueError, match="differ in length"):
+            simulate.write_csv(out, "a,b", [1.0], [])
+        assert out.read_text() == "kept\n"
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                           | st.floats(1e-16, 1e17), min_size=2, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_through_read_rows(self, values):
+        if _native.load() is None:
+            pytest.skip("no compiled library")
+        text = _written("a,b", values, values[::-1]).partition("\n")[2]
+        data = simulate._read_rows(text, 2)
+        # read_rows hands a subnormal (ERANGE from strtod) to np.loadtxt
+        if data is None:
+            data = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+        assert data.tobytes() == np.array([values, values[::-1]]).T.tobytes()
+
 
 class TestOptionsValidation:
     def test_bad_substeps(self):

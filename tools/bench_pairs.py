@@ -27,7 +27,8 @@ the power closed form ``estimate_power_closed_form`` at n = 200 and
 hex) on 60 two-factor paths, ``SamplePath.validate``
 of a simulated path at n = 200 and 2,000 with the compiled check and on
 the numpy fallback (a checkout without the check runs numpy in both
-rows), the CSV reader on the five CSVs of the estimate_ci workload, its
+rows), ``write_path_csv`` of a two-sided path at n = 2,000 into a
+``StringIO`` with a sha256 of the bytes, the CSV reader on the five CSVs of the estimate_ci workload, its
 time-grid check, a custom drift's fine step, a sha256 of every search
 result over 60 paths per drift kind on both steppers, ``simulate_path`` of
 the power drift at γ = ½, ⅔ and 1 at the table-1 shape (two-sided,
@@ -281,6 +282,12 @@ def percall(root: Path) -> dict:
         _native.load = lambda: None
         out["validate"][f"numpy n={n}"] = _best_median(path.validate, 2001)
         _native.load = load
+    path = path_of(rs.DriftSpec.power(0.5), 2000, 7)
+    written = io.StringIO()
+    rs.write_path_csv(path, written)
+    out["write_path_csv"] = {"power gamma=1/2 two-sided n=2000": {
+        **_best_median(lambda: rs.write_path_csv(path, io.StringIO()), 301),
+        "csv_sha256": hashlib.sha256(written.getvalue().encode()).hexdigest()}}
     with tempfile.TemporaryDirectory() as tmp:
         for leg in workloads.CLI_LEGS:
             cfg, csv = Path(tmp, leg.name + ".cfg"), Path(tmp, leg.name + ".csv")
