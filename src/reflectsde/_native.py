@@ -3,7 +3,7 @@ fine-step kernel ``reflect_path``; ``contrast_residuals``, the residuals
 of the least-squares contrast for a mean-reversion or shifted-covariate
 drift in one pass, fixed once per search by a :class:`Contrast`;
 ``check_path``, which makes every check of ``SamplePath.validate`` in one
-pass over the path and writes its increments; and the CSV row reader
+pass over the path and writes its increments; the CSV row reader
 ``read_rows``, which scans digits eight at a time and converts a field of
 up to 19 significant digits by the Eisel-Lemire algorithm, or Clinger's
 exact quotient, and any other by ``strtod``, to the bits of
@@ -13,9 +13,10 @@ finite value of magnitude in [1e-16, 1e17), by exact 128-bit integer
 arithmetic (the 17 digits of m 5^s 2^(e + s) for v = m 2^e and
 s = 16 - floor(log10 |v|), rounded half to even), and it hands back a
 block that holds any other value, and every block on a build without
-``__int128``, for ``write_csv`` to format in Python.  ``reflect_path`` calls a custom drift ``f(x, theta)``
-directly, with the caller's ``theta`` object, and converts its result in
-C unless it is one of :data:`COMPLEX_TYPES`, and ``check_path`` reads the
+``__int128``, for ``write_csv`` to format in Python.  ``reflect_path``
+calls a custom drift ``f(x, theta)`` directly, with the caller's
+``theta`` object, and converts its result in C unless it is one of
+:data:`COMPLEX_TYPES`, and ``check_path`` reads the
 path's arrays through the buffer protocol, through eleven functions, one
 exception, one type and ``None`` of CPython's stable ABI
 (``PyFloat_FromDouble``, ``PyObject_CallFunctionObjArgs``,
@@ -38,8 +39,7 @@ loading interpreter does not export those symbols, :func:`load`
 returns None and warns once per process; simulation then runs
 on the Python stepper, path CSVs are read by ``np.loadtxt`` and written by
 ``str.format``, and paths are validated by numpy, which give the same bits
-and errors.  Loading a cached
-library sets its mtime, and building one removes the other
+and errors.  Loading a cached library sets its mtime, and building one removes the other
 ``stepper-*.so`` files of its cache directory that no process has loaded
 for 30 days: older sources or flags left them there, while the library of
 another version in use stays.
@@ -147,8 +147,8 @@ class Contrast(ctypes.Structure):
 def _open(path: Path):
     """The library, with the C signatures of ``reflect_path``,
     ``contrast_residuals`` (the address of a :class:`Contrast` and theta),
-    ``read_rows`` and ``write_rows``; ``reflect_path_with_gil``: ``reflect_path`` called
-    with the GIL held, for a custom drift, which the kernel calls through
+    ``read_rows`` and ``write_rows``; ``reflect_path_with_gil``:
+    ``reflect_path`` called with the GIL held, for a custom drift, which the kernel calls through
     the Python C API; ctypes raises what the drift raised once it returns;
     and ``check_path``, also called with the GIL held, which it needs to
     take the buffers of the arrays it is passed.
@@ -236,7 +236,7 @@ def _load():
 
 def load():
     """The compiled library (``reflect_path``, ``contrast_residuals``,
-    ``check_path``, ``read_rows`` and ``write_rows``), built or loaded on the first call,
-    or None when it cannot be built."""
+    ``check_path``, ``read_rows`` and ``write_rows``), built or loaded on
+    the first call, or None when it cannot be built."""
     with _LOCK:
         return _load()

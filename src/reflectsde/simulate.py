@@ -556,7 +556,7 @@ def simulate_two_factor(
 
 
 # Rows formatted at a time by the compiled write_rows, into one buffer of
-# at most this many rows of FIELD_BYTES a field, reused block after block
+# at most this many rows of _FIELD_BYTES a field, reused block after block
 _WRITE_ROWS = 4096
 # the longest field write_rows writes, with its separator
 _FIELD_BYTES = 24
@@ -583,11 +583,9 @@ def write_csv(dest: str | Path | IO[str], header: str, *columns) -> None:
             write_csv(fh, header, *cols)
         return
     dest.write(header + "\n")
-    line = ",".join(["{:.17g}"] * len(cols)) + "\n"
     lib = _native.load() if cols else None
     if lib is None or not all(_formats_as_float(col) for col in cols):
-        # Python floats and ints format faster than numpy scalars
-        dest.writelines(line.format(*row) for row in zip(*(col.tolist() for col in cols)))
+        _format_rows(dest, cols)
         return
     cols = [np.ascontiguousarray(col, dtype=np.float64) for col in cols]
     nrows = len(cols[0])
@@ -599,11 +597,17 @@ def write_csv(dest: str | Path | IO[str], header: str, *columns) -> None:
         count = min(_WRITE_ROWS, nrows - k)
         size = lib.write_rows(starts.ctypes.data, len(cols), count, out, len(buf))
         if size < 0:
-            dest.writelines(line.format(*row) for row in
-                            zip(*(col[k:k + count].tolist() for col in cols)))
+            _format_rows(dest, [col[k:k + count] for col in cols])
         else:
             dest.write(str(memoryview(buf)[:size], "ascii"))
         starts += count * 8
+
+
+def _format_rows(dest: IO[str], cols: list[np.ndarray]) -> None:
+    """Write the rows of ``cols`` by the Python expression, the reference."""
+    line = ",".join(["{:.17g}"] * len(cols)) + "\n"
+    # Python floats and ints format faster than numpy scalars
+    dest.writelines(line.format(*row) for row in zip(*(col.tolist() for col in cols)))
 
 
 def _formats_as_float(col: np.ndarray) -> bool:

@@ -1419,7 +1419,7 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("values", (
         [0.0, -0.0],
-        [*_neighbours(1e-16), 1e-16 * 1.0000000000000002],
+        _neighbours(1e-16),
         _neighbours(1e17),
         [float(f"1e{k}") * sign for k in range(-20, 21) for sign in (1, -1)],
         [math.ldexp(1.0, k) * sign for k in range(-60, 61) for sign in (1, -1)],
@@ -1467,20 +1467,23 @@ class TestCsvWriter:
         # rows 4 to 7 go to the Python expression, the others to write_rows
         assert [size < 0 for size in sizes] == [False, True, False]
 
-    def test_integer_columns_of_mc(self):
-        ns = np.repeat([200, 2000], 3)
-        reps = np.concatenate([np.arange(3), np.arange(3)])
-        theta = np.array([1.9, 2.1, math.nan, 2.0, 1.99, 2.01])
-        for columns in ((ns, reps, theta), ((200, 2000), (0.1, math.nan), (7, 8)),
-                        ([2**53 - 1, -(2**53 - 1)], [True, False]),
-                        (np.array([2**53 + 1, 0], dtype=np.int64), np.array([2**64 - 1, 1],
-                                                                            dtype=np.uint64))):
-            native, python = _written_on_both("h", *columns)
-            assert python == _formatted("h", *columns)
-            assert native in (None, python)
+    @pytest.mark.parametrize("columns", (
+        # the int64 n and rep of estimates.csv, beside a failed estimate
+        (np.repeat([200, 2000], 3), np.tile(np.arange(3), 2),
+         np.array([1.9, 2.1, math.nan, 2.0, 1.99, 2.01])),
+        # summary.csv, whose columns are tuples
+        ((200, 2000), (0.1, math.nan), (7, 8)),
+        ([2**53 - 1, -(2**53 - 1)], [True, False]),
+        # from 2**53 on, an integer formats as int.__format__ rounds it
+        (np.array([2**53 + 1, 0], dtype=np.int64), np.array([2**64 - 1, 1], dtype=np.uint64)),
+    ), ids=("estimates", "summary", "exact_ints", "large_ints"))
+    def test_integer_columns_of_mc(self, columns):
+        native, python = _written_on_both("h", *columns)
+        assert python == _formatted("h", *columns)
+        assert native in (None, python)
 
     def test_other_columns_take_the_python_expression(self):
-        # 2-d and complex columns fail, and strings format, as they did
+        # a 2-d or string column fails, and a complex one formats, as before
         for columns in (([[1.0, 2.0]],), ([1 + 2j],), (["1.5"],)):
             try:
                 expected = _formatted("h", *columns)

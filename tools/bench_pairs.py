@@ -28,8 +28,9 @@ hex) on 60 two-factor paths, ``SamplePath.validate``
 of a simulated path at n = 200 and 2,000 with the compiled check and on
 the numpy fallback (a checkout without the check runs numpy in both
 rows), ``write_path_csv`` of a two-sided path at n = 2,000 into a
-``StringIO`` with a sha256 of the bytes, the CSV reader on the five CSVs of the estimate_ci workload, its
-time-grid check, a custom drift's fine step, a sha256 of every search
+``StringIO`` with a sha256 of the bytes, the CSV reader on the five CSVs
+of the estimate_ci workload, its time-grid check, a custom drift's fine
+step, a sha256 of every search
 result over 60 paths per drift kind on both steppers, ``simulate_path`` of
 the power drift at γ = ½, ⅔ and 1 at the table-1 shape (two-sided,
 n = 200, m = 10) with a sha256 of 60 such paths per γ, and the cold start:
