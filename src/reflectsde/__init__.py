@@ -17,11 +17,9 @@ from .simulate import (
     SimOptions,
     TwoFactorPath,
     read_path_csv,
-    read_two_factor_csv,
     simulate_path,
     simulate_two_factor,
     write_path_csv,
-    write_two_factor_csv,
 )
 from .stationary import (
     DensityGrid,
@@ -88,7 +86,6 @@ __all__ = [
     "nlse_optimize",
     "normality_diagnostic",
     "read_path_csv",
-    "read_two_factor_csv",
     "run_mc",
     "run_mc_two_factor",
     "simulate_path",
@@ -97,6 +94,5 @@ __all__ = [
     "summarize",
     "validate_regime",
     "write_path_csv",
-    "write_two_factor_csv",
     "__version__",
 ]

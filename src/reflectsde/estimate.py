@@ -353,9 +353,7 @@ def estimate_nlse(
                    level=level)
 
 
-def estimate_two_factor(
-    tf: TwoFactorPath, sigma: float, level: float = 0.95
-) -> tuple[EstimateResult, EstimateResult]:
+def estimate_two_factor(tf: TwoFactorPath, sigma: float) -> tuple[EstimateResult, EstimateResult]:
     """Closed-form least-squares estimates for the two-factor system.
 
     The log-price equation gives
@@ -365,7 +363,7 @@ def estimate_two_factor(
 
     Standard errors use information constants 1 (log price) and the path
     average of (1-R)^2 (short rate), the ergodic plug-in for its stationary
-    expectation.
+    expectation.  The confidence intervals are at level 0.95.
     """
     if sigma < 0.0:
         raise ModelError("sigma must be >= 0")
@@ -379,6 +377,6 @@ def estimate_two_factor(
     results = []
     for fit, info in zip(fits, (1.0, float(np.mean(one_minus_r**2)))):
         se = math.sqrt(sigma**2 / (tf.n * tf.h * info)) if info > 0 else math.inf
-        results.append(replace(fit, stderr=se, ci=confidence_interval(fit.theta_hat, se, level),
-                               level=level))
+        results.append(replace(fit, stderr=se, ci=confidence_interval(fit.theta_hat, se),
+                               level=0.95))
     return tuple(results)

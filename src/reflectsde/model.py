@@ -288,28 +288,40 @@ _FLOAT64 = np.dtype(np.float64)
 def eval_on_array(g: Callable[[float], float], x: np.ndarray, what: str = "g") -> np.ndarray:
     """Evaluate ``g`` on the whole array ``x``, or value by value when ``g``
     rejects arrays (custom drifts need not accept them) or returns a result
-    of another shape.  Built-in drifts keep the shape of ``x`` through
-    their ``0.0 * x`` terms, so a custom drift that reduces over its
-    argument is caught here rather than broadcast.  A complex result, which
-    the conversion to float would cut to its real part, raises
-    :class:`DataError` "``what`` is not a real number"."""
+    of another shape or kind.  Built-in drifts keep the shape of ``x``
+    through their ``0.0 * x`` terms, so a custom drift that reduces over its
+    argument is caught here rather than broadcast.  Values convert as the
+    steppers convert a drift's result, by ``math.ldexp(v, 0)``, and what
+    they refuse raises their :class:`DataError`: "``what`` is not a real
+    number" for a complex value, which a cast would cut to its real part, a
+    str, bytes or None, and a str or bytes array, which a cast would parse;
+    "``what`` left the finite range" for an int too large for a double."""
     x = np.asarray(x, dtype=float)
+    kind = "f"
     try:
         out = g(x)
         # a float64 array, the usual result, is not looked into
-        complex_ = getattr(out, "dtype", None) is not _FLOAT64 and np.iscomplexobj(out)
-        if not complex_:
-            out = np.asarray(out, dtype=float)
-            if out.shape == x.shape:
-                return out
+        if getattr(out, "dtype", None) is not _FLOAT64:
+            kind = np.asarray(out).dtype.kind
+            # bool, int, uint and float arrays convert as their values do
+            out = np.asarray(out, dtype=float) if kind in "biuf" else None
+        if out is not None and out.shape == x.shape:
+            return out
     except (TypeError, ValueError):
-        complex_ = False
-    if not complex_:
+        pass
+    if kind not in "cSU":
         values = [g(float(v)) for v in x]
-        complex_ = any(issubclass(t, COMPLEX_TYPES) for t in set(map(type, values)) - {float})
-    if complex_:
-        raise DataError(f"{what} is not a real number")
-    return np.array(values, dtype=float)
+        kinds = set(map(type, values)) - {float}
+        if not kinds:
+            return np.array(values, dtype=float)
+        if not any(issubclass(t, COMPLEX_TYPES) for t in kinds):
+            try:
+                return np.array([math.ldexp(v, 0) for v in values])
+            except OverflowError as exc:
+                raise DataError(f"{what} left the finite range: {exc}") from exc
+            except TypeError:
+                pass
+    raise DataError(f"{what} is not a real number")
 
 
 def validate_drift_derivatives(

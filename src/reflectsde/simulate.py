@@ -97,35 +97,40 @@ class SimOptions:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """Discrete observations of the state and its regulators.
+    """Discrete observations of the state and its regulators at the
+    times ``t0 + k h`` (see :attr:`times`).
 
-    ``l`` and ``r`` hold the cumulative lower/upper regulator values at the
-    observation times (``r`` is identically zero for one-sided paths).
-    ``hit_lower``/``hit_upper`` flag, per observation interval, whether any
-    fine step touched the corresponding barrier; they are not serialized.
-    ``increments`` holds (dx, dl, dr), the read-only increments of ``x``,
-    ``l`` and ``r`` over each observation interval, taken once by the
-    checks the path makes as it is built (see :meth:`validate`) and never
-    replaced: every estimator reads them, the compiled contrast by address.
+    ``x``, ``l`` and ``r`` are one-dimensional; ``l`` and ``r`` hold the
+    cumulative lower/upper regulator values (``r`` is identically zero for
+    one-sided paths).  ``hit_lower``/``hit_upper`` flag, per observation
+    interval, whether any fine step touched the corresponding barrier; they
+    are not serialized.  ``increments`` holds (dx, dl, dr), the read-only
+    increments of ``x``, ``l`` and ``r`` over each observation interval,
+    taken once by the checks the path makes as it is built (see
+    :meth:`validate`) and never replaced: every estimator reads them, the
+    compiled contrast by address.
     """
 
     h: float
-    times: np.ndarray
     x: np.ndarray
     l: np.ndarray
     r: np.ndarray
     barriers: BarrierConfig
     hit_lower: np.ndarray | None = None
     hit_upper: np.ndarray | None = None
+    t0: float = 0.0
     increments: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("times", "x", "l", "r"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        for name in ("x", "l", "r"):
+            arr = _frozen(getattr(self, name))
+            if arr.ndim != 1:
+                raise DataError(f"path {name} must be one-dimensional, got shape {arr.shape}")
+            object.__setattr__(self, name, arr)
         if len(self.x) < 2:
             raise DataError("a path needs at least two observations")
-        if not (len(self.times) == len(self.x) == len(self.l) == len(self.r)):
+        if not (len(self.x) == len(self.l) == len(self.r)):
             raise DataError("path arrays must have equal lengths")
         for name in ("hit_lower", "hit_upper"):
             arr = getattr(self, name)
@@ -134,11 +139,22 @@ class SamplePath:
                 if arr.shape != (self.n,):
                     raise DataError(f"{name} must hold one flag per observation interval")
                 object.__setattr__(self, name, arr)
+        if not math.isfinite(self.t0):
+            raise DataError(f"the start time t0 must be finite, got {self.t0!r}")
         steps = self._check()
         for arr in steps:
             arr.setflags(write=False)
         object.__setattr__(self, "increments", steps)
-        object.__setattr__(self, "h", float(self.h))
+        for name in ("h", "t0"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
+    @property
+    def times(self) -> np.ndarray:
+        """The observation times ``t0 + k h``, k = 0, ..., n, in a new
+        read-only array."""
+        times = self.t0 + np.arange(self.n + 1) * self.h
+        times.setflags(write=False)
+        return times
 
     @property
     def n(self) -> int:
@@ -480,13 +496,12 @@ def _simulate(
         for gen, step, _, _ in runs:
             rng.fill_draws(gen, u[:rows], z[:rows], us[:rows], scale)
             step(k, count)
-    times = np.arange(n + 1) * plan.h
     paths = []
     for _, _, trace, barriers in runs:
-        for arr in (times, *trace):  # fresh, so the path keeps them uncopied
+        for arr in trace:  # fresh, so the path keeps them uncopied
             arr.setflags(write=False)
         xs, ls, rs, hit_lo, hit_up = trace
-        paths.append(SamplePath(h=plan.h, times=times, x=xs, l=ls, r=rs, barriers=barriers,
+        paths.append(SamplePath(h=plan.h, x=xs, l=ls, r=rs, barriers=barriers,
                                 hit_lower=hit_lo, hit_upper=hit_up))
     return paths
 
@@ -639,16 +654,15 @@ def _read_rows(text: str, ncol: int) -> np.ndarray | None:
     return None if rows < 0 else data[:rows]
 
 
-def _read_csv(
-    src: str | Path | IO[str], headers: tuple[str, ...], whole: bool = False
-) -> tuple[np.ndarray, float]:
-    """Read a CSV whose header is one of ``headers`` and whose first column
-    holds regularly spaced times; returns the data rows and the time step.
-    ``whole`` says that the handle translates newlines, as a file opened
-    here does, so its body is read in one ``read()``."""
+def _read_csv(src: str | Path | IO[str], whole: bool = False) -> tuple[np.ndarray, float]:
+    """Read a two-sided (``t,x,l,r``) or one-sided (``t,x,l``) path CSV,
+    whose first column holds regularly spaced times; returns the data rows
+    and the time step.  ``whole`` says that the handle translates newlines,
+    as a file opened here does, so its body is read in one ``read()``."""
+    headers = ("t,x,l,r", "t,x,l")
     if not hasattr(src, "read"):
         with open(src, "r", encoding="utf-8") as fh:
-            return _read_csv(fh, headers, whole=True)
+            return _read_csv(fh, whole=True)
     try:
         header = src.readline().strip()
         if header not in headers:
@@ -705,30 +719,11 @@ def read_path_csv(src: str | Path | IO[str], barriers: BarrierConfig) -> SampleP
     """Read a path written by :func:`write_path_csv`.
 
     The CSV does not carry barrier geometry, so it must be supplied (for the
-    command-line tools it comes from the model configuration file).
+    command-line tools it comes from the model configuration file).  The
+    path keeps the first time and the first step of the t column, which
+    must be regularly spaced to 1e-9 h, as its ``t0`` and ``h``.
     """
-    data, h = _read_csv(src, ("t,x,l,r", "t,x,l"))
+    data, h = _read_csv(src)
     r = data[:, 3] if data.shape[1] == 4 else np.zeros(len(data))
-    return SamplePath(h=h, times=data[:, 0], x=data[:, 1], l=data[:, 2],
-                      r=r, barriers=barriers)
-
-
-def write_two_factor_csv(tf: TwoFactorPath, dest: str | Path | IO[str]) -> None:
-    """Write ``t,y,l1,u1,r,l2`` rows."""
-    write_csv(dest, "t,y,l1,u1,r,l2",
-              tf.y.times, tf.y.x, tf.y.l, tf.y.r, tf.rshort.x, tf.rshort.l)
-
-
-def read_two_factor_csv(
-    src: str | Path | IO[str], a: float, b: float
-) -> TwoFactorPath:
-    """Read a two-factor path written by :func:`write_two_factor_csv`."""
-    data, h = _read_csv(src, ("t,y,l1,u1,r,l2",))
-    times = data[:, 0]
-    zeros = np.zeros(len(times))
-    return TwoFactorPath(
-        y=SamplePath(h=h, times=times, x=data[:, 1], l=data[:, 2],
-                     r=data[:, 3], barriers=BarrierConfig.two_sided(a, b)),
-        rshort=SamplePath(h=h, times=times, x=data[:, 4], l=data[:, 5],
-                          r=zeros, barriers=BarrierConfig.one_sided_lower(0.0)),
-    )
+    return SamplePath(h=h, x=data[:, 1], l=data[:, 2], r=r, barriers=barriers,
+                      t0=data[0, 0])

@@ -21,7 +21,6 @@ from conftest import power_model
 def two_point_path():
     return rs.SamplePath(
         h=0.01,
-        times=np.array([0.0, 0.01]),
         x=np.array([1.0, 0.99]),
         l=np.zeros(2),
         r=np.zeros(2),
@@ -58,7 +57,7 @@ class TestContrast:
 
     def test_single_point_path_rejected(self):
         with pytest.raises(DataError):
-            rs.SamplePath(h=0.01, times=np.array([0.0]), x=np.array([1.0]),
+            rs.SamplePath(h=0.01, x=np.array([1.0]),
                           l=np.zeros(1), r=np.zeros(1),
                           barriers=rs.BarrierConfig.one_sided_lower(0.0))
 
@@ -251,6 +250,39 @@ class TestComplexDrift:
                 rs.nlse_optimize(path, spec, (-5.0, 5.0))
 
 
+class TestUnconvertibleDrift:
+    """A custom drift whose values the steppers refuse, as
+    ``math.ldexp(v, 0)`` does a str, bytes or None, is refused alike in the
+    contrast on either backend, as are the str and bytes arrays of a
+    vectorised drift.  They were parsed: a drift that returned
+    ``str(theta * (1 - x))`` gave the mean-reversion contrast to the last
+    bit."""
+
+    @pytest.mark.parametrize("backend", ("compiled", "numpy"))
+    @pytest.mark.parametrize("f", (
+        # a numpy str or bytes scalar a value, an array of them on arrays
+        lambda x, th: np.asarray(th * (1.0 - x)).astype(str)[()],
+        lambda x, th: np.asarray(th * (1.0 - x)).astype(bytes)[()],
+        lambda x, th: str(_scalar_drift(x, th)),
+        lambda x, th: str(_scalar_drift(x, th)).encode(),
+        lambda x, th: None,
+    ), ids=("str-array", "bytes-array", "str", "bytes", "none"))
+    def test_unconvertible_drift_is_refused(self, f, backend, monkeypatch):
+        if backend == "numpy":
+            monkeypatch.setattr(_native, "load", lambda: None)
+        spec = rs.DriftSpec.custom(f, lambda x, th: 1.0 - x, lambda x, th: 0.0, 1.0)
+        config = rs.ModelConfig(drift=spec, sigma=0.5,
+                                barriers=rs.BarrierConfig.two_sided(0.0, 3.0),
+                                theta_domain=(-5.0, 5.0), x0=1.0)
+        with pytest.raises(DataError, match="the drift is not a real number"):
+            rs.simulate_path(config, 1.0, rs.SamplingPlan(n=10, h=0.01), rs.SimOptions())
+        _, path = noiseless_path()
+        with pytest.raises(DataError, match="the drift is not a real number"):
+            rs.contrast(path, spec, 1.0)
+        with pytest.raises(DataError, match="the drift is not a real number"):
+            rs.nlse_optimize(path, spec, (-5.0, 5.0))
+
+
 class TestClosedForm:
     def test_two_point_hand_value(self):
         theta = rs.estimate_power_closed_form(two_point_path(), 1.0).theta_hat
@@ -265,7 +297,7 @@ class TestClosedForm:
 
     def test_degenerate_path_rejected(self):
         stuck = rs.SamplePath(
-            h=0.01, times=np.array([0.0, 0.01, 0.02]), x=np.zeros(3),
+            h=0.01, x=np.zeros(3),
             l=np.zeros(3), r=np.zeros(3),
             barriers=rs.BarrierConfig.one_sided_lower(0.0),
         )
@@ -401,7 +433,7 @@ class TestOptimizer:
         base = rs.nlse_optimize(path, cfg.drift, cfg.theta_domain)
         c = 3.7
         scaled = rs.SamplePath(
-            h=path.h, times=path.times, x=c * path.x, l=c * path.l,
+            h=path.h, x=c * path.x, l=c * path.l,
             r=c * path.r, barriers=rs.BarrierConfig.two_sided(0.0, 3.0 * c),
         )
         res = rs.nlse_optimize(scaled, cfg.drift, cfg.theta_domain)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reflectsde as rs
-from reflectsde.errors import ModelError
+from reflectsde.errors import DataError, ModelError
 from reflectsde.model import eval_on_array, validate_drift_derivatives
 
 
@@ -82,6 +82,20 @@ class TestEvalOnArray:
         # an array argument collapses to one number: it must not broadcast
         out = eval_on_array(lambda v: float(np.max(v)) - 1.0, self.X)
         np.testing.assert_array_equal(out, self.X - 1.0)
+
+    @pytest.mark.parametrize("g, message", (
+        (lambda v: np.full(np.shape(v), "0.5"), "the drift is not a real number"),
+        (lambda v: b"0.5", "the drift is not a real number"),
+        (lambda v: None, "the drift is not a real number"),
+        # the steppers refuse it as their conversion overflows
+        (lambda v: 10 ** 400, "the drift left the finite range: "
+                              "int too large to convert to float"),
+    ), ids=("str-array", "bytes", "none", "huge-int"))
+    def test_values_the_steppers_refuse_are_refused(self, g, message):
+        # each was parsed, read as NaN or raised a bare OverflowError
+        with pytest.raises(DataError) as raised:
+            eval_on_array(g, self.X, "the drift")
+        assert str(raised.value) == message
 
 
 class TestDriftDerivatives:

@@ -358,7 +358,7 @@ class TestCheckPath:
             return verdicts[-1]
 
         def run():
-            path = rs.SamplePath(h=base.h, times=base.times, x=x, l=l, r=r,
+            path = rs.SamplePath(h=base.h, x=x, l=l, r=r,
                                  barriers=base.barriers, hit_lower=hits[0],
                                  hit_upper=hits[1])
             taken.append(path.increments)

@@ -699,8 +699,7 @@ class TestSamplePathArrays:
     @staticmethod
     def _path(x=(0.5, 0.0, 0.0, 0.0), **hits):
         # three intervals, in each of which the lower regulator rises
-        return rs.SamplePath(h=0.1, times=[0.0, 0.1, 0.2, 0.3], x=x,
-                             l=[0.0, 0.1, 0.2, 0.3], r=np.zeros(4),
+        return rs.SamplePath(h=0.1, x=x, l=[0.0, 0.1, 0.2, 0.3], r=np.zeros(4),
                              barriers=rs.BarrierConfig.one_sided_lower(0.0), **hits)
 
     def test_read_only_view_of_a_writable_array_is_copied(self):
@@ -731,7 +730,7 @@ class TestSamplePathArrays:
         monkeypatch.setattr(simulate, "_frozen", spy)
         rs.simulate_path(power_model(0.5), 2.0, rs.SamplingPlan(n=50, h=0.01),
                          rs.SimOptions(seed=1))
-        assert kept == [True] * 6
+        assert kept == [True] * 5
 
     def test_increments_are_taken_once_and_read_only(self):
         model_ = rs.ModelConfig(drift=rs.DriftSpec.power(1.0), sigma=1.0,
@@ -750,18 +749,11 @@ class TestSamplePathArrays:
         # the rows the compiled reader returns are a slice of a larger
         # buffer: the path keeps copies of its columns, not views into it
         plan, opts = rs.SamplingPlan(n=50, h=0.01), rs.SimOptions(seed=6)
-        texts = []
         for two_sided in (True, False):
             config = power_model(0.5, two_sided=two_sided)
             buf = io.StringIO()
             rs.write_path_csv(rs.simulate_path(config, 2.0, plan, opts), buf)
-            texts.append((buf.getvalue(), config.barriers))
-        buf = io.StringIO()
-        rs.write_two_factor_csv(
-            rs.simulate_two_factor(1.0, 0.5, 1.0, 1.0, 0.1, 0.0, 3.0, plan, opts), buf)
-        tf = rs.read_two_factor_csv(io.StringIO(buf.getvalue()), 0.0, 3.0)
-        paths = [rs.read_path_csv(io.StringIO(text), barriers) for text, barriers in texts]
-        for path in (*paths, tf.y, tf.rshort):
+            path = rs.read_path_csv(io.StringIO(buf.getvalue()), config.barriers)
             for arr in (path.times, path.x, path.l, path.r, *path.increments):
                 assert arr.base is None and arr.flags.owndata
                 assert not arr.flags.writeable
@@ -774,6 +766,68 @@ class TestSamplePathArrays:
         with pytest.raises(DataError, match="one flag per observation interval"):
             self._path(**{name: flags})
 
+    @pytest.mark.parametrize("name", ("x", "l", "r"))
+    @pytest.mark.parametrize("shape", ((), (4, 1), (1, 4)), ids=("0-d", "column", "row"))
+    def test_arrays_that_are_not_one_dimensional_rejected(self, name, shape, backend):
+        # a 0-d x raised a bare TypeError, and a column passed on both
+        # steppers, with increments of shape (n,) on one and (n + 1, 0) on
+        # the other, where the closed form and the CSV writer then raised
+        arrays = {"x": [0.5, 0.0, 0.0, 0.0], "l": [0.0, 0.1, 0.2, 0.3], "r": np.zeros(4)}
+        values = np.asarray(arrays[name], dtype=float)
+        arrays[name] = values[0] if shape == () else values.reshape(shape)
+        with pytest.raises(DataError) as raised:
+            rs.SamplePath(h=0.1, barriers=rs.BarrierConfig.one_sided_lower(0.0), **arrays)
+        assert str(raised.value) == f"path {name} must be one-dimensional, got shape {shape}"
+
+
+class TestObservationTimes:
+    """A path's times are ``t0 + k h``, so its time grid and its step
+    cannot disagree."""
+
+    def test_times_have_the_bytes_of_the_stored_grid(self, backend):
+        # paths stored np.arange(n + 1) * h, and their CSVs read back the same
+        plan, opts = rs.SamplingPlan(n=2_000, h=0.01), rs.SimOptions(seed=8)
+        expected = (np.arange(plan.n + 1) * plan.h).tobytes()
+        tf = rs.simulate_two_factor(1.0, 0.5, 1.0, 1.0, 0.1, 0.0, 3.0, plan, opts)
+        for path in (rs.simulate_path(power_model(0.5), 2.0, plan, opts),
+                     rs.simulate_path(power_model(0.5, two_sided=False), 2.0, plan, opts),
+                     tf.y, tf.rshort):
+            buf = io.StringIO()
+            rs.write_path_csv(path, buf)
+            loaded = rs.read_path_csv(io.StringIO(buf.getvalue()), path.barriers)
+            for p in (path, loaded):
+                assert p.t0 == 0.0 and p.times.tobytes() == expected
+                assert not p.times.flags.writeable
+
+    def test_no_grid_but_t0_and_h(self):
+        # h=0.01 with times [0, 1, 2] validated, and its CSV read back h = 1
+        with pytest.raises(TypeError):
+            rs.SamplePath(**_CHECKED_PATH, times=[0.0, 1.0, 2.0])
+        path = rs.SamplePath(**{**_CHECKED_PATH, "h": 0.01}, t0=3.0)
+        buf = io.StringIO()
+        rs.write_path_csv(path, buf)
+        loaded = rs.read_path_csv(io.StringIO(buf.getvalue()), path.barriers)
+        assert loaded.t0 == 3.0 and abs(loaded.h - 0.01) <= 1e-9 * 0.01
+
+    @pytest.mark.parametrize("t0", (math.nan, math.inf, -math.inf), ids=repr)
+    def test_non_finite_start_rejected(self, t0):
+        # a NaN time validated, and made a CSV that the reader refused
+        with pytest.raises(DataError, match="the start time t0 must be finite"):
+            rs.SamplePath(**_CHECKED_PATH, t0=t0)
+
+    def test_another_tools_grid_is_written_back_as_t0_plus_k_h(self, backend):
+        # 0.3 - 0.2 is 0.1 less 2.8e-17: regular to the reader's 1e-9 h,
+        # but not 0.1 + 2 * 0.1 bit for bit
+        path = rs.read_path_csv(io.StringIO("t,x,l\n0.1,1,0\n0.2,1,0\n0.3,1,0\n"),
+                                rs.BarrierConfig.one_sided_lower(0.0))
+        assert (path.t0, path.h) == (0.1, 0.2 - 0.1)
+        buf = io.StringIO()
+        rs.write_path_csv(path, buf)
+        assert [row.split(",")[0] for row in buf.getvalue().splitlines()[1:]] == [
+            "0.10000000000000001", "0.20000000000000001", "0.30000000000000004"]
+        again = rs.read_path_csv(io.StringIO(buf.getvalue()), path.barriers)
+        assert again.times.tobytes() == path.times.tobytes()
+
 
 class TestNonFinitePaths:
     @pytest.mark.parametrize("name", ("x", "l", "r"))
@@ -784,8 +838,7 @@ class TestNonFinitePaths:
         arrays = {"x": [0.5, 0.5, 0.5], "l": [0.0, 0.0, 0.0], "r": [0.0, 0.0, 0.0]}
         arrays[name][1] = bad
         with pytest.raises(DataError, match="non-finite"):
-            rs.SamplePath(h=0.1, times=[0.0, 0.1, 0.2],
-                          barriers=rs.BarrierConfig.two_sided(0.0, 1.0), **arrays)
+            rs.SamplePath(h=0.1, barriers=rs.BarrierConfig.two_sided(0.0, 1.0), **arrays)
 
     @pytest.mark.parametrize("f, x0, message", (
         # theta*x**3 from x0 = 5 blows up to an infinite state
@@ -842,7 +895,7 @@ class TestObservationStep:
 # a valid hand-built path on [0, 1] whose lower regulator rises in the first
 # interval and upper one in the second, each under a set flag, and the one
 # change to it that breaks each check of validate(), with the message
-_CHECKED_PATH = {"h": 0.1, "times": [0.0, 0.1, 0.2], "x": [0.5, 0.0, 1.0],
+_CHECKED_PATH = {"h": 0.1, "x": [0.5, 0.0, 1.0],
                  "l": [0.0, 0.1, 0.1], "r": [0.0, 0.0, 0.2],
                  "barriers": rs.BarrierConfig.two_sided(0.0, 1.0),
                  "hit_lower": [True, False], "hit_upper": [False, True]}
@@ -916,9 +969,6 @@ class TestCheckedWhenBuilt:
         plan, opts = rs.SamplingPlan(n=50, h=0.01), rs.SimOptions(seed=2)
         one = io.StringIO()
         rs.write_path_csv(rs.simulate_path(power_model(0.5), 2.0, plan, opts), one)
-        two = io.StringIO()
-        rs.write_two_factor_csv(
-            rs.simulate_two_factor(1.0, 0.5, 1.0, 1.0, 0.1, 0.0, 3.0, plan, opts), two)
         checks, validated = [], []
         check = lib.check_path
         monkeypatch.setattr(lib, "check_path", lambda *args: checks.append(1) or check(*args))
@@ -940,8 +990,7 @@ class TestCheckedWhenBuilt:
                 (lambda: rs.read_path_csv(io.StringIO(one.getvalue()),
                                           rs.BarrierConfig.two_sided(0.0, 3.0)), 1),
                 (lambda: rs.simulate_two_factor(1.0, 0.5, 1.0, 1.0, 0.1, 0.0, 3.0, plan,
-                                                opts), 2),
-                (lambda: rs.read_two_factor_csv(io.StringIO(two.getvalue()), 0.0, 3.0), 2)):
+                                                opts), 2)):
             checks.clear()
             validated.clear()
             produce()
@@ -989,8 +1038,6 @@ class TestCheckedWhenBuilt:
 _CSV_FORMATS = {
     "path": ("t,x,l\n", "{:g},1,0\n".format,
              lambda src: rs.read_path_csv(src, rs.BarrierConfig.one_sided_lower(0.0))),
-    "two_factor": ("t,y,l1,u1,r,l2\n", "{:g},1,0,0,0.5,0\n".format,
-                   lambda src: rs.read_two_factor_csv(src, 0.0, 3.0)),
 }
 
 # each case builds the text from a format's header and row builder and
@@ -1062,20 +1109,6 @@ class TestCsvRoundTrip:
         text = "t,x,l\n0,1,0.0\n0.01,1,0.5\n0.02,1,0.2\n"
         with pytest.raises(DataError):
             rs.read_path_csv(io.StringIO(text), rs.BarrierConfig.one_sided_lower(0.0))
-
-    def test_two_factor_round_trip(self):
-        plan = rs.SamplingPlan(n=40, h=0.01)
-        tf = rs.simulate_two_factor(1.0, 0.5, 1.0, 1.0, 0.1, 0.0, 3.0, plan,
-                                    rs.SimOptions(seed=13))
-        buf = io.StringIO()
-        rs.write_two_factor_csv(tf, buf)
-        buf.seek(0)
-        assert buf.readline().strip() == "t,y,l1,u1,r,l2"
-        buf.seek(0)
-        loaded = rs.read_two_factor_csv(buf, 0.0, 3.0)
-        assert np.array_equal(loaded.y.x, tf.y.x)
-        assert np.array_equal(loaded.y.r, tf.y.r)
-        assert np.array_equal(loaded.rshort.x, tf.rshort.x)
 
 
 @pytest.mark.usefixtures("python_stepper")
@@ -1334,7 +1367,6 @@ def _golden_csv_path(two_sided):
 _GOLDEN_CSV_DIGESTS = {
     "two_sided": "4f27d0cd0290d96e33ffb2216246027ed9bc39639666276d4816ef21c751015f",
     "one_sided": "d22842c3ef2acd624eeaf1c8c0dbc8f760956fae29d19098714138d5baca5836",
-    "two_factor": "53eb170f9f6e06f7af4614b0731094a01648c08ebea3f2388bd61aa1f27fa4af",
 }
 
 
@@ -1345,21 +1377,10 @@ class TestGoldenCsv:
         rs.write_path_csv(_golden_csv_path(kind == "two_sided"), out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_CSV_DIGESTS[kind]
 
-    def test_two_factor_csv_bytes(self, tmp_path):
-        tf = rs.simulate_two_factor(1.0, 0.5, 1.0, 1.0, 0.1, 0.0, 3.0,
-                                    rs.SamplingPlan(n=40, h=0.01), rs.SimOptions(seed=13))
-        out = tmp_path / "tf.csv"
-        rs.write_two_factor_csv(tf, out)
-        assert (hashlib.sha256(out.read_bytes()).hexdigest()
-                == _GOLDEN_CSV_DIGESTS["two_factor"])
-
     # the same bytes from the Python expression alone
     @pytest.mark.parametrize("kind", ("two_sided", "one_sided"))
     def test_path_csv_bytes_on_python_writer(self, kind, tmp_path, python_stepper):
         self.test_path_csv_bytes(kind, tmp_path)
-
-    def test_two_factor_csv_bytes_on_python_writer(self, tmp_path, python_stepper):
-        self.test_two_factor_csv_bytes(tmp_path)
 
 
 def _formatted(header, *columns):
