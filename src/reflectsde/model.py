@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -323,38 +323,3 @@ def eval_on_array(g: Callable[[float], float], x: np.ndarray, what: str = "g") -
                 pass
     raise DataError(f"{what} is not a real number")
 
-
-def validate_drift_derivatives(
-    spec: DriftSpec, x_probes: Sequence[float], theta_probes: Sequence[float]
-) -> tuple[float, float]:
-    """Check stored theta-derivatives against central finite differences.
-
-    Returns the worst relative discrepancies (first, second) over the probe
-    grid and raises :class:`ModelError` if either exceeds 1e-6.  The
-    second-difference stencil uses a wider eps because the 1e-5 step puts
-    roundoff of order machine-eps/eps**2 above the tolerance.
-    """
-    rel_tol, eps_first, eps_second = 1e-6, 1e-5, 1e-3
-    worst1 = 0.0
-    worst2 = 0.0
-    for x in x_probes:
-        for th in theta_probes:
-            f_p = spec.f(x, th + eps_first)
-            f_m = spec.f(x, th - eps_first)
-            fd1 = (f_p - f_m) / (2.0 * eps_first)
-            a1 = spec.df_dtheta(x, th)
-            err1 = abs(a1 - fd1) / max(1.0, abs(a1), abs(fd1))
-            worst1 = max(worst1, err1)
-
-            f_p2 = spec.f(x, th + eps_second)
-            f_m2 = spec.f(x, th - eps_second)
-            fd2 = (f_p2 - 2.0 * spec.f(x, th) + f_m2) / (eps_second * eps_second)
-            a2 = spec.d2f_dtheta2(x, th)
-            err2 = abs(a2 - fd2) / max(1.0, abs(a2), abs(fd2))
-            worst2 = max(worst2, err2)
-    if worst1 > rel_tol or worst2 > rel_tol:
-        raise ModelError(
-            f"drift derivatives disagree with finite differences: "
-            f"first {worst1:.3e}, second {worst2:.3e}, tolerance {rel_tol:.1e}"
-        )
-    return worst1, worst2

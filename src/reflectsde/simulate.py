@@ -30,8 +30,10 @@ stepper and is raised alike; a power drift of a negative state, and a
 custom drift whose result is not a real number, raise the same
 :class:`DataError` on both.  Without a C compiler,
 paths run on :func:`_reflect_path`.  The same library reads the CSV rows
-:func:`write_csv` writes; any other text goes to ``np.loadtxt``, which gives
-the same values and errors.  It also writes them: its ``write_rows``
+:func:`write_csv` writes: :func:`read_path_csv` hands it a file's bytes
+once, with line ends made ``\\n``, and any other body goes to
+``np.loadtxt``, which gives the same values and errors; the times must lie
+on the path's own grid ``t0 + k h``.  It also writes them: its ``write_rows``
 formats blocks of rows to the bytes of the Python expression
 ``"{:.17g}".format`` in :func:`write_csv`, which formats every block it
 hands back, and every row without the library.
@@ -152,7 +154,7 @@ class SamplePath:
     def times(self) -> np.ndarray:
         """The observation times ``t0 + k h``, k = 0, ..., n, in a new
         read-only array."""
-        times = self.t0 + np.arange(self.n + 1) * self.h
+        times = _times(self.t0, self.h, self.n)
         times.setflags(write=False)
         return times
 
@@ -637,74 +639,43 @@ def _formats_as_float(col: np.ndarray) -> bool:
     return True
 
 
-def _read_rows(text: str, ncol: int) -> np.ndarray | None:
-    """The rows of ``text`` parsed by the compiled ``read_rows``, or None
+def _read_rows(body: bytes, ncol: int) -> np.ndarray | None:
+    """The rows of ``body`` parsed by the compiled ``read_rows``, or None
     where it gives them back (anything but rows as :func:`write_csv` writes
-    them) or is not built, so that the caller reads them with
-    ``np.loadtxt``.  ``read_rows`` converts a field of up to 19 significant
-    digits by the Eisel-Lemire algorithm and any other by ``strtod``; both
-    give the bits of ``np.loadtxt``."""
+    them, which are ASCII) or is not built, so that the caller reads them
+    with ``np.loadtxt``.  ``read_rows`` converts a field of up to 19
+    significant digits by the Eisel-Lemire algorithm and any other by
+    ``strtod``; both give the bits of ``np.loadtxt``."""
     lib = _native.load()
-    if lib is None or not text.isascii():
+    if lib is None:
         return None
-    raw = text.encode("ascii")
     # a row takes at least two bytes a field, a digit and "," or "\n"
-    data = np.empty((len(raw) // (2 * ncol), ncol))
-    rows = lib.read_rows(raw, len(raw), ncol, data.ctypes.data, len(data))
+    data = np.empty((len(body) // (2 * ncol), ncol))
+    rows = lib.read_rows(body, len(body), ncol, data.ctypes.data, len(data))
     return None if rows < 0 else data[:rows]
 
 
-def _read_csv(src: str | Path | IO[str], whole: bool = False) -> tuple[np.ndarray, float]:
-    """Read a two-sided (``t,x,l,r``) or one-sided (``t,x,l``) path CSV,
-    whose first column holds regularly spaced times; returns the data rows
-    and the time step.  ``whole`` says that the handle translates newlines,
-    as a file opened here does, so its body is read in one ``read()``."""
-    headers = ("t,x,l,r", "t,x,l")
-    if not hasattr(src, "read"):
-        with open(src, "r", encoding="utf-8") as fh:
-            return _read_csv(fh, whole=True)
-    try:
-        header = src.readline().strip()
-        if header not in headers:
-            raise DataError(f"unrecognized CSV header {header!r}, expected {headers}")
-        if whole:
-            # with newlines translated, the text splits at "\n" alone into
-            # the lines readlines() would give
-            text, body = src.read(), None
-        else:
-            body = src.readlines()
-            text = "".join(body)
-        data = _read_rows(text, header.count(",") + 1)
-        if data is None:
-            if body is None:
-                body = io.StringIO(text).readlines()
-            # a header-only file would make np.loadtxt warn before the row check
-            if not any(line.split("#", 1)[0].strip() for line in body):
-                raise DataError(f"CSV must have >= 2 rows with the columns {header!r}")
-            data = np.loadtxt(body, delimiter=",", ndmin=2)
-    except DataError:
-        raise
-    except ValueError as exc:  # a non-numeric cell, a ragged row, undecodable bytes
-        raise DataError(f"malformed CSV: {exc}") from exc
-    if data.shape[0] < 2 or data.shape[1] != header.count(",") + 1:
-        raise DataError(f"CSV must have >= 2 rows with the columns {header!r}")
-    steps = np.diff(data[:, 0])
-    h = float(steps[0])
-    if h <= 0 or not _regular(steps, h):
+def _times(t0: float, h: float, n: int) -> np.ndarray:
+    """The observation times ``t0 + k h``, k = 0, ..., n, in a new array."""
+    times = np.arange(n + 1, dtype=np.float64)
+    times *= h
+    times += t0
+    return times
+
+
+def _grid_step(t: np.ndarray) -> float:
+    """The step ``t[1] - t[0]`` of the times ``t``, each of which must lie
+    within 1e-9 max(|t0|, |tn|, h) of its time ``t0 + k h`` (see
+    :func:`_times`); raises :class:`DataError` otherwise.  A NaN time fails
+    the check."""
+    t0 = float(t[0])
+    h = float(t[1] - t0)
+    dev = _times(t0, h, len(t) - 1)
+    tol = 1e-9 * max(abs(t0), abs(dev[-1]), h)
+    np.subtract(t, dev, out=dev)
+    if not (0.0 < h < math.inf and np.abs(dev, out=dev).max() <= tol):
         raise DataError("CSV requires regularly spaced times")
-    return data, h
-
-
-def _regular(steps: np.ndarray, h: float) -> bool:
-    """Whether ``np.allclose(steps, h, rtol=1e-9, atol=0.0)`` for h > 0, in
-    one pass of max |step - h| <= 1e-9 h: a NaN step propagates through the
-    max and fails it; a step of +inf passes only where h is +inf too, as
-    allclose takes equal values to be close; and step - h warns where it
-    overflows, as in allclose.  ``steps`` is overwritten."""
-    if not math.isfinite(h):
-        return bool(np.all(steps == h))
-    np.subtract(steps, h, out=steps)
-    return bool(np.max(np.abs(steps, out=steps)) <= 1e-9 * h)
+    return h
 
 
 def write_path_csv(path: SamplePath, dest: str | Path | IO[str]) -> None:
@@ -715,15 +686,49 @@ def write_path_csv(path: SamplePath, dest: str | Path | IO[str]) -> None:
         write_csv(dest, "t,x,l", path.times, path.x, path.l)
 
 
-def read_path_csv(src: str | Path | IO[str], barriers: BarrierConfig) -> SamplePath:
-    """Read a path written by :func:`write_path_csv`.
+def read_path_csv(src: str | Path | IO, barriers: BarrierConfig) -> SamplePath:
+    """Read a path written by :func:`write_path_csv` from a file name or
+    an open handle, text or binary.
 
     The CSV does not carry barrier geometry, so it must be supplied (for the
     command-line tools it comes from the model configuration file).  The
-    path keeps the first time and the first step of the t column, which
-    must be regularly spaced to 1e-9 h, as its ``t0`` and ``h``.
+    file's bytes are read once, text encoded as UTF-8, and ``\\r\\n`` and
+    ``\\r`` end lines as ``\\n`` does, as in a file opened in text mode.  The
+    body goes to the compiled ``read_rows`` as it is, and what that gives
+    back is decoded and read by ``np.loadtxt``.  The path keeps the first
+    time and the first step of the t column as its ``t0`` and ``h``; every
+    time must lie on that grid, within 1e-9 of the largest of |t0|, |tn|
+    and h (see :func:`_grid_step`).
     """
-    data, h = _read_csv(src)
-    r = data[:, 3] if data.shape[1] == 4 else np.zeros(len(data))
+    headers = ("t,x,l,r", "t,x,l")
+    try:
+        if hasattr(src, "read"):
+            raw = src.read()
+            if isinstance(raw, str):
+                raw = raw.encode("utf-8")
+        else:
+            raw = Path(src).read_bytes()
+        if b"\r" in raw:
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        first, _, body = raw.partition(b"\n")
+        header = first.decode("utf-8").strip()
+        if header not in headers:
+            raise DataError(f"unrecognized CSV header {header!r}, expected {headers}")
+        ncol = header.count(",") + 1
+        data = _read_rows(body, ncol)
+        if data is None:
+            lines = io.StringIO(body.decode("utf-8")).readlines()
+            # a header-only file would make np.loadtxt warn before the row check
+            if not any(line.split("#", 1)[0].strip() for line in lines):
+                raise DataError(f"CSV must have >= 2 rows with the columns {header!r}")
+            data = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except DataError:
+        raise
+    except ValueError as exc:  # a non-numeric cell, a ragged row, undecodable bytes
+        raise DataError(f"malformed CSV: {exc}") from exc
+    if data.shape[0] < 2 or data.shape[1] != ncol:
+        raise DataError(f"CSV must have >= 2 rows with the columns {header!r}")
+    h = _grid_step(data[:, 0])
+    r = data[:, 3] if ncol == 4 else np.zeros(len(data))
     return SamplePath(h=h, x=data[:, 1], l=data[:, 2], r=r, barriers=barriers,
                       t0=data[0, 0])

@@ -7,7 +7,26 @@ from hypothesis import strategies as st
 
 import reflectsde as rs
 from reflectsde.errors import DataError, ModelError
-from reflectsde.model import eval_on_array, validate_drift_derivatives
+from reflectsde.model import eval_on_array
+
+
+def drift_derivative_errors(spec, x_probes, theta_probes):
+    """The worst relative discrepancies of the stored first and second
+    theta-derivatives from central finite differences over the probe grid.
+    The second-difference stencil uses a wider eps because the 1e-5 step
+    puts roundoff of order machine-eps/eps**2 above the tolerance."""
+    eps_first, eps_second = 1e-5, 1e-3
+    worst1 = worst2 = 0.0
+    for x in x_probes:
+        for th in theta_probes:
+            fd1 = (spec.f(x, th + eps_first) - spec.f(x, th - eps_first)) / (2.0 * eps_first)
+            a1 = spec.df_dtheta(x, th)
+            worst1 = max(worst1, abs(a1 - fd1) / max(1.0, abs(a1), abs(fd1)))
+            fd2 = (spec.f(x, th + eps_second) - 2.0 * spec.f(x, th)
+                   + spec.f(x, th - eps_second)) / (eps_second * eps_second)
+            a2 = spec.d2f_dtheta2(x, th)
+            worst2 = max(worst2, abs(a2 - fd2) / max(1.0, abs(a2), abs(fd2)))
+    return worst1, worst2
 
 
 def custom_theta_squared():
@@ -141,7 +160,7 @@ class TestDriftDerivatives:
         # 50 probe points inside the working domain
         xs = np.linspace(0.02, 3.0, 10)
         thetas = np.linspace(0.2, 4.8, 5)
-        err1, err2 = validate_drift_derivatives(spec, xs, thetas)
+        err1, err2 = drift_derivative_errors(spec, xs, thetas)
         assert err1 <= 1e-6 and err2 <= 1e-6
 
 

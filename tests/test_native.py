@@ -1007,7 +1007,7 @@ class TestCsvFieldConversion:
     def test_field_reads_as_loadtxt(self, field):
         if _native.load() is None:
             pytest.skip("no compiled library")
-        fast = simulate._read_rows(field + "\n", 1)
+        fast = simulate._read_rows((field + "\n").encode(), 1)
         expected = _loadtxt_field(field)
         value = abs(expected[0, 0])
         # every finite normal value or zero is read here; an overflow is
@@ -1027,7 +1027,7 @@ class TestCsvFieldConversion:
         field = format(decimal.Context(prec=100).divide(k, 2**j), "f")
         # a trailing zero makes w ten times larger and q one less
         for text in (field, field + "0"):
-            assert (simulate._read_rows(text + "\n", 1).tobytes()
+            assert (simulate._read_rows((text + "\n").encode(), 1).tobytes()
                     == _loadtxt_field(text).tobytes()), text
 
     @pytest.mark.parametrize("at", range(9))
@@ -1040,8 +1040,8 @@ class TestCsvFieldConversion:
         digits = "123456789"
         for lead in ("", "0.", "1234567."):
             field = lead + digits[:at] + char + digits[at + 1:]
-            assert simulate._read_rows(field + "\n", 1) is None, field
-            assert simulate._read_rows(f"{field},1\n", 2) is None, field
+            assert simulate._read_rows((field + "\n").encode(), 1) is None, field
+            assert simulate._read_rows(f"{field},1\n".encode(), 2) is None, field
 
     def test_digit_run_that_ends_the_text(self):
         # the scan reads no byte past the length it is given: an 8-digit
@@ -1054,9 +1054,9 @@ class TestCsvFieldConversion:
             raw = (text + "9\n").encode()
             assert lib.read_rows(raw, len(text), 1, out.ctypes.data, 4) == -1, text
             assert lib.read_rows(raw, len(raw), 1, out.ctypes.data, 4) == text.count("\n") + 1
-            assert simulate._read_rows(text, 1) is None
+            assert simulate._read_rows(text.encode(), 1) is None
             lines = [line + "\n" for line in text.split("\n")]
-            assert (simulate._read_rows("".join(lines), 1).tobytes()
+            assert (simulate._read_rows("".join(lines).encode(), 1).tobytes()
                     == np.loadtxt(lines, delimiter=",", ndmin=2).tobytes())
 
     @pytest.mark.parametrize("extra", ((), ("-U__SIZEOF_INT128__",)),

@@ -809,6 +809,39 @@ class TestObservationTimes:
         loaded = rs.read_path_csv(io.StringIO(buf.getvalue()), path.barriers)
         assert loaded.t0 == 3.0 and abs(loaded.h - 0.01) <= 1e-9 * 0.01
 
+    @pytest.mark.parametrize("two_sided", (True, False), ids=("two_sided", "one_sided"))
+    def test_late_start_round_trip(self, two_sided, backend):
+        # t0 = 1e5 makes the steps of the written times differ from h by
+        # more than 1e-9 h, which a rule on the steps refused
+        config = power_model(0.5, two_sided=two_sided)
+        path = rs.simulate_path(config, 2.0, rs.SamplingPlan(n=100, h=0.01),
+                                rs.SimOptions(seed=8))
+        path = replace(path, t0=1e5)
+        buf = io.StringIO()
+        rs.write_path_csv(path, buf)
+        loaded = rs.read_path_csv(io.StringIO(buf.getvalue()), config.barriers)
+        for name in ("x", "l", "r"):
+            assert getattr(loaded, name).tobytes() == getattr(path, name).tobytes()
+        assert loaded.t0 == 1e5
+        assert abs(loaded.h - path.h) <= 1e-9 * path.h
+
+    def test_tail_of_a_long_grid(self, backend):
+        # the last 10^5 times of a 2e7-row grid: their steps differ from
+        # the first by 2.0e-9 h, yet each time is on t0 + k h
+        t = np.arange(2 * 10**7 - 10**5, 2 * 10**7 + 1) * 0.01
+        ones, zeros = np.ones(len(t)), np.zeros(len(t))
+        barriers = rs.BarrierConfig.one_sided_lower(0.0)
+        buf = io.StringIO()
+        simulate.write_csv(buf, "t,x,l", t, ones, zeros)
+        path = rs.read_path_csv(io.StringIO(buf.getvalue()), barriers)
+        assert (path.t0, path.n) == (t[0], 10**5)
+        moved = t.copy()
+        moved[len(t) // 2] += 2e-9 * np.max(np.abs(t))
+        buf = io.StringIO()
+        simulate.write_csv(buf, "t,x,l", moved, ones, zeros)
+        with pytest.raises(DataError, match="regularly spaced"):
+            rs.read_path_csv(io.StringIO(buf.getvalue()), barriers)
+
     @pytest.mark.parametrize("t0", (math.nan, math.inf, -math.inf), ids=repr)
     def test_non_finite_start_rejected(self, t0):
         # a NaN time validated, and made a CSV that the reader refused
@@ -1117,50 +1150,6 @@ class TestCsvRoundTripOnLoadtxt(TestCsvRoundTrip):
     read by ``np.loadtxt``."""
 
 
-class TestTimeGrid:
-    """``simulate._regular``, the spacing check of ``_read_csv``, accepts
-    exactly what ``np.allclose(steps, h, rtol=1e-9, atol=0.0)`` accepts,
-    NaN and infinite steps among them."""
-
-    @staticmethod
-    def _outcomes(steps, h):
-        """What ``_regular`` and ``np.allclose`` give, or the warning each
-        raises: both overflow alike where step - h does."""
-        outcomes = []
-        for check in (lambda: simulate._regular(steps.copy(), h),
-                      lambda: np.allclose(steps, h, rtol=1e-9, atol=0.0)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    outcomes.append(bool(check()))
-                except RuntimeWarning as warning:
-                    outcomes.append(str(warning))
-        return outcomes
-
-    @given(
-        h=st.floats(min_value=0.0, exclude_min=True),
-        steps=st.lists(st.one_of(
-            st.floats(-3e-9, 3e-9).map(lambda d: ("rel", d)),
-            st.floats().map(lambda v: ("abs", v))), max_size=6),
-    )
-    @settings(max_examples=500, deadline=None)
-    def test_accepts_what_allclose_accepts(self, h, steps):
-        arr = np.array([h] + [h * (1.0 + v) if how == "rel" else v for how, v in steps])
-        regular, allclose = self._outcomes(arr, h)
-        assert regular == allclose
-
-    @pytest.mark.parametrize("h, steps", (
-        (0.01, [0.01 * (1 + 1e-9)]), (0.01, [0.01 * (1 - 1e-9)]),
-        (0.01, [0.01 * (1 + 2e-9)]), (0.01, [math.nan]), (0.01, [math.inf]),
-        (0.01, [-math.inf]), (math.inf, [math.inf]), (math.inf, [1.0]),
-        (math.inf, [math.nan]), (5e-324, [5e-324]), (5e-324, [1e-323]),
-        (1e308, [1.7976931348623157e308]), (1e308, [-1e308]),
-    ))
-    def test_edges(self, h, steps):
-        regular, allclose = self._outcomes(np.array([h, *steps]), h)
-        assert regular == allclose
-
-
 def _loadtxt(lines):
     return np.loadtxt(lines, delimiter=",", ndmin=2)
 
@@ -1182,7 +1171,7 @@ def _field_texts():
 
 
 class TestCompiledCsvReader:
-    """``simulate._read_rows``, the compiled reader behind ``_read_csv``."""
+    """``simulate._read_rows``, the compiled reader behind ``read_path_csv``."""
 
     @pytest.fixture(autouse=True)
     def _needs_library(self):
@@ -1195,7 +1184,7 @@ class TestCompiledCsvReader:
         rows = data.draw(st.lists(st.lists(_field_texts(), min_size=ncol, max_size=ncol),
                                   min_size=1, max_size=5))
         lines = [",".join(row) + "\n" for row in rows]
-        fast = simulate._read_rows("".join(lines), ncol)
+        fast = simulate._read_rows("".join(lines).encode(), ncol)
         if fast is not None:
             assert fast.tobytes() == _loadtxt(lines).tobytes()
 
@@ -1208,7 +1197,7 @@ class TestCompiledCsvReader:
         buf = io.StringIO()
         simulate.write_csv(buf, "a,b,c", values, values[::-1], np.negative(values))
         lines = buf.getvalue().splitlines(keepends=True)[1:]
-        fast = simulate._read_rows("".join(lines), 3)
+        fast = simulate._read_rows("".join(lines).encode(), 3)
         if all(v == 0.0 or abs(v) >= sys.float_info.min for v in values):
             assert fast is not None
         if fast is not None:
@@ -1218,7 +1207,7 @@ class TestCompiledCsvReader:
         lines = ["-0,0.5,5.,.5,+7,1E-3\n",
                  "1.7976931348623157e308,2.2250738585072014e-308,-1e-307,"
                  "9007199254740993,0.1000000000000000055511151231257827,123456789e-20\n"]
-        fast = simulate._read_rows("".join(lines), 6)
+        fast = simulate._read_rows("".join(lines).encode(), 6)
         assert fast is not None
         assert fast.tobytes() == _loadtxt(lines).tobytes()
         assert math.copysign(1.0, fast[0, 0]) == -1.0
@@ -1239,14 +1228,14 @@ class TestCompiledCsvReader:
         ["0,.\n"], ["0,-\n"], ["0,1e\n"], ["0,1e+\n"], ["0,0x10\n"], ["0,1_0\n"],
     ), ids=repr)
     def test_hands_back_all_else(self, lines):
-        assert simulate._read_rows("".join(lines), 2) is None
+        assert simulate._read_rows("".join(lines).encode(), 2) is None
 
     def test_rows_are_bounded_by_newlines(self):
         # the reader writes at most one row per "\n", so a last line that
         # no "\n" ends hands the text back; this replaces the case of a
         # list element holding two rows, since the reader takes one text
-        assert simulate._read_rows("0,1\n1,2", 2) is None
-        assert simulate._read_rows("0,1\n1,2\n", 2).tolist() == [[0.0, 1.0], [1.0, 2.0]]
+        assert simulate._read_rows(b"0,1\n1,2", 2) is None
+        assert simulate._read_rows(b"0,1\n1,2\n", 2).tolist() == [[0.0, 1.0], [1.0, 2.0]]
 
     def test_decimal_comma_locale_hands_back(self):
         # under a locale whose decimal point is ',' strtod ends "0.5" early;
@@ -1266,10 +1255,10 @@ class TestCompiledCsvReader:
             "else:\n"
             "    sys.exit(3)\n"
             "lines = ['0,0.5\\n', '1,2\\n']\n"
-            "fast = simulate._read_rows(''.join(lines), 2)\n"
+            "fast = simulate._read_rows(''.join(lines).encode(), 2)\n"
             "expected = np.loadtxt(lines, delimiter=',', ndmin=2)\n"
             "print(fast is None or fast.tobytes() == expected.tobytes())\n"
-            "print(simulate._read_rows('0,0.12345678901234567891\\n', 2))\n"
+            "print(simulate._read_rows(b'0,0.12345678901234567891\\n', 2))\n"
         )
         src = str(Path(rs.__file__).resolve().parent.parent)
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -1329,7 +1318,7 @@ class TestCsvHandBack:
     ), ids=repr)
     @pytest.mark.parametrize("backend", ("compiled", "loadtxt"))
     def test_file_by_name_reads_as_its_handle(self, text, backend, tmp_path):
-        # a file given by name is read whole; an open handle line by line
+        # every source is read as its bytes, with "\r\n" and "\r" made "\n"
         src = tmp_path / "path.csv"
         src.write_bytes(text.encode("utf-8"))
         with pytest.MonkeyPatch.context() as mp:
@@ -1339,6 +1328,10 @@ class TestCsvHandBack:
                 expected = _outcome_of_reading(text, fh)
             assert _outcome_of_reading(text, src) == expected
             assert _outcome_of_reading(text, str(src)) == expected
+            with open(src, encoding="utf-8", newline="") as fh:
+                assert _outcome_of_reading(text, fh) == expected
+            with open(src, "rb") as fh:
+                assert _outcome_of_reading(text, fh) == expected
 
     def test_written_path_skips_loadtxt(self, monkeypatch):
         if _native.load() is None:
@@ -1355,6 +1348,28 @@ class TestCsvHandBack:
         loaded = rs.read_path_csv(buf, path.barriers)
         assert loaded.x.tobytes() == path.x.tobytes()
         assert loaded.r.tobytes() == path.r.tobytes()
+
+    def test_crlf_written_path_skips_loadtxt(self, monkeypatch, tmp_path):
+        # the line ends are made "\n" before read_rows sees the body
+        if _native.load() is None:
+            pytest.skip("no compiled library")
+        path = _golden_csv_path(two_sided=True)
+        buf = io.StringIO()
+        rs.write_path_csv(path, buf)
+        src = tmp_path / "crlf.csv"
+        src.write_bytes(buf.getvalue().replace("\n", "\r\n").encode())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        with open(src, encoding="utf-8", newline="") as fh:
+            for loaded in (rs.read_path_csv(src, path.barriers),
+                           rs.read_path_csv(fh, path.barriers)):
+                assert loaded.x.tobytes() == path.x.tobytes()
+                assert loaded.l.tobytes() == path.l.tobytes()
+                assert loaded.r.tobytes() == path.r.tobytes()
+                assert loaded.h == path.h
 
 
 def _golden_csv_path(two_sided):
@@ -1535,7 +1550,7 @@ class TestCsvWriter:
         if _native.load() is None:
             pytest.skip("no compiled library")
         text = _written("a,b", values, values[::-1]).partition("\n")[2]
-        data = simulate._read_rows(text, 2)
+        data = simulate._read_rows(text.encode(), 2)
         # read_rows hands a subnormal (ERANGE from strtod) to np.loadtxt
         if data is None:
             data = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)

@@ -28,9 +28,11 @@ hex) on 60 two-factor paths, ``SamplePath.validate``
 of a simulated path at n = 200 and 2,000 with the compiled check and on
 the numpy fallback (a checkout without the check runs numpy in both
 rows), ``write_path_csv`` of a two-sided path at n = 2,000 into a
-``StringIO`` with a sha256 of the bytes, the CSV reader on the five CSVs
-of the estimate_ci workload, its time-grid check, a custom drift's fine
-step, a sha256 of every search
+``StringIO`` with a sha256 of the bytes, the compiled row reader
+``_read_rows`` on the bodies of the five CSVs of the estimate_ci workload,
+``read_path_csv`` of each by name with a sha256 of the paths read (x, l,
+r, t0 and h), the time-grid check of the last one's times, a custom
+drift's fine step, a sha256 of every search
 result over 60 paths per drift kind on both steppers, ``simulate_path`` of
 the power drift at γ = ½, ⅔ and 1 at the table-1 shape (two-sided,
 n = 200, m = 10) with a sha256 of 60 such paths per γ, and the cold start:
@@ -41,7 +43,10 @@ child's peak RSS, and of ``python -m reflectsde estimate`` on the
 estimate_ci mean-reversion CSV (2,001 rows), timed with a sha256 of its
 stdout, plus one ``python -X importtime`` of the import.  The children run
 with one BLAS thread, as ``perfbench/run.py`` does.  Only names that both
-checkouts define are called.
+checkouts define are called.  The row reader and the grid check are
+each checkout's own: a checkout with the step rule ``_regular`` reads a
+body as text and checks every step against the first, any later one reads
+it as bytes and checks the times by ``_grid_step``.
 """
 
 from __future__ import annotations
@@ -289,21 +294,35 @@ def percall(root: Path) -> dict:
     out["write_path_csv"] = {"power gamma=1/2 two-sided n=2000": {
         **_best_median(lambda: rs.write_path_csv(path, io.StringIO()), 301),
         "csv_sha256": hashlib.sha256(written.getvalue().encode()).hexdigest()}}
+    # a checkout with the step rule _regular reads str bodies
+    step_rule = hasattr(simulate, "_regular")
+    out["read_path_csv"] = {}
+    paths = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for leg in workloads.CLI_LEGS:
             cfg, csv = Path(tmp, leg.name + ".cfg"), Path(tmp, leg.name + ".csv")
             cfg.write_text(leg.config + workloads._BASE + "n = 2000\n", encoding="utf-8")
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(["simulate", "--config", str(cfg), "--seed", "11", "--out", str(csv)])
-            text = csv.read_text().split("\n", 1)[1]
-            ncol = text.split("\n", 1)[0].count(",") + 1
+            body = csv.read_bytes().split(b"\n", 1)[1]
+            ncol = body.split(b"\n", 1)[0].count(b",") + 1
+            rows = body.decode() if step_rule else body
             out["read_rows"][leg.name] = _best_median(
-                lambda: simulate._read_rows(text, ncol), 301)
-            steps = np.diff(simulate._read_rows(text, ncol)[:, 0])
+                lambda: simulate._read_rows(rows, ncol), 301)
+            t = simulate._read_rows(rows, ncol)[:, 0]
+            barriers = cli.parse_config(cfg).model.barriers
+            out["read_path_csv"][leg.name] = _best_median(
+                lambda: rs.read_path_csv(csv, barriers), 1001)
+            path = rs.read_path_csv(csv, barriers)
+            for arr in (path.x, path.l, path.r):
+                paths.update(arr.tobytes())
+            paths.update(repr((path.t0.hex(), path.h.hex())).encode())
+        out["read_path_csv_sha256"] = paths.hexdigest()
+        if step_rule:
+            steps = np.diff(t)
             h = float(steps[0])
-        regular = getattr(simulate, "_regular", None)
-        check = ((lambda: regular(steps.copy(), h)) if regular else
-                 (lambda: np.allclose(steps, h, rtol=1e-9, atol=0.0)))
+        check = ((lambda: simulate._regular(steps.copy(), h)) if step_rule else
+                 (lambda: simulate._grid_step(t)))
         out["time_grid_check"] = _best_median(check, 1001)
         leg = "mean_reversion_two_sided"
         out["cold_start"] = cold_start(root, Path(tmp, leg + ".cfg"), Path(tmp, leg + ".csv"))
