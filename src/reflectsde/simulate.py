@@ -670,12 +670,13 @@ def _grid_step(t: np.ndarray) -> float:
     the check."""
     t0 = float(t[0])
     h = float(t[1] - t0)
-    dev = _times(t0, h, len(t) - 1)
-    tol = 1e-9 * max(abs(t0), abs(dev[-1]), h)
-    np.subtract(t, dev, out=dev)
-    if not (0.0 < h < math.inf and np.abs(dev, out=dev).max() <= tol):
-        raise DataError("CSV requires regularly spaced times")
-    return h
+    if 0.0 < h < math.inf:
+        dev = _times(t0, h, len(t) - 1)
+        tol = 1e-9 * max(abs(t0), abs(dev[-1]), h)
+        np.subtract(t, dev, out=dev)
+        if np.abs(dev, out=dev).max() <= tol:
+            return h
+    raise DataError("CSV requires regularly spaced times")
 
 
 def write_path_csv(path: SamplePath, dest: str | Path | IO[str]) -> None:
