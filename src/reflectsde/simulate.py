@@ -667,10 +667,11 @@ def _grid_step(t: np.ndarray) -> float:
     """The step ``t[1] - t[0]`` of the times ``t``, each of which must lie
     within 1e-9 max(|t0|, |tn|, h) of its time ``t0 + k h`` (see
     :func:`_times`); raises :class:`DataError` otherwise.  A NaN time fails
-    the check."""
+    the check, and so does a grid whose last time ``t0 + n h`` overflows,
+    as its times cannot be those of a path."""
     t0 = float(t[0])
     h = float(t[1] - t0)
-    if 0.0 < h < math.inf:
+    if 0.0 < h < math.inf and math.isfinite(t0 + (len(t) - 1) * h):
         dev = _times(t0, h, len(t) - 1)
         tol = 1e-9 * max(abs(t0), abs(dev[-1]), h)
         np.subtract(t, dev, out=dev)

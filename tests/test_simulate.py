@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reflectsde as rs
@@ -860,6 +860,77 @@ class TestObservationTimes:
             "0.10000000000000001", "0.20000000000000001", "0.30000000000000004"]
         again = rs.read_path_csv(io.StringIO(buf.getvalue()), path.barriers)
         assert again.times.tobytes() == path.times.tobytes()
+
+
+class TestTimeGrid:
+    """``simulate._grid_step``, the time check of ``read_path_csv``: the
+    step is ``t1 - t0`` and each time must lie within 1e-9 max(|t0|, |tn|,
+    h) of ``t0 + k h``, computed as a path computes its times."""
+
+    @staticmethod
+    def _grid_step(t):
+        # no case may warn: an overflow or invalid operation is a fault
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return simulate._grid_step(np.array(t, dtype=np.float64))
+
+    _grids = dict(
+        t0=st.floats(-1e12, 1e12), h=st.floats(1e-300, 1e300), n=st.integers(1, 2_000))
+
+    @given(**_grids)
+    @settings(max_examples=300, deadline=None)
+    def test_the_grid_of_a_path_passes(self, t0, h, n):
+        # a step below the resolution of t0 has no grid to pass
+        assume(h >= 1e-12 * abs(t0) and math.isfinite(t0 + n * h))
+        t = simulate._times(t0, h, n)
+        step = self._grid_step(t)
+        assert step == t[1] - t[0]
+        if t0 == 0.0:
+            assert step == h
+
+    @given(**_grids, data=st.data(), shift=st.floats(1e-8, 1.0), sign=st.sampled_from((-1, 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_a_moved_time_fails(self, t0, h, n, data, shift, sign):
+        # a time past t1 moved by 1e-8 of the grid's scale or more
+        assume(n >= 2 and h >= 1e-12 * abs(t0) and math.isfinite(t0 + n * h))
+        t = simulate._times(t0, h, n)
+        k = data.draw(st.integers(2, n))
+        t[k] += sign * shift * max(abs(t[0]), abs(t[-1]), t[1] - t[0])
+        with pytest.raises(DataError, match="regularly spaced"):
+            self._grid_step(t)
+
+    @pytest.mark.parametrize("t, h", (
+        ([3.0, 7.5], 4.5),
+        ([0.0, 5e-324, 1e-323], 5e-324),
+        ([0.0, 8e307, 1.6e308], 8e307),
+        ([0.0, 1.0, 2.0, 3.0 + 2.9e-9], 1.0),
+        # within 1e-9 |t0| but not 1e-9 |tn| = 9.98e-7
+        ([-1e3, -999.0, -998.0 + 0.999e-6], 1.0),
+    ), ids=("two_rows", "subnormal_step", "largest_grid", "within_tolerance",
+            "within_start_tolerance"))
+    def test_accepted(self, t, h):
+        assert self._grid_step(t) == h
+
+    @pytest.mark.parametrize("t", (
+        [0.0, 1.0, 2.0, 3.0 + 3.1e-9],
+        [-1e3, -999.0, -998.0 + 1.001e-6],
+        [math.nan, 0.01, 0.02],
+        [0.0, math.nan, 0.02],
+        [0.0, 0.01, math.nan],
+        [0.0, 0.01, math.inf],
+        [-math.inf, 0.0, 1.0],
+        [0.0, 0.0, 0.0],
+        [0.0, -0.01, -0.02],
+        # 2e308 overflows: its infinite tolerance let the repeated time pass
+        [0.0, 1e308, 1e308],
+        # finite times, but t0 + 2 h overflows where k h is taken first
+        [-1e308, 0.0, 1e308],
+    ), ids=("beyond_tolerance", "beyond_start_tolerance", "nan_first", "nan_second",
+            "nan_last", "inf_last", "minus_inf_first", "zero_step", "negative_step",
+            "overflowing_last_time", "overflowing_grid"))
+    def test_refused(self, t):
+        with pytest.raises(DataError, match="regularly spaced"):
+            self._grid_step(t)
 
 
 class TestNonFinitePaths:
