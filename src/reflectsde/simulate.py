@@ -664,16 +664,22 @@ def _times(t0: float, h: float, n: int) -> np.ndarray:
 
 
 def _grid_step(t: np.ndarray) -> float:
-    """The step ``t[1] - t[0]`` of the times ``t``, each of which must lie
-    within 1e-9 max(|t0|, |tn|, h) of its time ``t0 + k h`` (see
-    :func:`_times`); raises :class:`DataError` otherwise.  A NaN time fails
-    the check, and so does a grid whose last time ``t0 + n h`` overflows,
-    as its times cannot be those of a path."""
-    t0 = float(t[0])
-    h = float(t[1] - t0)
-    if 0.0 < h < math.inf and math.isfinite(t0 + (len(t) - 1) * h):
-        dev = _times(t0, h, len(t) - 1)
-        tol = 1e-9 * max(abs(t0), abs(dev[-1]), h)
+    """The step h of the times ``t``: ``t1`` where ``t0 = 0``, so that a
+    path written from 0 reads back with the bits of its h, and
+    ``(tn - t0) / n`` otherwise, which divides the rounding of the times
+    by n.  Each time must lie within 1e-9 h + 8 ulp(max(|t0|, |t0 + n h|))
+    of ``t0 + k h`` (see :func:`_times`): the ulps bound the rounding of a
+    written grid and of this one, and lie far below a step, so that a
+    missing or repeated row fails wherever the grid starts.  Raises
+    :class:`DataError` otherwise.  A NaN time fails the check, and so does
+    a grid whose last time ``t0 + n h`` overflows, as its times cannot be
+    those of a path."""
+    n = len(t) - 1
+    t0, tn = float(t[0]), float(t[-1])
+    h = float(t[1]) if t0 == 0.0 else (tn - t0) / n
+    if 0.0 < h < math.inf and math.isfinite(t0 + n * h):
+        dev = _times(t0, h, n)
+        tol = 1e-9 * h + 8 * math.ulp(max(abs(t0), abs(dev[-1])))
         np.subtract(t, dev, out=dev)
         if np.abs(dev, out=dev).max() <= tol:
             return h
@@ -698,9 +704,11 @@ def read_path_csv(src: str | Path | IO, barriers: BarrierConfig) -> SamplePath:
     ``\\r`` end lines as ``\\n`` does, as in a file opened in text mode.  The
     body goes to the compiled ``read_rows`` as it is, and what that gives
     back is decoded and read by ``np.loadtxt``.  The path keeps the first
-    time and the first step of the t column as its ``t0`` and ``h``; every
-    time must lie on that grid, within 1e-9 of the largest of |t0|, |tn|
-    and h (see :func:`_grid_step`).
+    time of the t column as its ``t0``, and its ``h`` is the step of the
+    grid ``t0 + k h`` that every time must lie on, within 1e-9 h and the
+    rounding of the times (see :func:`_grid_step`).  A file written from
+    t0 = 0 reads back with the bits of its h; one written from any other
+    t0 with an h within a few ulps of max(|t0|, |tn|) / n of it.
     """
     headers = ("t,x,l,r", "t,x,l")
     try:

@@ -849,23 +849,28 @@ class TestObservationTimes:
             rs.SamplePath(**_CHECKED_PATH, t0=t0)
 
     def test_another_tools_grid_is_written_back_as_t0_plus_k_h(self, backend):
-        # 0.3 - 0.2 is 0.1 less 2.8e-17: regular to the reader's 1e-9 h,
-        # but not 0.1 + 2 * 0.1 bit for bit
+        # from t0 = 0.1 the step is (0.3 - 0.1) / 2, 0.1 less 1.4e-17, not
+        # 0.2 - 0.1; the times are written back as 0.1 + k h
         path = rs.read_path_csv(io.StringIO("t,x,l\n0.1,1,0\n0.2,1,0\n0.3,1,0\n"),
                                 rs.BarrierConfig.one_sided_lower(0.0))
-        assert (path.t0, path.h) == (0.1, 0.2 - 0.1)
+        assert (path.t0, path.h) == (0.1, (0.3 - 0.1) / 2)
         buf = io.StringIO()
         rs.write_path_csv(path, buf)
         assert [row.split(",")[0] for row in buf.getvalue().splitlines()[1:]] == [
-            "0.10000000000000001", "0.20000000000000001", "0.30000000000000004"]
+            "0.10000000000000001", "0.20000000000000001", "0.29999999999999999"]
         again = rs.read_path_csv(io.StringIO(buf.getvalue()), path.barriers)
         assert again.times.tobytes() == path.times.tobytes()
 
 
+_LATE_GRID = simulate._times(1e6, 1e-3, 100)
+_U9 = math.ulp(1e9)
+
+
 class TestTimeGrid:
     """``simulate._grid_step``, the time check of ``read_path_csv``: the
-    step is ``t1 - t0`` and each time must lie within 1e-9 max(|t0|, |tn|,
-    h) of ``t0 + k h``, computed as a path computes its times."""
+    step is ``t1`` from t0 = 0 and ``(tn - t0) / n`` from any other t0, and
+    each time must lie within 1e-9 h + 8 ulp(max(|t0|, |tn|)) of
+    ``t0 + k h``, computed as a path computes its times."""
 
     @staticmethod
     def _grid_step(t):
@@ -884,18 +889,20 @@ class TestTimeGrid:
         assume(h >= 1e-12 * abs(t0) and math.isfinite(t0 + n * h))
         t = simulate._times(t0, h, n)
         step = self._grid_step(t)
-        assert step == t[1] - t[0]
         if t0 == 0.0:
             assert step == h
+        else:
+            assert abs(step - h) <= 3 * math.ulp(max(abs(t0), abs(t[-1]))) / n + math.ulp(h)
 
     @given(**_grids, data=st.data(), shift=st.floats(1e-8, 1.0), sign=st.sampled_from((-1, 1)))
     @settings(max_examples=300, deadline=None)
     def test_a_moved_time_fails(self, t0, h, n, data, shift, sign):
-        # a time past t1 moved by 1e-8 of the grid's scale or more
+        # a time moved by up to a whole step, and by 64 ulps of the largest
+        # time more, wherever the grid starts: a missing or repeated row fails
         assume(n >= 2 and h >= 1e-12 * abs(t0) and math.isfinite(t0 + n * h))
         t = simulate._times(t0, h, n)
-        k = data.draw(st.integers(2, n))
-        t[k] += sign * shift * max(abs(t[0]), abs(t[-1]), t[1] - t[0])
+        k = data.draw(st.integers(1, n))
+        t[k] += sign * (shift * h + 64 * math.ulp(max(abs(t[0]), abs(t[-1]))))
         with pytest.raises(DataError, match="regularly spaced"):
             self._grid_step(t)
 
@@ -903,31 +910,42 @@ class TestTimeGrid:
         ([3.0, 7.5], 4.5),
         ([0.0, 5e-324, 1e-323], 5e-324),
         ([0.0, 8e307, 1.6e308], 8e307),
-        ([0.0, 1.0, 2.0, 3.0 + 2.9e-9], 1.0),
-        # within 1e-9 |t0| but not 1e-9 |tn| = 9.98e-7
-        ([-1e3, -999.0, -998.0 + 0.999e-6], 1.0),
+        ([0.0, 1.0, 2.0, 3.0 + 0.9e-9], 1.0),
+        # 7 ulps of 1e9 is 8.3e-7, far above 1e-9 h
+        ([1e9, 1e9 + 1, 1e9 + 2 + 7 * _U9, 1e9 + 3], 1.0),
+        ([1.7e9, 1.7e9 + 1, 1.7e9 + 2, 1.7e9 + 3], 1.0),
     ), ids=("two_rows", "subnormal_step", "largest_grid", "within_tolerance",
-            "within_start_tolerance"))
+            "within_rounding", "unix_seconds"))
     def test_accepted(self, t, h):
         assert self._grid_step(t) == h
 
     @pytest.mark.parametrize("t", (
-        [0.0, 1.0, 2.0, 3.0 + 3.1e-9],
-        [-1e3, -999.0, -998.0 + 1.001e-6],
+        [0.0, 1.0, 2.0, 3.0 + 1.1e-9],
+        [1e9, 1e9 + 1, 1e9 + 2 + 9 * _U9, 1e9 + 3],
+        # a missing or a repeated row, which a tolerance of 1e-9 |t0| let pass
+        [1.7e9, 1.7e9 + 1, 1.7e9 + 2, 1.7e9 + 4],
+        [1.7e9, 1.7e9 + 1, 1.7e9 + 1, 1.7e9 + 2],
+        list(np.delete(_LATE_GRID, 50)),
+        list(np.insert(_LATE_GRID, 50, _LATE_GRID[50])),
         [math.nan, 0.01, 0.02],
         [0.0, math.nan, 0.02],
+        [1.0, math.nan, 1.02],
         [0.0, 0.01, math.nan],
         [0.0, 0.01, math.inf],
         [-math.inf, 0.0, 1.0],
         [0.0, 0.0, 0.0],
+        [5.0, 5.0, 5.0],
         [0.0, -0.01, -0.02],
+        [1.0, 0.5, 2.0],
         # 2e308 overflows: its infinite tolerance let the repeated time pass
         [0.0, 1e308, 1e308],
-        # finite times, but t0 + 2 h overflows where k h is taken first
+        # finite times, but tn - t0 overflows
         [-1e308, 0.0, 1e308],
-    ), ids=("beyond_tolerance", "beyond_start_tolerance", "nan_first", "nan_second",
-            "nan_last", "inf_last", "minus_inf_first", "zero_step", "negative_step",
-            "overflowing_last_time", "overflowing_grid"))
+    ), ids=("beyond_tolerance", "beyond_rounding", "unix_seconds_gap",
+            "unix_seconds_repeat", "late_gap", "late_repeat", "nan_first", "nan_second",
+            "nan_inner", "nan_last", "inf_last", "minus_inf_first", "zero_step",
+            "zero_span", "negative_step", "backward_step", "overflowing_last_time",
+            "overflowing_grid"))
     def test_refused(self, t):
         with pytest.raises(DataError, match="regularly spaced"):
             self._grid_step(t)
