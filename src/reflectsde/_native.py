@@ -6,8 +6,8 @@ drift in one pass, fixed once per search by a :class:`Contrast`;
 pass over the path and writes its increments; the CSV row reader
 ``read_rows``, which scans digits eight at a time and converts a field of
 up to 19 significant digits by the Eisel-Lemire algorithm, or Clinger's
-exact quotient, and any other by ``strtod``, to the bits of
-``np.loadtxt``; and its twin ``write_rows``, which writes rows as
+exact quotient, and any other by ``strtod`` (every field, on a build
+without ``__int128``), to the bits of ``np.loadtxt``; and its twin ``write_rows``, which writes rows as
 ``simulate.write_csv`` does, every value as ``{:.17g}``: a zero, or a
 finite value of magnitude in [1e-16, 1e17), by exact 128-bit integer
 arithmetic (the 17 digits of m 5^s 2^(e + s) for v = m 2^e and

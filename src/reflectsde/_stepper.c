@@ -12,7 +12,9 @@
  * by strtod; check_path, the checks of SamplePath.validate and the
  * increments of the path in one pass; and write_rows, the twin of the
  * Python expression of simulate.write_csv, which formats rows of doubles
- * as '{:.17g}' by exact 128-bit integer arithmetic.
+ * as '{:.17g}' by exact 128-bit integer arithmetic.  Both exact
+ * conversions take unsigned __int128: a build without it reads every
+ * field by strtod and hands every row back to write_csv.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add rounds once where Python rounds twice.  log, sqrt and pow
@@ -237,7 +239,12 @@ static int is_digit(char c)
     return c >= '0' && c <= '9';
 }
 
-/* 10^q for q in [Q_MIN, Q_MAX] as 128 bits {high, low}, scaled by a power
+#ifdef __SIZEOF_INT128__
+/* From here to clinger: the exact conversions of read_rows, which take
+ * unsigned __int128, a GCC and Clang extension for 64-bit targets.  A
+ * build without it converts every field by strtod.
+ *
+ * 10^q for q in [Q_MIN, Q_MAX] as 128 bits {high, low}, scaled by a power
  * of two to [2^127, 2^128) and truncated: 5^q shifted for q >= 0, and
  * floor(2^k / 5^-q) for q < 0.  simulate.write_csv writes every double of
  * magnitude in [10^-24, 10^17) with q in this range. */
@@ -296,23 +303,12 @@ static const uint64_t POW10[][2] = {
     {0x9502f90000000000, 0x0000000000000000}, /* 1e10 */
 };
 
-/* The high word of the 128-bit product a * b; *lo receives the low word.
- * unsigned __int128 is a GCC and Clang extension for 64-bit targets; it
- * made read_rows about a third faster on x86-64 than the four 32-bit
- * products that stand in for it elsewhere. */
+/* The high word of the 128-bit product a * b; *lo receives the low word. */
 static uint64_t mul128(uint64_t a, uint64_t b, uint64_t *lo)
 {
-#ifdef __SIZEOF_INT128__
     unsigned __int128 r = (unsigned __int128)a * b;
     *lo = (uint64_t)r;
     return (uint64_t)(r >> 64);
-#else
-    uint64_t a0 = (uint32_t)a, a1 = a >> 32, b0 = (uint32_t)b, b1 = b >> 32;
-    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
-    uint64_t mid = (p00 >> 32) + (uint32_t)p01 + (uint32_t)p10;
-    *lo = (mid << 32) | (uint32_t)p00;
-    return a1 * b1 + (mid >> 32) + (p01 >> 32) + (p10 >> 32);
-#endif
 }
 
 /* Store in *out the double nearest w * 10^q, ties to even, for w > 0 and
@@ -329,23 +325,11 @@ static int eisel_lemire(uint64_t w, long q, double *out)
 {
     const uint64_t *p10 = POW10[q - Q_MIN];
     uint64_t lo, hi, m, bits;
-    int lz = 0, top;
+    int lz = __builtin_clzll(w), top;
     long e2;
-    /* shift w up to its top bit: GCC's and Clang's __builtin_clzll counts
-     * its leading zeros in one instruction, the loop in six steps.  The
-     * builtin is taken where mul128 takes __int128, which only those
-     * compilers define, so that one build without __SIZEOF_INT128__ checks
-     * both portable paths. */
-#ifdef __SIZEOF_INT128__
-    lz = __builtin_clzll(w);
+    /* w shifted up to its top bit: the compilers that define __int128 have
+     * the builtin, one instruction */
     w <<= lz;
-#else
-    for (int s = 32; s; s >>= 1)
-        if (w >> (64 - s) == 0) {
-            w <<= s;
-            lz += s;
-        }
-#endif
     hi = mul128(w, p10[0], &lo);
     if ((hi & 0x1FF) == 0x1FF && lo + w < lo) {
         uint64_t low, mid = mul128(w, p10[1], &low);
@@ -403,6 +387,7 @@ static int clinger(uint64_t w, long q, double *out)
 #endif
     return 0;
 }
+#endif
 
 /* The 8 bytes at p as a little-endian word, whatever the byte order of the
  * machine; compilers make one load of it where that is little-endian. */
@@ -463,7 +448,7 @@ static const char *read_digits(const char *p, const char *end, uint64_t *w, int 
  * gives a signed zero, and w of up to 19 significant digits with q in the
  * table goes to eisel_lemire, then to clinger if eisel_lemire gives it
  * back.  Every other field, and one both give back, is converted by
- * strtod.  All three round correctly like the PyOS_string_to_double behind
+ * strtod, as is every field on a build without __int128.  All three round correctly like the PyOS_string_to_double behind
  * np.loadtxt.  Returns the number of rows, or -1 for any other text: a
  * comment, a blank line, whitespace, '\r', inf or nan, a value strtod
  * reports out of range, or a field strtod ends elsewhere than the scan (a
@@ -510,10 +495,12 @@ long read_rows(const char *text, long len, long ncol, double *out, long maxrows)
                 return -1;
             if (nd == 0) {
                 *v = neg ? -0.0 : 0.0;
+#ifdef __SIZEOF_INT128__
             } else if (nd <= 19 && e < 100000 && q >= Q_MIN && q <= Q_MAX
                        && (eisel_lemire(w, q, v) || clinger(w, q, v))) {
                 if (neg)
                     *v = -*v;
+#endif
             } else {
                 char *stop;
                 errno = 0;

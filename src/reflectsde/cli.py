@@ -43,15 +43,21 @@ from .simulate import (
 )
 from .stationary import information, invariant_density
 
-_MODEL_KEYS = {
+_KEYS = {
     "drift.kind", "drift.gamma", "drift.covariate",
     "sigma", "barrier.a", "barrier.b",
     "theta.lo", "theta.hi", "theta.true", "x0",
+    "n", "h", "alpha", "substeps", "scheme", "seed", "reps",
 }
-_RUN_KEYS = {"n", "h", "alpha", "substeps", "scheme", "seed", "reps"}
-_ALL_KEYS = _MODEL_KEYS | _RUN_KEYS
 
 _REQUIRED = object()  # parse_config's default for a key without one
+
+
+def _required(key: str, value):
+    """``value``, or a ConfigError naming ``key`` when it is None."""
+    if value is None:
+        raise ConfigError(f"missing required key: {key}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -67,16 +73,11 @@ class ParsedConfig:
     reps: int | None
 
     def require_plan(self) -> SamplingPlan:
-        if self.n is None:
-            raise ConfigError("missing required key: n")
-        if self.h is None:
-            raise ConfigError("missing required key: h")
-        return SamplingPlan(n=self.n, h=self.h, alpha=self.alpha)
+        return SamplingPlan(n=_required("n", self.n), h=_required("h", self.h),
+                            alpha=self.alpha)
 
     def require_theta_true(self) -> float:
-        if self.theta_true is None:
-            raise ConfigError("missing required key: theta.true")
-        return self.theta_true
+        return _required("theta.true", self.theta_true)
 
 
 def _read_key_values(path: str | Path) -> dict[str, str]:
@@ -94,7 +95,7 @@ def _read_key_values(path: str | Path) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key: {key}")
         if key in raw:
             raise ConfigError(f"duplicate key: {key}")
@@ -105,7 +106,10 @@ def _read_key_values(path: str | Path) -> dict[str, str]:
 def parse_config(
     path: str | Path, overrides: Mapping[str, object] | None = None
 ) -> ParsedConfig:
-    """Load and validate a configuration file, applying flag overrides.
+    """Load and validate a configuration file, applying flag overrides:
+    the value of a key in ``overrides`` replaces the file's unless it is
+    None, and entries that name no key are ignored, so the namespace of
+    parsed flags can be passed as it is.
 
     Defaults: substeps=10, scheme=lepingle, alpha=0.25, seed=0.
     """
@@ -228,14 +232,20 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="model configuration file")
         p.add_argument("--out", default="-", help="output file ('-' = stdout)")
 
+    # a flag that overrides a configuration key stores under that key, so
+    # that parse_config takes the parsed namespace as its overrides
+    def add_run_flags(p: _Parser) -> None:
+        p.add_argument("--h", type=float, help="observation step size")
+        p.add_argument("--seed", type=int, help="seed of the random streams")
+        p.add_argument("--substeps", type=int, help="fine steps per interval")
+        p.add_argument("--scheme", choices=[LEPINGLE, PROJECTION])
+        p.add_argument("--theta", dest="theta.true", metavar="THETA", type=float,
+                       help="true drift parameter")
+
     p_sim = sub.add_parser("simulate", help="simulate a reflected path to CSV")
     add_common(p_sim)
     p_sim.add_argument("--n", type=int, help="number of increments")
-    p_sim.add_argument("--h", type=float, help="observation step size")
-    p_sim.add_argument("--seed", type=int, help="stream seed")
-    p_sim.add_argument("--substeps", type=int, help="fine steps per interval")
-    p_sim.add_argument("--scheme", choices=[LEPINGLE, PROJECTION])
-    p_sim.add_argument("--theta", type=float, help="true drift parameter")
+    add_run_flags(p_sim)
 
     p_est = sub.add_parser("estimate", help="estimate theta from a path CSV")
     add_common(p_est)
@@ -246,19 +256,17 @@ def _build_parser() -> _Parser:
     p_mc = sub.add_parser("mc", help="Monte Carlo bias/std/mse sweep")
     p_mc.add_argument("--config", required=True)
     p_mc.add_argument("--reps", type=int, help="number of replications")
-    p_mc.add_argument("--seed", type=int, help="root seed")
-    p_mc.add_argument("--n", help="comma-separated n values, e.g. 50,100,200")
-    p_mc.add_argument("--h", type=float)
-    p_mc.add_argument("--substeps", type=int)
-    p_mc.add_argument("--scheme", choices=[LEPINGLE, PROJECTION])
-    p_mc.add_argument("--theta", type=float, help="true drift parameter")
+    p_mc.add_argument("--n", dest="n_list", metavar="N",
+                      help="comma-separated n values, e.g. 50,100,200")
+    add_run_flags(p_mc)
     p_mc.add_argument("--out-dir", default=".", help="directory for CSV outputs")
     p_mc.add_argument("--zscores", action="store_true",
                       help="also write zscores.csv for the largest n")
 
     p_den = sub.add_parser("density", help="invariant density as x,pi CSV")
     add_common(p_den)
-    p_den.add_argument("--theta", type=float, help="parameter value")
+    p_den.add_argument("--theta", dest="theta.true", metavar="THETA", type=float,
+                       help="parameter value")
 
     p_gi = sub.add_parser("ginfo", help="information integral over a theta grid")
     add_common(p_gi)
@@ -268,11 +276,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    parsed = parse_config(args.config, {
-        "n": args.n, "h": args.h, "seed": args.seed,
-        "substeps": args.substeps, "scheme": args.scheme,
-        "theta.true": args.theta,
-    })
+    parsed = parse_config(args.config, vars(args))
     plan = parsed.require_plan()
     theta = parsed.require_theta_true()
     _check_destination(args.out)
@@ -307,9 +311,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _parse_n_list(text: str | None, fallback: int | None) -> tuple[int, ...]:
     if text is None:
-        if fallback is None:
-            raise ConfigError("missing required key: n")
-        return (int(fallback),)
+        return (_required("n", fallback),)
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
@@ -320,20 +322,15 @@ def _parse_n_list(text: str | None, fallback: int | None) -> tuple[int, ...]:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    parsed = parse_config(args.config, {
-        "h": args.h, "seed": args.seed, "substeps": args.substeps,
-        "scheme": args.scheme, "theta.true": args.theta, "reps": args.reps,
-    })
-    if parsed.h is None:
-        raise ConfigError("missing required key: h")
-    if parsed.reps is None:
-        raise ConfigError("missing required key: reps")
-    n_values = _parse_n_list(args.n, parsed.n)
+    parsed = parse_config(args.config, vars(args))
+    h = _required("h", parsed.h)
+    reps = _required("reps", parsed.reps)
+    n_values = _parse_n_list(args.n_list, parsed.n)
     theta0 = parsed.require_theta_true()
-    plan = SamplingPlan(n=max(n_values), h=parsed.h, alpha=parsed.alpha)
+    plan = SamplingPlan(n=max(n_values), h=h, alpha=parsed.alpha)
     cfg = McConfig(
         model=parsed.model, theta0=theta0, plan=plan, sim=parsed.sim,
-        replications=parsed.reps, n_values=n_values,
+        replications=reps, n_values=n_values,
     )
     out_dir = Path(args.out_dir)
     _prepare_out_dir(out_dir)
@@ -350,7 +347,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
                   *zip(*((s.n, s.bias, s.std_dev, s.mse) for s in run.summaries(theta0))))
     if args.zscores:
         n_big = max(run.estimates)
-        plan_big = SamplingPlan(n=n_big, h=parsed.h, alpha=parsed.alpha)
+        plan_big = SamplingPlan(n=n_big, h=h, alpha=parsed.alpha)
         report = normality_diagnostic(
             run.estimates[n_big], theta0, plan_big, parsed.model
         )
@@ -363,7 +360,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    parsed = parse_config(args.config, {"theta.true": args.theta})
+    parsed = parse_config(args.config, vars(args))
     theta = parsed.require_theta_true()
     _check_destination(args.out)
     grid = invariant_density(parsed.model, theta)

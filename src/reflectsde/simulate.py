@@ -167,7 +167,8 @@ class SamplePath:
         """Check finiteness, barrier containment, regulator monotonicity,
         and (when hit flags are present) discrete complementary slackness,
         raising :class:`DataError` at the first fault.  A step ``h`` that is
-        not positive and finite is refused first.  Every path makes these
+        not positive and finite is refused first, then one whose last time
+        ``t0 + n h`` overflows.  Every path makes these
         checks as it is built; a call makes them again on the arrays as they
         are now, and leaves :attr:`increments` as they were."""
         self._check()
@@ -181,6 +182,10 @@ class SamplePath:
         h = self.h
         if not (h > 0.0 and math.isfinite(h)):
             raise DataError(f"the observation step h must be positive and finite, got {h!r}")
+        # the last time of :attr:`times`, by the same operations
+        if not math.isfinite(float(self.t0) + self.n * float(h)):
+            raise DataError(f"the last observation time t0 + n h overflows: t0 = {self.t0!r}, "
+                            f"n = {self.n}, h = {h!r}")
         lib = _native.load()
         if lib is not None:
             # three arrays of their own: as rows of one 3-by-n array they
@@ -645,7 +650,8 @@ def _read_rows(body: bytes, ncol: int) -> np.ndarray | None:
     them, which are ASCII) or is not built, so that the caller reads them
     with ``np.loadtxt``.  ``read_rows`` converts a field of up to 19
     significant digits by the Eisel-Lemire algorithm and any other by
-    ``strtod``; both give the bits of ``np.loadtxt``."""
+    ``strtod``, as it converts every field on a build without
+    ``__int128``; both give the bits of ``np.loadtxt``."""
     lib = _native.load()
     if lib is None:
         return None

@@ -14,13 +14,13 @@ The quadrature starts at 4,096 Simpson panels and doubles them, up to at
 most 262,144, until the normalizer changes by at most 1e-10 relative.  The
 log-density is shifted by one constant, its maximum on the first grid, at
 every level, so successive normalizers are comparable even when the peak
-lies between nodes.  Each doubling keeps the old nodes, so for the built-in
-drifts (analytic primitive) only the new midpoints are evaluated; a custom
-drift's cumulative-Simpson primitive is recomputed on the whole grid, by
-a numpy port of ``scipy.integrate.cumulative_simpson`` with its bits, so
-no code here imports ``scipy.integrate``.  A grid returned at the cap
-before meeting the tolerance raises a RuntimeWarning naming the last
-relative change and the node count.
+lies between nodes.  Every level evaluates the drift primitive and ``exp``
+on its whole grid: analytic for the built-in drifts, and for a custom
+drift cumulative Simpson, by a numpy port of
+``scipy.integrate.cumulative_simpson`` with its bits, so no code here
+imports ``scipy.integrate``.  A grid returned at the cap before meeting the
+tolerance raises a RuntimeWarning naming the last relative change and the
+node count.
 
 For one-sided models the support is truncated at a point where the
 remaining tail mass is below 1e-10 of the total; a drift that fails to push
@@ -48,7 +48,6 @@ import numpy as np
 from . import _special
 from .errors import ModelError
 from .model import (
-    CUSTOM,
     MEAN_REVERSION_TO_ONE,
     POWER,
     SHIFTED_COVARIATE,
@@ -209,25 +208,15 @@ def invariant_density(config: ModelConfig, theta: float) -> DensityGrid:
     else:
         hi = _upper_limit(config, theta)
 
-    drift = config.drift
     scale = 2.0 / config.sigma**2
-    shift = unnorm = z = None
+    shift = z = None
     k = _START_INTERVALS
     for _ in range(_MAX_REFINES + 1):
         nodes, w = _simpson_weights(a, hi, k)
-        if unnorm is None or drift.kind == CUSTOM:
-            log_pi = scale * _drift_primitive(drift, a, nodes, theta)
-            if shift is None:
-                shift = np.max(log_pi)
-            finer = np.exp(log_pi - shift)
-        else:
-            # the even nodes of the doubled grid are the old nodes bit for
-            # bit, so only the new odd nodes need the primitive and exp
-            odd = np.ascontiguousarray(nodes[1::2])
-            finer = np.empty(k + 1)
-            finer[::2] = unnorm
-            finer[1::2] = np.exp(scale * _drift_primitive(drift, a, odd, theta) - shift)
-        prev_z, unnorm = z, finer
+        log_pi = scale * _drift_primitive(config.drift, a, nodes, theta)
+        if shift is None:
+            shift = np.max(log_pi)
+        prev_z, unnorm = z, np.exp(log_pi - shift)
         z = float(np.dot(w, unnorm))
         if not math.isfinite(z) or z <= 0.0:
             raise ModelError("invariant density normalization failed")

@@ -8,6 +8,7 @@ import functools
 import gc
 import importlib.resources
 import inspect
+import io
 import math
 import os
 import re
@@ -30,6 +31,7 @@ import reflectsde as rs
 from reflectsde import _native, estimate, simulate
 
 import test_simulate
+from conftest import power_model
 
 _PLAN = rs.SamplingPlan(n=40, h=0.01)
 
@@ -989,6 +991,10 @@ def _loadtxt_field(field):
     return np.loadtxt([field + "\n"], delimiter=",", ndmin=2)
 
 
+# the compiler flags of each build that TestCsvFieldConversion compiles
+_BUILDS = {"default": (), "without_int128": ("-U__SIZEOF_INT128__",)}
+
+
 class TestCsvFieldConversion:
     """The Eisel-Lemire conversion in ``read_rows`` and its ``strtod``
     fallback, against exact integers and ``np.loadtxt``."""
@@ -1059,18 +1065,27 @@ class TestCsvFieldConversion:
             assert (simulate._read_rows("".join(lines).encode(), 1).tobytes()
                     == np.loadtxt(lines, delimiter=",", ndmin=2).tobytes())
 
-    @pytest.mark.parametrize("extra", ((), ("-U__SIZEOF_INT128__",)),
-                             ids=("default", "without_int128"))
-    def test_source_compiles_without_warnings(self, extra, tmp_path):
-        # without __int128 the 128-bit products take four 32-bit ones
+    @pytest.fixture(scope="class")
+    def strict_builds(self, tmp_path_factory):
+        """Each of ``_BUILDS`` compiled with -Wall -Wextra -Werror: the
+        compiler's result and the library's path, by build."""
         compiler = _native.find_compiler()
         if compiler is None:
             pytest.skip("no C compiler")
-        lib = tmp_path / "stepper.so"
-        done = subprocess.run(
-            [compiler, *_native.FLAGS, "-Wall", "-Wextra", "-Werror", *extra,
-             "-o", str(lib), str(_native.SOURCE), "-lm"],
-            capture_output=True, text=True, timeout=120)
+        builds = {}
+        for build, extra in _BUILDS.items():
+            lib = tmp_path_factory.mktemp(build) / "stepper.so"
+            builds[build] = subprocess.run(
+                [compiler, *_native.FLAGS, "-Wall", "-Wextra", "-Werror", *extra,
+                 "-o", str(lib), str(_native.SOURCE), "-lm"],
+                capture_output=True, text=True, timeout=120), lib
+        return builds
+
+    @pytest.mark.parametrize("build", _BUILDS)
+    def test_source_compiles_without_warnings(self, build, strict_builds):
+        # without __int128, read_rows converts every field by strtod and
+        # write_rows hands every row back
+        done, lib = strict_builds[build]
         assert done.returncode == 0, done.stderr
         built = _native._open(lib)
         # write_rows formats with __int128 and hands every value back without
@@ -1082,7 +1097,7 @@ class TestCsvFieldConversion:
         out = np.empty(len(col) * simulate._FIELD_BYTES, dtype=np.uint8)
         size = built.write_rows(np.array([col.ctypes.data], dtype=np.uintp).ctypes.data, 1,
                                 len(col), out.ctypes.data, len(out))
-        assert (size < 0) == bool(extra)
+        assert (size < 0) == (build == "without_int128")
         for field in _FIELDS:
             raw = (field + "\n").encode()
             out = np.empty((1, 1))
@@ -1098,3 +1113,29 @@ class TestCsvFieldConversion:
                 native = _outcome(run)
                 mp.setattr(_native, "load", lambda: None)
                 assert native == _outcome(run)
+
+    def test_builds_with_and_without_int128_read_alike(self, strict_builds):
+        # every directed field, read or handed back, and the body of a
+        # written two-sided path, which the default build converts by
+        # Eisel-Lemire and the other by strtod
+        libs = []
+        for done, lib in strict_builds.values():
+            assert done.returncode == 0, done.stderr
+            libs.append(_native._open(lib))
+
+        def read(lib, raw, ncol, maxrows):
+            out = np.empty((maxrows, ncol))
+            rows = lib.read_rows(raw, len(raw), ncol, out.ctypes.data, maxrows)
+            return rows, out[:max(rows, 0)].tobytes()
+
+        path = rs.simulate_path(power_model(0.5), 2.0, rs.SamplingPlan(n=2000, h=0.01),
+                                rs.SimOptions(seed=11))
+        written = io.StringIO()
+        rs.write_path_csv(path, written)
+        body = written.getvalue().split("\n", 1)[1].encode()
+        default, portable = (read(lib, body, 4, 2001) for lib in libs)
+        assert default[0] == 2001
+        assert default == portable
+        for field in _FIELDS:
+            raw = (field + "\n").encode()
+            assert read(libs[0], raw, 1, 1) == read(libs[1], raw, 1, 1), field

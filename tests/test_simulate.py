@@ -1013,6 +1013,28 @@ class TestObservationStep:
             with pytest.raises(DataError, match="h must be positive and finite"):
                 replace(path, **changes)
 
+    @staticmethod
+    def _flat_path(t0, h):
+        return rs.SamplePath(h=h, x=[1.0, 1.0, 1.0], l=[0.0, 0.0, 0.0], r=[0.0, 0.0, 0.0],
+                             barriers=rs.BarrierConfig.two_sided(0.0, 2.0), t0=t0)
+
+    @pytest.mark.parametrize("t0, h", ((0.0, 1e308), (1.7e308, 1e307)))
+    def test_step_whose_last_time_overflows_is_refused(self, t0, h, backend):
+        # both built, with times that warned of an overflow and ended in
+        # inf, which write_path_csv wrote as a row read_path_csv refuses
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"last observation time t0 \+ n h overflows"):
+                self._flat_path(t0, h)
+
+    def test_largest_finite_last_time_builds_and_reads_back(self, tmp_path, backend):
+        path = self._flat_path(0.0, 6e307)
+        csv = tmp_path / "path.csv"
+        rs.write_path_csv(path, csv)
+        back = rs.read_path_csv(csv, path.barriers)
+        assert back.h.hex() == path.h.hex()
+        assert back.times.tobytes() == path.times.tobytes()
+
 
 # a valid hand-built path on [0, 1] whose lower regulator rises in the first
 # interval and upper one in the second, each under a set flag, and the one

@@ -477,6 +477,14 @@ _GOLDEN_GRIDS = {
     ("power", 1.0, False, 2.0): "3dd3de91c7ab0c70e0f082c106cb189dbd5c0bc08d4dc6640c12dbef8c28f4f6",
     ("shifted", 1.0, True, 2.0): "e6b34ed8456e222782327dc90d6e33811ec434b7892831a542c4e4d08fe73499",
     ("shifted", -1.0, True, 2.0): "fd8447469a840c2aa6fc8a7376c9c652fd6da3ef51b0fc1770ef4890712ceb77",
+    # recorded while the built-in drifts still evaluated only the new
+    # midpoints of each doubling, and a custom drift the whole grid; the
+    # custom grid is the quadrature behind a custom drift's stderr
+    ("mean_reversion", None, True, 2.0):
+        "a07943de8920d349f5e0d23ce758194afb3b55db55712a8f07c223a099062835",
+    ("mean_reversion", None, False, 2.0):
+        "0e3746f2c098d8c65a38835ca0293430b9188f4fa22538d4a8038d179b7f3219",
+    ("custom", None, True, 2.0): "13ec64332500750c38dd5320181c1843f4f68fe3c312d663e0b3a1f861478159",
 }
 
 # information of the custom drift theta*(1 - x) - x**3 at theta = 2, sigma =
@@ -540,7 +548,11 @@ class TestRefinement:
         if kind == "power":
             cfg = power_model(param, two_sided=two_sided)
         else:
-            cfg = model_with(rs.DriftSpec.shifted_covariate(param))
+            drift = {"shifted": lambda: rs.DriftSpec.shifted_covariate(param),
+                     "mean_reversion": rs.DriftSpec.mean_reversion_to_one,
+                     "custom": _cubic_custom_drift}[kind]()
+            cfg = model_with(drift, barriers=None if two_sided
+                             else rs.BarrierConfig.one_sided_lower(0.0))
         assert _grid_digest(rs.invariant_density(cfg, theta)) == _GOLDEN_GRIDS[case]
 
     def test_mean_reversion_stops_once_simpson_converges(self):

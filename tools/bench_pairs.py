@@ -43,10 +43,7 @@ child's peak RSS, and of ``python -m reflectsde estimate`` on the
 estimate_ci mean-reversion CSV (2,001 rows), timed with a sha256 of its
 stdout, plus one ``python -X importtime`` of the import.  The children run
 with one BLAS thread, as ``perfbench/run.py`` does.  Only names that both
-checkouts define are called.  The row reader and the grid check are
-each checkout's own: a checkout with the step rule ``_regular`` reads a
-body as text and checks every step against the first, any later one reads
-it as bytes and checks the times by ``_grid_step``.
+checkouts define are called.
 """
 
 from __future__ import annotations
@@ -211,8 +208,6 @@ def percall(root: Path) -> dict:
     import tempfile
 
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import numpy as np
-
     import reflectsde as rs
     import workloads
     from reflectsde import _native, cli, estimate, simulate
@@ -294,8 +289,6 @@ def percall(root: Path) -> dict:
     out["write_path_csv"] = {"power gamma=1/2 two-sided n=2000": {
         **_best_median(lambda: rs.write_path_csv(path, io.StringIO()), 301),
         "csv_sha256": hashlib.sha256(written.getvalue().encode()).hexdigest()}}
-    # a checkout with the step rule _regular reads str bodies
-    step_rule = hasattr(simulate, "_regular")
     out["read_path_csv"] = {}
     paths = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -306,10 +299,9 @@ def percall(root: Path) -> dict:
                 cli.main(["simulate", "--config", str(cfg), "--seed", "11", "--out", str(csv)])
             body = csv.read_bytes().split(b"\n", 1)[1]
             ncol = body.split(b"\n", 1)[0].count(b",") + 1
-            rows = body.decode() if step_rule else body
             out["read_rows"][leg.name] = _best_median(
-                lambda: simulate._read_rows(rows, ncol), 301)
-            t = simulate._read_rows(rows, ncol)[:, 0]
+                lambda: simulate._read_rows(body, ncol), 301)
+            t = simulate._read_rows(body, ncol)[:, 0]
             barriers = cli.parse_config(cfg).model.barriers
             out["read_path_csv"][leg.name] = _best_median(
                 lambda: rs.read_path_csv(csv, barriers), 1001)
@@ -318,12 +310,7 @@ def percall(root: Path) -> dict:
                 paths.update(arr.tobytes())
             paths.update(repr((path.t0.hex(), path.h.hex())).encode())
         out["read_path_csv_sha256"] = paths.hexdigest()
-        if step_rule:
-            steps = np.diff(t)
-            h = float(steps[0])
-        check = ((lambda: simulate._regular(steps.copy(), h)) if step_rule else
-                 (lambda: simulate._grid_step(t)))
-        out["time_grid_check"] = _best_median(check, 1001)
+        out["time_grid_check"] = _best_median(lambda: simulate._grid_step(t), 1001)
         leg = "mean_reversion_two_sided"
         out["cold_start"] = cold_start(root, Path(tmp, leg + ".cfg"), Path(tmp, leg + ".csv"))
     custom = rs.ModelConfig(drift=workloads.custom_drift(), sigma=0.5,
